@@ -16,7 +16,7 @@ from .activeset import (
     SeededRandom,
     Trace,
     active_set_run,
-    is_improving_edge,
+    improving_edges,
     line_search,
     make_rule,
     pullback_objective,

@@ -1,27 +1,23 @@
 """Active-set maximization of a quadratic over a simple H-polytope.
 
-The method keeps a working set of tight constraints and repeatedly moves
-along a feasible improving direction: pick a direction in the cone
-``{d : A_tight d <= 0}`` with positive gradient inner product that keeps as
-many working rows tight as possible, drop the one working row the direction
-leaves, advance until either a facet blocks or the gradient along the
-direction vanishes, and re-add a newly tight row while the direction still
-improves.  At a simple vertex the tight-count maximizers are exactly the d
-edge rays (each keeps d-1 of the d tight rows), so the search runs over
-``edge_directions`` and asserts, defensively, that no candidate keeps all d
-rows tight.
+At a simple vertex the feasible directions that keep as many working rows
+tight as possible are exactly the d edge rays (each keeps d-1 of the d tight
+rows and strictly leaves one), so the working set is the tight set and one
+loop body is one edge move: price the edges from ``edge_directions`` against
+the gradient (``improving_edges``), follow the chosen improving edge until a
+facet blocks or the gradient along it vanishes, and repeat until no edge
+improves.  The certificate in ``lowerbound`` prices its vertices with the
+same ``improving_edges``.
 
-Every "for some" in that loop is a pivot-rule choice point.  Rules plug in
-through three callbacks (direction, dropped row, entering row) and must pick
-from the offered candidates; FirstIndex, LastIndex, SeededRandom and
+The one "for some" in that loop, which improving edge to follow, is the
+pivot-rule choice point.  Rules plug in through ``choose_direction`` and must
+pick from the offered candidates; FirstIndex, LastIndex, SeededRandom and
 Adversarial are provided.
 
 Objectives are convex-or-not quadratics; with a convex one, movement along an
 improving edge stays improving up to the edge endpoint, so every iterate is a
-vertex and each loop body performs one edge move.  The runner records the
-full trace: vertices, tight and active sets, directions, step lengths and
-objective values, plus separate counters for loop bodies, edge moves and
-vertices visited.
+vertex.  The runner records the full trace: vertices, tight sets,
+directions, step lengths and objective values, plus the edge-move count.
 """
 
 from __future__ import annotations
@@ -38,6 +34,7 @@ from .errors import (
     BadParameters,
     DegenerateVertex,
     DimensionMismatch,
+    InternalMismatch,
     NotAVertex,
     NotImproving,
     UnboundedImprovement,
@@ -48,6 +45,8 @@ from .extension import ExtendedParabola
 from .polytope import HPolytope, TightSet
 
 DEFAULT_MAX_ITER = 10**7
+
+DirectionCandidate = tuple[int, tuple[int, ...]]
 
 
 @dataclass(frozen=True)
@@ -136,73 +135,46 @@ def line_search(
     return min(mu_max, stationary)
 
 
-def is_improving_edge(
-    poly: HPolytope, f: QuadraticObjective, v: Sequence, direction: Sequence
-) -> bool:
-    """True iff grad f(v) . direction > 0, exactly."""
-    if len(direction) != poly.dim:
-        raise DimensionMismatch("direction dimension differs from polytope")
-    return exactla.dot(f.gradient(v), direction) > 0
+def improving_edges(
+    poly: HPolytope, f: QuadraticObjective, v: Sequence
+) -> list[DirectionCandidate]:
+    """Edges (leaving_facet, direction) at simple vertex v with grad f(v) . direction > 0."""
+    gradient = f.gradient(v)
+    return [
+        (facet, d)
+        for facet, d in polytope.edge_directions(poly, v)  # raises DegenerateVertex
+        if exactla.dot(gradient, d) > 0
+    ]
 
 
 # ---------------------------------------------------------------------------
 # Pivot rules
 
-DirectionCandidate = tuple[int, tuple[int, ...]]
-
-
-@dataclass(frozen=True)
-class ChoiceContext:
-    """Read-only state offered to a pivot rule at a choice point."""
-
-    vertex: Vector
-    tight: TightSet
-    active: TightSet
-    step: int
-
 
 class PivotRule(ABC):
-    """Fills the three 'for some' choice points of the active-set loop.
+    """Picks the improving edge the active-set loop follows.
 
-    Every method must return an element of the candidates it is offered; the
+    ``choose_direction`` must return one of the candidates it is offered; the
     runner enforces this.
     """
 
     @abstractmethod
     def choose_direction(
-        self, candidates: Sequence[DirectionCandidate], ctx: ChoiceContext
+        self, candidates: Sequence[DirectionCandidate], vertex: Vector
     ) -> DirectionCandidate: ...
-
-    @abstractmethod
-    def choose_drop(self, candidates: Sequence[int], ctx: ChoiceContext) -> int: ...
-
-    @abstractmethod
-    def choose_enter(self, candidates: Sequence[int], ctx: ChoiceContext) -> int: ...
 
 
 class FirstIndex(PivotRule):
     """Always the first offered candidate (lowest facet index)."""
 
-    def choose_direction(self, candidates, ctx):
-        return candidates[0]
-
-    def choose_drop(self, candidates, ctx):
-        return candidates[0]
-
-    def choose_enter(self, candidates, ctx):
+    def choose_direction(self, candidates, vertex):
         return candidates[0]
 
 
 class LastIndex(PivotRule):
     """Always the last offered candidate (highest facet index)."""
 
-    def choose_direction(self, candidates, ctx):
-        return candidates[-1]
-
-    def choose_drop(self, candidates, ctx):
-        return candidates[-1]
-
-    def choose_enter(self, candidates, ctx):
+    def choose_direction(self, candidates, vertex):
         return candidates[-1]
 
 
@@ -213,33 +185,21 @@ class SeededRandom(PivotRule):
         self.seed = seed
         self._rng = random.Random(seed)
 
-    def choose_direction(self, candidates, ctx):
-        return candidates[self._rng.randrange(len(candidates))]
-
-    def choose_drop(self, candidates, ctx):
-        return candidates[self._rng.randrange(len(candidates))]
-
-    def choose_enter(self, candidates, ctx):
+    def choose_direction(self, candidates, vertex):
         return candidates[self._rng.randrange(len(candidates))]
 
 
 class Adversarial(PivotRule):
-    """Delegates every choice to a callback(kind, candidates, ctx)."""
+    """Delegates every choice to a callback(candidates, vertex)."""
 
     def __init__(self, callback: Callable):
         self.callback = callback
 
-    def choose_direction(self, candidates, ctx):
-        return self.callback("direction", candidates, ctx)
-
-    def choose_drop(self, candidates, ctx):
-        return self.callback("drop", candidates, ctx)
-
-    def choose_enter(self, candidates, ctx):
-        return self.callback("enter", candidates, ctx)
+    def choose_direction(self, candidates, vertex):
+        return self.callback(candidates, vertex)
 
 
-def _spiteful_choice(kind: str, candidates, ctx):
+def _spiteful_choice(candidates, vertex):
     # Default adversary: middle candidate, to differ from First and Last.
     return candidates[len(candidates) // 2]
 
@@ -268,7 +228,6 @@ RULE_CONSUMES_SEED = {"random"}
 class TraceStep:
     vertex: Vector
     tight: TightSet
-    active: TightSet
     direction: tuple[int, ...] | None
     mu: Fraction | None
     f_value: Fraction
@@ -277,9 +236,13 @@ class TraceStep:
 @dataclass(frozen=True)
 class Trace:
     steps: tuple[TraceStep, ...]
-    loop_iterations: int
     edge_moves: int
     terminated: str  # "Optimal" | "MaxIterations"
+
+    @property
+    def loop_iterations(self) -> int:
+        # Each loop body performs exactly one edge move.
+        return self.edge_moves
 
     @property
     def vertices_visited(self) -> int:
@@ -316,58 +279,34 @@ def active_set_run(
     tight = tuple(i for i, s in enumerate(slack) if s == 0)
     if len(tight) != poly.dim:
         raise NotAVertex(f"start point has {len(tight)} tight rows, need {poly.dim}")
-    active = tight
     int_rows = [r for r, _ in poly._int_rows]
 
     steps: list[TraceStep] = []
-    loop_iterations = 0
     edge_moves = 0
     f_value = f.value(x)
-    terminated = "Optimal"
 
     while True:
         if len(tight) != poly.dim:
             raise NotAVertex(f"iterate has {len(tight)} tight rows, need {poly.dim}")
-        edges = polytope.edge_directions(poly, x)  # raises DegenerateVertex
-        gradient = f.gradient(x)
-        improving = [
-            (facet, d) for facet, d in edges if exactla.dot(gradient, d) > 0
-        ]
-        if not improving:
-            steps.append(TraceStep(x, tight, active, None, None, f_value))
-            terminated = "Optimal"
+        improving = improving_edges(poly, f, x)
+        if not improving or edge_moves >= max_iter:
+            steps.append(TraceStep(x, tight, None, None, f_value))
+            terminated = "MaxIterations" if improving else "Optimal"
             break
-        if loop_iterations >= max_iter:
-            steps.append(TraceStep(x, tight, active, None, None, f_value))
-            terminated = "MaxIterations"
-            break
-        loop_iterations += 1
 
-        ctx = ChoiceContext(vertex=x, tight=tight, active=active, step=len(steps))
-        chosen = rule.choose_direction(improving, ctx)
+        chosen = rule.choose_direction(improving, x)
         if chosen not in improving:
             raise UnknownRule("pivot rule returned a direction not offered")
-        leaving, direction = chosen
-        active_at_entry = active
-
+        _, direction = chosen
         advance = tuple(
             sum(a * e for a, e in zip(row, direction)) for row in int_rows
         )
-        # Drop branch: the edge ray strictly leaves exactly one tight row, so
-        # the working set needs at most one removal before A_active d = 0.
-        droppable = tuple(i for i in active if advance[i] < 0)
-        if droppable:
-            dropped = rule.choose_drop(droppable, ctx)
-            if dropped not in droppable:
-                raise UnknownRule("pivot rule returned a drop index not offered")
-            active = tuple(i for i in active if i != dropped)
-        assert all(advance[i] == 0 for i in active), "working rows must stay tight"
-
         mu_max, _blockers = polytope._ratio_from_slacks(slack, advance)
         mu = line_search(f, x, direction, mu_max)
-        assert mu is not None and mu > 0, "a feasible improving edge must allow mu > 0"
+        if not mu > 0:
+            raise InternalMismatch("a feasible improving edge must allow mu > 0")
 
-        steps.append(TraceStep(x, tight, active_at_entry, direction, mu, f_value))
+        steps.append(TraceStep(x, tight, direction, mu, f_value))
 
         x = tuple(a + mu * e for a, e in zip(x, direction))
         slack = tuple(s - mu * a for s, a in zip(slack, advance))
@@ -378,24 +317,11 @@ def active_set_run(
             )
         edge_moves += 1
         new_value = f.value(x)
-        assert new_value > f_value, "objective must strictly increase on a move"
+        if not new_value > f_value:
+            raise InternalMismatch("objective must strictly increase on a move")
         f_value = new_value
 
-        if exactla.dot(f.gradient(x), direction) > 0:
-            entering = tuple(sorted(set(tight) - set(active)))
-            if entering:
-                entered = rule.choose_enter(entering, ctx)
-                if entered not in entering:
-                    raise UnknownRule("pivot rule returned an enter index not offered")
-                active = tuple(sorted(active + (entered,)))
-        assert set(active) <= set(tight), "working set must stay within tight rows"
-
-    return Trace(
-        steps=tuple(steps),
-        loop_iterations=loop_iterations,
-        edge_moves=edge_moves,
-        terminated=terminated,
-    )
+    return Trace(steps=tuple(steps), edge_moves=edge_moves, terminated=terminated)
 
 
 # ---------------------------------------------------------------------------
@@ -414,7 +340,7 @@ def trace_to_json_dict(
             {
                 "t": t_of(step.vertex) if t_of else None,
                 "vertex": [str(c) for c in step.vertex],
-                "active": list(step.active),
+                "active": list(step.tight),
                 "direction": list(step.direction) if step.direction is not None else None,
                 "mu": str(step.mu) if step.mu is not None else None,
                 "f": str(step.f_value),

@@ -35,16 +35,27 @@ def _params_from_args(args) -> ConstructionParams:
     return ConstructionParams(n=n, d=args.d)
 
 
-def _parse_int_list(text: str) -> list[int]:
+# Argument types: argparse turns their ValueError into a usage error (exit 2)
+# and names the function in the message.
+
+
+def int_list(text: str) -> list[int]:
     return [int(part) for part in text.split(",") if part]
 
 
-def _parse_seed_spec(text: str) -> list[int]:
+def seed_spec(text: str) -> list[int]:
     """Seeds as '1,2,3' or a range '1..10' (inclusive)."""
     if ".." in text:
         lo, hi = text.split("..", 1)
         return list(range(int(lo), int(hi) + 1))
-    return _parse_int_list(text)
+    return int_list(text)
+
+
+def non_negative_int(text: str) -> int:
+    value = int(text)
+    if value < 0:
+        raise ValueError(text)
+    return value
 
 
 def _inject_phi_weight_fault(ext):
@@ -191,10 +202,8 @@ def cmd_scan(args) -> int:
 
 
 def cmd_report(args) -> int:
-    d_list = _parse_int_list(args.d)
     rules = [r for r in args.rules.split(",") if r]
-    seeds = _parse_seed_spec(args.seeds)
-    for d in d_list:
+    for d in args.d:
         params = ConstructionParams(n=4 * d, d=d)
         ext = extension.build(params)
         f = activeset.pullback_objective(ext)
@@ -207,7 +216,7 @@ def cmd_report(args) -> int:
             f = activeset.QuadraticObjective(f.quad, linear, f.constant)
         lowerbound.monotone_path_check(ext, f)
         table = lowerbound.iteration_experiment(
-            4 * d, d, rules, seeds, ext=ext, f=f
+            4 * d, d, rules, args.seeds, ext=ext, f=f
         )
         if args.out:
             path = f"{args.out}_d{d}.csv"
@@ -261,7 +270,7 @@ def build_parser() -> argparse.ArgumentParser:
         "--rule", choices=["first", "last", "random", "adversarial"], default="first"
     )
     p_run.add_argument("--seed", type=int, default=None)
-    p_run.add_argument("--max-iter", type=int, default=None)
+    p_run.add_argument("--max-iter", type=non_negative_int, default=None)
     p_run.add_argument("--out", default=None, help="output path prefix")
     p_run.set_defaults(func=cmd_run)
 
@@ -278,9 +287,11 @@ def build_parser() -> argparse.ArgumentParser:
     p_report = sub.add_parser(
         "report", help="path certificates and iteration counts across dimensions"
     )
-    p_report.add_argument("--d", required=True, help="comma list, e.g. 4,6,8")
+    p_report.add_argument("--d", type=int_list, required=True, help="comma list, e.g. 4,6,8")
     p_report.add_argument("--rules", default="first,last,random")
-    p_report.add_argument("--seeds", default="1..10", help="'1..10' or '1,2,3'")
+    p_report.add_argument(
+        "--seeds", type=seed_spec, default="1..10", help="'1..10' or '1,2,3'"
+    )
     p_report.add_argument("--out", default=None, help="CSV path prefix")
     p_report.add_argument(
         "--inject-fault",

@@ -16,10 +16,6 @@ class DimensionMismatch(ExtparabError):
     """Operands have incompatible dimensions."""
 
 
-class SingularMatrix(ExtparabError):
-    """Exact rank deficiency where an invertible matrix was required."""
-
-
 class ZeroVector(ExtparabError):
     """A nonzero vector was required."""
 

@@ -1,4 +1,4 @@
-"""Exact rational scalars, vectors, matrices and linear solving.
+"""Exact rational scalars, vectors, matrices, rank and integer inverses.
 
 Everything downstream computes over arbitrary-precision rationals: tightness
 tests (A_i . x = b_i) and the projection identities must hold with zero
@@ -19,7 +19,7 @@ from fractions import Fraction
 from math import gcd, lcm
 from typing import Iterable, Sequence
 
-from .errors import DimensionMismatch, SingularMatrix, ZeroVector
+from .errors import DimensionMismatch, ZeroVector
 
 Rational = Fraction
 Vector = tuple[Fraction, ...]
@@ -72,12 +72,6 @@ def dot(u: Sequence, v: Sequence) -> Fraction:
     return total
 
 
-def vadd(u: Vector, v: Vector) -> Vector:
-    if len(u) != len(v):
-        raise DimensionMismatch("vector lengths differ")
-    return tuple(a + b for a, b in zip(u, v))
-
-
 def vsub(u: Vector, v: Vector) -> Vector:
     if len(u) != len(v):
         raise DimensionMismatch("vector lengths differ")
@@ -99,40 +93,6 @@ def transpose(a: Matrix) -> Matrix:
 
 def outer(u: Sequence, v: Sequence) -> Matrix:
     return tuple(tuple(rat(a) * rat(b) for b in v) for a in u)
-
-
-def solve_square(a: Matrix, b: Sequence) -> Vector:
-    """Exact solution of a square system by pivoted Gaussian elimination.
-
-    Raises SingularMatrix when rank(a) < n.
-    """
-    n = len(a)
-    if any(len(row) != n for row in a):
-        raise DimensionMismatch("matrix is not square")
-    if len(b) != n:
-        raise DimensionMismatch("right-hand side length differs from matrix size")
-    rows = [list(row) + [rat(b[i])] for i, row in enumerate(a)]
-    for col in range(n):
-        piv = next((r for r in range(col, n) if rows[r][col] != 0), None)
-        if piv is None:
-            raise SingularMatrix(f"rank deficiency at column {col}")
-        if piv != col:
-            rows[col], rows[piv] = rows[piv], rows[col]
-        pivot = rows[col][col]
-        for r in range(col + 1, n):
-            factor = rows[r][col]
-            if factor == 0:
-                continue
-            factor /= pivot
-            rows[r] = [e - factor * p for e, p in zip(rows[r], rows[col])]
-    x = [Fraction(0)] * n
-    for r in range(n - 1, -1, -1):
-        acc = rows[r][n]
-        for c in range(r + 1, n):
-            if rows[r][c]:
-                acc -= rows[r][c] * x[c]
-        x[r] = acc / rows[r][r]
-    return tuple(x)
 
 
 def rank(a: Matrix) -> int:

@@ -28,7 +28,7 @@ from typing import Sequence
 
 from . import exactla, polygons, polytope
 from .deformed import Functional, dp_hrep, dp_vrep
-from .errors import BadParameters, DimensionMismatch, OutOfRange
+from .errors import BadParameters, DimensionMismatch, InternalMismatch, OutOfRange
 from .exactla import Matrix, Vector
 from .polygons import ParabolaVertexList
 from .polytope import HPolytope
@@ -197,7 +197,8 @@ def decompose_t(t: int, m_level: int, n_fiber: int | None = None) -> tuple[int, 
     k = t // m_level
     j, l = divmod(k, 2)
     s = (1 - l) * (t - 2 * j * m_level) + l * ((2 * j + 2) * m_level - 1 - t)
-    assert 0 <= s <= m_level - 1
+    if not 0 <= s <= m_level - 1:
+        raise InternalMismatch(f"t = {t} maps to s = {s} outside 0..{m_level - 1}")
     return j, l, s
 
 
@@ -223,7 +224,8 @@ def _vertex_at_dim(ext: ExtendedParabola, dim: int, t: int) -> Vector:
     j, l, s = decompose_t(t, level.m_level, ext.params.fiber_count)
     inner = _vertex_at_dim(ext, dim - 2, s)
     sweep = Fraction(s, level.m_level - 1)
-    assert level_functional(dim - 2)(inner) == sweep
+    if level_functional(dim - 2)(inner) != sweep:
+        raise InternalMismatch(f"inner vertex {s} misses sweep value {sweep}")
     v = level.fiber_start.points[2 * j + l]
     w = level.fiber_end.points[2 * j + l]
     tail = tuple(a + sweep * (b - a) for a, b in zip(v, w))

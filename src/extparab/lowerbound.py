@@ -155,17 +155,15 @@ def monotone_path_check(
 
     At every non-optimal vertex exactly one of the d edges improves, and
     following it lands exactly on the next indexed vertex; the optimum has
-    none.  Any deviation raises CertificateFailure naming the offending t.
+    none.  Edges are priced by the runner's own ``improving_edges``; the step
+    length (``ratio_test``) and the landing point are checked independently.
+    Any deviation raises CertificateFailure naming the offending t.
     """
     m_top = ext.params.vertex_count
     entries = []
     for t in range(m_top):
         vertex = extension.vertex_for_t(ext, t)
-        edges = polytope.edge_directions(ext.poly, vertex)
-        gradient = f.gradient(vertex)
-        improving = [
-            (facet, d) for facet, d in edges if exactla.dot(gradient, d) > 0
-        ]
+        improving = activeset.improving_edges(ext.poly, f, vertex)
         expected = 0 if t == m_top - 1 else 1
         if len(improving) != expected:
             raise CertificateFailure(

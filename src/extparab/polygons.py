@@ -52,9 +52,6 @@ class ParabolaVertexList:
     """
 
     params: tuple[Fraction, ...]
-    family: str | None = None
-    gen_m: int | None = None
-    gen_n: int | None = None
 
     def __post_init__(self):
         params = exactla.vec(self.params)
@@ -74,14 +71,14 @@ class ParabolaVertexList:
         return tuple(h(p) for p in self.params)
 
     @classmethod
-    def from_points(cls, points: Sequence[Sequence], **meta) -> "ParabolaVertexList":
+    def from_points(cls, points: Sequence[Sequence]) -> "ParabolaVertexList":
         params = []
         for pt in points:
             x, y = exactla.rat(pt[0]), exactla.rat(pt[1])
             if y != x * x - x:
                 raise NotOnParabola(f"({x}, {y}) is not on y = x^2 - x")
             params.append(x)
-        return cls(tuple(params), **meta)
+        return cls(tuple(params))
 
 
 def build_family(m: int, n: int, family: str) -> ParabolaVertexList:
@@ -105,7 +102,7 @@ def build_family(m: int, n: int, family: str) -> ParabolaVertexList:
             else:
                 numerators.append(m * (2 * j + 1) - (1 - l))
     params = tuple(Fraction(p, denom) for p in numerators)
-    return ParabolaVertexList(params, family=family, gen_m=m, gen_n=n)
+    return ParabolaVertexList(params)
 
 
 def merge_sorted(a: ParabolaVertexList, b: ParabolaVertexList) -> ParabolaVertexList:

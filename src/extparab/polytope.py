@@ -26,6 +26,7 @@ from .errors import (
     DegenerateVertex,
     DimensionMismatch,
     FormatError,
+    InternalMismatch,
     NotFeasible,
     ZeroDirection,
 )
@@ -146,10 +147,10 @@ def edge_directions(
         # Defensive: an edge ray keeps d-1 tight rows and strictly leaves one.
         for j, row in enumerate(int_rows):
             prod = sum(a * e for a, e in zip(row, direction))
-            if j == k:
-                assert prod < 0, "leaving row must strictly decrease"
-            else:
-                assert prod == 0, "non-leaving tight row must stay tight"
+            if (j == k and prod >= 0) or (j != k and prod != 0):
+                raise InternalMismatch(
+                    f"edge {k} breaks the tightness pattern at tight row {j}"
+                )
         result.append((tight[k], direction))
     return result
 
@@ -213,21 +214,26 @@ def hrep_from_ine(text: str) -> HPolytope:
         raise FormatError("missing 'begin' line") from None
     if "H-representation" not in lines[:start]:
         raise FormatError("missing 'H-representation' header")
-    header = lines[start + 1].split()
-    if len(header) != 3 or header[2] != "rational":
-        raise FormatError(f"unsupported size line: {lines[start + 1]!r}")
-    m, cols = int(header[0]), int(header[1])
     rows = []
     rhs = []
-    for ln in lines[start + 2 : start + 2 + m]:
-        parts = ln.split()
-        if len(parts) != cols:
-            raise FormatError(f"row has {len(parts)} entries, expected {cols}")
-        values = [Fraction(p) for p in parts]
-        rhs.append(values[0])
-        rows.append(tuple(-v for v in values[1:]))
-    if lines[start + 2 + m] != "end":
-        raise FormatError("missing 'end' line")
+    try:
+        header = lines[start + 1].split()
+        if len(header) != 3 or header[2] != "rational":
+            raise FormatError(f"unsupported size line: {lines[start + 1]!r}")
+        m, cols = int(header[0]), int(header[1])
+        for ln in lines[start + 2 : start + 2 + m]:
+            parts = ln.split()
+            if len(parts) != cols:
+                raise FormatError(f"row has {len(parts)} entries, expected {cols}")
+            values = [Fraction(p) for p in parts]
+            rhs.append(values[0])
+            rows.append(tuple(-v for v in values[1:]))
+        if lines[start + 2 + m] != "end":
+            raise FormatError("missing 'end' line")
+    except IndexError:
+        raise FormatError("file ends before the 'end' line") from None
+    except (ValueError, ZeroDivisionError) as exc:
+        raise FormatError(f"malformed number: {exc}") from None
     return HPolytope(tuple(rows), tuple(rhs))
 
 

@@ -10,7 +10,7 @@ from extparab.activeset import (
     FirstIndex,
     QuadraticObjective,
     active_set_run,
-    is_improving_edge,
+    improving_edges,
     line_search,
     make_rule,
     make_t_labeler,
@@ -118,7 +118,7 @@ def test_line_search_unbounded():
         line_search(f, (F(0),), (1,), None)
 
 
-def test_is_improving_edge_instance(tower):
+def test_improving_edges_instance(tower):
     # The inner products of the gradient with the chords to vertex t = k
     # follow the closed form k (3/2 - k)/(M-1)^2: positive only for k = 1.
     ext, f = tower
@@ -127,24 +127,16 @@ def test_is_improving_edge_instance(tower):
         chord = exactla.vsub(vertex_for_t(ext, k), v0)
         expected = F(k, 225) * (F(3, 2) - k)
         assert exactla.dot(f.gradient(v0), chord) == expected
-    improving = [
-        d
-        for _, d in polytope.edge_directions(ext.poly, v0)
-        if is_improving_edge(ext.poly, f, v0, d)
-    ]
-    assert len(improving) == 1
+    assert len(improving_edges(ext.poly, f, v0)) == 1
 
 
-def test_is_improving_edge_zero_objective(tower):
+def test_improving_edges_zero_objective(tower):
     ext, _ = tower
     zero = QuadraticObjective(
         quad=((F(0),) * 4,) * 4, linear=(0, 0, 0, 0)
     )
     v0 = vertex_for_t(ext, 0)
-    assert not any(
-        is_improving_edge(ext.poly, zero, v0, d)
-        for _, d in polytope.edge_directions(ext.poly, v0)
-    )
+    assert improving_edges(ext.poly, zero, v0) == []
 
 
 def test_run_visits_all_vertices_in_order(tower):
@@ -184,8 +176,8 @@ def test_run_trace_invariants(tower):
     for step in trace.steps:
         assert polytope.contains(ext.poly, step.vertex)
         assert polytope.is_simple_vertex(ext.poly, step.vertex)
-        assert set(step.active) <= set(step.tight)
-        assert len(step.active) == ext.poly.dim
+        assert step.tight == polytope.tight_set(ext.poly, step.vertex)
+        assert len(step.tight) == ext.poly.dim
     for a, b in zip(trace.steps, trace.steps[1:]):
         assert a.vertex != b.vertex
 
@@ -209,7 +201,7 @@ def test_run_rejects_non_vertex_start(tower):
 
 def test_run_rejects_rule_contract_violation(tower):
     ext, f = tower
-    cheat = Adversarial(lambda kind, candidates, ctx: ("bogus", (0, 0, 0, 0)))
+    cheat = Adversarial(lambda candidates, vertex: ("bogus", (0, 0, 0, 0)))
     with pytest.raises(UnknownRule):
         active_set_run(ext.poly, f, vertex_for_t(ext, 0), cheat, 64)
 
@@ -240,8 +232,10 @@ def test_trace_json_schema(tower):
     )
     assert set(doc) == {"instance", "steps", "edge_moves", "loop_iterations", "terminated"}
     assert doc["terminated"] == "Optimal"
-    assert doc["edge_moves"] == 15
+    assert doc["edge_moves"] == doc["loop_iterations"] == 15
     assert [s["t"] for s in doc["steps"]] == list(range(16))
+    # "active" is kept for format compatibility; it is the tight set.
+    assert [s["active"] for s in doc["steps"]] == [list(s.tight) for s in trace.steps]
     # first move: (1/225) (75, -50, 15, -12) reaches the t = 1 vertex
     first = doc["steps"][0]
     assert first["vertex"] == ["0", "0", "0", "0"]

@@ -108,6 +108,22 @@ def test_run_unknown_rule_is_usage_error(tmp_path, capsys):
     assert code == 2
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["report", "--d", "4,x"],
+        ["report", "--d", "4", "--seeds", "a..b"],
+        ["run", "--d", "4", "--max-iter", "-1"],
+    ],
+    ids=["d-list", "seed-spec", "negative-max-iter"],
+)
+def test_malformed_argument_is_usage_error(tmp_path, capsys, argv):
+    code = run_cli(argv + ["--out", str(tmp_path / "x")])
+    err = capsys.readouterr().err
+    assert code == 2
+    assert "invalid" in err and "Traceback" not in err
+
+
 def test_scan_small(capsys):
     assert run_cli(["scan", "--M", "16"]) == 0
     out = capsys.readouterr().out

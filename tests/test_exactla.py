@@ -1,4 +1,4 @@
-"""Exact linear algebra: solving, rank, primitive vectors, inverse columns."""
+"""Exact linear algebra: rank, primitive vectors, inverse columns."""
 
 from fractions import Fraction as F
 
@@ -7,28 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from extparab import exactla
-from extparab.errors import DimensionMismatch, SingularMatrix, ZeroVector
-
-
-def test_solve_identity():
-    a = exactla.identity(2)
-    assert exactla.solve_square(a, (3, -2)) == (F(3), F(-2))
-
-
-def test_solve_diagonal():
-    a = exactla.mat([[2, 0], [0, 4]])
-    assert exactla.solve_square(a, (1, 1)) == (F(1, 2), F(1, 4))
-
-
-def test_solve_singular():
-    a = exactla.mat([[1, 1], [1, 1]])
-    with pytest.raises(SingularMatrix):
-        exactla.solve_square(a, (0, 1))
-
-
-def test_solve_requires_square():
-    with pytest.raises(DimensionMismatch):
-        exactla.solve_square(exactla.mat([[1, 2]]), (1,))
+from extparab.errors import ZeroVector
 
 
 def test_rank_zero_matrix():
@@ -67,22 +46,6 @@ def test_primitive_scale_invariant(entries, scale):
     base = exactla.primitive(tuple(entries))
     scaled = exactla.primitive(tuple(scale * e for e in entries))
     assert base == scaled
-
-
-@given(st.integers(min_value=1, max_value=5), st.data())
-@settings(max_examples=60, deadline=None)
-def test_solve_roundtrip(n, data):
-    rows = data.draw(
-        st.lists(
-            st.lists(small_ints, min_size=n, max_size=n), min_size=n, max_size=n
-        )
-    )
-    x = data.draw(st.lists(rationals, min_size=n, max_size=n))
-    a = exactla.mat(rows)
-    if exactla.rank(a) < n:
-        return
-    b = exactla.matvec(a, tuple(x))
-    assert exactla.solve_square(a, b) == tuple(x)
 
 
 @given(st.integers(min_value=1, max_value=5), st.data())

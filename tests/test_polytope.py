@@ -1,6 +1,10 @@
 """Polytope membership, tight sets, edges, ratio tests and cdd round-trips."""
 
+import os
+import subprocess
+import sys
 from fractions import Fraction as F
+from pathlib import Path
 
 import pytest
 
@@ -186,6 +190,46 @@ def test_ine_format_shape():
 def test_ine_parse_rejects_garbage():
     with pytest.raises(FormatError):
         polytope.hrep_from_ine("not a polytope file")
+
+
+@pytest.mark.parametrize(
+    "text",
+    [
+        "H-representation\nbegin\n4 3 rational\n1 -1 0\n0 1 0\n",
+        "H-representation\nbegin\nx y rational\n1 -1 0\nend\n",
+        "H-representation\nbegin\n1 2 rational\n1 abc\nend\n",
+        "H-representation\nbegin\n",
+    ],
+    ids=["truncated-body", "size-line", "entry", "ends-after-begin"],
+)
+def test_ine_parse_rejects_malformed(text):
+    with pytest.raises(FormatError):
+        polytope.hrep_from_ine(text)
+
+
+def test_edge_pattern_check_survives_optimize_flag():
+    # Under python -O a corrupted inverse (columns reversed, so each ray
+    # leaves the wrong row) must still be caught by an explicit raise.
+    code = (
+        "from extparab import exactla, polytope\n"
+        "from extparab.errors import InternalMismatch\n"
+        "from extparab.extension import ConstructionParams, build, vertex_for_t\n"
+        "assert False, 'asserts must be stripped'\n"
+        "inverse = exactla.int_inverse_scaled\n"
+        "exactla.int_inverse_scaled = lambda rows: inverse(rows)[::-1]\n"
+        "ext = build(ConstructionParams(n=16, d=4))\n"
+        "try:\n"
+        "    polytope.edge_directions(ext.poly, vertex_for_t(ext, 0))\n"
+        "except InternalMismatch:\n"
+        "    print('InternalMismatch')\n"
+    )
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    done = subprocess.run(
+        [sys.executable, "-O", "-c", code], capture_output=True, text=True, env=env, timeout=60
+    )
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.strip() == "InternalMismatch"
 
 
 def test_vrep_format_shape():

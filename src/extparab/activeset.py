@@ -18,6 +18,12 @@ Objectives are convex-or-not quadratics; with a convex one, movement along an
 improving edge stays improving up to the edge endpoint, so every iterate is a
 vertex.  The runner records the full trace: vertices, tight sets,
 directions, step lengths and objective values, plus the edge-move count.
+
+The runner evaluates the gradient once per vertex and hands it to both
+pricing and the line search; pricing clears the gradient's denominators.
+Slacks, tight sets and the ratio test come from ``polytope``, which works on
+integer numerators.  Objectives evaluate over the nonzero entries of their
+quadratic part only (on the tower it has a single one).
 """
 
 from __future__ import annotations
@@ -27,6 +33,7 @@ import random
 from abc import ABC, abstractmethod
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 from typing import Callable, Sequence
 
 from . import exactla, polytope
@@ -72,18 +79,37 @@ class QuadraticObjective:
     def dim(self) -> int:
         return len(self.linear)
 
+    @cached_property
+    def _quad_rows(self) -> tuple[tuple[int, tuple[int, ...], Vector], ...]:
+        # (i, columns, entries) of every nonzero row i of quad.
+        rows = []
+        for i, row in enumerate(self.quad):
+            cols = tuple(j for j, a in enumerate(row) if a)
+            if cols:
+                rows.append((i, cols, tuple(row[j] for j in cols)))
+        return tuple(rows)
+
+    def _quad_form(self, u: Sequence) -> Fraction:
+        """u^T quad u."""
+        total = Fraction(0)
+        for i, cols, entries in self._quad_rows:
+            if u[i]:
+                total += u[i] * exactla.dot(entries, [u[j] for j in cols])
+        return total
+
     def value(self, x: Sequence) -> Fraction:
-        ax = exactla.matvec(self.quad, x)
-        return exactla.dot(x, ax) + exactla.dot(self.linear, x) + self.constant
+        return self._quad_form(x) + exactla.dot(self.linear, x) + self.constant
 
     def gradient(self, x: Sequence) -> Vector:
         if len(x) != self.dim:
             raise DimensionMismatch(f"point has dim {len(x)}, objective {self.dim}")
-        ax = exactla.matvec(self.quad, x)
-        return tuple(2 * a + q for a, q in zip(ax, self.linear))
+        grad = list(self.linear)
+        for i, cols, entries in self._quad_rows:
+            grad[i] += 2 * exactla.dot(entries, [x[j] for j in cols])
+        return tuple(grad)
 
     def curvature_along(self, direction: Sequence) -> Fraction:
-        return exactla.dot(direction, exactla.matvec(self.quad, direction))
+        return self._quad_form(direction)
 
 
 def objective_constant(m_count: int) -> Fraction:
@@ -111,14 +137,16 @@ def line_search(
     x: Sequence,
     direction: Sequence,
     mu_max: Fraction | None,
+    gradient: Vector,
 ) -> Fraction:
     """Largest step keeping the direction improving, capped by mu_max.
 
     The directional derivative g(mu) = grad(x) . d + 2 mu d^T quad d is
     affine in mu; the step is min(mu_max, root of g) with the root at
-    infinity for nonnegative curvature.  Requires g(0) > 0.
+    infinity for nonnegative curvature.  Requires g(0) > 0.  ``gradient`` is
+    grad f(x), which the caller has already evaluated to price the edges.
     """
-    g0 = exactla.dot(f.gradient(x), direction)
+    g0 = exactla.dot(gradient, direction)
     if g0 <= 0:
         raise NotImproving(f"directional derivative {g0} is not positive")
     curvature = f.curvature_along(direction)
@@ -136,14 +164,24 @@ def line_search(
 
 
 def improving_edges(
-    poly: HPolytope, f: QuadraticObjective, v: Sequence
+    poly: HPolytope,
+    f: QuadraticObjective,
+    v: Sequence,
+    gradient: Vector | None = None,
 ) -> list[DirectionCandidate]:
-    """Edges (leaving_facet, direction) at simple vertex v with grad f(v) . direction > 0."""
-    gradient = f.gradient(v)
+    """Edges (leaving_facet, direction) at simple vertex v with grad f(v) . direction > 0.
+
+    ``gradient`` is grad f(v) when the caller has already evaluated it.  The
+    edges are priced against the gradient with its denominators cleared, a
+    positive scaling that keeps every sign.
+    """
+    if gradient is None:
+        gradient = f.gradient(v)
+    weights = [(j, g) for j, g in enumerate(exactla.common_denominator(gradient)[0]) if g]
     return [
         (facet, d)
         for facet, d in polytope.edge_directions(poly, v)  # raises DegenerateVertex
-        if exactla.dot(gradient, d) > 0
+        if sum(g * d[j] for j, g in weights) > 0
     ]
 
 
@@ -273,13 +311,11 @@ def active_set_run(
     if f.dim != poly.dim:
         raise DimensionMismatch("objective dimension differs from polytope")
     x = exactla.vec(x0)
-    slack = polytope.slacks(poly, x)
-    if any(s < 0 for s in slack):
+    if not polytope.contains(poly, x):
         raise NotAVertex("start point is not feasible")
-    tight = tuple(i for i, s in enumerate(slack) if s == 0)
+    tight = polytope.tight_set(poly, x)
     if len(tight) != poly.dim:
         raise NotAVertex(f"start point has {len(tight)} tight rows, need {poly.dim}")
-    int_rows = [r for r, _ in poly._int_rows]
 
     steps: list[TraceStep] = []
     edge_moves = 0
@@ -288,7 +324,8 @@ def active_set_run(
     while True:
         if len(tight) != poly.dim:
             raise NotAVertex(f"iterate has {len(tight)} tight rows, need {poly.dim}")
-        improving = improving_edges(poly, f, x)
+        gradient = f.gradient(x)
+        improving = improving_edges(poly, f, x, gradient)
         if not improving or edge_moves >= max_iter:
             steps.append(TraceStep(x, tight, None, None, f_value))
             terminated = "MaxIterations" if improving else "Optimal"
@@ -298,19 +335,15 @@ def active_set_run(
         if chosen not in improving:
             raise UnknownRule("pivot rule returned a direction not offered")
         _, direction = chosen
-        advance = tuple(
-            sum(a * e for a, e in zip(row, direction)) for row in int_rows
-        )
-        mu_max, _blockers = polytope._ratio_from_slacks(slack, advance)
-        mu = line_search(f, x, direction, mu_max)
+        mu_max, _blockers = polytope.ratio_test(poly, x, direction)
+        mu = line_search(f, x, direction, mu_max, gradient)
         if not mu > 0:
             raise InternalMismatch("a feasible improving edge must allow mu > 0")
 
         steps.append(TraceStep(x, tight, direction, mu, f_value))
 
         x = tuple(a + mu * e for a, e in zip(x, direction))
-        slack = tuple(s - mu * a for s, a in zip(slack, advance))
-        tight = tuple(i for i, s in enumerate(slack) if s == 0)
+        tight = polytope.tight_set(poly, x)
         if len(tight) > poly.dim:
             raise DegenerateVertex(
                 f"blocking tie leaves {len(tight)} tight rows at the new point"

@@ -39,15 +39,21 @@ def _params_from_args(args) -> ConstructionParams:
 # and names the function in the message.
 
 
+def _non_empty(values: list[int], text: str) -> list[int]:
+    if not values:
+        raise ValueError(f"{text!r} lists nothing")
+    return values
+
+
 def int_list(text: str) -> list[int]:
-    return [int(part) for part in text.split(",") if part]
+    return _non_empty([int(part) for part in text.split(",") if part], text)
 
 
 def seed_spec(text: str) -> list[int]:
-    """Seeds as '1,2,3' or a range '1..10' (inclusive)."""
+    """Seeds as '1,2,3' or a range '1..10' (inclusive, lo <= hi)."""
     if ".." in text:
         lo, hi = text.split("..", 1)
-        return list(range(int(lo), int(hi) + 1))
+        return _non_empty(list(range(int(lo), int(hi) + 1)), text)
     return int_list(text)
 
 

@@ -9,7 +9,11 @@ the text form used in every file format of this package.
 
 Vectors are tuples of Fractions and matrices are tuples of row tuples, so all
 values are immutable and safe to share.  Dimensions stay small (d <= ~20,
-m = 2d), so everything is dense.
+m = 2d), so the containers are dense.  The hot kernels work on plain ints
+instead: ``dot`` accumulates one integer numerator and denominator,
+``primitive`` of an integer vector never builds a Fraction, and
+``int_inverse_scaled`` skips the rows an elimination step leaves unchanged,
+which on the tower's sparse tight matrices is most of them.
 """
 
 from __future__ import annotations
@@ -63,13 +67,16 @@ def identity(n: int) -> Matrix:
 
 
 def dot(u: Sequence, v: Sequence) -> Fraction:
+    """Exact u . v of ints and Fractions, reduced once at the end."""
     if len(u) != len(v):
         raise DimensionMismatch(f"dot of lengths {len(u)} and {len(v)}")
-    total = Fraction(0)
+    num, den = 0, 1
     for a, b in zip(u, v):
         if a and b:
-            total += a * b
-    return total
+            q = a.denominator * b.denominator
+            num = num * q + a.numerator * b.numerator * den
+            den *= q
+    return Fraction(num, den)
 
 
 def vsub(u: Vector, v: Vector) -> Vector:
@@ -123,8 +130,17 @@ def primitive(v: Sequence) -> tuple[int, ...]:
     """Unique coprime integer vector with the direction and orientation of v.
 
     Scales by the lcm of denominators, then divides by the gcd of the
-    entries; both factors are positive so the orientation is preserved.
+    entries; both factors are positive so the orientation is preserved.  An
+    all-int vector skips the scaling and stays in ints.
     """
+    try:
+        g = gcd(*v)  # TypeError unless every entry is an integer
+    except TypeError:
+        pass
+    else:
+        if g == 0:
+            raise ZeroVector("primitive of the zero vector")
+        return tuple(x // g for x in v)
     fracs = [rat(x) for x in v]
     if all(x == 0 for x in fracs):
         raise ZeroVector("primitive of the zero vector")
@@ -134,48 +150,55 @@ def primitive(v: Sequence) -> tuple[int, ...]:
     return tuple(n // g for n in ints)
 
 
-def clear_denominators(values: Sequence) -> tuple[int, ...]:
-    """Scale a rational vector by the (positive) lcm of denominators."""
-    fracs = [rat(x) for x in values]
-    scale = lcm(*(x.denominator for x in fracs)) if len(fracs) > 1 else fracs[0].denominator
-    return tuple(int(x * scale) for x in fracs)
+def common_denominator(values: Sequence) -> tuple[tuple[int, ...], int]:
+    """(numerators, D): ints and Fractions as integers over their lcm denominator D > 0."""
+    denom = lcm(*(x.denominator for x in values))
+    return tuple(x.numerator * (denom // x.denominator) for x in values), denom
 
 
 def int_inverse_scaled(rows: Sequence[Sequence[int]]) -> list[tuple[int, ...]] | None:
     """Columns of the inverse of an integer matrix, up to positive scaling.
 
     Returns a list of integer vectors y_0..y_{n-1} with A . y_k = lam_k e_k
-    for some lam_k > 0, or None when A is singular.  Uses fraction-free
-    (Bareiss) Gauss-Jordan elimination, so all intermediate values are
-    integers of minor-sized magnitude; this is the hot path behind edge
-    enumeration and is much faster than Fraction elimination.
+    for some lam_k > 0, or None when A is singular.  Fraction-free
+    Gauss-Jordan elimination on [A | I]: a pivot step changes only the rows
+    r with a nonzero multiplier m = A_rk, to (p/g) row_r - (m/g) pivot_row
+    with p the pivot and g = gcd(p, m); when p/g = 1 only the pivot row's
+    nonzero columns change.  Each changed row is then divided by the gcd of
+    its entries (its content), which keeps the integers small.  Bareiss's
+    division by the previous pivot would instead have to touch every row at
+    every step; on the sparse tight matrices of the tower most rows have a
+    zero multiplier and are skipped.
     """
     n = len(rows)
-    work = [list(rows[i]) + [int(i == j) for j in range(n)] for i in range(n)]
-    prev = 1
+    work = [list(row) + [int(i == j) for j in range(n)] for i, row in enumerate(rows)]
     for k in range(n):
         piv = next((r for r in range(k, n) if work[r][k] != 0), None)
         if piv is None:
             return None
         if piv != k:
             work[k], work[piv] = work[piv], work[k]
-        pivot = work[k][k]
         pivrow = work[k]
-        for r in range(n):
-            if r == k:
-                continue
-            row = work[r]
+        pivot = pivrow[k]
+        support = [(c, b) for c, b in enumerate(pivrow) if b]
+        for r, row in enumerate(work):
             mult = row[k]
-            for c in range(2 * n):
-                row[c] = (pivot * row[c] - mult * pivrow[c]) // prev
-        prev = pivot
+            if mult == 0 or r == k:
+                continue
+            g = gcd(pivot, mult)
+            p, m = pivot // g, mult // g
+            if p != 1:
+                row = [p * a for a in row]
+            for c, b in support:
+                row[c] -= m * b
+            content = gcd(*row)
+            work[r] = [a // content for a in row] if content > 1 else row
+    # Row i is now diag_i e_i | E_i with E A = diag, so A^-1 e_k has entries
+    # E_ik / diag_i; scaling by the lcm of |diag| keeps them integers.
     diag = [work[i][i] for i in range(n)]
-    scale = lcm(*(abs(d) for d in diag)) if n > 1 else abs(diag[0])
+    scale = lcm(*diag)
     factors = [scale // d for d in diag]  # exact by construction of the lcm
-    columns = []
-    for k in range(n):
-        columns.append(tuple(work[i][n + k] * factors[i] for i in range(n)))
-    return columns
+    return list(zip(*([a * f for a in row[n:]] for row, f in zip(work, factors))))
 
 
 def to_decimal(value: Fraction, significant_digits: int = 12) -> str:

@@ -4,6 +4,12 @@ A polytope is stored as ``{x : A x <= b}`` over rationals, with one
 human-readable label per facet recording construction provenance.  Labels are
 metadata: two polytopes compare equal when A and b agree entry for entry.
 
+Every row is also kept scaled to integers, dense and as its nonzeros only
+(the tower's rows have at most three).  Slacks, tight sets, membership and
+ratio tests put the point over the lcm of its denominators and work on the
+integer numerators b_i D - A_i (x D); only ``slacks`` and the ratio test's
+minimum are built as Fractions.
+
 Edge enumeration assumes simple vertices (every vertex here has exactly d
 tight, independent rows); anything else raises DegenerateVertex, because on
 the constructed instances degeneracy means a bug, not a case to handle.
@@ -86,31 +92,56 @@ class HPolytope:
         # tight set and every ratio (b_i - A_i x)/(A_i d).
         scaled = []
         for row, rhs in zip(self.A, self.b):
-            ints = exactla.clear_denominators(tuple(row) + (rhs,))
+            ints, _ = exactla.common_denominator(tuple(row) + (rhs,))
             scaled.append((ints[:-1], ints[-1]))
         return tuple(scaled)
+
+    @cached_property
+    def _sparse_rows(self) -> tuple[tuple[tuple[tuple[int, int], ...], int], ...]:
+        # _int_rows with each row reduced to its (column, coefficient) nonzeros.
+        return tuple(
+            (tuple((j, a) for j, a in enumerate(row) if a), rhs)
+            for row, rhs in self._int_rows
+        )
+
+
+def _sparse_dot(row: Sequence[tuple[int, int]], x: Sequence) -> int:
+    """A_i . x for a row given as its (column, coefficient) nonzeros."""
+    total = 0
+    for j, a in row:
+        total += a * x[j]
+    return total
+
+
+def scaled_slacks(poly: HPolytope, x: Sequence) -> tuple[list[int], int]:
+    """Slacks b - A x of the integer system as (numerators, common denominator).
+
+    The denominator D > 0 is the lcm of the denominators of x, and numerator
+    i is b_i D - A_i . (x D).
+    """
+    if len(x) != poly.dim:
+        raise DimensionMismatch(f"point has dim {len(x)}, polytope {poly.dim}")
+    xs, denom = exactla.common_denominator(x)
+    return [rhs * denom - _sparse_dot(row, xs) for row, rhs in poly._sparse_rows], denom
 
 
 def slacks(poly: HPolytope, x: Sequence) -> Vector:
     """b - A x, in the positively row-scaled integer system."""
-    if len(x) != poly.dim:
-        raise DimensionMismatch(f"point has dim {len(x)}, polytope {poly.dim}")
-    return tuple(
-        rhs - exactla.dot(row, x) for row, rhs in poly._int_rows
-    )
+    nums, denom = scaled_slacks(poly, x)
+    return tuple(Fraction(s, denom) for s in nums)
 
 
 def contains(poly: HPolytope, x: Sequence) -> bool:
     """Exact membership test A x <= b."""
-    return all(s >= 0 for s in slacks(poly, x))
+    return all(s >= 0 for s in scaled_slacks(poly, x)[0])
 
 
 def tight_set(poly: HPolytope, x: Sequence) -> TightSet:
     """Indices of the rows satisfied with equality at a feasible point."""
-    s = slacks(poly, x)
-    if any(v < 0 for v in s):
+    nums, _ = scaled_slacks(poly, x)
+    if any(s < 0 for s in nums):
         raise NotFeasible("point is outside the polytope")
-    return tuple(i for i, v in enumerate(s) if v == 0)
+    return tuple(i for i, s in enumerate(nums) if s == 0)
 
 
 def is_simple_vertex(poly: HPolytope, x: Sequence) -> bool:
@@ -137,16 +168,16 @@ def edge_directions(
         raise DegenerateVertex(
             f"{len(tight)} tight rows at a point of dimension {poly.dim}"
         )
-    int_rows = [poly._int_rows[i][0] for i in tight]
-    columns = exactla.int_inverse_scaled(int_rows)
+    columns = exactla.int_inverse_scaled([poly._int_rows[i][0] for i in tight])
     if columns is None:
         raise DegenerateVertex("tight rows are rank-deficient")
+    sparse_rows = [poly._sparse_rows[i][0] for i in tight]
     result = []
     for k, col in enumerate(columns):
-        direction = exactla.primitive(tuple(-c for c in col))
+        direction = exactla.primitive([-c for c in col])
         # Defensive: an edge ray keeps d-1 tight rows and strictly leaves one.
-        for j, row in enumerate(int_rows):
-            prod = sum(a * e for a, e in zip(row, direction))
+        for j, row in enumerate(sparse_rows):
+            prod = _sparse_dot(row, direction)
             if (j == k and prod >= 0) or (j != k and prod != 0):
                 raise InternalMismatch(
                     f"edge {k} breaks the tightness pattern at tight row {j}"
@@ -166,28 +197,27 @@ def ratio_test(
     """
     if all(e == 0 for e in direction):
         raise ZeroDirection("ratio test along the zero direction")
-    s = slacks(poly, x)
-    advance = tuple(
-        exactla.dot(row, direction) for row, _ in poly._int_rows
-    )
-    return _ratio_from_slacks(s, advance)
-
-
-def _ratio_from_slacks(
-    s: Sequence[Fraction], advance: Sequence[Fraction]
-) -> tuple[Fraction | None, TightSet]:
-    mu_max: Fraction | None = None
+    nums, denom = scaled_slacks(poly, x)
+    # Ratios nums_i / (denom advance_i) are compared by cross-multiplication,
+    # so only the minimum becomes a Fraction.
+    best: int | None = None
+    best_adv = 0
     blockers: list[int] = []
-    for i, (slack, adv) in enumerate(zip(s, advance)):
+    for i, (row, _) in enumerate(poly._sparse_rows):
+        adv = _sparse_dot(row, direction)
         if adv <= 0:
             continue
-        ratio = slack / adv
-        if mu_max is None or ratio < mu_max:
-            mu_max = ratio
-            blockers = [i]
-        elif ratio == mu_max:
+        if best is None:
+            best, best_adv, blockers = i, adv, [i]
+            continue
+        lhs, rhs = nums[i] * best_adv, nums[best] * adv
+        if lhs < rhs:
+            best, best_adv, blockers = i, adv, [i]
+        elif lhs == rhs:
             blockers.append(i)
-    return mu_max, tuple(blockers)
+    if best is None:
+        return None, ()
+    return Fraction(nums[best], denom * best_adv), tuple(blockers)
 
 
 # ---------------------------------------------------------------------------

@@ -91,31 +91,31 @@ def test_line_search_boundary_stop(tower):
     )
     mu_max, _ = polytope.ratio_test(ext.poly, v0, direction)
     # convex objective: improving all the way to the boundary
-    assert line_search(f, v0, direction, mu_max) == mu_max
-    assert line_search(f, v0, direction, F(1, 9)) == F(1, 9)
+    assert line_search(f, v0, direction, mu_max, f.gradient(v0)) == mu_max
+    assert line_search(f, v0, direction, F(1, 9), f.gradient(v0)) == F(1, 9)
 
 
 def test_line_search_interior_root():
     # f(x) = x - x^2 on the line: g(mu) = 1 - 2 mu vanishes at 1/2.
     f = QuadraticObjective(quad=((-1,),), linear=(1,))
-    assert line_search(f, (F(0),), (1,), F(10)) == F(1, 2)
+    assert line_search(f, (F(0),), (1,), F(10), f.gradient((F(0),))) == F(1, 2)
 
 
 def test_line_search_blocked_immediately():
     f = QuadraticObjective(quad=((1,),), linear=(1,))
-    assert line_search(f, (F(0),), (1,), F(0)) == 0
+    assert line_search(f, (F(0),), (1,), F(0), f.gradient((F(0),))) == 0
 
 
 def test_line_search_requires_improvement():
     f = QuadraticObjective(quad=((1,),), linear=(0,))
     with pytest.raises(NotImproving):
-        line_search(f, (F(0),), (1,), F(1))
+        line_search(f, (F(0),), (1,), F(1), f.gradient((F(0),)))
 
 
 def test_line_search_unbounded():
     f = QuadraticObjective(quad=((0,),), linear=(1,))
     with pytest.raises(UnboundedImprovement):
-        line_search(f, (F(0),), (1,), None)
+        line_search(f, (F(0),), (1,), None, f.gradient((F(0),)))
 
 
 def test_improving_edges_instance(tower):

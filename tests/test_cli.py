@@ -1,6 +1,10 @@
 """End-to-end CLI contracts: files, stdout summaries, exit codes."""
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -114,8 +118,10 @@ def test_run_unknown_rule_is_usage_error(tmp_path, capsys):
         ["report", "--d", "4,x"],
         ["report", "--d", "4", "--seeds", "a..b"],
         ["run", "--d", "4", "--max-iter", "-1"],
+        ["report", "--d", ","],
+        ["report", "--d", "4", "--rules", "random", "--seeds", "5..1"],
     ],
-    ids=["d-list", "seed-spec", "negative-max-iter"],
+    ids=["d-list", "seed-spec", "negative-max-iter", "empty-d-list", "empty-seed-range"],
 )
 def test_malformed_argument_is_usage_error(tmp_path, capsys, argv):
     code = run_cli(argv + ["--out", str(tmp_path / "x")])
@@ -172,3 +178,28 @@ def test_report_detects_objective_fault(capsys):
     )
     capsys.readouterr()
     assert code == 1
+
+
+def test_negative_controls_survive_optimize_flag():
+    # The three injected faults must still exit 1 when python -O strips asserts.
+    code = (
+        "import contextlib, io\n"
+        "from extparab.cli import main\n"
+        "assert False, 'asserts must be stripped'\n"
+        "controls = [\n"
+        "    ['verify', '--d', '4', '--inject-fault', 'phi-weight'],\n"
+        "    ['verify', '--d', '4', '--inject-fault', 'vertex'],\n"
+        "    ['report', '--d', '4', '--rules', 'first', '--seeds', '1', '--inject-fault', 'objective-c'],\n"
+        "]\n"
+        "for argv in controls:\n"
+        "    with contextlib.redirect_stdout(io.StringIO()):\n"
+        "        code = main(argv)\n"
+        "    print(code)\n"
+    )
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    done = subprocess.run(
+        [sys.executable, "-O", "-c", code], capture_output=True, text=True, env=env, timeout=120
+    )
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.split() == ["1", "1", "1"]

@@ -31,8 +31,9 @@ def test_primitive_divides_gcd():
 
 
 def test_primitive_zero_vector():
-    with pytest.raises(ZeroVector):
-        exactla.primitive((0, 0))
+    for zero in [(0, 0), (F(0), 0), (0,), ()]:
+        with pytest.raises(ZeroVector):
+            exactla.primitive(zero)
 
 
 small_ints = st.integers(min_value=-30, max_value=30)
@@ -48,14 +49,42 @@ def test_primitive_scale_invariant(entries, scale):
     assert base == scaled
 
 
-@given(st.integers(min_value=1, max_value=5), st.data())
-@settings(max_examples=80, deadline=None)
-def test_int_inverse_scaled_matches_solve(n, data):
-    rows = data.draw(
-        st.lists(
-            st.lists(small_ints, min_size=n, max_size=n), min_size=n, max_size=n
-        )
-    )
+big_ints = st.integers(min_value=-(2**40), max_value=2**40)
+
+
+@given(st.lists(big_ints, min_size=1, max_size=12))
+def test_primitive_int_path_matches_fraction_path(entries):
+    if all(e == 0 for e in entries):
+        return
+    ints = exactla.primitive(entries)
+    assert all(type(e) is int for e in ints)
+    assert ints == exactla.primitive([F(e) for e in entries])
+    # A positive multiple of the input, so every sign is kept.
+    assert all((a > 0) == (e > 0) and (a < 0) == (e < 0) for a, e in zip(ints, entries))
+
+
+@st.composite
+def int_matrices(draw):
+    """Small dense matrices, or sparse ones (<= 3 nonzeros a row) with big entries."""
+    if draw(st.booleans()):
+        n = draw(st.integers(min_value=1, max_value=5))
+        return draw(st.lists(st.lists(small_ints, min_size=n, max_size=n), min_size=n, max_size=n))
+    n = draw(st.integers(min_value=1, max_value=12))
+    with_diagonal = draw(st.booleans())  # mostly nonsingular; without it, mostly singular
+    nonzero = big_ints.filter(bool)
+    rows = []
+    for i in range(n):
+        cols = set(draw(st.lists(st.integers(min_value=0, max_value=n - 1), max_size=3)))
+        if with_diagonal:
+            cols = set(sorted(cols)[:2]) | {i}
+        rows.append([draw(nonzero) if j in cols else 0 for j in range(n)])
+    return rows
+
+
+@given(int_matrices())
+@settings(max_examples=150, deadline=None)
+def test_int_inverse_scaled_matches_solve(rows):
+    n = len(rows)
     a = exactla.mat(rows)
     singular = exactla.rank(a) < n
     columns = exactla.int_inverse_scaled(rows)
@@ -70,6 +99,14 @@ def test_int_inverse_scaled_matches_solve(n, data):
         for j in range(n):
             if j != k:
                 assert image[j] == 0
+
+
+@given(st.lists(st.tuples(rationals | small_ints, rationals | small_ints), max_size=8))
+def test_dot_matches_fraction_sum(pairs):
+    u, v = [a for a, _ in pairs], [b for _, b in pairs]
+    expected = sum((F(a) * b for a, b in pairs), F(0))
+    result = exactla.dot(u, v)
+    assert type(result) is F and result == expected
 
 
 @given(rationals, rationals)

@@ -1,0 +1,45 @@
+"""Golden outputs: SHA-256 digests of files the hot path must not change.
+
+The digests were taken before the active-set walk moved to integer
+numerators and sparse elimination, from the Fraction-only implementation.
+A later change to the hot path that alters a single byte of a trace, a plot
+row or a path certificate fails here, even when every structural check
+still passes.  All four rules walk the same vertex path, so they share one
+pair of digests.
+"""
+
+import hashlib
+import json
+
+import pytest
+
+from extparab import lowerbound
+from extparab.activeset import pullback_objective
+from extparab.cli import main
+from extparab.extension import ConstructionParams, build
+
+RUN_D8 = {
+    "trace.json": "60b7e2a6e34f99cf29ca5922d70dd4b66ce1ccef5362d4c687a68c3e8b040500",
+    "plot.csv": "5db7a4de8132c05f6cc1a230ca1c0f7fa8c0b4575732f8414a1e864ec0223e1c",
+}
+CERTIFICATE_N48_D6 = "f052096e69ae72405847851ac84af3bbf5497d296b46059d5cab0049c5d2650b"
+
+
+def sha256(data: bytes) -> str:
+    return hashlib.sha256(data).hexdigest()
+
+
+@pytest.mark.parametrize("rule", ["first", "last", "random", "adversarial"])
+def test_run_d8_outputs_are_unchanged(tmp_path, capsys, rule):
+    prefix = tmp_path / rule
+    assert main(["run", "--d", "8", "--rule", rule, "--out", str(prefix)]) == 0
+    capsys.readouterr()
+    digests = {suffix: sha256((tmp_path / f"{rule}.{suffix}").read_bytes()) for suffix in RUN_D8}
+    assert digests == RUN_D8
+
+
+def test_path_certificate_n48_d6_is_unchanged():
+    ext = build(ConstructionParams(n=48, d=6))
+    cert = lowerbound.monotone_path_check(ext, pullback_objective(ext))
+    text = json.dumps(cert.to_json_dict(), sort_keys=True)
+    assert sha256(text.encode()) == CERTIFICATE_N48_D6

@@ -1,4 +1,4 @@
-"""Exact rational scalars, vectors, matrices, rank and integer inverses.
+"""Exact rational scalars, vectors, matrices and integer inverses.
 
 Everything downstream computes over arbitrary-precision rationals: tightness
 tests (A_i . x = b_i) and the projection identities must hold with zero
@@ -13,7 +13,8 @@ m = 2d), so the containers are dense.  The hot kernels work on plain ints
 instead: ``dot`` accumulates one integer numerator and denominator,
 ``primitive`` of an integer vector never builds a Fraction, and
 ``int_inverse_scaled`` skips the rows an elimination step leaves unchanged,
-which on the tower's sparse tight matrices is most of them.
+which on the tower's sparse tight matrices is most of them.  It also decides
+full rank wherever the package needs it: None means a singular matrix.
 """
 
 from __future__ import annotations
@@ -62,10 +63,6 @@ def unit(n: int, i: int) -> Vector:
     return tuple(Fraction(1 if j == i else 0) for j in range(n))
 
 
-def identity(n: int) -> Matrix:
-    return tuple(unit(n, i) for i in range(n))
-
-
 def dot(u: Sequence, v: Sequence) -> Fraction:
     """Exact u . v of ints and Fractions, reduced once at the end."""
     if len(u) != len(v):
@@ -90,10 +87,6 @@ def vscale(c, v: Sequence) -> Vector:
     return tuple(c * a for a in v)
 
 
-def matvec(a: Matrix, x: Sequence) -> Vector:
-    return tuple(dot(row, x) for row in a)
-
-
 def transpose(a: Matrix) -> Matrix:
     return tuple(zip(*a))
 
@@ -103,7 +96,10 @@ def outer(u: Sequence, v: Sequence) -> Matrix:
 
 
 def rank(a: Matrix) -> int:
-    """Exact rank over the rationals."""
+    """Exact rank over the rationals, by Fraction elimination.
+
+    Nothing in the package calls it; ``perfbench``'s traced run wraps it by name.
+    """
     rows = [list(row) for row in a]
     m = len(rows)
     n = len(rows[0]) if m else 0

@@ -224,7 +224,8 @@ def _vertex_at_dim(ext: ExtendedParabola, dim: int, t: int) -> Vector:
     j, l, s = decompose_t(t, level.m_level, ext.params.fiber_count)
     inner = _vertex_at_dim(ext, dim - 2, s)
     sweep = Fraction(s, level.m_level - 1)
-    if level_functional(dim - 2)(inner) != sweep:
+    # x_{dim-3}, the sweep coordinate that level_functional(dim - 2) reads.
+    if inner[dim - 4] != sweep:
         raise InternalMismatch(f"inner vertex {s} misses sweep value {sweep}")
     v = level.fiber_start.points[2 * j + l]
     w = level.fiber_end.points[2 * j + l]

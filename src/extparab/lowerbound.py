@@ -161,8 +161,8 @@ def monotone_path_check(
     """
     m_top = ext.params.vertex_count
     entries = []
+    vertex = extension.vertex_for_t(ext, 0)
     for t in range(m_top):
-        vertex = extension.vertex_for_t(ext, t)
         improving = activeset.improving_edges(ext.poly, f, vertex)
         expected = 0 if t == m_top - 1 else 1
         if len(improving) != expected:
@@ -176,7 +176,8 @@ def monotone_path_check(
             if mu_max is None:
                 raise CertificateFailure(f"t = {t}: improving edge is unbounded")
             nxt = tuple(a + mu_max * e for a, e in zip(vertex, direction))
-            if nxt != extension.vertex_for_t(ext, t + 1):
+            vertex = extension.vertex_for_t(ext, t + 1)
+            if nxt != vertex:
                 raise CertificateFailure(
                     f"t = {t}: improving edge does not reach vertex t + 1"
                 )

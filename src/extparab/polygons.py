@@ -20,6 +20,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 from typing import Sequence
 
 from . import exactla
@@ -66,7 +67,7 @@ class ParabolaVertexList:
     def __len__(self) -> int:
         return len(self.params)
 
-    @property
+    @cached_property
     def points(self) -> tuple[Point, ...]:
         return tuple(h(p) for p in self.params)
 

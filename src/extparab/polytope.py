@@ -8,10 +8,11 @@ Every row is also kept scaled to integers, dense and as its nonzeros only
 (the tower's rows have at most three).  Slacks, tight sets, membership and
 ratio tests put the point over the lcm of its denominators and work on the
 integer numerators b_i D - A_i (x D); only ``slacks`` and the ratio test's
-minimum are built as Fractions.
+minimum are built as Fractions.  The simple-vertex test and edge enumeration
+decide that the d tight rows are independent by inverting them in integers
+(``exactla.int_inverse_scaled``).
 
-Edge enumeration assumes simple vertices (every vertex here has exactly d
-tight, independent rows); anything else raises DegenerateVertex, because on
+Edge enumeration raises DegenerateVertex at a non-simple vertex, because on
 the constructed instances degeneracy means a bug, not a case to handle.
 
 The cdd-compatible text formats live here too: ``H-representation`` files
@@ -145,12 +146,11 @@ def tight_set(poly: HPolytope, x: Sequence) -> TightSet:
 
 
 def is_simple_vertex(poly: HPolytope, x: Sequence) -> bool:
-    """True iff exactly d tight rows of full rank meet at x."""
+    """True iff exactly d tight rows meet at x and their integer inverse exists."""
     tight = tight_set(poly, x)
     if len(tight) != poly.dim:
         return False
-    rows = tuple(poly.A[i] for i in tight)
-    return exactla.rank(rows) == poly.dim
+    return exactla.int_inverse_scaled([poly._int_rows[i][0] for i in tight]) is not None
 
 
 def edge_directions(

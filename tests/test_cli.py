@@ -68,6 +68,11 @@ def test_verify_d8_passes():
     assert run_cli(["verify", "--d", "8"]) == 0
 
 
+def test_verify_d10_passes(capsys):
+    assert run_cli(["verify", "--d", "10"]) == 0
+    assert capsys.readouterr().out.endswith("verify d=10 n=40: PASS\n")
+
+
 def test_verify_base_case_passes():
     assert run_cli(["verify", "--d", "2", "--n", "8"]) == 0
 

@@ -8,7 +8,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from extparab import polygons
-from extparab.errors import BadParameters, DimensionMismatch, OutOfRange
+from extparab.errors import BadParameters, DimensionMismatch, InternalMismatch, OutOfRange
 from extparab.extension import (
     ConstructionParams,
     all_vertices,
@@ -124,6 +124,26 @@ def test_vertex_for_t_out_of_range():
         vertex_for_t(ext, 16)
     with pytest.raises(OutOfRange):
         vertex_for_t(ext, -1)
+
+
+def test_vertex_for_t_sweep_check_catches_shifted_base_points(monkeypatch):
+    # Base points off their grid values miss the sweep value of the first
+    # deformed product, whose sweep coordinate is x_1.
+    ext = build(ConstructionParams(n=24, d=6))
+    real_h = polygons.h
+    monkeypatch.setattr(polygons, "h", lambda x: real_h(x + F(1, 1000)))
+    with pytest.raises(InternalMismatch, match="misses sweep value"):
+        vertex_for_t(ext, 7)
+
+
+def test_vertex_for_t_sweep_check_catches_misaligned_fibers():
+    # With the first fiber family W at both ends, a dimension-4 vertex's x_3
+    # no longer sweeps with its index, and the dimension-6 level notices.
+    ext = build(ConstructionParams(n=24, d=6))
+    first = dataclasses.replace(ext.levels[0], fiber_start=ext.levels[0].fiber_end)
+    broken = dataclasses.replace(ext, levels=(first,) + ext.levels[1:])
+    with pytest.raises(InternalMismatch, match="misses sweep value"):
+        all_vertices(broken)
 
 
 def test_project_on_grid():

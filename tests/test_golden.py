@@ -1,11 +1,13 @@
 """Golden outputs: SHA-256 digests of files the hot path must not change.
 
-The digests were taken before the active-set walk moved to integer
-numerators and sparse elimination, from the Fraction-only implementation.
-A later change to the hot path that alters a single byte of a trace, a plot
-row or a path certificate fails here, even when every structural check
-still passes.  All four rules walk the same vertex path, so they share one
-pair of digests.
+The walk digests were taken before the active-set walk moved to integer
+numerators and sparse elimination, from the Fraction-only implementation;
+the verify and build digests before the simple-vertex test left Fraction
+rank for the integer inverse and the fiber points were cached.  A later
+change to the hot path that alters a single byte of a trace, a plot row, a
+path certificate, a verify report or a vertex file fails here, even when
+every structural check still passes.  All four rules walk the same vertex
+path, so they share one pair of digests.
 """
 
 import hashlib
@@ -23,6 +25,11 @@ RUN_D8 = {
     "plot.csv": "5db7a4de8132c05f6cc1a230ca1c0f7fa8c0b4575732f8414a1e864ec0223e1c",
 }
 CERTIFICATE_N48_D6 = "f052096e69ae72405847851ac84af3bbf5497d296b46059d5cab0049c5d2650b"
+VERIFY_REPORTS = {
+    "d8": (["--d", "8"], "23b0be8f5e98382bc64b91854d762dde9a8dd32b97de6e3181ada39e8a0d519d"),
+    "n48-d6": (["--n", "48", "--d", "6"], "460d8af8876f3673f07725fd9ce5b25376d08fa1e29e619e4dc756740416a6e1"),
+}
+BUILD_D8_EXT = "db14e4b67eac32563a2cee34ee3c750154de7fed8f6bce8fa908656bee5f55e0"
 
 
 def sha256(data: bytes) -> str:
@@ -43,3 +50,19 @@ def test_path_certificate_n48_d6_is_unchanged():
     cert = lowerbound.monotone_path_check(ext, pullback_objective(ext))
     text = json.dumps(cert.to_json_dict(), sort_keys=True)
     assert sha256(text.encode()) == CERTIFICATE_N48_D6
+
+
+@pytest.mark.parametrize("case", sorted(VERIFY_REPORTS))
+def test_verify_report_is_unchanged(tmp_path, capsys, case):
+    args, digest = VERIFY_REPORTS[case]
+    report = tmp_path / "report.json"
+    assert main(["verify", *args, "--out", str(report)]) == 0
+    capsys.readouterr()
+    assert sha256(report.read_bytes()) == digest
+
+
+def test_build_d8_ext_is_unchanged(tmp_path, capsys):
+    prefix = tmp_path / "q8"
+    assert main(["build", "--d", "8", "--format", "ext", "--out", str(prefix)]) == 0
+    capsys.readouterr()
+    assert sha256((tmp_path / "q8.ext").read_bytes()) == BUILD_D8_EXT

@@ -3,9 +3,10 @@
 The reference below is the straightforward implementation the hot path
 replaced: slacks as Fractions b_i - A_i . x, a Bareiss fraction-free
 Gauss-Jordan inverse that updates every row at every pivot, primitive
-vectors through Fractions, and a dense tightness check.  At every vertex of
-the listed towers the hot path must give exactly the same slacks, tight set
-and (leaving facet, primitive direction) list.
+vectors through Fractions, a dense tightness check, and rank by Fraction
+Gaussian elimination.  At every vertex of the listed towers the hot path
+must give exactly the same slacks, tight set, simple-vertex verdict and
+(leaving facet, primitive direction) list.
 """
 
 from fractions import Fraction
@@ -14,7 +15,7 @@ from math import gcd, lcm
 import pytest
 
 from extparab import exactla, polytope
-from extparab.errors import DegenerateVertex, InternalMismatch
+from extparab.errors import DegenerateVertex, InternalMismatch, NotFeasible
 from extparab.extension import ConstructionParams, build, vertex_for_t
 
 
@@ -24,6 +25,35 @@ def reference_slacks(poly, x):
 
 def reference_tight_set(poly, x):
     return tuple(i for i, s in enumerate(reference_slacks(poly, x)) if s == 0)
+
+
+def reference_rank(rows):
+    """Rank over the rationals by Gaussian elimination on Fractions."""
+    work = [[Fraction(e) for e in row] for row in rows]
+    m = len(work)
+    n = len(work[0]) if m else 0
+    r = 0
+    for col in range(n):
+        piv = next((i for i in range(r, m) if work[i][col] != 0), None)
+        if piv is None:
+            continue
+        work[r], work[piv] = work[piv], work[r]
+        pivot = work[r][col]
+        for i in range(r + 1, m):
+            factor = work[i][col]
+            if factor == 0:
+                continue
+            factor /= pivot
+            work[i] = [e - factor * p for e, p in zip(work[i], work[r])]
+        r += 1
+        if r == m:
+            break
+    return r
+
+
+def reference_is_simple_vertex(poly, x):
+    tight = reference_tight_set(poly, x)
+    return len(tight) == poly.dim and reference_rank([poly.A[i] for i in tight]) == poly.dim
 
 
 def reference_primitive(v):
@@ -89,4 +119,23 @@ def test_hot_path_matches_reference_at_every_vertex(n, d):
         assert polytope.slacks(poly, v) == reference_slacks(poly, v), t
         assert polytope.tight_set(poly, v) == reference_tight_set(poly, v), t
         assert polytope.edge_directions(poly, v) == reference_edge_directions(poly, v), t
+        assert polytope.is_simple_vertex(poly, v) and reference_is_simple_vertex(poly, v), t
+
+
+# A square: x <= 1 and 2x <= 2 are the same facet, so the point (1, 1/2)
+# has exactly d = 2 tight rows and they are parallel.
+PARALLEL = polytope.HPolytope(((1, 0), (2, 0), (0, 1), (-1, 0), (0, -1)), (1, 2, 1, 0, 0))
+
+
+def test_is_simple_vertex_rejects_rank_deficient_tight_rows():
+    point = (Fraction(1), Fraction(1, 2))
+    assert polytope.tight_set(PARALLEL, point) == (0, 1)
+    assert reference_rank([PARALLEL.A[0], PARALLEL.A[1]]) == 1
+    assert polytope.is_simple_vertex(PARALLEL, point) is False
+    assert polytope.is_simple_vertex(PARALLEL, (Fraction(0), Fraction(0))) is True
+
+
+def test_is_simple_vertex_rejects_infeasible_point():
+    with pytest.raises(NotFeasible):
+        polytope.is_simple_vertex(PARALLEL, (Fraction(2), Fraction(0)))
 

@@ -4,7 +4,7 @@ from fractions import Fraction as F
 
 import pytest
 
-from extparab import lowerbound
+from extparab import extension, lowerbound
 from extparab.activeset import QuadraticObjective, pullback_objective
 from extparab.errors import BadParameters, CertificateFailure, OutOfRange, ScanCapExceeded
 from extparab.extension import ConstructionParams, build, project, vertex_for_t
@@ -116,6 +116,21 @@ def test_monotone_path_detects_corrupted_objective():
     bad = QuadraticObjective(good.quad, linear, good.constant)
     with pytest.raises(CertificateFailure):
         monotone_path_check(ext, bad)
+
+
+def test_monotone_path_detects_moved_vertex(monkeypatch):
+    # The edge from t = 4 must land on the indexed vertex 5; moving that
+    # vertex fails the certificate at t = 4, before vertex 5 is priced.
+    ext = build(ConstructionParams(n=16, d=4))
+    real_vertex_for_t = extension.vertex_for_t
+
+    def moved(ext, t):
+        v = real_vertex_for_t(ext, t)
+        return (v[0] + 1,) + v[1:] if t == 5 else v
+
+    monkeypatch.setattr(extension, "vertex_for_t", moved)
+    with pytest.raises(CertificateFailure, match=r"^t = 4: improving edge does not reach vertex t \+ 1$"):
+        monotone_path_check(ext, pullback_objective(ext))
 
 
 def test_iteration_experiment_d4():

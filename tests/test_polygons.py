@@ -1,5 +1,6 @@
 """Parabola point map, vertex families, polygon facets, normal equivalence."""
 
+import dataclasses
 from fractions import Fraction as F
 
 import pytest
@@ -94,6 +95,20 @@ def test_polygon_hrep_validates_input_points():
 def test_vertex_list_rejects_out_of_range_parameter():
     with pytest.raises(BadParameters):
         ParabolaVertexList((F(0), F(3, 2)))
+
+
+def test_vertex_list_compares_by_params_with_points_cached():
+    a = build_family(4, 4, "V")
+    b = ParabolaVertexList(a.params)
+    points = a.points
+    assert a.points is points  # built once
+    assert "points" in vars(a) and "points" not in vars(b)
+    assert a == b and hash(a) == hash(b)
+    assert points == b.points == tuple(h(p) for p in a.params)
+    assert a != build_family(4, 4, "W")
+    assert [f.name for f in dataclasses.fields(a)] == ["params"]
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        a.points = ()
 
 
 def test_normally_equivalent_m10_n8():

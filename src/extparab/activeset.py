@@ -364,14 +364,14 @@ def active_set_run(
 def trace_to_json_dict(
     trace: Trace,
     instance: dict | None = None,
-    t_of: Callable[[Vector], int | None] | None = None,
+    t_values: Sequence[int | None] | None = None,
 ) -> dict:
-    """JSON form of a trace; rationals stay exact ``p/q`` strings."""
+    """JSON form of a trace, steps labelled by ``t_values``; rationals stay ``p/q``."""
     steps = []
-    for step in trace.steps:
+    for step, t in zip(trace.steps, t_values or [None] * len(trace.steps)):
         steps.append(
             {
-                "t": t_of(step.vertex) if t_of else None,
+                "t": t,
                 "vertex": [str(c) for c in step.vertex],
                 "active": list(step.tight),
                 "direction": list(step.direction) if step.direction is not None else None,
@@ -388,40 +388,35 @@ def trace_to_json_dict(
     }
 
 
-def trace_to_json(trace: Trace, instance=None, t_of=None, indent=None) -> str:
-    return json.dumps(trace_to_json_dict(trace, instance, t_of), indent=indent)
+def trace_to_json(trace: Trace, instance=None, t_values=None, indent=None) -> str:
+    return json.dumps(trace_to_json_dict(trace, instance, t_values), indent=indent)
 
 
 def trace_plot_rows(
     trace: Trace,
     ext: ExtendedParabola,
+    phi_values: Sequence[Fraction],
     significant_digits: int = 12,
 ) -> list[tuple[str, str, str, str]]:
-    """CSV rows (t, phi, phi_prime, f) for plotting; decimals only here."""
-    t_of = make_t_labeler(ext)
+    """CSV rows (t, phi, phi_prime, f) from the steps' ``phi_values``; decimals only here."""
     rows = []
-    for step in trace.steps:
-        phi_val, phi_prime_val = ext.phi(step.vertex), ext.phi_prime(step.vertex)
-        t = t_of(step.vertex)
+    for step, phi_val in zip(trace.steps, phi_values):
+        t = grid_index(ext, phi_val)
         rows.append(
             (
                 "" if t is None else str(t),
                 exactla.to_decimal(phi_val, significant_digits),
-                exactla.to_decimal(phi_prime_val, significant_digits),
+                exactla.to_decimal(ext.phi_prime(step.vertex), significant_digits),
                 exactla.to_decimal(step.f_value, significant_digits),
             )
         )
     return rows
 
 
-def make_t_labeler(ext: ExtendedParabola) -> Callable[[Vector], int | None]:
-    """Map a vertex to its grid index t = phi(v) (M - 1), or None off-grid."""
+def grid_index(ext: ExtendedParabola, phi_value: Fraction) -> int | None:
+    """Grid index t = phi (M - 1) of a vertex with this phi value, or None off-grid."""
     m_top = ext.params.vertex_count
-
-    def t_of(vertex: Vector) -> int | None:
-        value = ext.phi(vertex) * (m_top - 1)
-        if value.denominator == 1 and 0 <= value.numerator <= m_top - 1:
-            return int(value)
-        return None
-
-    return t_of
+    value = phi_value * (m_top - 1)
+    if value.denominator == 1 and 0 <= value.numerator <= m_top - 1:
+        return int(value)
+    return None

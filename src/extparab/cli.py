@@ -172,19 +172,16 @@ def cmd_run(args) -> int:
         "M": m_top,
         "c": str(activeset.objective_constant(m_top)),
     }
+    phis = [ext.phi(step.vertex) for step in trace.steps]
+    t_values = [activeset.grid_index(ext, phi) for phi in phis]
     prefix = args.out or f"run_d{params.d}_{args.rule}"
     trace_path = f"{prefix}.trace.json"
     with open(trace_path, "w") as fh:
-        fh.write(
-            activeset.trace_to_json(
-                trace, instance=instance, t_of=activeset.make_t_labeler(ext), indent=2
-            )
-            + "\n"
-        )
+        fh.write(activeset.trace_to_json(trace, instance, t_values, indent=2) + "\n")
     csv_path = f"{prefix}.plot.csv"
     with open(csv_path, "w") as fh:
         fh.write("t,phi,phi_prime,f\n")
-        for row in activeset.trace_plot_rows(trace, ext):
+        for row in activeset.trace_plot_rows(trace, ext, phis):
             fh.write(",".join(row) + "\n")
     print(f"wrote {trace_path}")
     print(f"wrote {csv_path}")

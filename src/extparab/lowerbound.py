@@ -9,11 +9,21 @@ and edges upstairs map to edges and chords downstairs, scanning all chords in
 2D certifies that no shortcut exists anywhere on the tower; the lift itself
 is certified separately by walking the actual edge graph.
 
-``chord_scan`` checks every (t, k) pair two independent ways (the closed
-form, and the direct gradient/difference dot product) over the common
-denominator 2 (M-1)^2, so the O(M^2) sweep stays in integer arithmetic.
-``chord_inner_product`` does the same pair check in plain rational
-arithmetic.  A disagreement between the two computations raises
+``chord_scan`` checks every (t, k) pair two independent ways, as numerators
+over 2 (M-1)^2: the closed form k (3 - 2k), and the direct product
+g_t k - 2 (Y_s - Y_t) with s = t + k, g_t = 4t + 5 - 2M, Y_s = s (s - M + 1).
+Row t is one integer whose w-bit lane s holds bias + g_t s - 2 Y_s + c_t,
+c_t = 2 Y_t - g_t t; it must equal the M-lane window, from lane M-1-t, of
+one integer whose lane k + M - 1 holds bias + k (3 - 2k).  The bias adds
+bounds on each summand, never the identity itself: with G = max |g_t|,
+taken at t = 0 or M-1 as g_t is affine, |g_t s| <= G (M-1),
+0 <= -2 Y_s <= (M-1)^2/2 and |c_t| <= (M-1)^2/2 + G (M-1), and
+|k (3 - 2k)| peaks at k = +-(M-1).  w is the bit length of 2 bias rounded
+up to whole bytes, so every lane on both sides lies in [0, 2^w).  An integer has
+one base-2^w digit string, so the two are equal exactly when every lane,
+i.e. every pair, agrees.  The G and closed-form bounds are checked as the
+values are made.  ``chord_inner_product`` does the same pair check in plain
+rational arithmetic.  A disagreement between the two computations raises
 InternalMismatch.
 """
 
@@ -89,14 +99,34 @@ class ChordScanReport:
         }
 
 
+def _closed_numerator(k: int) -> int:
+    """k (3 - 2k): the chord's inner product in closed form, over 2 (M-1)^2."""
+    return k * (3 - 2 * k)
+
+
+def _gradient_numerator(m_count: int, t: int) -> int:
+    """4t + 5 - 2M: the x1-part of the gradient at x(t), over 2 (M-1)."""
+    return 4 * t + 5 - 2 * m_count
+
+
+def _lane_layout(m_count: int) -> tuple[int, int, int, int]:
+    """(gradient bound, closed-form bound, bias, lane bytes) of the packed scan."""
+    g_bound = max(abs(_gradient_numerator(m_count, t)) for t in (0, m_count - 1))
+    closed_bound = max(abs(_closed_numerator(k)) for k in (1 - m_count, m_count - 1))
+    bias = max(2 * g_bound * (m_count - 1) + (m_count - 1) ** 2, closed_bound)
+    return g_bound, closed_bound, bias, ((2 * bias).bit_length() + 7) // 8
+
+
 def chord_scan(m_count: int, cap: int | None = SCAN_CAP_DEFAULT) -> ChordScanReport:
     """Exhaustive scan of all chords: improving iff one step forward.
 
     For every t <= M-2 and every valid k != 0 the inner product must be
     positive exactly when k = 1; at t = M-1 (the optimum) every chord must be
-    non-improving.  Each pair is evaluated both as the closed form and the
-    direct dot product, as integer numerators over 2 (M-1)^2; mismatches
-    raise InternalMismatch.  The O(M^2) sweep refuses M beyond the cap.
+    non-improving.  Each pair is checked as the closed form and the direct
+    dot product, one packed row of pairs per t (see the module docstring); a
+    row that differs is re-checked pair by pair and its first mismatch, like
+    a gradient or closed form outside its lane bound, raises
+    InternalMismatch.  The O(M^2) sweep refuses M beyond the cap.
     """
     if m_count < 2:
         raise BadParameters(f"M must be at least 2, got {m_count}")
@@ -105,25 +135,42 @@ def chord_scan(m_count: int, cap: int | None = SCAN_CAP_DEFAULT) -> ChordScanRep
             f"M = {m_count} exceeds the scan cap {cap}; raise or disable the cap"
         )
     denom = 2 * (m_count - 1) ** 2
-    pairs = 0
+    g_bound, closed_bound, bias, width = _lane_layout(m_count)
+    closed_bytes, s_bytes, base_bytes, bad = bytearray(), bytearray(), bytearray(), []
+    for k in range(1 - m_count, m_count):
+        closed_num = _closed_numerator(k)
+        if abs(closed_num) > closed_bound:
+            raise InternalMismatch(
+                f"closed form {closed_num} at k = {k} exceeds its lane bound"
+            )
+        closed_bytes += (bias + closed_num).to_bytes(width, "little")
+        if k and (closed_num > 0) != (k == 1):
+            bad.append((k, Fraction(closed_num, denom)))
+    for s in range(m_count):
+        s_bytes += s.to_bytes(width, "little")
+        base_bytes += (bias + 2 * s * (m_count - 1 - s)).to_bytes(width, "little")  # bias - 2 Y_s
+    closed_lanes = int.from_bytes(closed_bytes, "little")
+    s_lanes, base_lanes = int.from_bytes(s_bytes, "little"), int.from_bytes(base_bytes, "little")
+    ones = int.from_bytes((b"\x01" + bytes(width - 1)) * m_count, "little")
+    lane_bits, mask = 8 * width, (1 << 8 * width * m_count) - 1
     violations = []
     for t in range(m_count):
-        g_num = 4 * t + 5 - 2 * m_count  # gradient x1-part over 2(M-1)
-        for k in range(-t, m_count - t):
-            if k == 0:
-                continue
-            closed_num = k * (3 - 2 * k)
-            diff_y_num = k * (2 * t + k - m_count + 1)
-            direct_num = g_num * k - 2 * diff_y_num
-            if direct_num != closed_num:
-                raise InternalMismatch(
-                    f"numerators {closed_num} != {direct_num} at (t, k) = ({t}, {k})"
-                )
-            pairs += 1
-            improving = closed_num > 0
-            if improving != (k == 1):
-                violations.append((t, k, Fraction(closed_num, denom)))
-    return ChordScanReport(m_count, pairs, tuple(violations))
+        g_num = _gradient_numerator(m_count, t)
+        if abs(g_num) > g_bound:
+            raise InternalMismatch(f"gradient {g_num} at t = {t} exceeds its lane bound")
+        c_t = -2 * t * (m_count - 1 - t) - g_num * t  # 2 Y_t - g_t t
+        row = g_num * s_lanes + base_lanes + c_t * ones
+        if row != (closed_lanes >> lane_bits * (m_count - 1 - t)) & mask:
+            for k in range(-t, m_count - t):
+                closed_num = _closed_numerator(k)
+                direct_num = g_num * k - 2 * k * (2 * t + k - m_count + 1)
+                if k and direct_num != closed_num:
+                    raise InternalMismatch(
+                        f"numerators {closed_num} != {direct_num} at (t, k) = ({t}, {k})"
+                    )
+            raise InternalMismatch(f"packed row t = {t} differs, but none of its pairs does")
+        violations.extend((t, k, v) for k, v in bad if -t <= k < m_count - t)
+    return ChordScanReport(m_count, m_count * (m_count - 1), tuple(violations))
 
 
 @dataclass(frozen=True)
@@ -212,24 +259,6 @@ class ExperimentTable:
                 f"{r.loop_iterations},{r.wall_time_ms:.3f}"
             )
         return "\n".join(lines) + "\n"
-
-    def to_json_dict(self) -> dict:
-        return {
-            "n": self.n,
-            "d": self.d,
-            "M": self.m_count,
-            "rows": [
-                {
-                    "rule": r.rule,
-                    "seed": r.seed,
-                    "vertices_visited": r.vertices_visited,
-                    "edge_moves": r.edge_moves,
-                    "loop_iterations": r.loop_iterations,
-                    "wall_time_ms": r.wall_time_ms,
-                }
-                for r in self.rows
-            ],
-        }
 
 
 def iteration_experiment(

@@ -251,6 +251,8 @@ def hrep_from_ine(text: str) -> HPolytope:
         if len(header) != 3 or header[2] != "rational":
             raise FormatError(f"unsupported size line: {lines[start + 1]!r}")
         m, cols = int(header[0]), int(header[1])
+        if m <= 0 or cols < 2:
+            raise FormatError(f"unsupported size line: {lines[start + 1]!r}")
         for ln in lines[start + 2 : start + 2 + m]:
             parts = ln.split()
             if len(parts) != cols:

@@ -10,10 +10,10 @@ from extparab.activeset import (
     FirstIndex,
     QuadraticObjective,
     active_set_run,
+    grid_index,
     improving_edges,
     line_search,
     make_rule,
-    make_t_labeler,
     objective_constant,
     pullback_objective,
     trace_plot_rows,
@@ -228,7 +228,7 @@ def test_trace_json_schema(tower):
     doc = trace_to_json_dict(
         trace,
         instance={"n": 16, "d": 4, "M": 16, "c": "9/10"},
-        t_of=make_t_labeler(ext),
+        t_values=[grid_index(ext, ext.phi(step.vertex)) for step in trace.steps],
     )
     assert set(doc) == {"instance", "steps", "edge_moves", "loop_iterations", "terminated"}
     assert doc["terminated"] == "Optimal"
@@ -249,8 +249,16 @@ def test_trace_json_schema(tower):
 def test_trace_plot_rows(tower):
     ext, f = tower
     trace = active_set_run(ext.poly, f, vertex_for_t(ext, 0), FirstIndex(), 64)
-    rows = trace_plot_rows(trace, ext)
+    rows = trace_plot_rows(trace, ext, [ext.phi(step.vertex) for step in trace.steps])
     assert rows[0] == ("0", "0", "0", "0")
     assert rows[-1][0] == "15"
     assert rows[-1][1] == "1"
     assert rows[-1][3] == "0.1"
+
+
+def test_grid_index_off_grid(tower):
+    ext, _ = tower
+    assert grid_index(ext, F(1, 15)) == 1
+    assert grid_index(ext, F(1, 30)) is None
+    assert grid_index(ext, F(16, 15)) is None
+    assert grid_index(ext, F(-1, 15)) is None

@@ -8,7 +8,7 @@ from pathlib import Path
 
 import pytest
 
-from extparab import polytope
+from extparab import deformed, polytope
 from extparab.cli import main
 from extparab.extension import ConstructionParams, build
 
@@ -99,6 +99,22 @@ def test_run_first_rule(tmp_path, capsys):
     plot = (tmp_path / "run4.plot.csv").read_text().strip().splitlines()
     assert plot[0] == "t,phi,phi_prime,f"
     assert len(plot) == 17
+
+
+def test_run_evaluates_phi_once_per_step(tmp_path, capsys, monkeypatch):
+    # The trace's t labels and the plot's t and phi columns share one phi
+    # value per step; phi' is the only other functional evaluated.
+    calls = []
+    real_call = deformed.Functional.__call__
+
+    def counting(self, x):
+        calls.append(self)
+        return real_call(self, x)
+
+    monkeypatch.setattr(deformed.Functional, "__call__", counting)
+    assert run_cli(["run", "--d", "8", "--out", str(tmp_path / "run8")]) == 0
+    capsys.readouterr()
+    assert len(calls) == 2 * 256
 
 
 def test_run_random_seed_matches_first(tmp_path):

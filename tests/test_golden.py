@@ -3,11 +3,12 @@
 The walk digests were taken before the active-set walk moved to integer
 numerators and sparse elimination, from the Fraction-only implementation;
 the verify and build digests before the simple-vertex test left Fraction
-rank for the integer inverse and the fiber points were cached.  A later
-change to the hot path that alters a single byte of a trace, a plot row, a
-path certificate, a verify report or a vertex file fails here, even when
-every structural check still passes.  All four rules walk the same vertex
-path, so they share one pair of digests.
+rank for the integer inverse and the fiber points were cached; the scan
+digest before the chord scan moved from a per-pair loop to packed rows.
+A later change to the hot path that alters a single byte of a trace, a
+plot row, a path certificate, a verify report, a vertex file or a scan
+report fails here, even when every structural check still passes.  All
+four rules walk the same vertex path, so they share one pair of digests.
 """
 
 import hashlib
@@ -30,6 +31,7 @@ VERIFY_REPORTS = {
     "n48-d6": (["--n", "48", "--d", "6"], "460d8af8876f3673f07725fd9ce5b25376d08fa1e29e619e4dc756740416a6e1"),
 }
 BUILD_D8_EXT = "db14e4b67eac32563a2cee34ee3c750154de7fed8f6bce8fa908656bee5f55e0"
+SCAN_M4096 = "1a8adcbcc49ef01d1599815f845ad0ed515018eb8e8296c5d7aafa9eb8806f6f"
 
 
 def sha256(data: bytes) -> str:
@@ -66,3 +68,10 @@ def test_build_d8_ext_is_unchanged(tmp_path, capsys):
     assert main(["build", "--d", "8", "--format", "ext", "--out", str(prefix)]) == 0
     capsys.readouterr()
     assert sha256((tmp_path / "q8.ext").read_bytes()) == BUILD_D8_EXT
+
+
+def test_scan_m4096_report_is_unchanged(tmp_path, capsys):
+    report = tmp_path / "scan.json"
+    assert main(["scan", "--M", "4096", "--out", str(report)]) == 0
+    capsys.readouterr()
+    assert sha256(report.read_bytes()) == SCAN_M4096

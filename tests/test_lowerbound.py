@@ -1,12 +1,22 @@
 """Chord scans, monotone-path certificates and iteration counting."""
 
+import os
+import subprocess
+import sys
 from fractions import Fraction as F
+from pathlib import Path
 
 import pytest
 
 from extparab import extension, lowerbound
 from extparab.activeset import QuadraticObjective, pullback_objective
-from extparab.errors import BadParameters, CertificateFailure, OutOfRange, ScanCapExceeded
+from extparab.errors import (
+    BadParameters,
+    CertificateFailure,
+    InternalMismatch,
+    OutOfRange,
+    ScanCapExceeded,
+)
 from extparab.extension import ConstructionParams, build, project, vertex_for_t
 from extparab.lowerbound import (
     chord_inner_product,
@@ -77,6 +87,136 @@ def test_chord_scan_agrees_with_rational_path():
             pairs += 1
             assert (value > 0) == (k == 1)
     assert pairs == report.pairs_checked
+
+
+def closed_numerator(k, slope=3):
+    return k * (slope - 2 * k)
+
+
+def gradient_numerator(m_count, t, slope=3):
+    return 4 * t + slope + 2 - 2 * m_count
+
+
+def reference_chord_scan(m_count, closed=closed_numerator, gradient=gradient_numerator):
+    """The per-pair chord scan that the packed rows replaced, kept as the oracle."""
+    denom = 2 * (m_count - 1) ** 2
+    pairs = 0
+    violations = []
+    for t in range(m_count):
+        g_num = gradient(m_count, t)
+        for k in range(-t, m_count - t):
+            if k == 0:
+                continue
+            closed_num = closed(k)
+            diff_y_num = k * (2 * t + k - m_count + 1)
+            direct_num = g_num * k - 2 * diff_y_num
+            if direct_num != closed_num:
+                raise InternalMismatch(
+                    f"numerators {closed_num} != {direct_num} at (t, k) = ({t}, {k})"
+                )
+            pairs += 1
+            improving = closed_num > 0
+            if improving != (k == 1):
+                violations.append((t, k, F(closed_num, denom)))
+    return lowerbound.ChordScanReport(m_count, pairs, tuple(violations))
+
+
+def lane_width_steps(limit=lowerbound.SCAN_CAP_DEFAULT):
+    """Every M <= limit whose lane width exceeds that of M - 1."""
+    widths = [lowerbound._lane_layout(m)[3] for m in range(2, limit + 1)]
+    return [m for m, prev, width in zip(range(3, limit + 1), widths, widths[1:]) if width > prev]
+
+
+def test_packed_scan_matches_reference_for_small_m():
+    for m_count in range(2, 131):
+        assert chord_scan(m_count).to_json_dict() == reference_chord_scan(m_count).to_json_dict()
+
+
+def test_lane_width_steps_up_inside_the_cap():
+    steps = lane_width_steps()
+    assert len(steps) >= 2
+    for m in steps:
+        assert lowerbound._lane_layout(m)[3] == lowerbound._lane_layout(m - 1)[3] + 1
+
+
+@pytest.mark.parametrize("m_count", [m + j for m in lane_width_steps() for j in (-1, 0)])
+def test_packed_scan_matches_reference_where_lane_width_steps(m_count):
+    assert chord_scan(m_count).to_json_dict() == reference_chord_scan(m_count).to_json_dict()
+
+
+def bumped_closed(k):
+    # one closed-form numerator off by one: first met in row t = 5
+    return closed_numerator(k) + (k == -5)
+
+
+@pytest.mark.parametrize("m_count", [8, 64, 300])
+def test_packed_scan_names_the_first_mismatched_pair(monkeypatch, m_count):
+    with pytest.raises(InternalMismatch) as expected:
+        reference_chord_scan(m_count, closed=bumped_closed)
+    assert str(expected.value) == "numerators -64 != -65 at (t, k) = (5, -5)"
+    monkeypatch.setattr(lowerbound, "_closed_numerator", bumped_closed)
+    with pytest.raises(InternalMismatch) as got:
+        chord_scan(m_count)
+    assert str(got.value) == str(expected.value)
+
+
+@pytest.mark.parametrize("m_count", [2, 3, 4, 7, 64, 200])
+def test_packed_scan_reports_violations_like_reference(monkeypatch, m_count):
+    # Slope constant 3 -> 5 in both forms: the chord k = 2 also improves.
+    monkeypatch.setattr(lowerbound, "_closed_numerator", lambda k: closed_numerator(k, 5))
+    monkeypatch.setattr(
+        lowerbound, "_gradient_numerator", lambda m, t: gradient_numerator(m, t, 5)
+    )
+    report = chord_scan(m_count)
+    expected = reference_chord_scan(
+        m_count, lambda k: closed_numerator(k, 5), lambda m, t: gradient_numerator(m, t, 5)
+    )
+    assert report.violations == expected.violations
+    assert report.to_json_dict() == expected.to_json_dict()
+    assert [(t, k) for t, k, _ in report.violations] == [(t, 2) for t in range(m_count - 2)]
+
+
+def test_packed_scan_checks_lane_bounds(monkeypatch):
+    # A gradient outside the bound the lanes were sized for must be refused,
+    # not compared: its lanes could carry into their neighbours.
+    real = lowerbound._gradient_numerator
+    monkeypatch.setattr(
+        lowerbound, "_gradient_numerator", lambda m, t: real(m, t) + (1 << 40) * (t == 3)
+    )
+    with pytest.raises(InternalMismatch, match=r"^gradient \d+ at t = 3 exceeds its lane bound$"):
+        chord_scan(16)
+
+
+def test_packed_scan_controls_survive_optimize_flag():
+    # The mismatch and lane-bound controls must still raise when python -O
+    # strips asserts.
+    code = (
+        "from extparab import lowerbound\n"
+        "from extparab.errors import InternalMismatch\n"
+        "assert False, 'asserts must be stripped'\n"
+        "closed, gradient = lowerbound._closed_numerator, lowerbound._gradient_numerator\n"
+        "lowerbound._closed_numerator = lambda k: closed(k) + (k == -5)\n"
+        "try:\n"
+        "    lowerbound.chord_scan(64)\n"
+        "except InternalMismatch as exc:\n"
+        "    print(exc)\n"
+        "lowerbound._closed_numerator = closed\n"
+        "lowerbound._gradient_numerator = lambda m, t: gradient(m, t) + (1 << 40) * (t == 3)\n"
+        "try:\n"
+        "    lowerbound.chord_scan(64)\n"
+        "except InternalMismatch as exc:\n"
+        "    print(exc)\n"
+    )
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    done = subprocess.run(
+        [sys.executable, "-O", "-c", code], capture_output=True, text=True, env=env, timeout=60
+    )
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.splitlines() == [
+        "numerators -64 != -65 at (t, k) = (5, -5)",
+        f"gradient {(1 << 40) - 111} at t = 3 exceeds its lane bound",
+    ]
 
 
 def test_chord_scan_cap():

@@ -199,8 +199,20 @@ def test_ine_parse_rejects_garbage():
         "H-representation\nbegin\nx y rational\n1 -1 0\nend\n",
         "H-representation\nbegin\n1 2 rational\n1 abc\nend\n",
         "H-representation\nbegin\n",
+        "H-representation\nbegin\n0 3 rational\nend\n",
+        # with m < 0 the 'end' line would be looked for before 'begin'
+        "H-representation\nend\nbegin\n-3 3 rational\n",
+        "H-representation\nbegin\n1 1 rational\n1\nend\n",
     ],
-    ids=["truncated-body", "size-line", "entry", "ends-after-begin"],
+    ids=[
+        "truncated-body",
+        "size-line",
+        "entry",
+        "ends-after-begin",
+        "zero-rows",
+        "negative-rows",
+        "one-column",
+    ],
 )
 def test_ine_parse_rejects_malformed(text):
     with pytest.raises(FormatError):

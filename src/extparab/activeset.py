@@ -19,11 +19,13 @@ improving edge stays improving up to the edge endpoint, so every iterate is a
 vertex.  The runner records the full trace: vertices, tight sets,
 directions, step lengths and objective values, plus the edge-move count.
 
-The runner evaluates the gradient once per vertex and hands it to both
-pricing and the line search; pricing clears the gradient's denominators.
-Slacks, tight sets and the ratio test come from ``polytope``, which works on
-integer numerators.  Objectives evaluate over the nonzero entries of their
-quadratic part only (on the tower it has a single one).
+The iterate is one integer state per vertex, ``polytope.ScaledPoint``:
+numerators over one denominator, with the slacks and tight set evaluated
+once; ``polytope`` owns it, with its row and slack formats.  Objectives keep
+their form with denominators cleared and evaluate the gradient numerators
+(once per vertex, for pricing and the line search) and the objective value
+on that state, over the nonzero rows of the quadratic part only (on the
+tower it has a single one).  The trace writer lays out its JSON directly.
 """
 
 from __future__ import annotations
@@ -34,6 +36,8 @@ from abc import ABC, abstractmethod
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
+from itertools import chain, compress
+from operator import mul
 from typing import Callable, Sequence
 
 from . import exactla, polytope
@@ -43,13 +47,14 @@ from .errors import (
     DimensionMismatch,
     InternalMismatch,
     NotAVertex,
+    NotFeasible,
     NotImproving,
     UnboundedImprovement,
     UnknownRule,
 )
 from .exactla import Matrix, Vector
 from .extension import ExtendedParabola
-from .polytope import HPolytope, TightSet
+from .polytope import HPolytope, ScaledPoint, TightSet
 
 DEFAULT_MAX_ITER = 10**7
 
@@ -80,36 +85,61 @@ class QuadraticObjective:
         return len(self.linear)
 
     @cached_property
-    def _quad_rows(self) -> tuple[tuple[int, tuple[int, ...], Vector], ...]:
-        # (i, columns, entries) of every nonzero row i of quad.
+    def _cleared(self) -> tuple[int, tuple, tuple[int, ...], int]:
+        # The form times the lcm S of its denominators, all integers: (S, the
+        # nonzero rows (i, columns, entries) of quad, linear, constant).
+        n = self.dim
+        ints, scale = exactla.common_denominator([*chain(*self.quad), *self.linear, self.constant])
         rows = []
-        for i, row in enumerate(self.quad):
-            cols = tuple(j for j, a in enumerate(row) if a)
-            if cols:
-                rows.append((i, cols, tuple(row[j] for j in cols)))
-        return tuple(rows)
+        for i in range(n):
+            row = ints[i * n : i * n + n]
+            if any(row):
+                rows.append((i, tuple(compress(range(n), row)), tuple(compress(row, row))))
+        return scale, tuple(rows), ints[n * n : -1], ints[-1]
 
-    def _quad_form(self, u: Sequence) -> Fraction:
-        """u^T quad u."""
-        total = Fraction(0)
-        for i, cols, entries in self._quad_rows:
+    def _scaled_form(self, u: Sequence[int]) -> int:
+        """S u^T quad u for an integer vector u."""
+        total = 0
+        for i, cols, entries in self._cleared[1]:
             if u[i]:
-                total += u[i] * exactla.dot(entries, [u[j] for j in cols])
+                total += u[i] * sum(map(mul, entries, map(u.__getitem__, cols)))
         return total
 
+    def value_at(self, nums: Sequence[int], denom: int) -> Fraction:
+        """f at the point nums/denom, as (S X^T quad X + D S linear . X + D^2 S c)/(S D^2)."""
+        scale, _, linear, constant = self._cleared
+        affine = sum(map(mul, linear, nums)) + denom * constant
+        return Fraction(self._scaled_form(nums) + denom * affine, scale * denom**2)
+
+    def gradient_at(self, nums: Sequence[int], denom: int) -> tuple[tuple[int, ...], int]:
+        """grad f at the point nums/denom as (integer numerators G, scale S D), grad f = G/(S D).
+
+        G = 2 S quad X + D S linear is a positive multiple of the gradient,
+        so it prices edges with the right signs.
+        """
+        scale, rows, linear, _ = self._cleared
+        grad = [denom * a for a in linear]
+        for i, cols, entries in rows:
+            grad[i] += 2 * sum(map(mul, entries, map(nums.__getitem__, cols)))
+        return tuple(grad), scale * denom
+
     def value(self, x: Sequence) -> Fraction:
-        return self._quad_form(x) + exactla.dot(self.linear, x) + self.constant
+        if len(x) != self.dim:
+            raise DimensionMismatch(f"point has dim {len(x)}, objective {self.dim}")
+        return self.value_at(*exactla.common_denominator(x))
 
     def gradient(self, x: Sequence) -> Vector:
         if len(x) != self.dim:
             raise DimensionMismatch(f"point has dim {len(x)}, objective {self.dim}")
+        scale, rows, _, _ = self._cleared
         grad = list(self.linear)
-        for i, cols, entries in self._quad_rows:
-            grad[i] += 2 * exactla.dot(entries, [x[j] for j in cols])
+        for i, cols, entries in rows:
+            grad[i] += 2 * exactla.dot(entries, [x[j] for j in cols]) / scale
         return tuple(grad)
 
     def curvature_along(self, direction: Sequence) -> Fraction:
-        return self._quad_form(direction)
+        nums, denom = exactla.common_denominator(direction)
+        return Fraction(self._scaled_form(nums), self._cleared[0] * denom**2)
 
 
 def objective_constant(m_count: int) -> Fraction:
@@ -134,26 +164,27 @@ def pullback_objective(ext: ExtendedParabola) -> QuadraticObjective:
 
 def line_search(
     f: QuadraticObjective,
-    x: Sequence,
-    direction: Sequence,
+    direction: Sequence[int],
     mu_max: Fraction | None,
-    gradient: Vector,
+    gradient: tuple[Sequence[int], int],
 ) -> Fraction:
     """Largest step keeping the direction improving, capped by mu_max.
 
     The directional derivative g(mu) = grad(x) . d + 2 mu d^T quad d is
     affine in mu; the step is min(mu_max, root of g) with the root at
     infinity for nonnegative curvature.  Requires g(0) > 0.  ``gradient`` is
-    grad f(x), which the caller has already evaluated to price the edges.
+    grad f(x) as ``QuadraticObjective.gradient_at`` gives it, which the
+    caller has already evaluated to price the edges.
     """
-    g0 = exactla.dot(gradient, direction)
+    numerators, scale = gradient
+    g0 = sum(map(mul, numerators, direction))
     if g0 <= 0:
-        raise NotImproving(f"directional derivative {g0} is not positive")
+        raise NotImproving(f"directional derivative {Fraction(g0, scale)} is not positive")
     curvature = f.curvature_along(direction)
     if curvature >= 0:
         stationary = None
     else:
-        stationary = -g0 / (2 * curvature)
+        stationary = -Fraction(g0, scale) / (2 * curvature)
     if mu_max is None and stationary is None:
         raise UnboundedImprovement("improving ray is unbounded")
     if mu_max is None:
@@ -164,24 +195,18 @@ def line_search(
 
 
 def improving_edges(
-    poly: HPolytope,
-    f: QuadraticObjective,
-    v: Sequence,
-    gradient: Vector | None = None,
+    poly: HPolytope, point: ScaledPoint, gradient: Sequence
 ) -> list[DirectionCandidate]:
-    """Edges (leaving_facet, direction) at simple vertex v with grad f(v) . direction > 0.
+    """Edges (leaving_facet, direction) at a simple vertex along which the gradient rises.
 
-    ``gradient`` is grad f(v) when the caller has already evaluated it.  The
-    edges are priced against the gradient with its denominators cleared, a
-    positive scaling that keeps every sign.
+    ``gradient`` is any positive multiple of grad f at the point, such as
+    the integer numerators from ``QuadraticObjective.gradient_at``; the
+    scaling keeps every sign.
     """
-    if gradient is None:
-        gradient = f.gradient(v)
-    weights = [(j, g) for j, g in enumerate(exactla.common_denominator(gradient)[0]) if g]
     return [
         (facet, d)
-        for facet, d in polytope.edge_directions(poly, v)  # raises DegenerateVertex
-        if sum(g * d[j] for j, g in weights) > 0
+        for facet, d in polytope.edge_directions(poly, point)  # raises DegenerateVertex
+        if sum(map(mul, gradient, d)) > 0
     ]
 
 
@@ -305,29 +330,33 @@ def active_set_run(
     stops only at facet boundaries), and flags a blocking tie that would
     leave more than d tight rows as DegenerateVertex rather than perturbing.
     Hitting the iteration cap is reported in the trace, not raised.
+
+    The iterate is a ``polytope.ScaledPoint``: integer numerators over one
+    denominator, whose slacks and tight set are evaluated once per vertex.
     """
     if max_iter is None:
         max_iter = DEFAULT_MAX_ITER
     if f.dim != poly.dim:
         raise DimensionMismatch("objective dimension differs from polytope")
-    x = exactla.vec(x0)
-    if not polytope.contains(poly, x):
-        raise NotAVertex("start point is not feasible")
-    tight = polytope.tight_set(poly, x)
-    if len(tight) != poly.dim:
-        raise NotAVertex(f"start point has {len(tight)} tight rows, need {poly.dim}")
+    try:
+        point = polytope.scaled_point(poly, exactla.vec(x0))
+    except NotFeasible:
+        raise NotAVertex("start point is not feasible") from None
+    if len(point.tight) != poly.dim:
+        raise NotAVertex(f"start point has {len(point.tight)} tight rows, need {poly.dim}")
 
     steps: list[TraceStep] = []
     edge_moves = 0
-    f_value = f.value(x)
+    f_value = f.value_at(point.nums, point.denom)
 
     while True:
-        if len(tight) != poly.dim:
-            raise NotAVertex(f"iterate has {len(tight)} tight rows, need {poly.dim}")
-        gradient = f.gradient(x)
-        improving = improving_edges(poly, f, x, gradient)
+        if len(point.tight) != poly.dim:
+            raise NotAVertex(f"iterate has {len(point.tight)} tight rows, need {poly.dim}")
+        x = point.coords
+        gradient = f.gradient_at(point.nums, point.denom)
+        improving = improving_edges(poly, point, gradient[0])
         if not improving or edge_moves >= max_iter:
-            steps.append(TraceStep(x, tight, None, None, f_value))
+            steps.append(TraceStep(x, point.tight, None, None, f_value))
             terminated = "MaxIterations" if improving else "Optimal"
             break
 
@@ -335,21 +364,20 @@ def active_set_run(
         if chosen not in improving:
             raise UnknownRule("pivot rule returned a direction not offered")
         _, direction = chosen
-        mu_max, _blockers = polytope.ratio_test(poly, x, direction)
-        mu = line_search(f, x, direction, mu_max, gradient)
+        mu_max, _blockers = polytope.ratio_test(poly, point, direction)
+        mu = line_search(f, direction, mu_max, gradient)
         if not mu > 0:
             raise InternalMismatch("a feasible improving edge must allow mu > 0")
 
-        steps.append(TraceStep(x, tight, direction, mu, f_value))
+        steps.append(TraceStep(x, point.tight, direction, mu, f_value))
 
-        x = tuple(a + mu * e for a, e in zip(x, direction))
-        tight = polytope.tight_set(poly, x)
-        if len(tight) > poly.dim:
+        point = polytope.locate(poly, *polytope.step(point, direction, mu))
+        if len(point.tight) > poly.dim:
             raise DegenerateVertex(
-                f"blocking tie leaves {len(tight)} tight rows at the new point"
+                f"blocking tie leaves {len(point.tight)} tight rows at the new point"
             )
         edge_moves += 1
-        new_value = f.value(x)
+        new_value = f.value_at(point.nums, point.denom)
         if not new_value > f_value:
             raise InternalMismatch("objective must strictly increase on a move")
         f_value = new_value
@@ -361,35 +389,62 @@ def active_set_run(
 # Serialization
 
 
-def trace_to_json_dict(
+# The layout json.dumps(..., indent=2) gives a trace document and its steps.
+_TRACE_JSON = """{{
+  "instance": {instance},
+  "steps": {steps},
+  "edge_moves": {moves},
+  "loop_iterations": {loops},
+  "terminated": {terminated}
+}}"""
+_STEP_JSON = """{{
+      "t": {t},
+      "vertex": {vertex},
+      "active": {active},
+      "direction": {direction},
+      "mu": {mu},
+      "f": "{f}"
+    }}"""
+
+
+def _json_array(items: list[str], indent: str) -> str:
+    """Encoded items as a JSON array in the layout of json.dumps(indent=2)."""
+    if not items:
+        return "[]"
+    inner = "\n" + indent + "  "
+    return "[" + inner + ("," + inner).join(items) + "\n" + indent + "]"
+
+
+def trace_to_json(
     trace: Trace,
     instance: dict | None = None,
     t_values: Sequence[int | None] | None = None,
-) -> dict:
-    """JSON form of a trace, steps labelled by ``t_values``; rationals stay ``p/q``."""
-    steps = []
+) -> str:
+    """JSON form of a trace, steps labelled by ``t_values``; rationals stay ``p/q``.
+
+    Exactly the text of ``json.dumps(..., indent=2)``, written directly:
+    rationals render as ``p/q`` or ``p`` strings, which need no escaping.
+    """
+    pad, steps = " " * 6, []
     for step, t in zip(trace.steps, t_values or [None] * len(trace.steps)):
+        direction = step.direction
         steps.append(
-            {
-                "t": t,
-                "vertex": [str(c) for c in step.vertex],
-                "active": list(step.tight),
-                "direction": list(step.direction) if step.direction is not None else None,
-                "mu": str(step.mu) if step.mu is not None else None,
-                "f": str(step.f_value),
-            }
+            _STEP_JSON.format(
+                t="null" if t is None else t,
+                vertex=_json_array([f'"{c}"' for c in step.vertex], pad),
+                active=_json_array([str(i) for i in step.tight], pad),
+                direction="null" if direction is None else _json_array([*map(str, direction)], pad),
+                mu="null" if step.mu is None else f'"{step.mu}"',
+                f=step.f_value,
+            )
         )
-    return {
-        "instance": instance,
-        "steps": steps,
-        "edge_moves": trace.edge_moves,
-        "loop_iterations": trace.loop_iterations,
-        "terminated": trace.terminated,
-    }
-
-
-def trace_to_json(trace: Trace, instance=None, t_values=None, indent=None) -> str:
-    return json.dumps(trace_to_json_dict(trace, instance, t_values), indent=indent)
+    return _TRACE_JSON.format(
+        instance=json.dumps(instance, indent=2).replace("\n", "\n  "),
+        steps=_json_array(steps, "  "),
+        moves=trace.edge_moves,
+        loops=trace.loop_iterations,
+        terminated=json.dumps(trace.terminated),
+    )
 
 
 def trace_plot_rows(

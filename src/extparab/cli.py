@@ -177,7 +177,8 @@ def cmd_run(args) -> int:
     prefix = args.out or f"run_d{params.d}_{args.rule}"
     trace_path = f"{prefix}.trace.json"
     with open(trace_path, "w") as fh:
-        fh.write(activeset.trace_to_json(trace, instance, t_values, indent=2) + "\n")
+        fh.write(activeset.trace_to_json(trace, instance, t_values))
+        fh.write("\n")
     csv_path = f"{prefix}.plot.csv"
     with open(csv_path, "w") as fh:
         fh.write("t,phi,phi_prime,f\n")

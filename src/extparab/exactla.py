@@ -13,8 +13,9 @@ m = 2d), so the containers are dense.  The hot kernels work on plain ints
 instead: ``dot`` accumulates one integer numerator and denominator,
 ``primitive`` of an integer vector never builds a Fraction, and
 ``int_inverse_scaled`` skips the rows an elimination step leaves unchanged,
-which on the tower's sparse tight matrices is most of them.  It also decides
-full rank wherever the package needs it: None means a singular matrix.
+which on the tower's sparse tight matrices is most of them.  Its elimination
+loop, run on the matrix alone, is also the full-rank test
+(``is_nonsingular``) wherever the package needs one.
 """
 
 from __future__ import annotations
@@ -152,26 +153,21 @@ def common_denominator(values: Sequence) -> tuple[tuple[int, ...], int]:
     return tuple(x.numerator * (denom // x.denominator) for x in values), denom
 
 
-def int_inverse_scaled(rows: Sequence[Sequence[int]]) -> list[tuple[int, ...]] | None:
-    """Columns of the inverse of an integer matrix, up to positive scaling.
+def _eliminate(work: list[list[int]], n: int) -> bool:
+    """Fraction-free Gauss-Jordan, in place, on the first n columns of the n rows of work.
 
-    Returns a list of integer vectors y_0..y_{n-1} with A . y_k = lam_k e_k
-    for some lam_k > 0, or None when A is singular.  Fraction-free
-    Gauss-Jordan elimination on [A | I]: a pivot step changes only the rows
-    r with a nonzero multiplier m = A_rk, to (p/g) row_r - (m/g) pivot_row
-    with p the pivot and g = gcd(p, m); when p/g = 1 only the pivot row's
-    nonzero columns change.  Each changed row is then divided by the gcd of
-    its entries (its content), which keeps the integers small.  Bareiss's
-    division by the previous pivot would instead have to touch every row at
-    every step; on the sparse tight matrices of the tower most rows have a
-    zero multiplier and are skipped.
+    False when they are singular; else row i ends as diag_i e_i on them.  A
+    pivot step changes only the rows with a nonzero multiplier m, to
+    (p/g) row - (m/g) pivot_row with p the pivot and g = gcd(p, m) (only the
+    pivot row's nonzero columns when p/g = 1), then divides each by its
+    content.  Unlike Bareiss's division by the previous pivot, which touches
+    every row at every step, this skips most rows of the tower's sparse
+    tight matrices.
     """
-    n = len(rows)
-    work = [list(row) + [int(i == j) for j in range(n)] for i, row in enumerate(rows)]
     for k in range(n):
         piv = next((r for r in range(k, n) if work[r][k] != 0), None)
         if piv is None:
-            return None
+            return False
         if piv != k:
             work[k], work[piv] = work[piv], work[k]
         pivrow = work[k]
@@ -189,6 +185,25 @@ def int_inverse_scaled(rows: Sequence[Sequence[int]]) -> list[tuple[int, ...]] |
                 row[c] -= m * b
             content = gcd(*row)
             work[r] = [a // content for a in row] if content > 1 else row
+    return True
+
+
+def is_nonsingular(rows: Sequence[Sequence[int]]) -> bool:
+    """True iff the square integer matrix has full rank (the elimination alone)."""
+    return _eliminate([list(row) for row in rows], len(rows))
+
+
+def int_inverse_scaled(rows: Sequence[Sequence[int]]) -> list[tuple[int, ...]] | None:
+    """Columns of the inverse of an integer matrix, up to positive scaling.
+
+    Returns a list of integer vectors y_0..y_{n-1} with A . y_k = lam_k e_k
+    for some lam_k > 0, or None when A is singular, by ``_eliminate`` on
+    [A | I].
+    """
+    n = len(rows)
+    work = [[*row, *[0] * i, 1, *[0] * (n - 1 - i)] for i, row in enumerate(rows)]
+    if not _eliminate(work, n):
+        return None
     # Row i is now diag_i e_i | E_i with E A = diag, so A^-1 e_k has entries
     # E_ik / diag_i; scaling by the lcm of |diag| keeps them integers.
     diag = [work[i][i] for i in range(n)]

@@ -208,9 +208,10 @@ def monotone_path_check(
     """
     m_top = ext.params.vertex_count
     entries = []
-    vertex = extension.vertex_for_t(ext, 0)
+    point = polytope.scaled_point(ext.poly, extension.vertex_for_t(ext, 0))
     for t in range(m_top):
-        improving = activeset.improving_edges(ext.poly, f, vertex)
+        gradient, _ = f.gradient_at(point.nums, point.denom)
+        improving = activeset.improving_edges(ext.poly, point, gradient)
         expected = 0 if t == m_top - 1 else 1
         if len(improving) != expected:
             raise CertificateFailure(
@@ -219,15 +220,15 @@ def monotone_path_check(
         successor_t = None
         if improving:
             _, direction = improving[0]
-            mu_max, _ = polytope.ratio_test(ext.poly, vertex, direction)
+            mu_max, _ = polytope.ratio_test(ext.poly, point, direction)
             if mu_max is None:
                 raise CertificateFailure(f"t = {t}: improving edge is unbounded")
-            nxt = tuple(a + mu_max * e for a, e in zip(vertex, direction))
             vertex = extension.vertex_for_t(ext, t + 1)
-            if nxt != vertex:
+            if polytope.step(point, direction, mu_max) != exactla.common_denominator(vertex):
                 raise CertificateFailure(
                     f"t = {t}: improving edge does not reach vertex t + 1"
                 )
+            point = polytope.scaled_point(ext.poly, vertex)
             successor_t = t + 1
         entries.append(PathStep(t, len(improving), successor_t))
     return PathCertificate(m_top, tuple(entries))

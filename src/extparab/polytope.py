@@ -5,11 +5,14 @@ human-readable label per facet recording construction provenance.  Labels are
 metadata: two polytopes compare equal when A and b agree entry for entry.
 
 Every row is also kept scaled to integers, dense and as its nonzeros only
-(the tower's rows have at most three).  Slacks, tight sets, membership and
-ratio tests put the point over the lcm of its denominators and work on the
-integer numerators b_i D - A_i (x D); only ``slacks`` and the ratio test's
-minimum are built as Fractions.  The simple-vertex test and edge enumeration
-decide that the d tight rows are independent by inverting them in integers
+(the tower's rows have at most three).  A point is put over the lcm D of its
+denominators as a ``ScaledPoint``: integer numerators X over D, its slack
+numerators b_i D - A_i . X, computed once, and the tight set read off them.
+Edge enumeration and the ratio test take that state; ``step`` moves it along
+an edge in integers, reduced by gcd(D, *X).  Only ``slacks`` and the ratio
+test's minimum are built as Fractions.  The simple-vertex test decides that
+the d tight rows are independent by integer elimination
+(``exactla.is_nonsingular``); edge enumeration inverts them in integers
 (``exactla.int_inverse_scaled``).
 
 Edge enumeration raises DegenerateVertex at a non-simple vertex, because on
@@ -25,7 +28,8 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
-from typing import Iterable, Sequence
+from math import gcd
+from typing import Iterable, NamedTuple, Sequence
 
 from . import exactla
 from .errors import (
@@ -114,48 +118,80 @@ def _sparse_dot(row: Sequence[tuple[int, int]], x: Sequence) -> int:
     return total
 
 
-def scaled_slacks(poly: HPolytope, x: Sequence) -> tuple[list[int], int]:
-    """Slacks b - A x of the integer system as (numerators, common denominator).
+class ScaledPoint(NamedTuple):
+    """A feasible point nums/denom in lowest terms (denom > 0), with its slacks.
 
-    The denominator D > 0 is the lcm of the denominators of x, and numerator
-    i is b_i D - A_i . (x D).
+    ``slacks[i]`` is b_i denom - A_i . nums in the integer system, so row i is
+    tight exactly where it is 0; ``tight`` lists those rows.
     """
+
+    nums: tuple[int, ...]
+    denom: int
+    slacks: list[int]
+    tight: TightSet
+
+    @property
+    def coords(self) -> Vector:
+        return tuple(Fraction(a, self.denom) for a in self.nums)
+
+
+def _slack_nums(poly: HPolytope, nums: Sequence[int], denom: int) -> list[int]:
+    return [rhs * denom - _sparse_dot(row, nums) for row, rhs in poly._sparse_rows]
+
+
+def _cleared(poly: HPolytope, x: Sequence) -> tuple[tuple[int, ...], int]:
+    # x as integer numerators over the lcm of its denominators (lowest terms).
     if len(x) != poly.dim:
         raise DimensionMismatch(f"point has dim {len(x)}, polytope {poly.dim}")
-    xs, denom = exactla.common_denominator(x)
-    return [rhs * denom - _sparse_dot(row, xs) for row, rhs in poly._sparse_rows], denom
+    return exactla.common_denominator(x)
+
+
+def locate(poly: HPolytope, nums: tuple[int, ...], denom: int) -> ScaledPoint:
+    """The point nums/denom (in lowest terms) with its slacks; NotFeasible outside."""
+    slacks = _slack_nums(poly, nums, denom)
+    if min(slacks) < 0:
+        raise NotFeasible("point is outside the polytope")
+    return ScaledPoint(nums, denom, slacks, tuple(i for i, s in enumerate(slacks) if not s))
+
+
+def scaled_point(poly: HPolytope, x: Sequence) -> ScaledPoint:
+    """``locate`` for a point given by int or Fraction coordinates."""
+    return locate(poly, *_cleared(poly, x))
+
+
+def step(point: ScaledPoint, direction: Sequence[int], mu: Fraction) -> tuple[tuple[int, ...], int]:
+    """(numerators, denominator) of point + mu direction, in lowest terms."""
+    scale, denom = mu.numerator * point.denom, mu.denominator * point.denom
+    nums = [a * mu.denominator + scale * e for a, e in zip(point.nums, direction)]
+    g = gcd(denom, *nums)
+    return tuple(a // g for a in nums), denom // g
 
 
 def slacks(poly: HPolytope, x: Sequence) -> Vector:
     """b - A x, in the positively row-scaled integer system."""
-    nums, denom = scaled_slacks(poly, x)
-    return tuple(Fraction(s, denom) for s in nums)
+    nums, denom = _cleared(poly, x)
+    return tuple(Fraction(s, denom) for s in _slack_nums(poly, nums, denom))
 
 
 def contains(poly: HPolytope, x: Sequence) -> bool:
     """Exact membership test A x <= b."""
-    return all(s >= 0 for s in scaled_slacks(poly, x)[0])
+    return min(_slack_nums(poly, *_cleared(poly, x))) >= 0
 
 
 def tight_set(poly: HPolytope, x: Sequence) -> TightSet:
     """Indices of the rows satisfied with equality at a feasible point."""
-    nums, _ = scaled_slacks(poly, x)
-    if any(s < 0 for s in nums):
-        raise NotFeasible("point is outside the polytope")
-    return tuple(i for i, s in enumerate(nums) if s == 0)
+    return scaled_point(poly, x).tight
 
 
 def is_simple_vertex(poly: HPolytope, x: Sequence) -> bool:
-    """True iff exactly d tight rows meet at x and their integer inverse exists."""
+    """True iff exactly d tight rows meet at x and they have full rank."""
     tight = tight_set(poly, x)
     if len(tight) != poly.dim:
         return False
-    return exactla.int_inverse_scaled([poly._int_rows[i][0] for i in tight]) is not None
+    return exactla.is_nonsingular([poly._int_rows[i][0] for i in tight])
 
 
-def edge_directions(
-    poly: HPolytope, v: Sequence
-) -> list[tuple[int, tuple[int, ...]]]:
+def edge_directions(poly: HPolytope, point: ScaledPoint) -> list[tuple[int, tuple[int, ...]]]:
     """The d primitive edge directions leaving a simple vertex.
 
     Returns one pair (leaving_facet, direction) per tight row i: the unique
@@ -163,31 +199,29 @@ def edge_directions(
     A_i . dir < 0.  Computed from the (positively scaled) inverse columns of
     the tight matrix, so one fraction-free elimination yields all d edges.
     """
-    tight = tight_set(poly, v)
+    tight = point.tight
     if len(tight) != poly.dim:
-        raise DegenerateVertex(
-            f"{len(tight)} tight rows at a point of dimension {poly.dim}"
-        )
+        raise DegenerateVertex(f"{len(tight)} tight rows at a point of dimension {poly.dim}")
     columns = exactla.int_inverse_scaled([poly._int_rows[i][0] for i in tight])
     if columns is None:
         raise DegenerateVertex("tight rows are rank-deficient")
-    sparse_rows = [poly._sparse_rows[i][0] for i in tight]
-    result = []
-    for k, col in enumerate(columns):
-        direction = exactla.primitive([-c for c in col])
-        # Defensive: an edge ray keeps d-1 tight rows and strictly leaves one.
-        for j, row in enumerate(sparse_rows):
-            prod = _sparse_dot(row, direction)
-            if (j == k and prod >= 0) or (j != k and prod != 0):
+    directions = [exactla.primitive([-c for c in col]) for col in columns]
+    # Defensive: edge ray k keeps every tight row j != k and strictly leaves row k.
+    for j, i in enumerate(tight):
+        row = poly._sparse_rows[i][0]
+        for k, direction in enumerate(directions):
+            prod = 0
+            for c, a in row:
+                prod += a * direction[c]
+            if prod >= 0 if j == k else prod:
                 raise InternalMismatch(
                     f"edge {k} breaks the tightness pattern at tight row {j}"
                 )
-        result.append((tight[k], direction))
-    return result
+    return list(zip(tight, directions))
 
 
 def ratio_test(
-    poly: HPolytope, x: Sequence, direction: Sequence
+    poly: HPolytope, point: ScaledPoint, direction: Sequence
 ) -> tuple[Fraction | None, TightSet]:
     """Largest feasible step along a direction, with the blocking rows.
 
@@ -197,7 +231,7 @@ def ratio_test(
     """
     if all(e == 0 for e in direction):
         raise ZeroDirection("ratio test along the zero direction")
-    nums, denom = scaled_slacks(poly, x)
+    nums = point.slacks
     # Ratios nums_i / (denom advance_i) are compared by cross-multiplication,
     # so only the minimum becomes a Fraction.
     best: int | None = None
@@ -217,7 +251,7 @@ def ratio_test(
             blockers.append(i)
     if best is None:
         return None, ()
-    return Fraction(nums[best], denom * best_adv), tuple(blockers)
+    return Fraction(nums[best], point.denom * best_adv), tuple(blockers)
 
 
 # ---------------------------------------------------------------------------

@@ -1,8 +1,15 @@
 """Objectives, line search, pivot rules and the active-set runner."""
 
+import json
+import os
+import subprocess
+import sys
 from fractions import Fraction as F
+from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from extparab import exactla, polytope
 from extparab.activeset import (
@@ -17,7 +24,7 @@ from extparab.activeset import (
     objective_constant,
     pullback_objective,
     trace_plot_rows,
-    trace_to_json_dict,
+    trace_to_json,
 )
 from extparab.errors import (
     NotAVertex,
@@ -64,6 +71,33 @@ def test_gradient_instance_origin(tower):
     assert f.gradient(origin) == finite_difference_gradient(f, origin)
 
 
+rationals = st.fractions(min_value=-50, max_value=50, max_denominator=12)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    st.lists(rationals, min_size=3, max_size=3),
+    st.lists(rationals, min_size=6, max_size=6),
+    rationals,
+    st.lists(rationals, min_size=3, max_size=3),
+)
+def test_cleared_form_matches_fraction_form(linear, upper, constant, x):
+    # A symmetric 3x3 quad part from its six upper-triangle entries.
+    a, b, c, d, e, h = upper
+    f = QuadraticObjective(quad=((a, b, c), (b, d, e), (c, e, h)), linear=linear, constant=constant)
+    nums, denom = exactla.common_denominator(x)
+    expected = (
+        sum(x[i] * f.quad[i][j] * x[j] for i in range(3) for j in range(3))
+        + sum(l * xi for l, xi in zip(linear, x))
+        + constant
+    )
+    assert f.value_at(nums, denom) == f.value(x) == expected
+    numerators, scale = f.gradient_at(nums, denom)
+    assert scale > 0
+    assert tuple(F(g, scale) for g in numerators) == f.gradient(x)
+    assert f.curvature_along(x) == expected - constant - sum(l * xi for l, xi in zip(linear, x))
+
+
 def test_pullback_constant(tower):
     assert objective_constant(16) == F(9, 10)
 
@@ -84,38 +118,39 @@ def test_pullback_is_rank_one_convex(tower):
 
 def test_line_search_boundary_stop(tower):
     ext, f = tower
-    v0 = vertex_for_t(ext, 0)
+    v0 = polytope.scaled_point(ext.poly, vertex_for_t(ext, 0))
+    gradient = f.gradient_at(v0.nums, v0.denom)
     edges = polytope.edge_directions(ext.poly, v0)
     facet, direction = next(
-        (fc, d) for fc, d in edges if exactla.dot(f.gradient(v0), d) > 0
+        (fc, d) for fc, d in edges if exactla.dot(f.gradient(v0.coords), d) > 0
     )
     mu_max, _ = polytope.ratio_test(ext.poly, v0, direction)
     # convex objective: improving all the way to the boundary
-    assert line_search(f, v0, direction, mu_max, f.gradient(v0)) == mu_max
-    assert line_search(f, v0, direction, F(1, 9), f.gradient(v0)) == F(1, 9)
+    assert line_search(f, direction, mu_max, gradient) == mu_max
+    assert line_search(f, direction, F(1, 9), gradient) == F(1, 9)
 
 
 def test_line_search_interior_root():
     # f(x) = x - x^2 on the line: g(mu) = 1 - 2 mu vanishes at 1/2.
     f = QuadraticObjective(quad=((-1,),), linear=(1,))
-    assert line_search(f, (F(0),), (1,), F(10), f.gradient((F(0),))) == F(1, 2)
+    assert line_search(f, (1,), F(10), f.gradient_at((0,), 1)) == F(1, 2)
 
 
 def test_line_search_blocked_immediately():
     f = QuadraticObjective(quad=((1,),), linear=(1,))
-    assert line_search(f, (F(0),), (1,), F(0), f.gradient((F(0),))) == 0
+    assert line_search(f, (1,), F(0), f.gradient_at((0,), 1)) == 0
 
 
 def test_line_search_requires_improvement():
     f = QuadraticObjective(quad=((1,),), linear=(0,))
     with pytest.raises(NotImproving):
-        line_search(f, (F(0),), (1,), F(1), f.gradient((F(0),)))
+        line_search(f, (1,), F(1), f.gradient_at((0,), 1))
 
 
 def test_line_search_unbounded():
     f = QuadraticObjective(quad=((0,),), linear=(1,))
     with pytest.raises(UnboundedImprovement):
-        line_search(f, (F(0),), (1,), None, f.gradient((F(0),)))
+        line_search(f, (1,), None, f.gradient_at((0,), 1))
 
 
 def test_improving_edges_instance(tower):
@@ -127,7 +162,7 @@ def test_improving_edges_instance(tower):
         chord = exactla.vsub(vertex_for_t(ext, k), v0)
         expected = F(k, 225) * (F(3, 2) - k)
         assert exactla.dot(f.gradient(v0), chord) == expected
-    assert len(improving_edges(ext.poly, f, v0)) == 1
+    assert len(improving_edges(ext.poly, polytope.scaled_point(ext.poly, v0), f.gradient(v0))) == 1
 
 
 def test_improving_edges_zero_objective(tower):
@@ -135,8 +170,8 @@ def test_improving_edges_zero_objective(tower):
     zero = QuadraticObjective(
         quad=((F(0),) * 4,) * 4, linear=(0, 0, 0, 0)
     )
-    v0 = vertex_for_t(ext, 0)
-    assert improving_edges(ext.poly, zero, v0) == []
+    v0 = polytope.scaled_point(ext.poly, vertex_for_t(ext, 0))
+    assert improving_edges(ext.poly, v0, zero.gradient_at(v0.nums, v0.denom)[0]) == []
 
 
 def test_run_visits_all_vertices_in_order(tower):
@@ -225,11 +260,12 @@ def test_seeded_random_is_deterministic():
 def test_trace_json_schema(tower):
     ext, f = tower
     trace = active_set_run(ext.poly, f, vertex_for_t(ext, 0), FirstIndex(), 64)
-    doc = trace_to_json_dict(
+    text = trace_to_json(
         trace,
         instance={"n": 16, "d": 4, "M": 16, "c": "9/10"},
         t_values=[grid_index(ext, ext.phi(step.vertex)) for step in trace.steps],
     )
+    doc = json.loads(text)
     assert set(doc) == {"instance", "steps", "edge_moves", "loop_iterations", "terminated"}
     assert doc["terminated"] == "Optimal"
     assert doc["edge_moves"] == doc["loop_iterations"] == 15
@@ -262,3 +298,58 @@ def test_grid_index_off_grid(tower):
     assert grid_index(ext, F(1, 30)) is None
     assert grid_index(ext, F(16, 15)) is None
     assert grid_index(ext, F(-1, 15)) is None
+
+
+def test_runner_checks_survive_optimize_flag():
+    # Under python -O a corrupted step, a blocking tie and a tampered
+    # objective value must each still be refused by an explicit raise.
+    code = (
+        "from fractions import Fraction\n"
+        "from extparab import activeset, polytope\n"
+        "from extparab.activeset import QuadraticObjective, active_set_run, make_rule, pullback_objective\n"
+        "from extparab.errors import DegenerateVertex, InternalMismatch, NotAVertex\n"
+        "from extparab.extension import ConstructionParams, build, vertex_for_t\n"
+        "from extparab.polytope import HPolytope\n"
+        "assert False, 'asserts must be stripped'\n"
+        "ext = build(ConstructionParams(n=16, d=4))\n"
+        "f = pullback_objective(ext)\n"
+        "def run(poly=ext.poly, objective=f, start=vertex_for_t(ext, 0)):\n"
+        "    try:\n"
+        "        active_set_run(poly, objective, start, make_rule('first'))\n"
+        "    except (NotAVertex, InternalMismatch, DegenerateVertex) as exc:\n"
+        "        print(f'{type(exc).__name__}: {exc}')\n"
+        "    else:\n"
+        "        print('accepted')\n"
+        "search, step, value_at = activeset.line_search, polytope.step, QuadraticObjective.value_at\n"
+        "activeset.line_search = lambda *args: search(*args) / 2\n"
+        "run()\n"
+        "activeset.line_search = lambda *args: Fraction(0)\n"
+        "run()\n"
+        "activeset.line_search = search\n"
+        "polytope.step = lambda *args: (step(*args)[0], 2 * step(*args)[1])\n"
+        "run()\n"
+        "polytope.step = step\n"
+        "QuadraticObjective.value_at = lambda self, nums, denom: Fraction(1)\n"
+        "run()\n"
+        "QuadraticObjective.value_at = value_at\n"
+        "square = HPolytope(((1, 0), (0, 1), (-1, 0), (0, -1), (1, 1)), (1, 1, 0, 0, 2))\n"
+        "run(square, QuadraticObjective(((0, 0), (0, 0)), (1, 1)), (0, 0))\n"
+        "run()\n"
+    )
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    done = subprocess.run(
+        [sys.executable, "-O", "-c", code], capture_output=True, text=True, env=env, timeout=60
+    )
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.splitlines() == [
+        # half the step: the iterate stops mid-edge
+        "NotAVertex: iterate has 3 tight rows, need 4",
+        "InternalMismatch: a feasible improving edge must allow mu > 0",
+        # the denominator doubled: the point halfway back to the origin
+        "NotAVertex: iterate has 3 tight rows, need 4",
+        "InternalMismatch: objective must strictly increase on a move",
+        # x1 + x2 <= 2 also blocks at (1, 1)
+        "DegenerateVertex: blocking tie leaves 3 tight rows at the new point",
+        "accepted",  # every patch undone
+    ]

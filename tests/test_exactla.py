@@ -101,6 +101,19 @@ def test_int_inverse_scaled_matches_solve(rows):
                 assert image[j] == 0
 
 
+@given(int_matrices())
+@settings(max_examples=150, deadline=None)
+def test_is_nonsingular_matches_reference_rank(rows):
+    # The elimination alone, without the identity block, decides full rank.
+    assert exactla.is_nonsingular(rows) == (reference_rank(rows) == len(rows))
+
+
+def test_is_nonsingular_keeps_its_input():
+    rows = [[2, 4], [1, 3]]
+    assert exactla.is_nonsingular(rows) and rows == [[2, 4], [1, 3]]
+    assert not exactla.is_nonsingular([[2, 4], [1, 2]])
+
+
 @given(st.lists(st.tuples(rationals | small_ints, rationals | small_ints), max_size=8))
 def test_dot_matches_fraction_sum(pairs):
     u, v = [a for a, _ in pairs], [b for _, b in pairs]

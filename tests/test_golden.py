@@ -25,6 +25,14 @@ RUN_D8 = {
     "trace.json": "60b7e2a6e34f99cf29ca5922d70dd4b66ce1ccef5362d4c687a68c3e8b040500",
     "plot.csv": "5db7a4de8132c05f6cc1a230ca1c0f7fa8c0b4575732f8414a1e864ec0223e1c",
 }
+# The benchmark's own instance: 4,096 steps whose coordinates are far wider
+# than at d = 8.  Taken before the runner kept its iterate as integer
+# numerators over one denominator and the trace writer stopped using
+# json.dumps.
+RUN_D12 = {
+    "trace.json": "992d31c5bbe5a7d4a4fd2598831af01551724266160ae864c10e48be0dc1f113",
+    "plot.csv": "1693fda6a0398af757d869582f9161f7d71019e75ab2d2adb471a3c2b9b096e9",
+}
 CERTIFICATE_N48_D6 = "f052096e69ae72405847851ac84af3bbf5497d296b46059d5cab0049c5d2650b"
 VERIFY_REPORTS = {
     "d8": (["--d", "8"], "23b0be8f5e98382bc64b91854d762dde9a8dd32b97de6e3181ada39e8a0d519d"),
@@ -45,6 +53,14 @@ def test_run_d8_outputs_are_unchanged(tmp_path, capsys, rule):
     capsys.readouterr()
     digests = {suffix: sha256((tmp_path / f"{rule}.{suffix}").read_bytes()) for suffix in RUN_D8}
     assert digests == RUN_D8
+
+
+def test_run_d12_outputs_are_unchanged(tmp_path, capsys):
+    prefix = tmp_path / "first"
+    assert main(["run", "--d", "12", "--rule", "first", "--out", str(prefix)]) == 0
+    capsys.readouterr()
+    digests = {suffix: sha256((tmp_path / f"first.{suffix}").read_bytes()) for suffix in RUN_D12}
+    assert digests == RUN_D12
 
 
 def test_path_certificate_n48_d6_is_unchanged():

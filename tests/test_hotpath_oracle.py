@@ -7,16 +7,45 @@ vectors through Fractions, a dense tightness check, and rank by Fraction
 Gaussian elimination.  At every vertex of the listed towers the hot path
 must give exactly the same slacks, tight set, simple-vertex verdict and
 (leaving facet, primitive direction) list.
+
+The active-set runner keeps its iterate as integer numerators over one
+denominator; ``reference_active_set_run`` is the runner it replaced, with a
+Fraction iterate, Fraction gradient, objective value and line search, and
+its trace must equal the runner's step for step.  ``trace_to_json_dict`` is
+the dict that ``json.dumps(..., indent=2)`` used to serialize, which the
+direct trace writer must reproduce byte for byte.
 """
 
+import json
 from fractions import Fraction
 from math import gcd, lcm
 
 import pytest
 
 from extparab import exactla, polytope
-from extparab.errors import DegenerateVertex, InternalMismatch, NotFeasible
+from extparab.activeset import (
+    DEFAULT_MAX_ITER,
+    QuadraticObjective,
+    Trace,
+    TraceStep,
+    active_set_run,
+    grid_index,
+    make_rule,
+    pullback_objective,
+    trace_to_json,
+)
+from extparab.errors import (
+    DegenerateVertex,
+    DimensionMismatch,
+    InternalMismatch,
+    NotAVertex,
+    NotFeasible,
+    NotImproving,
+    UnboundedImprovement,
+    UnknownRule,
+)
 from extparab.extension import ConstructionParams, build, vertex_for_t
+from extparab.polytope import HPolytope
 
 
 def reference_slacks(poly, x):
@@ -118,7 +147,9 @@ def test_hot_path_matches_reference_at_every_vertex(n, d):
         v = vertex_for_t(ext, t)
         assert polytope.slacks(poly, v) == reference_slacks(poly, v), t
         assert polytope.tight_set(poly, v) == reference_tight_set(poly, v), t
-        assert polytope.edge_directions(poly, v) == reference_edge_directions(poly, v), t
+        point = polytope.scaled_point(poly, v)
+        assert point.coords == v and point.tight == reference_tight_set(poly, v), t
+        assert polytope.edge_directions(poly, point) == reference_edge_directions(poly, v), t
         assert polytope.is_simple_vertex(poly, v) and reference_is_simple_vertex(poly, v), t
 
 
@@ -139,3 +170,204 @@ def test_is_simple_vertex_rejects_infeasible_point():
     with pytest.raises(NotFeasible):
         polytope.is_simple_vertex(PARALLEL, (Fraction(2), Fraction(0)))
 
+
+
+# ---------------------------------------------------------------------------
+# The runner with a Fraction iterate
+
+
+def reference_value(f, x):
+    quad = sum(x[i] * exactla.dot(row, x) for i, row in enumerate(f.quad))
+    return quad + exactla.dot(f.linear, x) + f.constant
+
+
+def reference_gradient(f, x):
+    return tuple(2 * exactla.dot(row, x) + a for row, a in zip(f.quad, f.linear))
+
+
+def reference_ratio_test(poly, x, direction):
+    best, blockers = None, []
+    for i, (s, row) in enumerate(zip(reference_slacks(poly, x), poly._int_rows)):
+        adv = exactla.dot(row[0], direction)
+        if adv <= 0:
+            continue
+        ratio = s / adv
+        if best is None or ratio < best:
+            best, blockers = ratio, [i]
+        elif ratio == best:
+            blockers.append(i)
+    return best, tuple(blockers)
+
+
+def reference_line_search(f, x, direction, mu_max):
+    g0 = exactla.dot(reference_gradient(f, x), direction)
+    if g0 <= 0:
+        raise NotImproving(f"directional derivative {g0} is not positive")
+    curvature = sum(direction[i] * exactla.dot(row, direction) for i, row in enumerate(f.quad))
+    stationary = None if curvature >= 0 else -g0 / (2 * curvature)
+    if mu_max is None and stationary is None:
+        raise UnboundedImprovement("improving ray is unbounded")
+    candidates = [m for m in (mu_max, stationary) if m is not None]
+    return min(candidates)
+
+
+def reference_active_set_run(poly, f, x0, rule, max_iter=None):
+    """The active-set loop over Fraction points, with every check of the runner."""
+    if max_iter is None:
+        max_iter = DEFAULT_MAX_ITER
+    if f.dim != poly.dim:
+        raise DimensionMismatch("objective dimension differs from polytope")
+    x = exactla.vec(x0)
+    if any(s < 0 for s in reference_slacks(poly, x)):
+        raise NotAVertex("start point is not feasible")
+    tight = reference_tight_set(poly, x)
+    if len(tight) != poly.dim:
+        raise NotAVertex(f"start point has {len(tight)} tight rows, need {poly.dim}")
+    steps = []
+    edge_moves = 0
+    f_value = reference_value(f, x)
+    while True:
+        if len(tight) != poly.dim:
+            raise NotAVertex(f"iterate has {len(tight)} tight rows, need {poly.dim}")
+        gradient = reference_gradient(f, x)
+        improving = [
+            (facet, d)
+            for facet, d in reference_edge_directions(poly, x)
+            if exactla.dot(gradient, d) > 0
+        ]
+        if not improving or edge_moves >= max_iter:
+            steps.append(TraceStep(x, tight, None, None, f_value))
+            terminated = "MaxIterations" if improving else "Optimal"
+            break
+        chosen = rule.choose_direction(improving, x)
+        if chosen not in improving:
+            raise UnknownRule("pivot rule returned a direction not offered")
+        _, direction = chosen
+        mu_max, _ = reference_ratio_test(poly, x, direction)
+        mu = reference_line_search(f, x, direction, mu_max)
+        if not mu > 0:
+            raise InternalMismatch("a feasible improving edge must allow mu > 0")
+        steps.append(TraceStep(x, tight, direction, mu, f_value))
+        x = tuple(a + mu * e for a, e in zip(x, direction))
+        if any(s < 0 for s in reference_slacks(poly, x)):
+            raise NotFeasible("point is outside the polytope")
+        tight = reference_tight_set(poly, x)
+        if len(tight) > poly.dim:
+            raise DegenerateVertex(f"blocking tie leaves {len(tight)} tight rows at the new point")
+        edge_moves += 1
+        new_value = reference_value(f, x)
+        if not new_value > f_value:
+            raise InternalMismatch("objective must strictly increase on a move")
+        f_value = new_value
+    return Trace(steps=tuple(steps), edge_moves=edge_moves, terminated=terminated)
+
+
+RULES = ("first", "last", "random", "adversarial")
+
+
+@pytest.mark.parametrize("n, d", TOWERS, ids=[f"n{n}-d{d}" for n, d in TOWERS])
+def test_runner_trace_matches_reference_on_towers(n, d):
+    ext = build(ConstructionParams(n=n, d=d))
+    f = pullback_objective(ext)
+    start = vertex_for_t(ext, 0)
+    for name in RULES:
+        trace = active_set_run(ext.poly, f, start, make_rule(name, 5))
+        assert trace == reference_active_set_run(ext.poly, f, start, make_rule(name, 5)), name
+        assert trace.terminated == "Optimal"
+        assert trace.vertices_visited == ext.params.vertex_count
+
+
+def test_runner_trace_matches_reference_with_max_iter():
+    ext = build(ConstructionParams(n=24, d=6))
+    f = pullback_objective(ext)
+    start = vertex_for_t(ext, 0)
+    trace = active_set_run(ext.poly, f, start, make_rule("first"), max_iter=17)
+    assert trace == reference_active_set_run(ext.poly, f, start, make_rule("first"), max_iter=17)
+    assert trace.terminated == "MaxIterations" and trace.edge_moves == 17
+
+
+# A cube cut by x1 + x2 + x3 <= 5/2 has vertices with two or three tight
+# neighbours that improve a linear objective, so the rules take different
+# paths; the rational cut puts halves into the iterates.
+CUT_CUBE = HPolytope(
+    A=((1, 0, 0), (0, 1, 0), (0, 0, 1), (-1, 0, 0), (0, -1, 0), (0, 0, -1), (1, 1, 1)),
+    b=(1, 1, 1, 0, 0, 0, Fraction(5, 2)),
+)
+CUBE_OBJECTIVES = {
+    "linear": QuadraticObjective(quad=((0,) * 3,) * 3, linear=(3, 2, 1)),
+    "convex": QuadraticObjective(
+        quad=((1, Fraction(1, 2), 0), (Fraction(1, 2), 1, 0), (0, 0, Fraction(1, 3))),
+        linear=(Fraction(-1, 7), 1, 2),
+    ),
+}
+
+
+@pytest.mark.parametrize("objective", sorted(CUBE_OBJECTIVES))
+@pytest.mark.parametrize("rule", RULES)
+def test_runner_trace_matches_reference_on_cut_cube(objective, rule):
+    f = CUBE_OBJECTIVES[objective]
+    start = (0, 0, 0)
+    trace = active_set_run(CUT_CUBE, f, start, make_rule(rule, 3))
+    assert trace == reference_active_set_run(CUT_CUBE, f, start, make_rule(rule, 3))
+    assert trace.terminated == "Optimal" and trace.edge_moves >= 2
+
+
+def test_runner_raises_like_reference_at_an_interior_stop():
+    # Concave along x1: the line search stops halfway along the first edge,
+    # which is no vertex, and both runners refuse the point.
+    f = QuadraticObjective(quad=((-1, 0, 0), (0, 0, 0), (0, 0, 0)), linear=(1, 0, 0))
+    for run in (active_set_run, reference_active_set_run):
+        with pytest.raises(NotAVertex):
+            run(CUT_CUBE, f, (0, 0, 0), make_rule("first"))
+
+
+# ---------------------------------------------------------------------------
+# The direct trace writer
+
+
+def trace_to_json_dict(trace, instance=None, t_values=None):
+    """JSON form of a trace, steps labelled by ``t_values``; rationals stay ``p/q``."""
+    steps = []
+    for step, t in zip(trace.steps, t_values or [None] * len(trace.steps)):
+        steps.append(
+            {
+                "t": t,
+                "vertex": [str(c) for c in step.vertex],
+                "active": list(step.tight),
+                "direction": list(step.direction) if step.direction is not None else None,
+                "mu": str(step.mu) if step.mu is not None else None,
+                "f": str(step.f_value),
+            }
+        )
+    return {
+        "instance": instance,
+        "steps": steps,
+        "edge_moves": trace.edge_moves,
+        "loop_iterations": trace.loop_iterations,
+        "terminated": trace.terminated,
+    }
+
+
+def test_trace_writer_matches_json_dumps():
+    ext = build(ConstructionParams(n=16, d=4))
+    f = pullback_objective(ext)
+    start = vertex_for_t(ext, 0)
+    full = active_set_run(ext.poly, f, start, make_rule("first"))
+    capped = active_set_run(ext.poly, f, start, make_rule("first"), max_iter=3)
+    on_grid = [grid_index(ext, ext.phi(step.vertex)) for step in full.steps]
+    instance = {"n": 16, "d": 4, "M": 16, "c": "9/10", "note": 'quote " and \\ slash'}
+    off_grid = [None if t % 3 == 1 else t for t in on_grid]
+    cases = [
+        (full, instance, on_grid),
+        (capped, instance, on_grid[:4]),
+        (full, None, on_grid),
+        (full, {}, None),
+        (full, instance, off_grid),
+        (Trace(steps=(), edge_moves=0, terminated="Optimal"), None, None),
+        (active_set_run(CUT_CUBE, CUBE_OBJECTIVES["convex"], (0, 0, 0), make_rule("last")), None, None),
+    ]
+    for trace, inst, t_values in cases:
+        expected = json.dumps(trace_to_json_dict(trace, inst, t_values), indent=2)
+        assert trace_to_json(trace, inst, t_values) == expected
+    assert capped.terminated == "MaxIterations"
+    assert '"t": null' in trace_to_json(full, instance, off_grid)

@@ -36,6 +36,14 @@ def quadrilateral() -> HPolytope:
     )
 
 
+def edges_at(poly, x):
+    return polytope.edge_directions(poly, polytope.scaled_point(poly, x))
+
+
+def ratio_at(poly, x, direction):
+    return polytope.ratio_test(poly, polytope.scaled_point(poly, x), direction)
+
+
 def test_contains_interior():
     assert polytope.contains(unit_square(), (F(1, 2), F(1, 2)))
 
@@ -74,26 +82,26 @@ def test_simple_vertex_edge_point():
 
 
 def test_edge_directions_unit_square():
-    dirs = dict(polytope.edge_directions(unit_square(), (0, 0)))
+    dirs = dict(edges_at(unit_square(), (0, 0)))
     assert set(dirs.values()) == {(1, 0), (0, 1)}
-    dirs = dict(polytope.edge_directions(unit_square(), (1, 1)))
+    dirs = dict(edges_at(unit_square(), (1, 1)))
     assert set(dirs.values()) == {(-1, 0), (0, -1)}
 
 
 def test_edge_directions_quadrilateral():
     # Oracle: the two edges leaving h(0) head to h(1/3) and h(1), i.e. the
     # primitive vectors of h(1/3) - h(0) = (1/3, -2/9) and h(1) - h(0).
-    dirs = dict(polytope.edge_directions(quadrilateral(), (0, 0)))
+    dirs = dict(edges_at(quadrilateral(), (0, 0)))
     assert set(dirs.values()) == {(3, -2), (1, 0)}
 
 
 def test_edge_directions_requires_vertex():
     with pytest.raises(DegenerateVertex):
-        polytope.edge_directions(unit_square(), (F(1, 2), 0))
+        edges_at(unit_square(), (F(1, 2), 0))
 
 
 def test_ratio_test_unit_square():
-    mu, blockers = polytope.ratio_test(unit_square(), (0, 0), (1, 0))
+    mu, blockers = ratio_at(unit_square(), (0, 0), (1, 0))
     assert mu == 1
     assert blockers == (0,)
 
@@ -101,7 +109,7 @@ def test_ratio_test_unit_square():
 def test_ratio_test_quadrilateral():
     # Oracle: solving h(0) + mu (3, -2) against every facet stops first at
     # the edge through h(1/3) and h(2/3); indeed h(1/3) = (1/9) (3, -2).
-    mu, blockers = polytope.ratio_test(quadrilateral(), (0, 0), (3, -2))
+    mu, blockers = ratio_at(quadrilateral(), (0, 0), (3, -2))
     assert mu == F(1, 9)
     assert blockers == (1,)
     endpoint = (F(3) * mu, F(-2) * mu)
@@ -110,21 +118,22 @@ def test_ratio_test_quadrilateral():
 
 def test_ratio_test_unbounded():
     cone = HPolytope(A=((0, 1),), b=(0,))
-    mu, blockers = polytope.ratio_test(cone, (0, 0), (1, 0))
+    mu, blockers = ratio_at(cone, (0, 0), (1, 0))
     assert mu is None
     assert blockers == ()
 
 
 def test_ratio_test_zero_direction():
     with pytest.raises(ZeroDirection):
-        polytope.ratio_test(unit_square(), (0, 0), (0, 0))
+        ratio_at(unit_square(), (0, 0), (0, 0))
 
 
 def test_step_feasibility_brackets_mu_max():
     poly = quadrilateral()
     x = (F(0), F(0))
-    for _, direction in polytope.edge_directions(poly, x):
-        mu, _ = polytope.ratio_test(poly, x, direction)
+    point = polytope.scaled_point(poly, x)
+    for _, direction in polytope.edge_directions(poly, point):
+        mu, _ = polytope.ratio_test(poly, point, direction)
         assert mu is not None and mu > 0
         inside = tuple(a + mu * e for a, e in zip(x, direction))
         assert polytope.contains(poly, inside)
@@ -137,9 +146,10 @@ def test_step_feasibility_brackets_mu_max():
 def test_endpoint_tight_set_gains_blockers():
     poly = quadrilateral()
     x = (F(0), F(0))
+    point = polytope.scaled_point(poly, x)
     tight = set(polytope.tight_set(poly, x))
-    for leaving, direction in polytope.edge_directions(poly, x):
-        mu, blockers = polytope.ratio_test(poly, x, direction)
+    for leaving, direction in polytope.edge_directions(poly, point):
+        mu, blockers = polytope.ratio_test(poly, point, direction)
         endpoint = tuple(a + mu * e for a, e in zip(x, direction))
         end_tight = set(polytope.tight_set(poly, endpoint))
         assert (tight - {leaving}) | set(blockers) <= end_tight
@@ -150,7 +160,7 @@ def test_edge_direction_tightness_pattern():
     poly = quadrilateral()
     x = (F(0), F(0))
     tight = polytope.tight_set(poly, x)
-    for leaving, direction in polytope.edge_directions(poly, x):
+    for leaving, direction in edges_at(poly, x):
         products = {i: exactla.dot(poly.A[i], direction) for i in tight}
         assert products[leaving] < 0
         assert all(v == 0 for i, v in products.items() if i != leaving)
@@ -231,7 +241,7 @@ def test_edge_pattern_check_survives_optimize_flag():
         "exactla.int_inverse_scaled = lambda rows: inverse(rows)[::-1]\n"
         "ext = build(ConstructionParams(n=16, d=4))\n"
         "try:\n"
-        "    polytope.edge_directions(ext.poly, vertex_for_t(ext, 0))\n"
+        "    polytope.edge_directions(ext.poly, polytope.scaled_point(ext.poly, vertex_for_t(ext, 0)))\n"
         "except InternalMismatch:\n"
         "    print('InternalMismatch')\n"
     )
@@ -242,6 +252,44 @@ def test_edge_pattern_check_survives_optimize_flag():
     )
     assert done.returncode == 0, done.stderr
     assert done.stdout.strip() == "InternalMismatch"
+
+
+def test_edge_pattern_checks_both_signs_under_optimize_flag():
+    # Under python -O, two corruptions of the inverse that reversing the
+    # columns does not model: negated columns keep every other tight row but
+    # enter the facet each ray should leave (only the leaving-row test sees
+    # it); column k + column k+1 leaves its own row but also a second one
+    # (only the kept-row test sees it).
+    code = (
+        "from extparab import exactla, polytope\n"
+        "from extparab.errors import InternalMismatch\n"
+        "from extparab.extension import ConstructionParams, build, vertex_for_t\n"
+        "assert False, 'asserts must be stripped'\n"
+        "inverse = exactla.int_inverse_scaled\n"
+        "def negated(rows):\n"
+        "    return [[-c for c in col] for col in inverse(rows)]\n"
+        "def paired(rows):\n"
+        "    cols = inverse(rows)\n"
+        "    return [[a + b for a, b in zip(c, cols[(k + 1) % len(cols)])] for k, c in enumerate(cols)]\n"
+        "ext = build(ConstructionParams(n=16, d=4))\n"
+        "point = polytope.scaled_point(ext.poly, vertex_for_t(ext, 5))\n"
+        "for corrupt in (negated, paired):\n"
+        "    exactla.int_inverse_scaled = corrupt\n"
+        "    try:\n"
+        "        polytope.edge_directions(ext.poly, point)\n"
+        "    except InternalMismatch as exc:\n"
+        "        print(exc)\n"
+    )
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    done = subprocess.run(
+        [sys.executable, "-O", "-c", code], capture_output=True, text=True, env=env, timeout=60
+    )
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.splitlines() == [
+        "edge 0 breaks the tightness pattern at tight row 0",
+        "edge 3 breaks the tightness pattern at tight row 0",
+    ]
 
 
 def test_vrep_format_shape():

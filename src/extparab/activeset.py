@@ -6,8 +6,11 @@ rows and strictly leaves one), so the working set is the tight set and one
 loop body is one edge move: price the edges from ``edge_directions`` against
 the gradient (``improving_edges``), follow the chosen improving edge until a
 facet blocks or the gradient along it vanishes, and repeat until no edge
-improves.  The certificate in ``lowerbound`` prices its vertices with the
-same ``improving_edges``.
+improves.  A move swaps one tight row, so the runner hands each vertex's edge
+list to the next ``edge_directions`` call, which pivots it on that row
+instead of eliminating the tight matrix again.  The certificate in
+``lowerbound`` walks its vertices the same way and prices them with the same
+``improving_edges``.
 
 The one "for some" in that loop, which improving edge to follow, is the
 pivot-rule choice point.  Rules plug in through ``choose_direction`` and must
@@ -54,11 +57,11 @@ from .errors import (
 )
 from .exactla import Matrix, Vector
 from .extension import ExtendedParabola
-from .polytope import HPolytope, ScaledPoint, TightSet
+from .polytope import Edge, HPolytope, TightSet
 
 DEFAULT_MAX_ITER = 10**7
 
-DirectionCandidate = tuple[int, tuple[int, ...]]
+DirectionCandidate = Edge
 
 
 @dataclass(frozen=True)
@@ -195,19 +198,16 @@ def line_search(
 
 
 def improving_edges(
-    poly: HPolytope, point: ScaledPoint, gradient: Sequence
+    edges: Sequence[DirectionCandidate], gradient: Sequence
 ) -> list[DirectionCandidate]:
-    """Edges (leaving_facet, direction) at a simple vertex along which the gradient rises.
+    """The edges (leaving_facet, direction) of a vertex along which the gradient rises.
 
-    ``gradient`` is any positive multiple of grad f at the point, such as
-    the integer numerators from ``QuadraticObjective.gradient_at``; the
-    scaling keeps every sign.
+    ``edges`` is the vertex's ``polytope.edge_directions`` list and
+    ``gradient`` any positive multiple of grad f at the vertex, such as the
+    integer numerators from ``QuadraticObjective.gradient_at``; the scaling
+    keeps every sign.
     """
-    return [
-        (facet, d)
-        for facet, d in polytope.edge_directions(poly, point)  # raises DegenerateVertex
-        if sum(map(mul, gradient, d)) > 0
-    ]
+    return [(facet, d) for facet, d in edges if sum(map(mul, gradient, d)) > 0]
 
 
 # ---------------------------------------------------------------------------
@@ -333,6 +333,7 @@ def active_set_run(
 
     The iterate is a ``polytope.ScaledPoint``: integer numerators over one
     denominator, whose slacks and tight set are evaluated once per vertex.
+    Each vertex's edges are pivoted from those of the vertex before it.
     """
     if max_iter is None:
         max_iter = DEFAULT_MAX_ITER
@@ -348,13 +349,15 @@ def active_set_run(
     steps: list[TraceStep] = []
     edge_moves = 0
     f_value = f.value_at(point.nums, point.denom)
+    edges = None
 
     while True:
         if len(point.tight) != poly.dim:
             raise NotAVertex(f"iterate has {len(point.tight)} tight rows, need {poly.dim}")
         x = point.coords
         gradient = f.gradient_at(point.nums, point.denom)
-        improving = improving_edges(poly, point, gradient[0])
+        edges = polytope.edge_directions(poly, point, edges)  # raises DegenerateVertex
+        improving = improving_edges(edges, gradient[0])
         if not improving or edge_moves >= max_iter:
             steps.append(TraceStep(x, point.tight, None, None, f_value))
             terminated = "MaxIterations" if improving else "Optimal"
@@ -415,6 +418,11 @@ def _json_array(items: list[str], indent: str) -> str:
     return "[" + inner + ("," + inner).join(items) + "\n" + indent + "]"
 
 
+def _check_one_per_step(trace: Trace, values: Sequence, what: str) -> None:
+    if len(values) != len(trace.steps):
+        raise DimensionMismatch(f"{len(values)} {what} for {len(trace.steps)} trace steps")
+
+
 def trace_to_json(
     trace: Trace,
     instance: dict | None = None,
@@ -424,9 +432,13 @@ def trace_to_json(
 
     Exactly the text of ``json.dumps(..., indent=2)``, written directly:
     rationals render as ``p/q`` or ``p`` strings, which need no escaping.
+    ``t_values`` has one label per step (DimensionMismatch otherwise).
     """
+    if t_values is None:
+        t_values = [None] * len(trace.steps)
+    _check_one_per_step(trace, t_values, "t values")
     pad, steps = " " * 6, []
-    for step, t in zip(trace.steps, t_values or [None] * len(trace.steps)):
+    for step, t in zip(trace.steps, t_values):
         direction = step.direction
         steps.append(
             _STEP_JSON.format(
@@ -453,7 +465,11 @@ def trace_plot_rows(
     phi_values: Sequence[Fraction],
     significant_digits: int = 12,
 ) -> list[tuple[str, str, str, str]]:
-    """CSV rows (t, phi, phi_prime, f) from the steps' ``phi_values``; decimals only here."""
+    """CSV rows (t, phi, phi_prime, f) from the steps' ``phi_values``; decimals only here.
+
+    ``phi_values`` has one value per step (DimensionMismatch otherwise).
+    """
+    _check_one_per_step(trace, phi_values, "phi values")
     rows = []
     for step, phi_val in zip(trace.steps, phi_values):
         t = grid_index(ext, phi_val)

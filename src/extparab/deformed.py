@@ -19,17 +19,18 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 from typing import Sequence
 
 from . import exactla, polytope
-from .errors import DimensionMismatch, SizeMismatch
+from .errors import DimensionMismatch, NotFeasible, SizeMismatch
 from .exactla import Matrix, Vector
 from .polytope import HPolytope
 
 
 @dataclass(frozen=True)
 class Functional:
-    """Linear functional x -> coeffs . x."""
+    """Linear functional x -> coeffs . x, evaluated over the nonzero coefficients."""
 
     coeffs: Vector
 
@@ -40,8 +41,18 @@ class Functional:
     def dim(self) -> int:
         return len(self.coeffs)
 
+    @cached_property
+    def _support(self) -> tuple[tuple[int, ...], Vector]:
+        # (indices, values) of the nonzero coefficients: one for the tower's
+        # phi, d/2 for its phi'.
+        indices = tuple(i for i, a in enumerate(self.coeffs) if a)
+        return indices, tuple(self.coeffs[i] for i in indices)
+
     def __call__(self, x: Sequence) -> Fraction:
-        return exactla.dot(self.coeffs, x)
+        if len(x) != self.dim:
+            raise DimensionMismatch(f"point has dim {len(x)}, functional {self.dim}")
+        indices, values = self._support
+        return exactla.dot(values, [x[i] for i in indices])
 
     @classmethod
     def coordinate(cls, dim: int, index: int) -> "Functional":
@@ -154,10 +165,12 @@ def dp_verify(
             duplicates.append((seen[p], idx))
             continue
         seen[p] = idx
-        if not polytope.contains(hrep, p):
+        try:
+            point = polytope.scaled_point(hrep, p)
+        except NotFeasible:
             infeasible.append(idx)
             continue
-        if not polytope.is_simple_vertex(hrep, p):
+        if not polytope.is_simple(hrep, point):
             non_simple.append(idx)
     return DpVerifyReport(
         total=len(pts),

@@ -10,12 +10,17 @@ the text form used in every file format of this package.
 Vectors are tuples of Fractions and matrices are tuples of row tuples, so all
 values are immutable and safe to share.  Dimensions stay small (d <= ~20,
 m = 2d), so the containers are dense.  The hot kernels work on plain ints
-instead: ``dot`` accumulates one integer numerator and denominator,
-``primitive`` of an integer vector never builds a Fraction, and
-``int_inverse_scaled`` skips the rows an elimination step leaves unchanged,
-which on the tower's sparse tight matrices is most of them.  Its elimination
-loop, run on the matrix alone, is also the full-rank test
-(``is_nonsingular``) wherever the package needs one.
+instead: ``dot`` accumulates one integer numerator and denominator, and
+``primitive`` of an integer vector never builds a Fraction (and returns a
+vector of content 1 as it is).  ``int_inverse_scaled`` has two paths.  Given
+the columns for a matrix that differs in one row, it pivots them by that row
+in one fraction-free rank-one update, which leaves every column the new row
+annihilates as it was; this is how an edge walk, which swaps one tight row per
+move, gets each vertex's inverse from the last one's.  Otherwise it eliminates
+[A | I], skipping the rows an elimination step leaves unchanged, which on the
+tower's sparse tight matrices is most of them.  That elimination loop, run on
+the matrix alone, is also the full-rank test (``is_nonsingular``) wherever
+the package needs one.
 """
 
 from __future__ import annotations
@@ -135,9 +140,11 @@ def primitive(v: Sequence) -> tuple[int, ...]:
     except TypeError:
         pass
     else:
+        if g == 1:
+            return tuple(v)
         if g == 0:
             raise ZeroVector("primitive of the zero vector")
-        return tuple(x // g for x in v)
+        return tuple([x // g for x in v])
     fracs = [rat(x) for x in v]
     if all(x == 0 for x in fracs):
         raise ZeroVector("primitive of the zero vector")
@@ -193,13 +200,27 @@ def is_nonsingular(rows: Sequence[Sequence[int]]) -> bool:
     return _eliminate([list(row) for row in rows], len(rows))
 
 
-def int_inverse_scaled(rows: Sequence[Sequence[int]]) -> list[tuple[int, ...]] | None:
+def int_inverse_scaled(
+    rows: Sequence[Sequence[int]],
+    previous: Sequence[Sequence[int]] | None = None,
+    swapped: int | None = None,
+) -> list[Sequence[int]] | None:
     """Columns of the inverse of an integer matrix, up to positive scaling.
 
     Returns a list of integer vectors y_0..y_{n-1} with A . y_k = lam_k e_k
-    for some lam_k > 0, or None when A is singular, by ``_eliminate`` on
-    [A | I].
+    for some lam_k > 0, or None when A is singular.  Without ``previous`` it
+    runs ``_eliminate`` on [A | I].  ``previous`` are such columns z_k for a
+    matrix that differs from A in row p = ``swapped`` only; then one
+    fraction-free pivot on the new row r = A_p gives them: with
+    a = r . z_p, which is 0 exactly when A is singular,
+
+        y_p = sgn(a) z_p,   y_k = |a| z_k - sgn(a) (r . z_k) z_p  (k != p),
+
+    so y_k is z_k itself wherever r . z_k = 0.  The columns are not reduced
+    by their content.
     """
+    if previous is not None:
+        return _pivot(rows[swapped], previous, swapped)
     n = len(rows)
     work = [[*row, *[0] * i, 1, *[0] * (n - 1 - i)] for i, row in enumerate(rows)]
     if not _eliminate(work, n):
@@ -210,6 +231,32 @@ def int_inverse_scaled(rows: Sequence[Sequence[int]]) -> list[tuple[int, ...]] |
     scale = lcm(*diag)
     factors = [scale // d for d in diag]  # exact by construction of the lcm
     return list(zip(*([a * f for a in row[n:]] for row, f in zip(work, factors))))
+
+
+def _pivot(row: Sequence[int], previous: Sequence[Sequence[int]], p: int) -> list | None:
+    """``int_inverse_scaled``'s one-row update of the columns ``previous``."""
+    support = [(c, b) for c, b in enumerate(row) if b]
+    zp = previous[p]
+    a = 0
+    for c, b in support:
+        a += b * zp[c]
+    if not a:
+        return None
+    columns = list(previous)
+    if a < 0:
+        a = -a
+        columns[p] = [-x for x in zp]
+    else:
+        support = [(c, -b) for c, b in support]  # every beta below comes out as -sgn(a) r . z_k
+    for k, z in enumerate(previous):
+        if k == p:
+            continue
+        beta = 0
+        for c, b in support:
+            beta += b * z[c]
+        if beta:
+            columns[k] = [a * x + beta * y for x, y in zip(z, zp)]
+    return columns
 
 
 def to_decimal(value: Fraction, significant_digits: int = 12) -> str:

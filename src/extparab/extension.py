@@ -28,7 +28,7 @@ from typing import Sequence
 
 from . import exactla, polygons, polytope
 from .deformed import Functional, dp_hrep, dp_vrep
-from .errors import BadParameters, DimensionMismatch, InternalMismatch, OutOfRange
+from .errors import BadParameters, DimensionMismatch, InternalMismatch, NotFeasible, OutOfRange
 from .exactla import Matrix, Vector
 from .polygons import ParabolaVertexList
 from .polytope import HPolytope
@@ -326,9 +326,12 @@ def verify_construction(ext: ExtendedParabola) -> ConstructionReport:
     verts = all_vertices(ext)
     bad = []
     for t, v in enumerate(verts):
-        if not polytope.contains(ext.poly, v):
+        try:
+            point = polytope.scaled_point(ext.poly, v)
+        except NotFeasible:
             bad.append((t, "infeasible"))
-        elif not polytope.is_simple_vertex(ext.poly, v):
+            continue
+        if not polytope.is_simple(ext.poly, point):
             bad.append((t, "not a simple vertex"))
     checks.append(
         CheckResult(

@@ -202,16 +202,19 @@ def monotone_path_check(
 
     At every non-optimal vertex exactly one of the d edges improves, and
     following it lands exactly on the next indexed vertex; the optimum has
-    none.  Edges are priced by the runner's own ``improving_edges``; the step
+    none.  Edges are priced by the runner's own ``improving_edges``, and each
+    vertex's edges are pivoted from the last one's as in the runner; the step
     length (``ratio_test``) and the landing point are checked independently.
     Any deviation raises CertificateFailure naming the offending t.
     """
     m_top = ext.params.vertex_count
     entries = []
     point = polytope.scaled_point(ext.poly, extension.vertex_for_t(ext, 0))
+    edges = None
     for t in range(m_top):
         gradient, _ = f.gradient_at(point.nums, point.denom)
-        improving = activeset.improving_edges(ext.poly, point, gradient)
+        edges = polytope.edge_directions(ext.poly, point, edges)
+        improving = activeset.improving_edges(edges, gradient)
         expected = 0 if t == m_top - 1 else 1
         if len(improving) != expected:
             raise CertificateFailure(

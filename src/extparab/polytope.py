@@ -12,8 +12,13 @@ Edge enumeration and the ratio test take that state; ``step`` moves it along
 an edge in integers, reduced by gcd(D, *X).  Only ``slacks`` and the ratio
 test's minimum are built as Fractions.  The simple-vertex test decides that
 the d tight rows are independent by integer elimination
-(``exactla.is_nonsingular``); edge enumeration inverts them in integers
-(``exactla.int_inverse_scaled``).
+(``exactla.is_nonsingular``).  Edge enumeration reads the edges off the
+inverse columns of the tight rows (``exactla.int_inverse_scaled``): at a
+walk's first vertex by elimination, and at every later one by pivoting the
+edges of the vertex the walk just left on the one row it swapped, since the
+new edges are -dir_i and the primitive parts of
+(A_b . dir_i) dir_f - (A_b . dir_f) dir_i after a move along dir_i that row
+b blocks.  Either way every edge is then checked against all d tight rows.
 
 Edge enumeration raises DegenerateVertex at a non-simple vertex, because on
 the constructed instances degeneracy means a bug, not a case to handle.
@@ -44,6 +49,7 @@ from .errors import (
 from .exactla import Matrix, Vector
 
 TightSet = tuple[int, ...]
+Edge = tuple[int, tuple[int, ...]]  # (leaving facet, primitive direction)
 
 
 @dataclass(frozen=True, eq=False)
@@ -183,29 +189,57 @@ def tight_set(poly: HPolytope, x: Sequence) -> TightSet:
     return scaled_point(poly, x).tight
 
 
-def is_simple_vertex(poly: HPolytope, x: Sequence) -> bool:
-    """True iff exactly d tight rows meet at x and they have full rank."""
-    tight = tight_set(poly, x)
-    if len(tight) != poly.dim:
+def is_simple(poly: HPolytope, point: ScaledPoint) -> bool:
+    """True iff exactly d tight rows meet at the point and they have full rank."""
+    if len(point.tight) != poly.dim:
         return False
-    return exactla.is_nonsingular([poly._int_rows[i][0] for i in tight])
+    return exactla.is_nonsingular([poly._int_rows[i][0] for i in point.tight])
 
 
-def edge_directions(poly: HPolytope, point: ScaledPoint) -> list[tuple[int, tuple[int, ...]]]:
+def is_simple_vertex(poly: HPolytope, x: Sequence) -> bool:
+    """``is_simple`` at a point given by its coordinates; NotFeasible outside."""
+    return is_simple(poly, scaled_point(poly, x))
+
+
+def edge_directions(
+    poly: HPolytope, point: ScaledPoint, previous: Sequence[Edge] | None = None
+) -> list[Edge]:
     """The d primitive edge directions leaving a simple vertex.
 
     Returns one pair (leaving_facet, direction) per tight row i: the unique
     primitive integer vector with A_j . dir = 0 for every tight j != i and
-    A_i . dir < 0.  Computed from the (positively scaled) inverse columns of
-    the tight matrix, so one fraction-free elimination yields all d edges.
+    A_i . dir < 0.  The directions are the negated inverse columns of the
+    tight matrix.  ``previous`` is the edge list of the vertex a walk just
+    left, whose tight set differs from this one in one row (else
+    InternalMismatch); its directions are pivoted on that row
+    (``exactla.int_inverse_scaled`` with the swapped row) instead of
+    eliminating the tight matrix again.  The tightness pattern of every
+    edge is checked against every tight row on both paths.
     """
     tight = point.tight
     if len(tight) != poly.dim:
         raise DegenerateVertex(f"{len(tight)} tight rows at a point of dimension {poly.dim}")
-    columns = exactla.int_inverse_scaled([poly._int_rows[i][0] for i in tight])
+    if previous is None:
+        columns = exactla.int_inverse_scaled([poly._int_rows[i][0] for i in tight])
+    else:
+        facets = [facet for facet, _ in previous]
+        left, entered = set(facets).difference(tight), set(tight).difference(facets)
+        if len(left) != 1 or len(entered) != 1:
+            raise InternalMismatch(
+                f"tight rows {sorted(entered)} replace {sorted(left)}; an edge move swaps one row"
+            )
+        swapped = facets.index(left.pop())
+        facets[swapped] = entered.pop()
+        columns = exactla.int_inverse_scaled(
+            [poly._int_rows[i][0] for i in facets],
+            [[-c for c in direction] for _, direction in previous],
+            swapped,
+        )
     if columns is None:
         raise DegenerateVertex("tight rows are rank-deficient")
     directions = [exactla.primitive([-c for c in col]) for col in columns]
+    if previous is not None:
+        directions = [direction for _, direction in sorted(zip(facets, directions))]
     # Defensive: edge ray k keeps every tight row j != k and strictly leaves row k.
     for j, i in enumerate(tight):
         row = poly._sparse_rows[i][0]

@@ -27,6 +27,7 @@ from extparab.activeset import (
     trace_to_json,
 )
 from extparab.errors import (
+    DimensionMismatch,
     NotAVertex,
     NotImproving,
     UnboundedImprovement,
@@ -162,7 +163,8 @@ def test_improving_edges_instance(tower):
         chord = exactla.vsub(vertex_for_t(ext, k), v0)
         expected = F(k, 225) * (F(3, 2) - k)
         assert exactla.dot(f.gradient(v0), chord) == expected
-    assert len(improving_edges(ext.poly, polytope.scaled_point(ext.poly, v0), f.gradient(v0))) == 1
+    edges = polytope.edge_directions(ext.poly, polytope.scaled_point(ext.poly, v0))
+    assert len(improving_edges(edges, f.gradient(v0))) == 1
 
 
 def test_improving_edges_zero_objective(tower):
@@ -171,7 +173,8 @@ def test_improving_edges_zero_objective(tower):
         quad=((F(0),) * 4,) * 4, linear=(0, 0, 0, 0)
     )
     v0 = polytope.scaled_point(ext.poly, vertex_for_t(ext, 0))
-    assert improving_edges(ext.poly, v0, zero.gradient_at(v0.nums, v0.denom)[0]) == []
+    edges = polytope.edge_directions(ext.poly, v0)
+    assert improving_edges(edges, zero.gradient_at(v0.nums, v0.denom)[0]) == []
 
 
 def test_run_visits_all_vertices_in_order(tower):
@@ -290,6 +293,23 @@ def test_trace_plot_rows(tower):
     assert rows[-1][0] == "15"
     assert rows[-1][1] == "1"
     assert rows[-1][3] == "0.1"
+
+
+def test_trace_writers_refuse_a_label_count_that_is_not_one_per_step(tower):
+    # A short list used to drop steps silently: 4 steps with 2 labels wrote 2.
+    ext, f = tower
+    trace = active_set_run(ext.poly, f, vertex_for_t(ext, 0), FirstIndex(), 3)
+    assert len(trace.steps) == 4
+    phis = [ext.phi(step.vertex) for step in trace.steps]
+    labels = [grid_index(ext, phi) for phi in phis]
+    for short_or_long in (labels[:2], labels + [4]):
+        with pytest.raises(DimensionMismatch, match="trace steps"):
+            trace_to_json(trace, None, short_or_long)
+    for short_or_long in (phis[:2], phis + [F(1)]):
+        with pytest.raises(DimensionMismatch, match="trace steps"):
+            trace_plot_rows(trace, ext, short_or_long)
+    assert len(json.loads(trace_to_json(trace, None, labels))["steps"]) == 4
+    assert len(trace_plot_rows(trace, ext, phis)) == 4
 
 
 def test_grid_index_off_grid(tower):

@@ -4,7 +4,7 @@ from fractions import Fraction as F
 
 import pytest
 
-from extparab import polygons
+from extparab import exactla, polygons
 from extparab.deformed import Functional, dp_hrep, dp_verify, dp_vrep
 from extparab.errors import DimensionMismatch, SizeMismatch
 from extparab.extension import ConstructionParams, build, stage_polytope, stage_vertices
@@ -115,6 +115,27 @@ def test_dp_verify_flags_corruption():
     report = dp_verify(ext.poly, points, expected_count=16)
     assert not report.ok
     assert 5 in report.infeasible or 5 in report.non_simple
+
+
+def test_dp_verify_tells_infeasible_from_non_simple():
+    # One slack evaluation per point gives both verdicts: outside, and
+    # feasible but not a simple vertex (the midpoint of an edge).
+    ext = build(ConstructionParams(n=16, d=4))
+    points = stage_vertices(ext, 4)
+    outside = tuple(2 * c - 1 for c in points[3])
+    midpoint = tuple((a + b) / 2 for a, b in zip(points[0], points[1]))
+    report = dp_verify(ext.poly, [*points, outside, midpoint], expected_count=18)
+    assert report.infeasible == (16,) and report.non_simple == (17,)
+    assert not report.ok
+
+
+def test_functional_reads_only_its_nonzero_coefficients():
+    phi = Functional((0, F(1, 3), 0, -2))
+    for x in ((5, F(3, 2), 7, F(1, 4)), (9, 3, 9, 0), (F(-1, 7), 0, 1, F(2, 5))):
+        assert phi(x) == exactla.dot(phi.coeffs, x)
+    assert phi((9, 3, 9, 0)) == 1
+    with pytest.raises(DimensionMismatch):
+        phi((1, 2, 3))
 
 
 def test_dp_verify_flags_duplicates():

@@ -1,4 +1,5 @@
-"""Exact linear algebra: primitive vectors, inverse columns, and the rank oracle."""
+"""Exact linear algebra: primitive vectors, inverse columns (eliminated and
+pivoted by one row), and the rank oracle."""
 
 from fractions import Fraction as F
 
@@ -99,6 +100,63 @@ def test_int_inverse_scaled_matches_solve(rows):
         for j in range(n):
             if j != k:
                 assert image[j] == 0
+
+
+def test_primitive_keeps_a_vector_of_content_one():
+    assert exactla.primitive([3, -2, 0]) == (3, -2, 0)
+    assert exactla.primitive((-1,)) == (-1,)
+    assert exactla.primitive([0, -6, 4]) == (0, -3, 2)
+
+
+@st.composite
+def row_swaps(draw):
+    """(rows, columns for them up to positive scale, swapped row p, new row r)."""
+    rows = draw(int_matrices().filter(lambda rows: reference_rank(rows) == len(rows)))
+    n = len(rows)
+    columns = exactla.int_inverse_scaled(rows)
+    scales = draw(st.lists(st.integers(min_value=1, max_value=7), min_size=n, max_size=n))
+    columns = [[s * y for y in col] for s, col in zip(scales, columns)]
+    p = draw(st.integers(min_value=0, max_value=n - 1))
+    if draw(st.booleans()):
+        new_row = draw(st.lists(small_ints | big_ints, min_size=n, max_size=n))
+    else:  # a combination of the kept rows: the new matrix is singular
+        weights = draw(st.lists(small_ints, min_size=n, max_size=n))
+        new_row = [sum(w * row[c] for w, row in zip(weights, rows[:p] + rows[p + 1 :])) for c in range(n)]
+    return rows, columns, p, new_row
+
+
+def _same_up_to_positive_scale(u, v):
+    return exactla.primitive(u) == exactla.primitive(v)
+
+
+@given(row_swaps())
+@settings(max_examples=200, deadline=None)
+def test_int_inverse_scaled_pivot_matches_elimination(swap):
+    rows, columns, p, new_row = swap
+    swapped = rows[:p] + [new_row] + rows[p + 1 :]
+    full = exactla.int_inverse_scaled(swapped)
+    pivoted = exactla.int_inverse_scaled(swapped, columns, p)
+    if full is None:
+        assert pivoted is None
+        return
+    assert pivoted is not None and len(pivoted) == len(full)
+    for k, (col, ref) in enumerate(zip(pivoted, full)):
+        assert _same_up_to_positive_scale(col, ref), k
+        if k != p and sum(a * y for a, y in zip(new_row, columns[k])) == 0:
+            assert col is columns[k], k  # a column the new row annihilates is kept
+
+
+def test_int_inverse_scaled_pivot_on_a_dependent_row_is_none():
+    rows = [[2, 1, 0], [0, 1, 0], [1, 0, 3]]
+    columns = exactla.int_inverse_scaled(rows)
+    assert exactla.int_inverse_scaled([rows[0], rows[1], [4, 5, 0]], columns, 2) is None
+    assert exactla.int_inverse_scaled([rows[0], rows[1], [4, 5, 0]]) is None
+    # The same swap with an independent row, either sign of r . z_p.
+    for new_row in ([0, 0, 1], [0, 0, -1]):
+        swapped = [rows[0], rows[1], new_row]
+        pivoted = exactla.int_inverse_scaled(swapped, columns, 2)
+        for col, ref in zip(pivoted, exactla.int_inverse_scaled(swapped)):
+            assert _same_up_to_positive_scale(col, ref)
 
 
 @given(int_matrices())

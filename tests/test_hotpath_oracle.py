@@ -6,7 +6,8 @@ Gauss-Jordan inverse that updates every row at every pivot, primitive
 vectors through Fractions, a dense tightness check, and rank by Fraction
 Gaussian elimination.  At every vertex of the listed towers the hot path
 must give exactly the same slacks, tight set, simple-vertex verdict and
-(leaving facet, primitive direction) list.
+(leaving facet, primitive direction) list, and so must the edges that the
+runner and the path certificate pivot from one vertex to the next.
 
 The active-set runner keeps its iterate as integer numerators over one
 denominator; ``reference_active_set_run`` is the runner it replaced, with a
@@ -45,6 +46,7 @@ from extparab.errors import (
     UnknownRule,
 )
 from extparab.extension import ConstructionParams, build, vertex_for_t
+from extparab.lowerbound import monotone_path_check
 from extparab.polytope import HPolytope
 
 
@@ -319,6 +321,50 @@ def test_runner_raises_like_reference_at_an_interior_stop():
     for run in (active_set_run, reference_active_set_run):
         with pytest.raises(NotAVertex):
             run(CUT_CUBE, f, (0, 0, 0), make_rule("first"))
+
+
+def _checking_pivots(monkeypatch, record):
+    """Patch edge_directions so every pivoted edge list is checked against elimination."""
+    enumerate_edges = polytope.edge_directions
+
+    def checked(poly, point, previous=None):
+        edges = enumerate_edges(poly, point, previous)
+        if previous is not None:
+            assert edges == enumerate_edges(poly, point)
+            assert edges == reference_edge_directions(poly, point.coords)
+        record.append(previous is not None)
+        return edges
+
+    monkeypatch.setattr(polytope, "edge_directions", checked)
+
+
+@pytest.mark.parametrize("n, d", TOWERS, ids=[f"n{n}-d{d}" for n, d in TOWERS])
+def test_pivoted_edges_match_elimination_on_every_walk(n, d, monkeypatch):
+    # Both walkers pivot each vertex's edges from the last one's; at every
+    # vertex, for every rule, the result must be the edges elimination gives.
+    ext = build(ConstructionParams(n=n, d=d))
+    f = pullback_objective(ext)
+    start = vertex_for_t(ext, 0)
+    pivoted = []
+    _checking_pivots(monkeypatch, pivoted)
+    for name in RULES:
+        pivoted.clear()
+        trace = active_set_run(ext.poly, f, start, make_rule(name, 5))
+        assert pivoted == [False] + [True] * trace.edge_moves, name
+    pivoted.clear()
+    certificate = monotone_path_check(ext, f)
+    assert pivoted == [False] + [True] * (len(certificate.entries) - 1)
+
+
+@pytest.mark.parametrize("objective", ["linear", "convex"])
+def test_pivoted_edges_match_elimination_on_cut_cube(objective, monkeypatch):
+    # Rational rows and walks that differ by rule.
+    pivoted = []
+    _checking_pivots(monkeypatch, pivoted)
+    for name in RULES:
+        pivoted.clear()
+        trace = active_set_run(CUT_CUBE, CUBE_OBJECTIVES[objective], (0, 0, 0), make_rule(name, 3))
+        assert pivoted == [False] + [True] * trace.edge_moves, name
 
 
 # ---------------------------------------------------------------------------

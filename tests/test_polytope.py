@@ -13,9 +13,11 @@ from extparab.errors import (
     BadParameters,
     DegenerateVertex,
     FormatError,
+    InternalMismatch,
     NotFeasible,
     ZeroDirection,
 )
+from extparab.extension import ConstructionParams, build, vertex_for_t
 from extparab.polytope import HPolytope
 
 
@@ -166,6 +168,36 @@ def test_edge_direction_tightness_pattern():
         assert all(v == 0 for i, v in products.items() if i != leaving)
 
 
+def test_edge_directions_pivot_around_the_quadrilateral():
+    # Walking the quadrilateral's boundary, each vertex's edges pivoted from
+    # the last vertex's equal the ones elimination gives; the edge back to
+    # the vertex left is the one it arrived by, reversed.
+    poly = quadrilateral()
+    point = polytope.scaled_point(poly, (0, 0))
+    edges = polytope.edge_directions(poly, point)
+    for _ in range(4):
+        leaving, direction = edges[0]
+        mu, (blocker,) = polytope.ratio_test(poly, point, direction)
+        point = polytope.locate(poly, *polytope.step(point, direction, mu))
+        pivoted = polytope.edge_directions(poly, point, edges)
+        assert pivoted == polytope.edge_directions(poly, point)
+        assert (blocker, tuple(-e for e in direction)) in pivoted
+        edges = pivoted
+
+
+def test_edge_directions_refuse_a_predecessor_off_by_more_than_one_row():
+    ext = build(ConstructionParams(n=16, d=4))
+    points = [polytope.scaled_point(ext.poly, vertex_for_t(ext, t)) for t in range(3)]
+    edges = polytope.edge_directions(ext.poly, points[0])
+    assert len(set(points[0].tight) ^ set(points[2].tight)) == 4
+    for point in (points[2], points[0]):  # two rows swapped; none swapped
+        with pytest.raises(InternalMismatch, match="an edge move swaps one row"):
+            polytope.edge_directions(ext.poly, point, edges)
+    assert polytope.edge_directions(ext.poly, points[1], edges) == polytope.edge_directions(
+        ext.poly, points[1]
+    )
+
+
 def test_all_zero_row_rejected():
     with pytest.raises(BadParameters):
         HPolytope(A=((0, 0),), b=(1,))
@@ -290,6 +322,42 @@ def test_edge_pattern_checks_both_signs_under_optimize_flag():
         "edge 0 breaks the tightness pattern at tight row 0",
         "edge 3 breaks the tightness pattern at tight row 0",
     ]
+
+
+def test_edge_pivot_check_survives_optimize_flag():
+    # Under python -O a pivot that drops the (A_b . dir_f) dir_i term keeps
+    # every column but the one for the entering row b on the wrong plane;
+    # the tightness check must refuse it at the first pivoted vertex.
+    code = (
+        "from extparab import exactla\n"
+        "from extparab.activeset import active_set_run, make_rule, pullback_objective\n"
+        "from extparab.errors import InternalMismatch\n"
+        "from extparab.extension import ConstructionParams, build, vertex_for_t\n"
+        "assert False, 'asserts must be stripped'\n"
+        "inverse, calls = exactla.int_inverse_scaled, []\n"
+        "def dropped(rows, previous=None, swapped=None):\n"
+        "    calls.append(swapped)\n"
+        "    if previous is None:\n"
+        "        return inverse(rows)\n"
+        "    zp = previous[swapped]\n"
+        "    a = sum(r * z for r, z in zip(rows[swapped], zp))\n"
+        "    sign = 1 if a > 0 else -1\n"
+        "    return [[sign * x for x in zp] if k == swapped else [abs(a) * x for x in z]\n"
+        "            for k, z in enumerate(previous)]\n"
+        "exactla.int_inverse_scaled = dropped\n"
+        "ext = build(ConstructionParams(n=32, d=4))\n"
+        "try:\n"
+        "    active_set_run(ext.poly, pullback_objective(ext), vertex_for_t(ext, 0), make_rule('first'))\n"
+        "except InternalMismatch as exc:\n"
+        "    print(f'vertex {len(calls)}: {exc}')\n"
+    )
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    done = subprocess.run(
+        [sys.executable, "-O", "-c", code], capture_output=True, text=True, env=env, timeout=60
+    )
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.strip() == "vertex 2: edge 0 breaks the tightness pattern at tight row 1"
 
 
 def test_vrep_format_shape():

@@ -6,11 +6,10 @@ rows and strictly leaves one), so the working set is the tight set and one
 loop body is one edge move: price the edges from ``edge_directions`` against
 the gradient (``improving_edges``), follow the chosen improving edge until a
 facet blocks or the gradient along it vanishes, and repeat until no edge
-improves.  A move swaps one tight row, so the runner hands each vertex's edge
-list to the next ``edge_directions`` call, which pivots it on that row
-instead of eliminating the tight matrix again.  The certificate in
-``lowerbound`` walks its vertices the same way and prices them with the same
-``improving_edges``.
+improves.  A move swaps one tight row, so each vertex's edges are pivoted
+from the last one's.  That loop is written once, as the generator ``walk``:
+``active_set_run`` records its vertices as a trace, and the path certificate
+in ``lowerbound`` checks the same moves against the construction.
 
 The one "for some" in that loop, which improving edge to follow, is the
 pivot-rule choice point.  Rules plug in through ``choose_direction`` and must
@@ -39,9 +38,9 @@ from abc import ABC, abstractmethod
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
-from itertools import chain, compress
+from itertools import chain, compress, count
 from operator import mul
-from typing import Callable, Sequence
+from typing import Callable, Iterator, Sequence
 
 from . import exactla, polytope
 from .errors import (
@@ -57,11 +56,9 @@ from .errors import (
 )
 from .exactla import Matrix, Vector
 from .extension import ExtendedParabola
-from .polytope import Edge, HPolytope, TightSet
+from .polytope import Edge, HPolytope, ScaledPoint, TightSet
 
 DEFAULT_MAX_ITER = 10**7
-
-DirectionCandidate = Edge
 
 
 @dataclass(frozen=True)
@@ -189,7 +186,7 @@ def line_search(
     else:
         stationary = -Fraction(g0, scale) / (2 * curvature)
     if mu_max is None and stationary is None:
-        raise UnboundedImprovement("improving ray is unbounded")
+        raise UnboundedImprovement("improving edge is unbounded")
     if mu_max is None:
         return stationary
     if stationary is None:
@@ -197,9 +194,7 @@ def line_search(
     return min(mu_max, stationary)
 
 
-def improving_edges(
-    edges: Sequence[DirectionCandidate], gradient: Sequence
-) -> list[DirectionCandidate]:
+def improving_edges(edges: Sequence[Edge], gradient: Sequence) -> list[Edge]:
     """The edges (leaving_facet, direction) of a vertex along which the gradient rises.
 
     ``edges`` is the vertex's ``polytope.edge_directions`` list and
@@ -222,9 +217,7 @@ class PivotRule(ABC):
     """
 
     @abstractmethod
-    def choose_direction(
-        self, candidates: Sequence[DirectionCandidate], vertex: Vector
-    ) -> DirectionCandidate: ...
+    def choose_direction(self, candidates: Sequence[Edge], vertex: Vector) -> Edge: ...
 
 
 class FirstIndex(PivotRule):
@@ -316,6 +309,58 @@ class Trace:
         return tuple(s.vertex for s in self.steps)
 
 
+def walk(
+    poly: HPolytope, f: QuadraticObjective, point: ScaledPoint, rule: PivotRule, max_iter: int
+) -> Iterator[tuple[ScaledPoint, list[Edge], TraceStep]]:
+    """The active-set loop from the simple vertex ``point``, one record per vertex.
+
+    A record is the vertex's ``ScaledPoint``, its improving edges and its
+    ``TraceStep`` (coordinates, tight rows, followed direction, step length
+    and f).  At each vertex the walk prices the edges, lets the rule pick an
+    improving one, steps along it by ``line_search`` (capped by the ratio
+    test) and checks the move before yielding the record: a positive step,
+    no blocking tie leaving over d tight rows (DegenerateVertex, not
+    perturbed), a strict increase of f and exactly d tight rows at the new
+    point (NotAVertex; a convex f only stops where a facet blocks).  An
+    error raised while vertex k's record is made is about vertex k or its
+    edge.  The last record has no direction: no edge improves, or
+    ``max_iter`` moves were made.
+    """
+    f_value = f.value_at(point.nums, point.denom)
+    edges = None
+    for moves in count():
+        x = point.coords
+        gradient = f.gradient_at(point.nums, point.denom)
+        edges = polytope.edge_directions(poly, point, edges)  # raises DegenerateVertex
+        improving = improving_edges(edges, gradient[0])
+        if not improving or moves >= max_iter:
+            yield point, improving, TraceStep(x, point.tight, None, None, f_value)
+            return
+
+        chosen = rule.choose_direction(improving, x)
+        if chosen not in improving:
+            raise UnknownRule("pivot rule returned a direction not offered")
+        _, direction = chosen
+        mu_max, _blockers = polytope.ratio_test(poly, point, direction)
+        mu = line_search(f, direction, mu_max, gradient)
+        if not mu > 0:
+            raise InternalMismatch("a feasible improving edge must allow mu > 0")
+        record = point, improving, TraceStep(x, point.tight, direction, mu, f_value)
+
+        point = polytope.locate(poly, *polytope.step(point, direction, mu))
+        if len(point.tight) > poly.dim:
+            raise DegenerateVertex(
+                f"blocking tie leaves {len(point.tight)} tight rows at the new point"
+            )
+        new_value = f.value_at(point.nums, point.denom)
+        if not new_value > f_value:
+            raise InternalMismatch("objective must strictly increase on a move")
+        if len(point.tight) != poly.dim:
+            raise NotAVertex(f"iterate has {len(point.tight)} tight rows, need {poly.dim}")
+        f_value = new_value
+        yield record
+
+
 def active_set_run(
     poly: HPolytope,
     f: QuadraticObjective,
@@ -323,17 +368,10 @@ def active_set_run(
     rule: PivotRule,
     max_iter: int | None = None,
 ) -> Trace:
-    """Run the active-set loop from a simple vertex until locally optimal.
+    """The Trace of ``walk`` from the simple vertex x0 until locally optimal.
 
-    Raises NotAVertex / DegenerateVertex when an iterate is not a simple
-    vertex (with a convex quadratic this cannot happen, since line_search
-    stops only at facet boundaries), and flags a blocking tie that would
-    leave more than d tight rows as DegenerateVertex rather than perturbing.
-    Hitting the iteration cap is reported in the trace, not raised.
-
-    The iterate is a ``polytope.ScaledPoint``: integer numerators over one
-    denominator, whose slacks and tight set are evaluated once per vertex.
-    Each vertex's edges are pivoted from those of the vertex before it.
+    NotAVertex unless x0 is feasible with exactly d tight rows.  Hitting the
+    iteration cap is reported in the trace, not raised.
     """
     if max_iter is None:
         max_iter = DEFAULT_MAX_ITER
@@ -346,46 +384,11 @@ def active_set_run(
     if len(point.tight) != poly.dim:
         raise NotAVertex(f"start point has {len(point.tight)} tight rows, need {poly.dim}")
 
-    steps: list[TraceStep] = []
-    edge_moves = 0
-    f_value = f.value_at(point.nums, point.denom)
-    edges = None
-
-    while True:
-        if len(point.tight) != poly.dim:
-            raise NotAVertex(f"iterate has {len(point.tight)} tight rows, need {poly.dim}")
-        x = point.coords
-        gradient = f.gradient_at(point.nums, point.denom)
-        edges = polytope.edge_directions(poly, point, edges)  # raises DegenerateVertex
-        improving = improving_edges(edges, gradient[0])
-        if not improving or edge_moves >= max_iter:
-            steps.append(TraceStep(x, point.tight, None, None, f_value))
-            terminated = "MaxIterations" if improving else "Optimal"
-            break
-
-        chosen = rule.choose_direction(improving, x)
-        if chosen not in improving:
-            raise UnknownRule("pivot rule returned a direction not offered")
-        _, direction = chosen
-        mu_max, _blockers = polytope.ratio_test(poly, point, direction)
-        mu = line_search(f, direction, mu_max, gradient)
-        if not mu > 0:
-            raise InternalMismatch("a feasible improving edge must allow mu > 0")
-
-        steps.append(TraceStep(x, point.tight, direction, mu, f_value))
-
-        point = polytope.locate(poly, *polytope.step(point, direction, mu))
-        if len(point.tight) > poly.dim:
-            raise DegenerateVertex(
-                f"blocking tie leaves {len(point.tight)} tight rows at the new point"
-            )
-        edge_moves += 1
-        new_value = f.value_at(point.nums, point.denom)
-        if not new_value > f_value:
-            raise InternalMismatch("objective must strictly increase on a move")
-        f_value = new_value
-
-    return Trace(steps=tuple(steps), edge_moves=edge_moves, terminated=terminated)
+    steps = []
+    for _, improving, step in walk(poly, f, point, rule, max_iter):
+        steps.append(step)
+    terminated = "MaxIterations" if improving else "Optimal"
+    return Trace(steps=tuple(steps), edge_moves=len(steps) - 1, terminated=terminated)
 
 
 # ---------------------------------------------------------------------------

@@ -100,10 +100,6 @@ class ExtendedParabola:
     base_vertices: ParabolaVertexList
     levels: tuple[Level, ...]
 
-    @property
-    def vertex_count(self) -> int:
-        return self.params.vertex_count
-
 
 def level_functional(i: int) -> Functional:
     """The sweep functional of the dimension-i stage: x_1 for i = 2, else x_{i-1}."""
@@ -200,13 +196,6 @@ def decompose_t(t: int, m_level: int, n_fiber: int | None = None) -> tuple[int, 
     if not 0 <= s <= m_level - 1:
         raise InternalMismatch(f"t = {t} maps to s = {s} outside 0..{m_level - 1}")
     return j, l, s
-
-
-def recompose_t(j: int, l: int, s: int, m_level: int) -> int:
-    """Inverse of decompose_t: t = (2l - 1)(4 j l m - 2 j m + 2 l m - l - s)."""
-    return (2 * l - 1) * (
-        4 * j * l * m_level - 2 * j * m_level + 2 * l * m_level - l - s
-    )
 
 
 def vertex_for_t(ext: ExtendedParabola, t: int) -> Vector:

@@ -36,7 +36,14 @@ from typing import Sequence
 
 from . import activeset, exactla, extension, polytope
 from .activeset import QuadraticObjective, Trace, make_rule, RULE_CONSUMES_SEED
-from .errors import BadParameters, CertificateFailure, InternalMismatch, OutOfRange, ScanCapExceeded
+from .errors import (
+    BadParameters,
+    CertificateFailure,
+    ExtparabError,
+    InternalMismatch,
+    OutOfRange,
+    ScanCapExceeded,
+)
 from .extension import ConstructionParams, ExtendedParabola
 
 SCAN_CAP_DEFAULT = 4096
@@ -202,38 +209,29 @@ def monotone_path_check(
 
     At every non-optimal vertex exactly one of the d edges improves, and
     following it lands exactly on the next indexed vertex; the optimum has
-    none.  Edges are priced by the runner's own ``improving_edges``, and each
-    vertex's edges are pivoted from the last one's as in the runner; the step
-    length (``ratio_test``) and the landing point are checked independently.
-    Any deviation raises CertificateFailure naming the offending t.
+    none.  The moves are the active-set method's own: the runner's
+    ``activeset.walk`` with the first-index rule from vertex 0, with all its
+    checks, and each point it reaches is compared with the vertex map.  Any
+    deviation, or any error the walk raises at vertex t or on the edge
+    leaving it, raises CertificateFailure naming the offending t.
     """
     m_top = ext.params.vertex_count
+    start = polytope.scaled_point(ext.poly, extension.vertex_for_t(ext, 0))
+    records = activeset.walk(ext.poly, f, start, activeset.FirstIndex(), m_top)
     entries = []
-    point = polytope.scaled_point(ext.poly, extension.vertex_for_t(ext, 0))
-    edges = None
     for t in range(m_top):
-        gradient, _ = f.gradient_at(point.nums, point.denom)
-        edges = polytope.edge_directions(ext.poly, point, edges)
-        improving = activeset.improving_edges(edges, gradient)
+        try:
+            _, improving, step = next(records)
+        except ExtparabError as exc:
+            raise CertificateFailure(f"t = {t}: {exc}") from exc
+        if t and step.vertex != extension.vertex_for_t(ext, t):
+            raise CertificateFailure(f"t = {t - 1}: improving edge does not reach vertex t + 1")
         expected = 0 if t == m_top - 1 else 1
         if len(improving) != expected:
             raise CertificateFailure(
                 f"t = {t}: {len(improving)} improving edges, expected {expected}"
             )
-        successor_t = None
-        if improving:
-            _, direction = improving[0]
-            mu_max, _ = polytope.ratio_test(ext.poly, point, direction)
-            if mu_max is None:
-                raise CertificateFailure(f"t = {t}: improving edge is unbounded")
-            vertex = extension.vertex_for_t(ext, t + 1)
-            if polytope.step(point, direction, mu_max) != exactla.common_denominator(vertex):
-                raise CertificateFailure(
-                    f"t = {t}: improving edge does not reach vertex t + 1"
-                )
-            point = polytope.scaled_point(ext.poly, vertex)
-            successor_t = t + 1
-        entries.append(PathStep(t, len(improving), successor_t))
+        entries.append(PathStep(t, expected, t + 1 if expected else None))
     return PathCertificate(m_top, tuple(entries))
 
 

@@ -38,12 +38,6 @@ def h(x) -> Point:
     return (x, x * x - x)
 
 
-def chord_slope(p: Point, q: Point) -> Fraction:
-    if p[0] == q[0]:
-        raise BadParameters("chord slope needs distinct first coordinates")
-    return (q[1] - p[1]) / (q[0] - p[0])
-
-
 @dataclass(frozen=True)
 class ParabolaVertexList:
     """Sorted parabola points, identified by their parameters.

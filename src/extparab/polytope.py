@@ -13,9 +13,10 @@ an edge in integers, reduced by gcd(D, *X).  Only ``slacks`` and the ratio
 test's minimum are built as Fractions.  The simple-vertex test decides that
 the d tight rows are independent by integer elimination
 (``exactla.is_nonsingular``).  Edge enumeration reads the edges off the
-inverse columns of the tight rows (``exactla.int_inverse_scaled``): at a
-walk's first vertex by elimination, and at every later one by pivoting the
-edges of the vertex the walk just left on the one row it swapped, since the
+inverse columns of the negated tight rows (``exactla.int_inverse_scaled``),
+which are the edge directions themselves: at a walk's first vertex by
+elimination, and at every later one by pivoting the edges of the vertex
+the walk just left, as they are, on the one row it swapped, since the
 new edges are -dir_i and the primitive parts of
 (A_b . dir_i) dir_f - (A_b . dir_f) dir_i after a move along dir_i that row
 b blocks.  Either way every edge is then checked against all d tight rows.
@@ -106,6 +107,11 @@ class HPolytope:
             ints, _ = exactla.common_denominator(tuple(row) + (rhs,))
             scaled.append((ints[:-1], ints[-1]))
         return tuple(scaled)
+
+    @cached_property
+    def _neg_rows(self) -> tuple[tuple[int, ...], ...]:
+        # -A_i of _int_rows: their tight inverse columns are the edge directions.
+        return tuple(tuple(-a for a in row) for row, _ in self._int_rows)
 
     @cached_property
     def _sparse_rows(self) -> tuple[tuple[tuple[tuple[int, int], ...], int], ...]:
@@ -208,7 +214,7 @@ def edge_directions(
 
     Returns one pair (leaving_facet, direction) per tight row i: the unique
     primitive integer vector with A_j . dir = 0 for every tight j != i and
-    A_i . dir < 0.  The directions are the negated inverse columns of the
+    A_i . dir < 0.  The directions are the inverse columns of the negated
     tight matrix.  ``previous`` is the edge list of the vertex a walk just
     left, whose tight set differs from this one in one row (else
     InternalMismatch); its directions are pivoted on that row
@@ -220,7 +226,7 @@ def edge_directions(
     if len(tight) != poly.dim:
         raise DegenerateVertex(f"{len(tight)} tight rows at a point of dimension {poly.dim}")
     if previous is None:
-        columns = exactla.int_inverse_scaled([poly._int_rows[i][0] for i in tight])
+        columns = exactla.int_inverse_scaled([poly._neg_rows[i] for i in tight])
     else:
         facets = [facet for facet, _ in previous]
         left, entered = set(facets).difference(tight), set(tight).difference(facets)
@@ -231,13 +237,11 @@ def edge_directions(
         swapped = facets.index(left.pop())
         facets[swapped] = entered.pop()
         columns = exactla.int_inverse_scaled(
-            [poly._int_rows[i][0] for i in facets],
-            [[-c for c in direction] for _, direction in previous],
-            swapped,
+            [poly._neg_rows[i] for i in facets], [direction for _, direction in previous], swapped
         )
     if columns is None:
         raise DegenerateVertex("tight rows are rank-deficient")
-    directions = [exactla.primitive([-c for c in col]) for col in columns]
+    directions = [exactla.primitive(col) for col in columns]
     if previous is not None:
         directions = [direction for _, direction in sorted(zip(facets, directions))]
     # Defensive: edge ray k keeps every tight row j != k and strictly leaves row k.
@@ -326,6 +330,8 @@ def hrep_from_ine(text: str) -> HPolytope:
             if len(parts) != cols:
                 raise FormatError(f"row has {len(parts)} entries, expected {cols}")
             values = [Fraction(p) for p in parts]
+            if not any(values[1:]):
+                raise FormatError(f"all-zero constraint row {len(rows)}")
             rhs.append(values[0])
             rows.append(tuple(-v for v in values[1:]))
         if lines[start + 2 + m] != "end":
@@ -344,7 +350,9 @@ def vrep_to_ext(points: Iterable[Sequence]) -> str:
         raise FormatError("empty vertex list")
     dim = len(pts[0])
     lines = ["V-representation", "begin", f"{len(pts)} {dim + 1} rational"]
-    for p in pts:
+    for i, p in enumerate(pts):
+        if len(p) != dim:
+            raise DimensionMismatch(f"point {i} has dim {len(p)}, point 0 has dim {dim}")
         lines.append(" ".join(["1"] + [str(c) for c in p]))
     lines.append("end")
     return "\n".join(lines) + "\n"

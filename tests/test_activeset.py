@@ -25,6 +25,7 @@ from extparab.activeset import (
     pullback_objective,
     trace_plot_rows,
     trace_to_json,
+    walk,
 )
 from extparab.errors import (
     DimensionMismatch,
@@ -186,6 +187,30 @@ def test_run_visits_all_vertices_in_order(tower):
     assert trace.loop_iterations == 15
     expected = [vertex_for_t(ext, t) for t in range(16)]
     assert list(trace.vertex_sequence) == expected
+
+
+def test_walk_records_are_the_trace(tower):
+    # The runner's trace is the walk's records, one per vertex; only the
+    # last has no direction, and every other one offered exactly one edge.
+    ext, f = tower
+    start = vertex_for_t(ext, 0)
+    trace = active_set_run(ext.poly, f, start, FirstIndex(), 64)
+    records = list(walk(ext.poly, f, polytope.scaled_point(ext.poly, start), FirstIndex(), 64))
+    assert tuple(step for _, _, step in records) == trace.steps
+    assert all(point.coords == step.vertex for point, _, step in records)
+    assert [len(improving) for _, improving, _ in records] == [1] * 15 + [0]
+    assert [step.direction is None for _, _, step in records] == [False] * 15 + [True]
+
+
+def test_walk_stops_at_max_iter(tower):
+    ext, f = tower
+    start = polytope.scaled_point(ext.poly, vertex_for_t(ext, 0))
+    records = list(walk(ext.poly, f, start, FirstIndex(), 3))
+    assert [step.vertex for _, _, step in records] == [vertex_for_t(ext, t) for t in range(4)]
+    _, improving, last = records[-1]
+    assert (last.direction, last.mu, len(improving)) == (None, None, 1)
+    trace = active_set_run(ext.poly, f, vertex_for_t(ext, 0), FirstIndex(), 3)
+    assert (trace.terminated, trace.edge_moves) == ("MaxIterations", 3)
 
 
 def test_run_rule_invariance(tower):

@@ -15,12 +15,16 @@ from extparab.extension import (
     build,
     decompose_t,
     project,
-    recompose_t,
     sidecar_json_dict,
     stage_vertices,
     verify_construction,
     vertex_for_t,
 )
+
+
+def recompose_t(j, l, s, m_level):
+    """Test-side inverse of decompose_t: t = (2l - 1)(4 j l m - 2 j m + 2 l m - l - s)."""
+    return (2 * l - 1) * (4 * j * l * m_level - 2 * j * m_level + 2 * l * m_level - l - s)
 
 
 @pytest.mark.parametrize(

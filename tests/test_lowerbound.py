@@ -8,7 +8,7 @@ from pathlib import Path
 
 import pytest
 
-from extparab import extension, lowerbound
+from extparab import activeset, extension, lowerbound, polytope
 from extparab.activeset import QuadraticObjective, pullback_objective
 from extparab.errors import (
     BadParameters,
@@ -260,17 +260,87 @@ def test_monotone_path_detects_corrupted_objective():
 
 def test_monotone_path_detects_moved_vertex(monkeypatch):
     # The edge from t = 4 must land on the indexed vertex 5; moving that
-    # vertex fails the certificate at t = 4, before vertex 5 is priced.
+    # vertex fails the certificate at t = 4, as soon as the walk yields the
+    # record of vertex 5: vertices 0..5 are priced, and none after them.
     ext = build(ConstructionParams(n=16, d=4))
     real_vertex_for_t = extension.vertex_for_t
+    real_edge_directions = polytope.edge_directions
+    priced = []
 
     def moved(ext, t):
         v = real_vertex_for_t(ext, t)
         return (v[0] + 1,) + v[1:] if t == 5 else v
 
+    def counted(*args):
+        priced.append(args[1].tight)
+        return real_edge_directions(*args)
+
     monkeypatch.setattr(extension, "vertex_for_t", moved)
+    monkeypatch.setattr(polytope, "edge_directions", counted)
     with pytest.raises(CertificateFailure, match=r"^t = 4: improving edge does not reach vertex t \+ 1$"):
         monotone_path_check(ext, pullback_objective(ext))
+    assert len(priced) == 6
+
+
+def test_monotone_path_follows_the_runners_line_search(monkeypatch):
+    # The certificate steps by the active-set method's own line search: a
+    # step cut in half stops mid-edge, and the walk's tight-row check fails
+    # on the edge leaving t = 0.
+    ext = build(ConstructionParams(n=16, d=4))
+    search = activeset.line_search
+    monkeypatch.setattr(activeset, "line_search", lambda *args: search(*args) / 2)
+    with pytest.raises(CertificateFailure, match=r"^t = 0: iterate has 3 tight rows, need 4$"):
+        monotone_path_check(ext, pullback_objective(ext))
+
+
+def test_monotone_path_names_an_unbounded_edge(monkeypatch):
+    # No facet blocks the improving edge at t = 3: the walk's line search
+    # refuses the unbounded ray and the certificate names t = 3.
+    ext = build(ConstructionParams(n=16, d=4))
+    ratio_test, calls = polytope.ratio_test, []
+
+    def unblocked(*args):
+        calls.append(None)
+        return (None, ()) if len(calls) == 4 else ratio_test(*args)
+
+    monkeypatch.setattr(polytope, "ratio_test", unblocked)
+    with pytest.raises(CertificateFailure, match=r"^t = 3: improving edge is unbounded$"):
+        monotone_path_check(ext, pullback_objective(ext))
+
+
+def test_monotone_path_controls_survive_optimize_flag():
+    # Under python -O the moved-vertex and corrupted-objective certificates
+    # must still fail with their messages, by explicit raises.
+    code = (
+        "from extparab import extension, lowerbound\n"
+        "from extparab.activeset import QuadraticObjective, pullback_objective\n"
+        "from extparab.errors import CertificateFailure\n"
+        "from extparab.extension import ConstructionParams, build\n"
+        "assert False, 'asserts must be stripped'\n"
+        "ext = build(ConstructionParams(n=16, d=4))\n"
+        "good = pullback_objective(ext)\n"
+        "linear = tuple(-a - b for a, b in zip(ext.phi.coeffs, ext.phi_prime.coeffs))\n"
+        "real = extension.vertex_for_t\n"
+        "def moved(ext, t):\n"
+        "    v = real(ext, t)\n"
+        "    return (v[0] + 1,) + v[1:] if t == 5 else v\n"
+        "for f in (QuadraticObjective(good.quad, linear, good.constant), good):\n"
+        "    try:\n"
+        "        lowerbound.monotone_path_check(ext, f)\n"
+        "    except CertificateFailure as exc:\n"
+        "        print(exc)\n"
+        "    extension.vertex_for_t = moved\n"
+    )
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    done = subprocess.run(
+        [sys.executable, "-O", "-c", code], capture_output=True, text=True, env=env, timeout=60
+    )
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.splitlines() == [
+        "t = 0: 0 improving edges, expected 1",
+        "t = 4: improving edge does not reach vertex t + 1",
+    ]
 
 
 def test_iteration_experiment_d4():

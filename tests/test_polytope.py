@@ -12,6 +12,7 @@ from extparab import exactla, polytope
 from extparab.errors import (
     BadParameters,
     DegenerateVertex,
+    DimensionMismatch,
     FormatError,
     InternalMismatch,
     NotFeasible,
@@ -245,6 +246,7 @@ def test_ine_parse_rejects_garbage():
         # with m < 0 the 'end' line would be looked for before 'begin'
         "H-representation\nend\nbegin\n-3 3 rational\n",
         "H-representation\nbegin\n1 1 rational\n1\nend\n",
+        "H-representation\nbegin\n1 3 rational\n1 0 0\nend\n",
     ],
     ids=[
         "truncated-body",
@@ -254,10 +256,17 @@ def test_ine_parse_rejects_garbage():
         "zero-rows",
         "negative-rows",
         "one-column",
+        "all-zero-row",
     ],
 )
 def test_ine_parse_rejects_malformed(text):
     with pytest.raises(FormatError):
+        polytope.hrep_from_ine(text)
+
+
+def test_ine_parse_names_the_all_zero_row():
+    text = "H-representation\nbegin\n2 3 rational\n1 -1 0\n1 0 0\nend\n"
+    with pytest.raises(FormatError, match=r"^all-zero constraint row 1$"):
         polytope.hrep_from_ine(text)
 
 
@@ -366,3 +375,12 @@ def test_vrep_format_shape():
     assert lines[0] == "V-representation"
     assert lines[2] == "3 3 rational"
     assert lines[5] == "1 1/3 -2/9"
+
+
+def test_vrep_rejects_ragged_points():
+    # The width comes from the first point; a shorter one would be written
+    # as a malformed row under a "2 3 rational" size line.
+    with pytest.raises(DimensionMismatch, match=r"^point 1 has dim 1, point 0 has dim 2$"):
+        polytope.vrep_to_ext([(0, 0), (1,)])
+    with pytest.raises(DimensionMismatch):
+        polytope.vrep_to_ext([(0,), (1, 0)])

@@ -25,9 +25,10 @@ The iterate is one integer state per vertex, ``polytope.ScaledPoint``:
 numerators over one denominator, with the slacks and tight set evaluated
 once; ``polytope`` owns it, with its row and slack formats.  Objectives keep
 their form with denominators cleared and evaluate the gradient numerators
-(once per vertex, for pricing and the line search) and the objective value
-on that state, over the nonzero rows of the quadratic part only (on the
-tower it has a single one).  The trace writer lays out its JSON directly.
+(once per vertex), the curvature along an edge and the objective value on
+that state, over the nonzero rows of the quadratic part only (on the tower
+it has a single one).  The rule, the trace steps (without slacks) and the
+writers take that state too; ``TraceStep.vertex`` builds Fractions on demand.
 """
 
 from __future__ import annotations
@@ -40,7 +41,7 @@ from fractions import Fraction
 from functools import cached_property
 from itertools import chain, compress, count
 from operator import mul
-from typing import Callable, Iterator, Sequence
+from typing import Callable, Iterator, NamedTuple, Sequence
 
 from . import exactla, polytope
 from .errors import (
@@ -54,7 +55,7 @@ from .errors import (
     UnboundedImprovement,
     UnknownRule,
 )
-from .exactla import Matrix, Vector
+from .exactla import Matrix, Vector, decimal_text, rational_texts
 from .extension import ExtendedParabola
 from .polytope import Edge, HPolytope, ScaledPoint, TightSet
 
@@ -137,10 +138,6 @@ class QuadraticObjective:
             grad[i] += 2 * exactla.dot(entries, [x[j] for j in cols]) / scale
         return tuple(grad)
 
-    def curvature_along(self, direction: Sequence) -> Fraction:
-        nums, denom = exactla.common_denominator(direction)
-        return Fraction(self._scaled_form(nums), self._cleared[0] * denom**2)
-
 
 def objective_constant(m_count: int) -> Fraction:
     """The linear coefficient 1 - 3/(2M - 2) that leaves only unit chords improving."""
@@ -174,24 +171,20 @@ def line_search(
     affine in mu; the step is min(mu_max, root of g) with the root at
     infinity for nonnegative curvature.  Requires g(0) > 0.  ``gradient`` is
     grad f(x) as ``QuadraticObjective.gradient_at`` gives it, which the
-    caller has already evaluated to price the edges.
+    caller has already evaluated to price the edges.  Both terms stay
+    integers (G . d and S d^T quad d); only a finite root is a Fraction.
     """
     numerators, scale = gradient
     g0 = sum(map(mul, numerators, direction))
     if g0 <= 0:
         raise NotImproving(f"directional derivative {Fraction(g0, scale)} is not positive")
-    curvature = f.curvature_along(direction)
-    if curvature >= 0:
-        stationary = None
-    else:
-        stationary = -Fraction(g0, scale) / (2 * curvature)
-    if mu_max is None and stationary is None:
-        raise UnboundedImprovement("improving edge is unbounded")
+    curvature = f._scaled_form(direction)
+    if curvature < 0:
+        stationary = Fraction(g0 * f._cleared[0], -2 * curvature * scale)
+        return stationary if mu_max is None else min(mu_max, stationary)
     if mu_max is None:
-        return stationary
-    if stationary is None:
-        return mu_max
-    return min(mu_max, stationary)
+        raise UnboundedImprovement("improving edge is unbounded")
+    return mu_max
 
 
 def improving_edges(edges: Sequence[Edge], gradient: Sequence) -> list[Edge]:
@@ -213,11 +206,12 @@ class PivotRule(ABC):
     """Picks the improving edge the active-set loop follows.
 
     ``choose_direction`` must return one of the candidates it is offered; the
-    runner enforces this.
+    runner enforces this.  ``vertex`` is the runner's ``ScaledPoint`` (whose
+    ``coords`` builds the Fraction coordinates on demand).
     """
 
     @abstractmethod
-    def choose_direction(self, candidates: Sequence[Edge], vertex: Vector) -> Edge: ...
+    def choose_direction(self, candidates: Sequence[Edge], vertex: ScaledPoint) -> Edge: ...
 
 
 class FirstIndex(PivotRule):
@@ -260,8 +254,12 @@ def _spiteful_choice(candidates, vertex):
     return candidates[len(candidates) // 2]
 
 
+RULE_NAMES = ("first", "last", "random", "adversarial")
+RULE_CONSUMES_SEED = {"random"}
+
+
 def make_rule(name: str, seed: int | None = None) -> PivotRule:
-    """Rule registry for the CLI: first | last | random | adversarial."""
+    """Rule registry for the CLI: the rule named in ``RULE_NAMES``."""
     if name == "first":
         return FirstIndex()
     if name == "last":
@@ -273,20 +271,24 @@ def make_rule(name: str, seed: int | None = None) -> PivotRule:
     raise UnknownRule(f"no pivot rule named {name!r}")
 
 
-RULE_CONSUMES_SEED = {"random"}
-
-
 # ---------------------------------------------------------------------------
 # Trace and runner
 
 
-@dataclass(frozen=True)
-class TraceStep:
-    vertex: Vector
+class TraceStep(NamedTuple):
+    """A visited vertex as nums/denom in lowest terms (the runner's state), with
+    tight rows, followed direction, step and f (direction and step None last)."""
+
+    nums: tuple[int, ...]
+    denom: int
     tight: TightSet
     direction: tuple[int, ...] | None
     mu: Fraction | None
     f_value: Fraction
+
+    @property
+    def vertex(self) -> Vector:
+        return tuple(Fraction(a, self.denom) for a in self.nums)
 
 
 @dataclass(frozen=True)
@@ -314,38 +316,38 @@ def walk(
 ) -> Iterator[tuple[ScaledPoint, list[Edge], TraceStep]]:
     """The active-set loop from the simple vertex ``point``, one record per vertex.
 
-    A record is the vertex's ``ScaledPoint``, its improving edges and its
-    ``TraceStep`` (coordinates, tight rows, followed direction, step length
-    and f).  At each vertex the walk prices the edges, lets the rule pick an
-    improving one, steps along it by ``line_search`` (capped by the ratio
-    test) and checks the move before yielding the record: a positive step,
-    no blocking tie leaving over d tight rows (DegenerateVertex, not
-    perturbed), a strict increase of f and exactly d tight rows at the new
-    point (NotAVertex; a convex f only stops where a facet blocks).  An
-    error raised while vertex k's record is made is about vertex k or its
-    edge.  The last record has no direction: no edge improves, or
-    ``max_iter`` moves were made.
+    A record is the vertex's ``ScaledPoint`` (which the rule is offered), its
+    improving edges and its ``TraceStep`` (integer state, tight rows, followed
+    direction, step length and f).  At each vertex the walk prices the edges,
+    lets the rule pick an improving one, steps along it by ``line_search``
+    (capped by the ratio test) and checks the move before yielding the
+    record: a positive step, no blocking tie leaving over d tight rows
+    (DegenerateVertex, not perturbed), a strict increase of f and exactly d
+    tight rows at the new point (NotAVertex; a convex f only stops where a
+    facet blocks).  An error raised while vertex k's record is made is about
+    vertex k or its edge.  The last record has no direction: no edge
+    improves, or ``max_iter`` moves were made.
     """
     f_value = f.value_at(point.nums, point.denom)
     edges = None
     for moves in count():
-        x = point.coords
-        gradient = f.gradient_at(point.nums, point.denom)
+        nums, denom, _, tight = point
+        gradient = f.gradient_at(nums, denom)
         edges = polytope.edge_directions(poly, point, edges)  # raises DegenerateVertex
         improving = improving_edges(edges, gradient[0])
         if not improving or moves >= max_iter:
-            yield point, improving, TraceStep(x, point.tight, None, None, f_value)
+            yield point, improving, TraceStep(nums, denom, tight, None, None, f_value)
             return
 
-        chosen = rule.choose_direction(improving, x)
+        chosen = rule.choose_direction(improving, point)
         if chosen not in improving:
             raise UnknownRule("pivot rule returned a direction not offered")
         _, direction = chosen
-        mu_max, _blockers = polytope.ratio_test(poly, point, direction)
+        mu_max = polytope.ratio_test(poly, point, direction)
         mu = line_search(f, direction, mu_max, gradient)
         if not mu > 0:
             raise InternalMismatch("a feasible improving edge must allow mu > 0")
-        record = point, improving, TraceStep(x, point.tight, direction, mu, f_value)
+        record = point, improving, TraceStep(nums, denom, tight, direction, mu, f_value)
 
         point = polytope.locate(poly, *polytope.step(point, direction, mu))
         if len(point.tight) > poly.dim:
@@ -396,6 +398,7 @@ def active_set_run(
 
 
 # The layout json.dumps(..., indent=2) gives a trace document and its steps.
+# A step's arrays are never empty: _ITEMS joins their items, _DIRECTION wraps one.
 _TRACE_JSON = """{{
   "instance": {instance},
   "steps": {steps},
@@ -405,20 +408,17 @@ _TRACE_JSON = """{{
 }}"""
 _STEP_JSON = """{{
       "t": {t},
-      "vertex": {vertex},
-      "active": {active},
+      "vertex": [
+        "{vertex}"
+      ],
+      "active": [
+        {active}
+      ],
       "direction": {direction},
       "mu": {mu},
       "f": "{f}"
     }}"""
-
-
-def _json_array(items: list[str], indent: str) -> str:
-    """Encoded items as a JSON array in the layout of json.dumps(indent=2)."""
-    if not items:
-        return "[]"
-    inner = "\n" + indent + "  "
-    return "[" + inner + ("," + inner).join(items) + "\n" + indent + "]"
+_ITEMS, _DIRECTION = ",\n" + " " * 8, "[\n        {}\n      ]"
 
 
 def _check_one_per_step(trace: Trace, values: Sequence, what: str) -> None:
@@ -433,29 +433,31 @@ def trace_to_json(
 ) -> str:
     """JSON form of a trace, steps labelled by ``t_values``; rationals stay ``p/q``.
 
-    Exactly the text of ``json.dumps(..., indent=2)``, written directly:
-    rationals render as ``p/q`` or ``p`` strings, which need no escaping.
-    ``t_values`` has one label per step (DimensionMismatch otherwise).
+    Exactly the text of ``json.dumps(..., indent=2)``, written directly from
+    the integer state: rationals render as ``p/q`` or ``p`` strings, which need
+    no escaping.  ``t_values`` has one label per step (else DimensionMismatch).
     """
     if t_values is None:
         t_values = [None] * len(trace.steps)
     _check_one_per_step(trace, t_values, "t values")
-    pad, steps = " " * 6, []
+    steps = []
     for step, t in zip(trace.steps, t_values):
-        direction = step.direction
+        direction, mu = step.direction, step.mu
         steps.append(
             _STEP_JSON.format(
                 t="null" if t is None else t,
-                vertex=_json_array([f'"{c}"' for c in step.vertex], pad),
-                active=_json_array([str(i) for i in step.tight], pad),
-                direction="null" if direction is None else _json_array([*map(str, direction)], pad),
-                mu="null" if step.mu is None else f'"{step.mu}"',
+                vertex=f'"{_ITEMS}"'.join(rational_texts(step.nums, step.denom)),
+                active=_ITEMS.join(map(str, step.tight)),
+                direction="null"
+                if direction is None
+                else _DIRECTION.format(_ITEMS.join(map(str, direction))),
+                mu="null" if mu is None else f'"{mu}"',
                 f=step.f_value,
             )
         )
     return _TRACE_JSON.format(
         instance=json.dumps(instance, indent=2).replace("\n", "\n  "),
-        steps=_json_array(steps, "  "),
+        steps="[\n    " + ",\n    ".join(steps) + "\n  ]" if steps else "[]",
         moves=trace.edge_moves,
         loops=trace.loop_iterations,
         terminated=json.dumps(trace.terminated),
@@ -465,32 +467,33 @@ def trace_to_json(
 def trace_plot_rows(
     trace: Trace,
     ext: ExtendedParabola,
-    phi_values: Sequence[Fraction],
+    phi_values: Sequence[tuple[int, int]],
     significant_digits: int = 12,
 ) -> list[tuple[str, str, str, str]]:
     """CSV rows (t, phi, phi_prime, f) from the steps' ``phi_values``; decimals only here.
 
-    ``phi_values`` has one value per step (DimensionMismatch otherwise).
+    ``phi_values`` has one integer pair per step, as ``Functional.scaled_at``
+    gives it (DimensionMismatch otherwise), and phi' is read off the steps.
     """
     _check_one_per_step(trace, phi_values, "phi values")
     rows = []
-    for step, phi_val in zip(trace.steps, phi_values):
-        t = grid_index(ext, phi_val)
+    for step, phi in zip(trace.steps, phi_values):
+        t = grid_index(ext, *phi)
         rows.append(
             (
                 "" if t is None else str(t),
-                exactla.to_decimal(phi_val, significant_digits),
-                exactla.to_decimal(ext.phi_prime(step.vertex), significant_digits),
+                decimal_text(*phi, significant_digits),
+                decimal_text(*ext.phi_prime.scaled_at(step.nums, step.denom), significant_digits),
                 exactla.to_decimal(step.f_value, significant_digits),
             )
         )
     return rows
 
 
-def grid_index(ext: ExtendedParabola, phi_value: Fraction) -> int | None:
-    """Grid index t = phi (M - 1) of a vertex with this phi value, or None off-grid."""
+def grid_index(ext: ExtendedParabola, numerator, denominator: int = 1) -> int | None:
+    """Grid index t = phi (M - 1) at phi = numerator/denominator (denominator > 0), or None."""
     m_top = ext.params.vertex_count
-    value = phi_value * (m_top - 1)
-    if value.denominator == 1 and 0 <= value.numerator <= m_top - 1:
-        return int(value)
+    t, rest = divmod(numerator * (m_top - 1), denominator)
+    if not rest and 0 <= t <= m_top - 1:
+        return t
     return None

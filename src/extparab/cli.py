@@ -39,7 +39,7 @@ def _params_from_args(args) -> ConstructionParams:
 # and names the function in the message.
 
 
-def _non_empty(values: list[int], text: str) -> list[int]:
+def _non_empty(values: list, text: str) -> list:
     if not values:
         raise ValueError(f"{text!r} lists nothing")
     return values
@@ -47,6 +47,12 @@ def _non_empty(values: list[int], text: str) -> list[int]:
 
 def int_list(text: str) -> list[int]:
     return _non_empty([int(part) for part in text.split(",") if part], text)
+
+
+def rule_list(text: str) -> list[str]:
+    """Pivot rule names as 'first,last'; index raises ValueError on an unknown name."""
+    names = activeset.RULE_NAMES
+    return _non_empty([names[names.index(part)] for part in text.split(",") if part], text)
 
 
 def seed_spec(text: str) -> list[int]:
@@ -78,24 +84,17 @@ def cmd_build(args) -> int:
     params = _params_from_args(args)
     ext = extension.build(params)
     prefix = args.out or f"q_d{params.d}_n{params.n}"
-    formats = ("ine", "ext", "json") if args.format == "all" else (args.format,)
+    writers = {
+        "ine": lambda: polytope.hrep_to_ine(ext.poly),
+        "ext": lambda: polytope.vrep_to_ext(extension.all_vertices(ext)),
+        "json": lambda: json.dumps(extension.sidecar_json_dict(ext), indent=2) + "\n",
+    }
     written = []
-    if "ine" in formats:
-        path = f"{prefix}.ine"
-        with open(path, "w") as fh:
-            fh.write(polytope.hrep_to_ine(ext.poly))
-        written.append(path)
-    if "ext" in formats:
-        path = f"{prefix}.ext"
-        with open(path, "w") as fh:
-            fh.write(polytope.vrep_to_ext(extension.all_vertices(ext)))
-        written.append(path)
-    if "json" in formats:
-        path = f"{prefix}.json"
-        with open(path, "w") as fh:
-            json.dump(extension.sidecar_json_dict(ext), fh, indent=2)
-            fh.write("\n")
-        written.append(path)
+    for fmt, text in writers.items():
+        if args.format in ("all", fmt):
+            written.append(f"{prefix}.{fmt}")
+            with open(written[-1], "w") as fh:
+                fh.write(text())
     print(
         f"built d={params.d} n={params.n}: "
         f"{ext.poly.num_facets} facets, {params.vertex_count} vertices"
@@ -172,8 +171,8 @@ def cmd_run(args) -> int:
         "M": m_top,
         "c": str(activeset.objective_constant(m_top)),
     }
-    phis = [ext.phi(step.vertex) for step in trace.steps]
-    t_values = [activeset.grid_index(ext, phi) for phi in phis]
+    phis = [ext.phi.scaled_at(step.nums, step.denom) for step in trace.steps]
+    t_values = [activeset.grid_index(ext, *phi) for phi in phis]
     prefix = args.out or f"run_d{params.d}_{args.rule}"
     trace_path = f"{prefix}.trace.json"
     with open(trace_path, "w") as fh:
@@ -206,7 +205,6 @@ def cmd_scan(args) -> int:
 
 
 def cmd_report(args) -> int:
-    rules = [r for r in args.rules.split(",") if r]
     for d in args.d:
         params = ConstructionParams(n=4 * d, d=d)
         ext = extension.build(params)
@@ -219,9 +217,7 @@ def cmd_report(args) -> int:
             )
             f = activeset.QuadraticObjective(f.quad, linear, f.constant)
         lowerbound.monotone_path_check(ext, f)
-        table = lowerbound.iteration_experiment(
-            4 * d, d, rules, args.seeds, ext=ext, f=f
-        )
+        table = lowerbound.iteration_experiment(4 * d, d, args.rules, args.seeds, ext=ext, f=f)
         if args.out:
             path = f"{args.out}_d{d}.csv"
             with open(path, "w") as fh:
@@ -270,9 +266,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_run = sub.add_parser("run", help="run the active-set method on the instance")
     p_run.add_argument("--d", type=int, required=True)
     p_run.add_argument("--n", type=int, default=None)
-    p_run.add_argument(
-        "--rule", choices=["first", "last", "random", "adversarial"], default="first"
-    )
+    p_run.add_argument("--rule", choices=activeset.RULE_NAMES, default="first")
     p_run.add_argument("--seed", type=int, default=None)
     p_run.add_argument("--max-iter", type=non_negative_int, default=None)
     p_run.add_argument("--out", default=None, help="output path prefix")
@@ -292,7 +286,7 @@ def build_parser() -> argparse.ArgumentParser:
         "report", help="path certificates and iteration counts across dimensions"
     )
     p_report.add_argument("--d", type=int_list, required=True, help="comma list, e.g. 4,6,8")
-    p_report.add_argument("--rules", default="first,last,random")
+    p_report.add_argument("--rules", type=rule_list, default="first,last,random")
     p_report.add_argument(
         "--seeds", type=seed_spec, default="1..10", help="'1..10' or '1,2,3'"
     )

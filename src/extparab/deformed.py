@@ -20,6 +20,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
+from operator import mul
 from typing import Sequence
 
 from . import exactla, polytope
@@ -42,17 +43,23 @@ class Functional:
         return len(self.coeffs)
 
     @cached_property
-    def _support(self) -> tuple[tuple[int, ...], Vector]:
-        # (indices, values) of the nonzero coefficients: one for the tower's
-        # phi, d/2 for its phi'.
+    def _support(self) -> tuple[tuple[int, ...], Vector, tuple[int, ...], int]:
+        # (indices, values, values times the lcm S of their denominators, S)
+        # of the nonzero coefficients: one for the tower's phi, d/2 for its phi'.
         indices = tuple(i for i, a in enumerate(self.coeffs) if a)
-        return indices, tuple(self.coeffs[i] for i in indices)
+        values = tuple(self.coeffs[i] for i in indices)
+        return (indices, values, *exactla.common_denominator(values))
 
     def __call__(self, x: Sequence) -> Fraction:
         if len(x) != self.dim:
             raise DimensionMismatch(f"point has dim {len(x)}, functional {self.dim}")
-        indices, values = self._support
+        indices, values, _, _ = self._support
         return exactla.dot(values, [x[i] for i in indices])
+
+    def scaled_at(self, nums: Sequence[int], denom: int) -> tuple[int, int]:
+        """The value at nums/denom (denom > 0) as the unreduced pair (S coeffs . nums, S denom)."""
+        indices, _, ints, scale = self._support
+        return sum(map(mul, ints, map(nums.__getitem__, indices))), scale * denom
 
     @classmethod
     def coordinate(cls, dim: int, index: int) -> "Functional":

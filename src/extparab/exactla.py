@@ -20,13 +20,14 @@ move, gets each vertex's inverse from the last one's.  Otherwise it eliminates
 [A | I], skipping the rows an elimination step leaves unchanged, which on the
 tower's sparse tight matrices is most of them.  That elimination loop, run on
 the matrix alone, is also the full-rank test (``is_nonsingular``) wherever
-the package needs one.
+the package needs one.  ``rational_texts`` and ``decimal_text`` format ints.
 """
 
 from __future__ import annotations
 
-from decimal import Decimal, localcontext
+from decimal import Context, Decimal
 from fractions import Fraction
+from functools import cache
 from math import gcd, lcm
 from typing import Iterable, Sequence
 
@@ -259,12 +260,29 @@ def _pivot(row: Sequence[int], previous: Sequence[Sequence[int]], p: int) -> lis
     return columns
 
 
-def to_decimal(value: Fraction, significant_digits: int = 12) -> str:
-    """Render a rational as a decimal string with the given precision.
+def rational_texts(nums: Sequence[int], denom: int) -> list[str]:
+    """``str(Fraction(a, denom))`` for each a in nums, for denom > 0: one gcd each."""
+    return [
+        str(a // g) if (g := gcd(a, denom)) == denom else f"{a // g}/{denom // g}" for a in nums
+    ]
 
-    Only the CSV emitters use this; every other format keeps exact ``p/q``.
+
+@cache
+def _decimal_context(significant_digits: int) -> Context:
+    return Context(prec=significant_digits)
+
+
+def decimal_text(numerator: int, denominator: int, significant_digits: int = 12) -> str:
+    """numerator/denominator as a decimal string with the given precision.
+
+    The division, in one cached context per precision, is correctly rounded
+    (half even), so the text depends on the value only.  Only the CSV
+    emitters use this; every other format keeps exact ``p/q``.
     """
-    with localcontext() as ctx:
-        ctx.prec = significant_digits
-        quotient = Decimal(value.numerator) / Decimal(value.denominator)
-    return str(quotient)
+    context = _decimal_context(significant_digits)
+    return str(context.divide(Decimal(numerator), Decimal(denominator)))
+
+
+def to_decimal(value: Fraction, significant_digits: int = 12) -> str:
+    """``decimal_text`` of a rational."""
+    return decimal_text(value.numerator, value.denominator, significant_digits)

@@ -35,7 +35,7 @@ from fractions import Fraction
 from typing import Sequence
 
 from . import activeset, exactla, extension, polytope
-from .activeset import QuadraticObjective, Trace, make_rule, RULE_CONSUMES_SEED
+from .activeset import QuadraticObjective, make_rule, RULE_CONSUMES_SEED
 from .errors import (
     BadParameters,
     CertificateFailure,
@@ -211,9 +211,10 @@ def monotone_path_check(
     following it lands exactly on the next indexed vertex; the optimum has
     none.  The moves are the active-set method's own: the runner's
     ``activeset.walk`` with the first-index rule from vertex 0, with all its
-    checks, and each point it reaches is compared with the vertex map.  Any
-    deviation, or any error the walk raises at vertex t or on the edge
-    leaving it, raises CertificateFailure naming the offending t.
+    checks, and each point it reaches, numerators over a denominator in lowest
+    terms, is compared with the vertex map's.  Any deviation, or any error
+    the walk raises at vertex t or on the edge leaving it, raises
+    CertificateFailure naming the offending t.
     """
     m_top = ext.params.vertex_count
     start = polytope.scaled_point(ext.poly, extension.vertex_for_t(ext, 0))
@@ -221,10 +222,12 @@ def monotone_path_check(
     entries = []
     for t in range(m_top):
         try:
-            _, improving, step = next(records)
+            point, improving, _ = next(records)
         except ExtparabError as exc:
             raise CertificateFailure(f"t = {t}: {exc}") from exc
-        if t and step.vertex != extension.vertex_for_t(ext, t):
+        if t and (point.nums, point.denom) != exactla.common_denominator(
+            extension.vertex_for_t(ext, t)
+        ):
             raise CertificateFailure(f"t = {t - 1}: improving edge does not reach vertex t + 1")
         expected = 0 if t == m_top - 1 else 1
         if len(improving) != expected:
@@ -296,7 +299,7 @@ def iteration_experiment(
             runs.append((rule_name, None))
 
     rows = []
-    reference: Trace | None = None
+    reference: list[tuple[tuple[int, ...], int]] | None = None
     for rule_name, seed in runs:
         rule = make_rule(rule_name, seed)
         t0 = time.perf_counter()
@@ -306,9 +309,10 @@ def iteration_experiment(
             raise CertificateFailure(
                 f"{rule_name}/{seed}: terminated {trace.terminated}"
             )
+        path = [(step.nums, step.denom) for step in trace.steps]  # equal iff the points are
         if reference is None:
-            reference = trace
-        elif trace.vertex_sequence != reference.vertex_sequence:
+            reference = path
+        elif path != reference:
             raise CertificateFailure(
                 f"{rule_name}/{seed}: vertex sequence differs from the first run"
             )
@@ -318,7 +322,7 @@ def iteration_experiment(
                 f"{rule_name}/{seed}: visited {trace.vertices_visited} vertices, "
                 f"expected {expected}"
             )
-        if len(set(trace.vertex_sequence)) != expected:
+        if len(set(path)) != expected:
             raise CertificateFailure(f"{rule_name}/{seed}: repeated vertices in trace")
         if trace.edge_moves != expected - 1:
             raise CertificateFailure(

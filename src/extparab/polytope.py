@@ -258,14 +258,12 @@ def edge_directions(
     return list(zip(tight, directions))
 
 
-def ratio_test(
-    poly: HPolytope, point: ScaledPoint, direction: Sequence
-) -> tuple[Fraction | None, TightSet]:
-    """Largest feasible step along a direction, with the blocking rows.
+def ratio_test(poly: HPolytope, point: ScaledPoint, direction: Sequence) -> Fraction | None:
+    """Largest feasible step along a direction: mu_max, or None on an unbounded ray.
 
-    Returns (mu_max, blockers) where mu_max = min over rows with
-    A_i . direction > 0 of (b_i - A_i x)/(A_i . direction) and blockers is
-    the argmin set; (None, ()) when no row blocks (unbounded ray).
+    mu_max = min over rows with A_i . direction > 0 of
+    (b_i - A_i x)/(A_i . direction).  Which rows block is read off the
+    endpoint's tight set, so only the minimum is kept.
     """
     if all(e == 0 for e in direction):
         raise ZeroDirection("ratio test along the zero direction")
@@ -274,22 +272,13 @@ def ratio_test(
     # so only the minimum becomes a Fraction.
     best: int | None = None
     best_adv = 0
-    blockers: list[int] = []
     for i, (row, _) in enumerate(poly._sparse_rows):
         adv = _sparse_dot(row, direction)
-        if adv <= 0:
-            continue
-        if best is None:
-            best, best_adv, blockers = i, adv, [i]
-            continue
-        lhs, rhs = nums[i] * best_adv, nums[best] * adv
-        if lhs < rhs:
-            best, best_adv, blockers = i, adv, [i]
-        elif lhs == rhs:
-            blockers.append(i)
+        if adv > 0 and (best is None or nums[i] * best_adv < nums[best] * adv):
+            best, best_adv = i, adv
     if best is None:
-        return None, ()
-    return Fraction(nums[best], point.denom * best_adv), tuple(blockers)
+        return None
+    return Fraction(nums[best], point.denom * best_adv)
 
 
 # ---------------------------------------------------------------------------

@@ -97,7 +97,9 @@ def test_cleared_form_matches_fraction_form(linear, upper, constant, x):
     numerators, scale = f.gradient_at(nums, denom)
     assert scale > 0
     assert tuple(F(g, scale) for g in numerators) == f.gradient(x)
-    assert f.curvature_along(x) == expected - constant - sum(l * xi for l, xi in zip(linear, x))
+    # The line search's curvature term S u^T quad u, here for u = nums.
+    curvature = F(f._scaled_form(nums), f._cleared[0] * denom**2)
+    assert curvature == expected - constant - sum(l * xi for l, xi in zip(linear, x))
 
 
 def test_pullback_constant(tower):
@@ -115,7 +117,7 @@ def test_pullback_is_rank_one_convex(tower):
     ext, f = tower
     assert f.quad == exactla.outer(ext.phi.coeffs, ext.phi.coeffs)
     for direction in ((1, 0, 0, 0), (1, -2, 3, -4), (0, 0, 1, 1)):
-        assert f.curvature_along(direction) >= 0
+        assert f._scaled_form(direction) >= 0
 
 
 def test_line_search_boundary_stop(tower):
@@ -126,7 +128,7 @@ def test_line_search_boundary_stop(tower):
     facet, direction = next(
         (fc, d) for fc, d in edges if exactla.dot(f.gradient(v0.coords), d) > 0
     )
-    mu_max, _ = polytope.ratio_test(ext.poly, v0, direction)
+    mu_max = polytope.ratio_test(ext.poly, v0, direction)
     # convex objective: improving all the way to the boundary
     assert line_search(f, direction, mu_max, gradient) == mu_max
     assert line_search(f, direction, F(1, 9), gradient) == F(1, 9)
@@ -198,6 +200,9 @@ def test_walk_records_are_the_trace(tower):
     records = list(walk(ext.poly, f, polytope.scaled_point(ext.poly, start), FirstIndex(), 64))
     assert tuple(step for _, _, step in records) == trace.steps
     assert all(point.coords == step.vertex for point, _, step in records)
+    # A step keeps the integer state, not the slack list.
+    assert all((step.nums, step.denom) == point[:2] for point, _, step in records)
+    assert not any(isinstance(field, list) for _, _, step in records for field in step)
     assert [len(improving) for _, improving, _ in records] == [1] * 15 + [0]
     assert [step.direction is None for _, _, step in records] == [False] * 15 + [True]
 
@@ -262,6 +267,19 @@ def test_run_rejects_non_vertex_start(tower):
         active_set_run(ext.poly, f, interior, FirstIndex())
 
 
+def test_rule_is_offered_the_integer_state(tower):
+    ext, f = tower
+    offered = []
+
+    def first(candidates, vertex):
+        offered.append(vertex)
+        return candidates[0]
+
+    trace = active_set_run(ext.poly, f, vertex_for_t(ext, 0), Adversarial(first), 64)
+    assert all(isinstance(vertex, polytope.ScaledPoint) for vertex in offered)
+    assert [vertex.coords for vertex in offered] == list(trace.vertex_sequence[:-1])
+
+
 def test_run_rejects_rule_contract_violation(tower):
     ext, f = tower
     cheat = Adversarial(lambda candidates, vertex: ("bogus", (0, 0, 0, 0)))
@@ -313,7 +331,7 @@ def test_trace_json_schema(tower):
 def test_trace_plot_rows(tower):
     ext, f = tower
     trace = active_set_run(ext.poly, f, vertex_for_t(ext, 0), FirstIndex(), 64)
-    rows = trace_plot_rows(trace, ext, [ext.phi(step.vertex) for step in trace.steps])
+    rows = trace_plot_rows(trace, ext, [ext.phi.scaled_at(s.nums, s.denom) for s in trace.steps])
     assert rows[0] == ("0", "0", "0", "0")
     assert rows[-1][0] == "15"
     assert rows[-1][1] == "1"
@@ -325,12 +343,12 @@ def test_trace_writers_refuse_a_label_count_that_is_not_one_per_step(tower):
     ext, f = tower
     trace = active_set_run(ext.poly, f, vertex_for_t(ext, 0), FirstIndex(), 3)
     assert len(trace.steps) == 4
-    phis = [ext.phi(step.vertex) for step in trace.steps]
-    labels = [grid_index(ext, phi) for phi in phis]
+    phis = [ext.phi.scaled_at(step.nums, step.denom) for step in trace.steps]
+    labels = [grid_index(ext, *phi) for phi in phis]
     for short_or_long in (labels[:2], labels + [4]):
         with pytest.raises(DimensionMismatch, match="trace steps"):
             trace_to_json(trace, None, short_or_long)
-    for short_or_long in (phis[:2], phis + [F(1)]):
+    for short_or_long in (phis[:2], phis + [(1, 1)]):
         with pytest.raises(DimensionMismatch, match="trace steps"):
             trace_plot_rows(trace, ext, short_or_long)
     assert len(json.loads(trace_to_json(trace, None, labels))["steps"]) == 4
@@ -343,6 +361,11 @@ def test_grid_index_off_grid(tower):
     assert grid_index(ext, F(1, 30)) is None
     assert grid_index(ext, F(16, 15)) is None
     assert grid_index(ext, F(-1, 15)) is None
+    # the same values as integer pairs with a common factor, as run passes them
+    assert grid_index(ext, 2, 30) == 1
+    assert grid_index(ext, 1, 30) is None
+    assert grid_index(ext, 32, 30) is None
+    assert grid_index(ext, -2, 30) is None
 
 
 def test_runner_checks_survive_optimize_flag():

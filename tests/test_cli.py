@@ -103,15 +103,20 @@ def test_run_first_rule(tmp_path, capsys):
 
 def test_run_evaluates_phi_once_per_step(tmp_path, capsys, monkeypatch):
     # The trace's t labels and the plot's t and phi columns share one phi
-    # value per step; phi' is the only other functional evaluated.
+    # value per step; phi' is the only other functional evaluated.  Both are
+    # evaluated on the steps' integer state, never on Fraction vertices.
     calls = []
-    real_call = deformed.Functional.__call__
+    real_scaled_at = deformed.Functional.scaled_at
 
-    def counting(self, x):
+    def counting(self, nums, denom):
         calls.append(self)
-        return real_call(self, x)
+        return real_scaled_at(self, nums, denom)
 
-    monkeypatch.setattr(deformed.Functional, "__call__", counting)
+    def refuse(self, x):
+        raise AssertionError("run evaluated a functional on a Fraction vertex")
+
+    monkeypatch.setattr(deformed.Functional, "scaled_at", counting)
+    monkeypatch.setattr(deformed.Functional, "__call__", refuse)
     assert run_cli(["run", "--d", "8", "--out", str(tmp_path / "run8")]) == 0
     capsys.readouterr()
     assert len(calls) == 2 * 256
@@ -141,8 +146,18 @@ def test_run_unknown_rule_is_usage_error(tmp_path, capsys):
         ["run", "--d", "4", "--max-iter", "-1"],
         ["report", "--d", ","],
         ["report", "--d", "4", "--rules", "random", "--seeds", "5..1"],
+        ["report", "--d", "4", "--rules", ","],
+        ["report", "--d", "4", "--rules", "first,nosuch"],
     ],
-    ids=["d-list", "seed-spec", "negative-max-iter", "empty-d-list", "empty-seed-range"],
+    ids=[
+        "d-list",
+        "seed-spec",
+        "negative-max-iter",
+        "empty-d-list",
+        "empty-seed-range",
+        "empty-rule-list",
+        "unknown-rule-in-list",
+    ],
 )
 def test_malformed_argument_is_usage_error(tmp_path, capsys, argv):
     code = run_cli(argv + ["--out", str(tmp_path / "x")])

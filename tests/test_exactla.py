@@ -4,12 +4,12 @@ pivoted by one row), and the rank oracle."""
 from fractions import Fraction as F
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from extparab import exactla
 from extparab.errors import ZeroVector
-from test_hotpath_oracle import reference_rank
+from test_hotpath_oracle import reference_rank, reference_to_decimal
 
 
 def test_rank_zero_matrix():
@@ -188,3 +188,31 @@ def test_exact_addition_cancels(a, b):
 def test_to_decimal_is_display_only():
     assert exactla.to_decimal(F(1, 150)) == "0.00666666666667"
     assert exactla.to_decimal(F(3), 4) == "3"
+
+
+# Numerators (zero, negative, whole multiples of the denominator) over a
+# positive denominator, times a common factor so that pairs are often not in
+# lowest terms.
+numerators = st.integers(-(10**30), 10**30)
+denominators = st.integers(1, 10**30)
+factors = st.integers(1, 10**6)
+
+
+@given(st.lists(numerators, max_size=6), denominators, factors)
+@example([0, 5, -5, 10, -3, 7], 5, 1)
+@example([0, 6, -4], 2, 3)
+@example([1, -1], 1, 1)
+def test_rational_texts_match_fraction_str(nums, denom, factor):
+    nums, denom = [a * factor for a in nums], denom * factor
+    assert exactla.rational_texts(nums, denom) == [str(F(a, denom)) for a in nums]
+
+
+@given(numerators, denominators, factors, st.integers(1, 40))
+@example(0, 7, 3, 12)
+@example(-1, 150, 2, 12)
+@example(10**15, 1, 1, 12)
+@example(3, 1, 5, 4)
+def test_decimal_text_matches_local_context_form(numerator, denominator, factor, digits):
+    value = F(numerator, denominator)
+    text = exactla.decimal_text(numerator * factor, denominator * factor, digits)
+    assert text == reference_to_decimal(value, digits) == exactla.to_decimal(value, digits)

@@ -33,6 +33,27 @@ RUN_D12 = {
     "trace.json": "992d31c5bbe5a7d4a4fd2598831af01551724266160ae864c10e48be0dc1f113",
     "plot.csv": "1693fda6a0398af757d869582f9161f7d71019e75ab2d2adb471a3c2b9b096e9",
 }
+# The only n != 4d walk, and a walk cut short into a MaxIterations trace
+# (exit 1).  Taken before the trace steps kept the runner's integer state
+# and the writers stopped going through Fraction vertices.
+RUN_OTHER = {
+    "n48-d6": (
+        ["--n", "48", "--d", "6"],
+        0,
+        {
+            "trace.json": "543c1b52d9f4af8e5484a896cc2c055789dd4ba5c9f29b22f47c0aa03ec064d1",
+            "plot.csv": "f3186c1e6592cf11aeada83cf759d28cb514c64345cf42a9274cfed7289ef4d7",
+        },
+    ),
+    "d6-max-iter-3": (
+        ["--d", "6", "--max-iter", "3"],
+        1,
+        {
+            "trace.json": "716d4d797d31a9db84093c7e721c0f1a9e91b6be735b6270a72c19ae6cb3ec03",
+            "plot.csv": "8c8aa4bdb384cb0f8552c3d2fcdf3ccc3071a2e2a0c1dc2b716731afaa5cfd1e",
+        },
+    ),
+}
 CERTIFICATE_N48_D6 = "f052096e69ae72405847851ac84af3bbf5497d296b46059d5cab0049c5d2650b"
 VERIFY_REPORTS = {
     "d8": (["--d", "8"], "23b0be8f5e98382bc64b91854d762dde9a8dd32b97de6e3181ada39e8a0d519d"),
@@ -61,6 +82,16 @@ def test_run_d12_outputs_are_unchanged(tmp_path, capsys):
     capsys.readouterr()
     digests = {suffix: sha256((tmp_path / f"first.{suffix}").read_bytes()) for suffix in RUN_D12}
     assert digests == RUN_D12
+
+
+@pytest.mark.parametrize("case", sorted(RUN_OTHER))
+def test_other_run_outputs_are_unchanged(tmp_path, capsys, case):
+    args, code, expected = RUN_OTHER[case]
+    prefix = tmp_path / "run"
+    assert main(["run", *args, "--out", str(prefix)]) == code
+    capsys.readouterr()
+    digests = {suffix: sha256((tmp_path / f"run.{suffix}").read_bytes()) for suffix in expected}
+    assert digests == expected
 
 
 def test_path_certificate_n48_d6_is_unchanged():

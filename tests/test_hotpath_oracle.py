@@ -12,12 +12,21 @@ runner and the path certificate pivot from one vertex to the next.
 The active-set runner keeps its iterate as integer numerators over one
 denominator; ``reference_active_set_run`` is the runner it replaced, with a
 Fraction iterate, Fraction gradient, objective value and line search, and
-its trace must equal the runner's step for step.  ``trace_to_json_dict`` is
-the dict that ``json.dumps(..., indent=2)`` used to serialize, which the
-direct trace writer must reproduce byte for byte.
+its trace must equal the runner's step for step (its steps keep each
+Fraction point as numerators over their lcm denominator, which is the
+runner's integer state in lowest terms).  ``trace_to_json_dict`` is the dict
+that ``json.dumps(..., indent=2)`` used to serialize, which the direct trace
+writer must reproduce byte for byte.
+
+The trace and plot writers read the steps' integer state; every text they
+write must equal the one derived from the step's Fraction vertex with
+``ext.phi``, ``ext.phi_prime``, ``str(Fraction)``, ``grid_index`` and
+``reference_to_decimal``, the decimal rendering in a local context per value
+that ``exactla.to_decimal`` used to be.
 """
 
 import json
+from decimal import Decimal, localcontext
 from fractions import Fraction
 from math import gcd, lcm
 
@@ -33,6 +42,7 @@ from extparab.activeset import (
     grid_index,
     make_rule,
     pullback_objective,
+    trace_plot_rows,
     trace_to_json,
 )
 from extparab.errors import (
@@ -238,7 +248,7 @@ def reference_active_set_run(poly, f, x0, rule, max_iter=None):
             if exactla.dot(gradient, d) > 0
         ]
         if not improving or edge_moves >= max_iter:
-            steps.append(TraceStep(x, tight, None, None, f_value))
+            steps.append(TraceStep(*exactla.common_denominator(x), tight, None, None, f_value))
             terminated = "MaxIterations" if improving else "Optimal"
             break
         chosen = rule.choose_direction(improving, x)
@@ -249,7 +259,7 @@ def reference_active_set_run(poly, f, x0, rule, max_iter=None):
         mu = reference_line_search(f, x, direction, mu_max)
         if not mu > 0:
             raise InternalMismatch("a feasible improving edge must allow mu > 0")
-        steps.append(TraceStep(x, tight, direction, mu, f_value))
+        steps.append(TraceStep(*exactla.common_denominator(x), tight, direction, mu, f_value))
         x = tuple(a + mu * e for a, e in zip(x, direction))
         if any(s < 0 for s in reference_slacks(poly, x)):
             raise NotFeasible("point is outside the polytope")
@@ -417,3 +427,59 @@ def test_trace_writer_matches_json_dumps():
         assert trace_to_json(trace, inst, t_values) == expected
     assert capped.terminated == "MaxIterations"
     assert '"t": null' in trace_to_json(full, instance, off_grid)
+
+
+# ---------------------------------------------------------------------------
+# The writers' integer state against the Fraction vertex
+
+
+def reference_to_decimal(value, significant_digits=12):
+    """A rational as a decimal string, in a local context set to the precision."""
+    with localcontext() as ctx:
+        ctx.prec = significant_digits
+        quotient = Decimal(value.numerator) / Decimal(value.denominator)
+    return str(quotient)
+
+
+def check_integer_outputs(ext, trace):
+    """Every t label, vertex text and plot row of the trace, against the Fraction references."""
+    phis = [ext.phi.scaled_at(step.nums, step.denom) for step in trace.steps]
+    labels = [grid_index(ext, *phi) for phi in phis]
+    doc = json.loads(trace_to_json(trace, None, labels))
+    rows = trace_plot_rows(trace, ext, phis)
+    for k, step in enumerate(trace.steps):
+        x = step.vertex
+        assert exactla.common_denominator(x) == (step.nums, step.denom)
+        phi, phi_prime = ext.phi(x), ext.phi_prime(x)
+        assert Fraction(*phis[k]) == phi
+        assert Fraction(*ext.phi_prime.scaled_at(step.nums, step.denom)) == phi_prime
+        t = grid_index(ext, phi)
+        assert labels[k] == doc["steps"][k]["t"] == t
+        assert doc["steps"][k]["vertex"] == [str(c) for c in x]
+        expected_row = (
+            "" if t is None else str(t),
+            reference_to_decimal(phi),
+            reference_to_decimal(phi_prime),
+            reference_to_decimal(step.f_value),
+        )
+        assert rows[k] == expected_row, k
+    return labels
+
+
+@pytest.mark.parametrize("n, d", TOWERS, ids=[f"n{n}-d{d}" for n, d in TOWERS])
+def test_writers_match_fraction_references_on_towers(n, d):
+    ext = build(ConstructionParams(n=n, d=d))
+    f = pullback_objective(ext)
+    start = vertex_for_t(ext, 0)
+    for name in RULES:
+        trace = active_set_run(ext.poly, f, start, make_rule(name, 5))
+        labels = check_integer_outputs(ext, trace)
+        assert labels == list(range(ext.params.vertex_count)), name
+
+
+def test_writers_match_fraction_references_on_a_capped_run():
+    ext = build(ConstructionParams(n=24, d=6))
+    f = pullback_objective(ext)
+    trace = active_set_run(ext.poly, f, vertex_for_t(ext, 0), make_rule("first"), max_iter=5)
+    assert trace.terminated == "MaxIterations"
+    assert check_integer_outputs(ext, trace) == list(range(6))

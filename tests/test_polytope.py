@@ -43,8 +43,25 @@ def edges_at(poly, x):
     return polytope.edge_directions(poly, polytope.scaled_point(poly, x))
 
 
+def ratio_with_blockers(poly, point, direction):
+    """``ratio_test``'s mu_max, with the argmin set of blocking rows found here.
+
+    The walk reads which rows block off the endpoint's tight set, so
+    ``ratio_test`` returns mu_max alone; this reference computes every ratio
+    as a Fraction and checks mu_max against their minimum.
+    """
+    mu = polytope.ratio_test(poly, point, direction)
+    ratios = {}
+    for i, (row, _) in enumerate(poly._int_rows):
+        adv = sum(a * e for a, e in zip(row, direction))
+        if adv > 0:
+            ratios[i] = F(point.slacks[i], point.denom * adv)
+    assert mu == (min(ratios.values()) if ratios else None)
+    return mu, tuple(i for i, ratio in ratios.items() if ratio == mu)
+
+
 def ratio_at(poly, x, direction):
-    return polytope.ratio_test(poly, polytope.scaled_point(poly, x), direction)
+    return ratio_with_blockers(poly, polytope.scaled_point(poly, x), direction)
 
 
 def test_contains_interior():
@@ -136,7 +153,7 @@ def test_step_feasibility_brackets_mu_max():
     x = (F(0), F(0))
     point = polytope.scaled_point(poly, x)
     for _, direction in polytope.edge_directions(poly, point):
-        mu, _ = polytope.ratio_test(poly, point, direction)
+        mu = polytope.ratio_test(poly, point, direction)
         assert mu is not None and mu > 0
         inside = tuple(a + mu * e for a, e in zip(x, direction))
         assert polytope.contains(poly, inside)
@@ -152,7 +169,7 @@ def test_endpoint_tight_set_gains_blockers():
     point = polytope.scaled_point(poly, x)
     tight = set(polytope.tight_set(poly, x))
     for leaving, direction in polytope.edge_directions(poly, point):
-        mu, blockers = polytope.ratio_test(poly, point, direction)
+        mu, blockers = ratio_with_blockers(poly, point, direction)
         endpoint = tuple(a + mu * e for a, e in zip(x, direction))
         end_tight = set(polytope.tight_set(poly, endpoint))
         assert (tight - {leaving}) | set(blockers) <= end_tight
@@ -178,7 +195,7 @@ def test_edge_directions_pivot_around_the_quadrilateral():
     edges = polytope.edge_directions(poly, point)
     for _ in range(4):
         leaving, direction = edges[0]
-        mu, (blocker,) = polytope.ratio_test(poly, point, direction)
+        mu, (blocker,) = ratio_with_blockers(poly, point, direction)
         point = polytope.locate(poly, *polytope.step(point, direction, mu))
         pivoted = polytope.edge_directions(poly, point, edges)
         assert pivoted == polytope.edge_directions(poly, point)

@@ -19,7 +19,8 @@ elimination, and at every later one by pivoting the edges of the vertex
 the walk just left, as they are, on the one row it swapped, since the
 new edges are -dir_i and the primitive parts of
 (A_b . dir_i) dir_f - (A_b . dir_f) dir_i after a move along dir_i that row
-b blocks.  Either way every edge is then checked against all d tight rows.
+b blocks.  Edges are checked in full at the first vertex, and at a pivoted
+one only where the pivot changed them.
 
 Edge enumeration raises DegenerateVertex at a non-simple vertex, because on
 the constructed instances degeneracy means a bug, not a case to handle.
@@ -207,9 +208,26 @@ def is_simple_vertex(poly: HPolytope, x: Sequence) -> bool:
     return is_simple(poly, scaled_point(poly, x))
 
 
+class _ProvenEdges(tuple):
+    """Edges whose pattern ``edge_directions`` proved on ``rows``: it alone builds them."""
+
+    def __new__(cls, edges, rows):
+        self = super().__new__(cls, edges)
+        object.__setattr__(self, "rows", rows)
+        return self
+
+    def __setattr__(self, *_):
+        raise AttributeError("a proven edge list is immutable")
+
+    __ne__ = object.__ne__
+
+    def __eq__(self, other):  # equal to the list of its pairs too
+        return tuple.__eq__(self, tuple(other) if isinstance(other, list) else other)
+
+
 def edge_directions(
     poly: HPolytope, point: ScaledPoint, previous: Sequence[Edge] | None = None
-) -> list[Edge]:
+) -> Sequence[Edge]:
     """The d primitive edge directions leaving a simple vertex.
 
     Returns one pair (leaving_facet, direction) per tight row i: the unique
@@ -219,12 +237,16 @@ def edge_directions(
     left, whose tight set differs from this one in one row (else
     InternalMismatch); its directions are pivoted on that row
     (``exactla.int_inverse_scaled`` with the swapped row) instead of
-    eliminating the tight matrix again.  The tightness pattern of every
-    edge is checked against every tight row on both paths.
+    eliminating the tight matrix again.  The pattern is proven by induction:
+    all d x d products A_j . dir_k are checked, unless ``previous`` is a list
+    this function returned for the same rows; then the entering row meets
+    every direction and the other rows only those not ``previous``'s own
+    objects, whose products with them were proven at the last vertex.
     """
     tight = point.tight
     if len(tight) != poly.dim:
         raise DegenerateVertex(f"{len(tight)} tight rows at a point of dimension {poly.dim}")
+    entering, fresh = None, range(poly.dim)  # fresh: the columns every tight row is checked on
     if previous is None:
         columns = exactla.int_inverse_scaled([poly._neg_rows[i] for i in tight])
     else:
@@ -236,18 +258,21 @@ def edge_directions(
             )
         swapped = facets.index(left.pop())
         facets[swapped] = entered.pop()
-        columns = exactla.int_inverse_scaled(
-            [poly._neg_rows[i] for i in facets], [direction for _, direction in previous], swapped
-        )
+        old = [direction for _, direction in previous]
+        columns = exactla.int_inverse_scaled([poly._neg_rows[i] for i in facets], old, swapped)
     if columns is None:
         raise DegenerateVertex("tight rows are rank-deficient")
     directions = [exactla.primitive(col) for col in columns]
     if previous is not None:
-        directions = [direction for _, direction in sorted(zip(facets, directions))]
+        _, directions, old = zip(*sorted(zip(facets, directions, old)))
+        if type(previous) is _ProvenEdges and previous.rows is poly._sparse_rows:
+            entering = facets[swapped]
+            fresh = [k for k in range(poly.dim) if directions[k] is not old[k]]
     # Defensive: edge ray k keeps every tight row j != k and strictly leaves row k.
     for j, i in enumerate(tight):
         row = poly._sparse_rows[i][0]
-        for k, direction in enumerate(directions):
+        for k in range(poly.dim) if i == entering else fresh:
+            direction = directions[k]
             prod = 0
             for c, a in row:
                 prod += a * direction[c]
@@ -255,7 +280,7 @@ def edge_directions(
                 raise InternalMismatch(
                     f"edge {k} breaks the tightness pattern at tight row {j}"
                 )
-    return list(zip(tight, directions))
+    return _ProvenEdges(zip(tight, directions), poly._sparse_rows)
 
 
 def ratio_test(poly: HPolytope, point: ScaledPoint, direction: Sequence) -> Fraction | None:

@@ -1,5 +1,6 @@
 """Exact linear algebra: primitive vectors, inverse columns (eliminated and
-pivoted by one row), and the rank oracle."""
+pivoted by one row, keeping the columns it need not change), the edge
+check's product count, and the rank oracle."""
 
 from fractions import Fraction as F
 
@@ -7,8 +8,11 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from extparab import exactla
+from extparab import exactla, polytope
+from extparab.activeset import active_set_run, make_rule, pullback_objective
 from extparab.errors import ZeroVector
+from extparab.extension import ConstructionParams, build, vertex_for_t
+from extparab.polytope import HPolytope
 from test_hotpath_oracle import reference_rank, reference_to_decimal
 
 
@@ -106,6 +110,10 @@ def test_primitive_keeps_a_vector_of_content_one():
     assert exactla.primitive([3, -2, 0]) == (3, -2, 0)
     assert exactla.primitive((-1,)) == (-1,)
     assert exactla.primitive([0, -6, 4]) == (0, -3, 2)
+    # A content-1 tuple comes back as the same object, which is how edge
+    # enumeration tells a column the pivot kept from one it replaced.
+    for v in ((3, -2, 0), (-1,), (0, 0, 1)):
+        assert exactla.primitive(v) is v
 
 
 @st.composite
@@ -157,6 +165,77 @@ def test_int_inverse_scaled_pivot_on_a_dependent_row_is_none():
         pivoted = exactla.int_inverse_scaled(swapped, columns, 2)
         for col, ref in zip(pivoted, exactla.int_inverse_scaled(swapped)):
             assert _same_up_to_positive_scale(col, ref)
+
+
+def test_int_inverse_scaled_pivot_keeps_annihilated_columns_as_objects():
+    # At each move of the (24, 6) tower's path, every edge direction of the
+    # vertex left that the entering row annihilates (other than the swapped
+    # one) comes back from the pivot as the very same tuple.
+    ext = build(ConstructionParams(n=24, d=6))
+    poly = ext.poly
+    kept = 0
+    for t in range(ext.params.vertex_count - 1):
+        here, there = (polytope.scaled_point(poly, vertex_for_t(ext, s)) for s in (t, t + 1))
+        edges = polytope.edge_directions(poly, here)
+        facets = [facet for facet, _ in edges]
+        (left,) = set(facets).difference(there.tight)
+        (entered,) = set(there.tight).difference(facets)
+        p = facets.index(left)
+        facets[p] = entered
+        previous = [direction for _, direction in edges]
+        rows = [poly._neg_rows[i] for i in facets]
+        columns = exactla.int_inverse_scaled(rows, previous, p)
+        for k, (col, z) in enumerate(zip(columns, previous)):
+            if k != p and sum(a * y for a, y in zip(rows[p], z)) == 0:
+                assert col is z, (t, k)
+                kept += 1
+            else:
+                assert col is not z, (t, k)
+    assert kept > 2 * (ext.params.vertex_count - 1)
+
+
+def test_edge_check_counts_d_squared_then_only_the_changed_products(monkeypatch):
+    # A test-side row counts the products edge_directions evaluates on a
+    # d = 8 walk: d^2 at the start vertex, then d (1 + c) - c at a vertex
+    # whose pivot replaced c columns (the entering row against all d, every
+    # other tight row against the c replaced ones).
+    ext = build(ConstructionParams(n=32, d=8))
+    poly, d = ext.poly, 8
+    products, inside = [], [False]
+
+    class CountingRow(tuple):
+        def __iter__(self):
+            if inside[0]:
+                products[-1] += 1
+            return super().__iter__()
+
+    poly.__dict__["_sparse_rows"] = tuple((CountingRow(row), rhs) for row, rhs in poly._sparse_rows)
+    enumerate_edges, replaced = polytope.edge_directions, []
+
+    def counted(poly, point, previous=None):
+        products.append(0)
+        inside[0] = True
+        try:
+            edges = enumerate_edges(poly, point, previous)
+        finally:
+            inside[0] = False
+        if previous is not None:
+            old = {id(direction) for _, direction in previous}
+            replaced.append(sum(id(direction) not in old for _, direction in edges))
+        return edges
+
+    monkeypatch.setattr(polytope, "edge_directions", counted)
+    trace = active_set_run(poly, pullback_objective(ext), vertex_for_t(ext, 0), make_rule("first"))
+    assert trace.edge_moves == 255 and len(products) == 256
+    assert products[0] == d * d
+    assert products[1:] == [d * (1 + c) - c for c in replaced]
+    assert all(c >= 1 for c in replaced) and sum(replaced) < 3 * len(replaced)
+    # Edges proven on another polytope object, even an equal one, get all d^2.
+    twin = HPolytope(poly.A, poly.b)
+    twin.__dict__["_sparse_rows"] = tuple((CountingRow(row), rhs) for row, rhs in poly._sparse_rows)
+    here, there = (polytope.scaled_point(poly, vertex_for_t(ext, t)) for t in (0, 1))
+    counted(twin, there, counted(poly, here))
+    assert products[-2:] == [d * d, d * d]
 
 
 @given(int_matrices())

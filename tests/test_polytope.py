@@ -386,6 +386,82 @@ def test_edge_pivot_check_survives_optimize_flag():
     assert done.stdout.strip() == "vertex 2: edge 0 breaks the tightness pattern at tight row 1"
 
 
+def test_edge_check_is_full_for_a_hand_built_predecessor_under_optimize_flag():
+    # Under python -O a list passed as ``previous`` was never proven by
+    # edge_directions, so its kept columns get the full check.  Column 0 +
+    # column 2 of t = 0 has content 1 and is annihilated by the row that
+    # enters at t = 1, so the pivot keeps it as the same object; only the
+    # kept rows, whose products the fast path would trust, see that it
+    # leaves row 0 as well as row 4.
+    code = (
+        "from extparab import exactla, polytope\n"
+        "from extparab.errors import InternalMismatch\n"
+        "from extparab.extension import ConstructionParams, build, vertex_for_t\n"
+        "assert False, 'asserts must be stripped'\n"
+        "ext = build(ConstructionParams(n=16, d=4))\n"
+        "p0, p1 = (polytope.scaled_point(ext.poly, vertex_for_t(ext, t)) for t in (0, 1))\n"
+        "edges = polytope.edge_directions(ext.poly, p0)\n"
+        "corrupt = tuple(a + b for a, b in zip(edges[0][1], edges[2][1]))\n"
+        "hand_built = [edges[0], edges[1], (edges[2][0], corrupt), edges[3]]\n"
+        "inverse, kept = exactla.int_inverse_scaled, []\n"
+        "def recorded(rows, previous=None, swapped=None):\n"
+        "    columns = inverse(rows, previous, swapped)\n"
+        "    kept.extend(c for c in columns if c is corrupt)\n"
+        "    return columns\n"
+        "exactla.int_inverse_scaled = recorded\n"
+        "try:\n"
+        "    polytope.edge_directions(ext.poly, p1, hand_built)\n"
+        "except InternalMismatch as exc:\n"
+        "    print(f'{p0.tight} -> {p1.tight}, kept {len(kept)}: {exc}')\n"
+    )
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    done = subprocess.run(
+        [sys.executable, "-O", "-c", code], capture_output=True, text=True, env=env, timeout=60
+    )
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.strip() == (
+        "(0, 3, 4, 7) -> (0, 1, 4, 7), kept 1: edge 2 breaks the tightness pattern at tight row 0"
+    )
+
+
+def test_edge_check_sees_a_stale_column_at_the_entering_row_under_optimize_flag():
+    # Under python -O a pivot that hands back the previous column object
+    # where the entering row's product is nonzero passes every kept row (the
+    # column was proven there) and must be refused at the entering row, the
+    # one row the fast path checks against every column.
+    code = (
+        "from extparab import exactla, polytope\n"
+        "from extparab.errors import InternalMismatch\n"
+        "from extparab.extension import ConstructionParams, build, vertex_for_t\n"
+        "assert False, 'asserts must be stripped'\n"
+        "ext = build(ConstructionParams(n=16, d=4))\n"
+        "p0, p1, p2 = (polytope.scaled_point(ext.poly, vertex_for_t(ext, t)) for t in range(3))\n"
+        "edges = polytope.edge_directions(ext.poly, p1, polytope.edge_directions(ext.poly, p0))\n"
+        "inverse = exactla.int_inverse_scaled\n"
+        "def stale(rows, previous=None, swapped=None):\n"
+        "    columns = inverse(rows, previous, swapped)\n"
+        "    k = next(k for k, c in enumerate(columns) if k != swapped and c is not previous[k])\n"
+        "    columns[k] = previous[k]\n"
+        "    return columns\n"
+        "exactla.int_inverse_scaled = stale\n"
+        "(entering,) = set(p2.tight).difference(p1.tight)\n"
+        "try:\n"
+        "    polytope.edge_directions(ext.poly, p2, edges)\n"
+        "except InternalMismatch as exc:\n"
+        "    print(f'entering row at {p2.tight.index(entering)}: {exc}')\n"
+    )
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    done = subprocess.run(
+        [sys.executable, "-O", "-c", code], capture_output=True, text=True, env=env, timeout=60
+    )
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.strip() == (
+        "entering row at 1: edge 0 breaks the tightness pattern at tight row 1"
+    )
+
+
 def test_vrep_format_shape():
     text = polytope.vrep_to_ext([(0, 0), (1, 0), (F(1, 3), F(-2, 9))])
     lines = text.strip().splitlines()

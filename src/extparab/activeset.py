@@ -41,7 +41,7 @@ from fractions import Fraction
 from functools import cached_property
 from itertools import chain, compress, count
 from operator import mul
-from typing import Callable, Iterator, NamedTuple, Sequence
+from typing import Iterator, NamedTuple, Sequence
 
 from . import exactla, polytope
 from .errors import (
@@ -59,8 +59,6 @@ from .exactla import Matrix, Vector, decimal_text, rational_texts
 from .extension import ExtendedParabola
 from .polytope import Edge, HPolytope, ScaledPoint, TightSet
 
-DEFAULT_MAX_ITER = 10**7
-
 
 @dataclass(frozen=True)
 class QuadraticObjective:
@@ -75,7 +73,7 @@ class QuadraticObjective:
         linear = exactla.vec(self.linear)
         if len(quad) != len(linear):
             raise DimensionMismatch("quadratic and linear parts disagree on dimension")
-        if quad != exactla.transpose(quad):
+        if quad != tuple(zip(*quad)):
             raise BadParameters("quadratic part must be exactly symmetric")
         object.__setattr__(self, "quad", quad)
         object.__setattr__(self, "linear", linear)
@@ -154,7 +152,7 @@ def pullback_objective(ext: ExtendedParabola) -> QuadraticObjective:
     c = objective_constant(ext.params.vertex_count)
     c_phi = ext.phi.coeffs
     c_phi_prime = ext.phi_prime.coeffs
-    quad = exactla.outer(c_phi, c_phi)
+    quad = tuple(tuple(a * b for b in c_phi) for a in c_phi)
     linear = tuple(-c * a - b for a, b in zip(c_phi, c_phi_prime))
     return QuadraticObjective(quad, linear, Fraction(0))
 
@@ -240,18 +238,10 @@ class SeededRandom(PivotRule):
 
 
 class Adversarial(PivotRule):
-    """Delegates every choice to a callback(candidates, vertex)."""
-
-    def __init__(self, callback: Callable):
-        self.callback = callback
+    """Always the middle offered candidate, to differ from First and Last."""
 
     def choose_direction(self, candidates, vertex):
-        return self.callback(candidates, vertex)
-
-
-def _spiteful_choice(candidates, vertex):
-    # Default adversary: middle candidate, to differ from First and Last.
-    return candidates[len(candidates) // 2]
+        return candidates[len(candidates) // 2]
 
 
 RULE_NAMES = ("first", "last", "random", "adversarial")
@@ -267,7 +257,7 @@ def make_rule(name: str, seed: int | None = None) -> PivotRule:
     if name == "random":
         return SeededRandom(0 if seed is None else seed)
     if name == "adversarial":
-        return Adversarial(_spiteful_choice)
+        return Adversarial()
     raise UnknownRule(f"no pivot rule named {name!r}")
 
 
@@ -296,11 +286,6 @@ class Trace:
     steps: tuple[TraceStep, ...]
     edge_moves: int
     terminated: str  # "Optimal" | "MaxIterations"
-
-    @property
-    def loop_iterations(self) -> int:
-        # Each loop body performs exactly one edge move.
-        return self.edge_moves
 
     @property
     def vertices_visited(self) -> int:
@@ -368,15 +353,13 @@ def active_set_run(
     f: QuadraticObjective,
     x0: Sequence,
     rule: PivotRule,
-    max_iter: int | None = None,
+    max_iter: int,
 ) -> Trace:
     """The Trace of ``walk`` from the simple vertex x0 until locally optimal.
 
     NotAVertex unless x0 is feasible with exactly d tight rows.  Hitting the
-    iteration cap is reported in the trace, not raised.
+    iteration cap of ``max_iter`` moves is reported in the trace, not raised.
     """
-    if max_iter is None:
-        max_iter = DEFAULT_MAX_ITER
     if f.dim != poly.dim:
         raise DimensionMismatch("objective dimension differs from polytope")
     try:
@@ -403,7 +386,7 @@ _TRACE_JSON = """{{
   "instance": {instance},
   "steps": {steps},
   "edge_moves": {moves},
-  "loop_iterations": {loops},
+  "loop_iterations": {moves},
   "terminated": {terminated}
 }}"""
 _STEP_JSON = """{{
@@ -426,19 +409,14 @@ def _check_one_per_step(trace: Trace, values: Sequence, what: str) -> None:
         raise DimensionMismatch(f"{len(values)} {what} for {len(trace.steps)} trace steps")
 
 
-def trace_to_json(
-    trace: Trace,
-    instance: dict | None = None,
-    t_values: Sequence[int | None] | None = None,
-) -> str:
+def trace_to_json(trace: Trace, instance: dict | None, t_values: Sequence[int | None]) -> str:
     """JSON form of a trace, steps labelled by ``t_values``; rationals stay ``p/q``.
 
     Exactly the text of ``json.dumps(..., indent=2)``, written directly from
     the integer state: rationals render as ``p/q`` or ``p`` strings, which need
-    no escaping.  ``t_values`` has one label per step (else DimensionMismatch).
+    no escaping.  ``t_values`` has one label per step (else DimensionMismatch),
+    and ``loop_iterations`` is ``edge_moves``: each loop body makes one move.
     """
-    if t_values is None:
-        t_values = [None] * len(trace.steps)
     _check_one_per_step(trace, t_values, "t values")
     steps = []
     for step, t in zip(trace.steps, t_values):
@@ -459,7 +437,6 @@ def trace_to_json(
         instance=json.dumps(instance, indent=2).replace("\n", "\n  "),
         steps="[\n    " + ",\n    ".join(steps) + "\n  ]" if steps else "[]",
         moves=trace.edge_moves,
-        loops=trace.loop_iterations,
         terminated=json.dumps(trace.terminated),
     )
 
@@ -468,7 +445,6 @@ def trace_plot_rows(
     trace: Trace,
     ext: ExtendedParabola,
     phi_values: Sequence[tuple[int, int]],
-    significant_digits: int = 12,
 ) -> list[tuple[str, str, str, str]]:
     """CSV rows (t, phi, phi_prime, f) from the steps' ``phi_values``; decimals only here.
 
@@ -482,9 +458,9 @@ def trace_plot_rows(
         rows.append(
             (
                 "" if t is None else str(t),
-                decimal_text(*phi, significant_digits),
-                decimal_text(*ext.phi_prime.scaled_at(step.nums, step.denom), significant_digits),
-                exactla.to_decimal(step.f_value, significant_digits),
+                decimal_text(*phi),
+                decimal_text(*ext.phi_prime.scaled_at(step.nums, step.denom)),
+                decimal_text(step.f_value.numerator, step.f_value.denominator),
             )
         )
     return rows

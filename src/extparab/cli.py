@@ -1,10 +1,11 @@
 """Command-line front end: build / verify / run / scan / report.
 
 Stable contracts for scripting and CI: exit code 0 on success, 1 when a
-verification or certificate check fails, 2 on usage errors (bad parameters,
-unknown rule, scan cap refusal).  All file outputs keep exact ``p/q``
-rationals except the plotting/experiment CSVs, which render decimals at a
-configurable precision.
+verification or certificate check fails, a run stops at --max-iter or a file
+cannot be written, 2 on usage errors (bad parameters, unknown rule, scan cap
+refusal).  All file outputs keep exact ``p/q`` rationals except the
+plotting/experiment CSVs: the plot CSV renders decimals to 12 significant
+digits, the experiment CSV its wall times to 3 decimals.
 """
 
 from __future__ import annotations

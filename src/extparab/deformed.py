@@ -63,7 +63,7 @@ class Functional:
 
     @classmethod
     def coordinate(cls, dim: int, index: int) -> "Functional":
-        return cls(exactla.unit(dim, index))
+        return cls(tuple(int(j == index) for j in range(dim)))
 
 
 def dp_hrep(
@@ -72,7 +72,6 @@ def dp_hrep(
     fiber_rows: Matrix,
     beta: Vector,
     beta_prime: Vector,
-    fiber_labels: Sequence[str] | None = None,
 ) -> HPolytope:
     """H-representation of the deformed product in R^{d+r}.
 
@@ -87,18 +86,14 @@ def dp_hrep(
     beta_prime = exactla.vec(beta_prime)
     if not (len(fiber_rows) == len(beta) == len(beta_prime)):
         raise DimensionMismatch("fiber rows and right-hand sides must align")
-    r = len(fiber_rows[0])
-    zero_tail = exactla.zeros(r)
-    new_rows = [tuple(row) + zero_tail for row in poly.A]
+    zero_tail = (Fraction(0),) * len(fiber_rows[0])
+    new_rows = [row + zero_tail for row in poly.A]
     new_rhs = list(poly.b)
     for i, row in enumerate(fiber_rows):
-        deformation = exactla.vscale(beta[i] - beta_prime[i], phi.coeffs)
-        new_rows.append(deformation + tuple(row))
+        deformation = tuple((beta[i] - beta_prime[i]) * a for a in phi.coeffs)
+        new_rows.append(deformation + row)
         new_rhs.append(beta[i])
-    if fiber_labels is None:
-        fiber_labels = tuple(f"fiber{i}" for i in range(len(fiber_rows)))
-    labels = poly.facet_labels + tuple(fiber_labels)
-    return HPolytope(tuple(new_rows), tuple(new_rhs), labels)
+    return HPolytope(tuple(new_rows), tuple(new_rhs))
 
 
 def dp_vrep(

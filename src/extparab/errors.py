@@ -40,10 +40,6 @@ class BadParameters(ExtparabError):
     """Construction parameters violate a stated precondition."""
 
 
-class NotOnParabola(ExtparabError):
-    """A point does not satisfy y = x^2 - x exactly."""
-
-
 class NotSorted(ExtparabError):
     """Vertex parameters are not strictly increasing."""
 

@@ -1,4 +1,4 @@
-"""Exact rational scalars, vectors, matrices and integer inverses.
+"""Exact rational scalars and vectors, primitive integer vectors and integer inverses.
 
 Everything downstream computes over arbitrary-precision rationals: tightness
 tests (A_i . x = b_i) and the projection identities must hold with zero
@@ -8,32 +8,32 @@ scalar type is the stdlib ``fractions.Fraction``, which is already canonical
 the text form used in every file format of this package.
 
 Vectors are tuples of Fractions and matrices are tuples of row tuples, so all
-values are immutable and safe to share.  Dimensions stay small (d <= ~20,
-m = 2d), so the containers are dense.  The hot kernels work on plain ints
-instead: ``dot`` accumulates one integer numerator and denominator, and
-``primitive`` of an integer vector never builds a Fraction (and returns a
-vector of content 1 as it is).  ``int_inverse_scaled`` has two paths.  Given
-the columns for a matrix that differs in one row, it pivots them by that row
-in one fraction-free rank-one update, which leaves every column the new row
-annihilates as it was; this is how an edge walk, which swaps one tight row per
-move, gets each vertex's inverse from the last one's.  Otherwise it eliminates
-[A | I], skipping the rows an elimination step leaves unchanged, which on the
-tower's sparse tight matrices is most of them.  That elimination loop, run on
-the matrix alone, is also the full-rank test (``is_nonsingular``) wherever
-the package needs one.  ``rational_texts`` and ``decimal_text`` format ints.
+values are immutable and safe to share; ``vec`` and ``mat`` coerce inputs to
+them.  Dimensions stay small (d <= ~20, m = 2d), so the containers are dense.
+The hot kernels work on plain ints instead: ``dot`` accumulates one integer
+numerator and denominator, ``common_denominator`` puts rationals over one
+integer denominator, and ``primitive`` divides an integer vector by its
+content (and returns a vector of content 1 as it is).  ``int_inverse_scaled``
+has two paths.  Given the columns for a matrix that differs in one row, it
+pivots them by that row in one fraction-free rank-one update, which leaves
+every column the new row annihilates as it was; this is how an edge walk,
+which swaps one tight row per move, gets each vertex's inverse from the last
+one's.  Otherwise it eliminates [A | I], skipping the rows an elimination
+step leaves unchanged, which on the tower's sparse tight matrices is most of
+them.  That elimination loop, run on the matrix alone, is also the full-rank
+test (``is_nonsingular``) wherever the package needs one.  ``rational_texts``
+and ``decimal_text`` format ints.
 """
 
 from __future__ import annotations
 
 from decimal import Context, Decimal
 from fractions import Fraction
-from functools import cache
 from math import gcd, lcm
 from typing import Iterable, Sequence
 
 from .errors import DimensionMismatch, ZeroVector
 
-Rational = Fraction
 Vector = tuple[Fraction, ...]
 Matrix = tuple[Vector, ...]
 
@@ -62,14 +62,6 @@ def mat(rows: Iterable[Iterable]) -> Matrix:
     return converted
 
 
-def zeros(n: int) -> Vector:
-    return (Fraction(0),) * n
-
-
-def unit(n: int, i: int) -> Vector:
-    return tuple(Fraction(1 if j == i else 0) for j in range(n))
-
-
 def dot(u: Sequence, v: Sequence) -> Fraction:
     """Exact u . v of ints and Fractions, reduced once at the end."""
     if len(u) != len(v):
@@ -81,25 +73,6 @@ def dot(u: Sequence, v: Sequence) -> Fraction:
             num = num * q + a.numerator * b.numerator * den
             den *= q
     return Fraction(num, den)
-
-
-def vsub(u: Vector, v: Vector) -> Vector:
-    if len(u) != len(v):
-        raise DimensionMismatch("vector lengths differ")
-    return tuple(a - b for a, b in zip(u, v))
-
-
-def vscale(c, v: Sequence) -> Vector:
-    c = rat(c)
-    return tuple(c * a for a in v)
-
-
-def transpose(a: Matrix) -> Matrix:
-    return tuple(zip(*a))
-
-
-def outer(u: Sequence, v: Sequence) -> Matrix:
-    return tuple(tuple(rat(a) * rat(b) for b in v) for a in u)
 
 
 def rank(a: Matrix) -> int:
@@ -129,30 +102,18 @@ def rank(a: Matrix) -> int:
     return r
 
 
-def primitive(v: Sequence) -> tuple[int, ...]:
-    """Unique coprime integer vector with the direction and orientation of v.
+def primitive(v: Sequence[int]) -> tuple[int, ...]:
+    """Unique coprime integer vector with the direction and orientation of the integer vector v.
 
-    Scales by the lcm of denominators, then divides by the gcd of the
-    entries; both factors are positive so the orientation is preserved.  An
-    all-int vector skips the scaling and stays in ints.
+    Divides by the gcd of the entries, which is positive, so the orientation
+    is preserved; a vector of content 1 comes back as it is.
     """
-    try:
-        g = gcd(*v)  # TypeError unless every entry is an integer
-    except TypeError:
-        pass
-    else:
-        if g == 1:
-            return tuple(v)
-        if g == 0:
-            raise ZeroVector("primitive of the zero vector")
-        return tuple([x // g for x in v])
-    fracs = [rat(x) for x in v]
-    if all(x == 0 for x in fracs):
+    g = gcd(*v)
+    if g == 1:
+        return tuple(v)
+    if g == 0:
         raise ZeroVector("primitive of the zero vector")
-    scale = lcm(*(x.denominator for x in fracs)) if len(fracs) > 1 else fracs[0].denominator
-    ints = [int(x * scale) for x in fracs]
-    g = gcd(*ints) if len(ints) > 1 else abs(ints[0])
-    return tuple(n // g for n in ints)
+    return tuple([x // g for x in v])
 
 
 def common_denominator(values: Sequence) -> tuple[tuple[int, ...], int]:
@@ -267,22 +228,14 @@ def rational_texts(nums: Sequence[int], denom: int) -> list[str]:
     ]
 
 
-@cache
-def _decimal_context(significant_digits: int) -> Context:
-    return Context(prec=significant_digits)
+_DECIMAL = Context(prec=12)
 
 
-def decimal_text(numerator: int, denominator: int, significant_digits: int = 12) -> str:
-    """numerator/denominator as a decimal string with the given precision.
+def decimal_text(numerator: int, denominator: int) -> str:
+    """numerator/denominator as a decimal string to 12 significant digits.
 
-    The division, in one cached context per precision, is correctly rounded
-    (half even), so the text depends on the value only.  Only the CSV
-    emitters use this; every other format keeps exact ``p/q``.
+    The division is correctly rounded (half even), so the text depends on the
+    value only.  Only the CSV emitters use this; every other format keeps
+    exact ``p/q``.
     """
-    context = _decimal_context(significant_digits)
-    return str(context.divide(Decimal(numerator), Decimal(denominator)))
-
-
-def to_decimal(value: Fraction, significant_digits: int = 12) -> str:
-    """``decimal_text`` of a rational."""
-    return decimal_text(value.numerator, value.denominator, significant_digits)
+    return str(_DECIMAL.divide(Decimal(numerator), Decimal(denominator)))

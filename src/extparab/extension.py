@@ -118,10 +118,7 @@ def build(params: ConstructionParams) -> ExtendedParabola:
     expected = tuple(Fraction(t, n_fiber - 1) for t in range(n_fiber))
     if base_verts.params != expected:
         raise BadParameters("seed families do not merge into the full base grid")
-    rows, rhs = polygons.polygon_hrep(base_verts)
-    labels = tuple(f"L2:lower[{k}]" for k in range(len(rows) - 1)) + ("L2:chord",)
-    current = HPolytope(rows, rhs, labels)
-    base = current
+    current = base = HPolytope(*polygons.polygon_hrep(base_verts))
 
     levels = []
     for i in range(2, params.d, 2):
@@ -134,12 +131,7 @@ def build(params: ConstructionParams) -> ExtendedParabola:
             raise BadParameters(
                 f"fiber polygons at dimension {i} are not normally equivalent"
             )
-        fiber_labels = tuple(
-            f"L{i + 2}:lower[{k}]" for k in range(len(b_rows) - 1)
-        ) + (f"L{i + 2}:chord",)
-        current = dp_hrep(
-            current, level_functional(i), b_rows, beta, beta_prime, fiber_labels
-        )
+        current = dp_hrep(current, level_functional(i), b_rows, beta, beta_prime)
         levels.append(
             Level(
                 source_dim=i,
@@ -175,20 +167,19 @@ def build(params: ConstructionParams) -> ExtendedParabola:
     )
 
 
-def decompose_t(t: int, m_level: int, n_fiber: int | None = None) -> tuple[int, int, int]:
-    """Split a vertex index t into (fiber j, fiber l, recursive index s).
+def decompose_t(t: int, m_level: int, n_fiber: int) -> tuple[int, int, int]:
+    """Split a vertex index t in 0..N m - 1 into (fiber j, fiber l, recursive index s).
 
-    The fiber vertex is the (2j + l)-th in sorted order, with k = t // m_level
-    = 2j + l, and the recursive index is
+    N = ``n_fiber`` is the fiber size.  The fiber vertex is the (2j + l)-th in
+    sorted order, with k = t // m_level = 2j + l, and the recursive index is
 
         s = (1 - l)(t - 2 j m) + l((2j + 2) m - 1 - t),
 
-    which always lands in 0..m-1.  When the fiber size N is supplied the
-    range 0 <= t <= N m - 1 is enforced.
+    which always lands in 0..m-1.
     """
     if t < 0:
         raise OutOfRange(f"t = {t} negative")
-    if n_fiber is not None and t > n_fiber * m_level - 1:
+    if t > n_fiber * m_level - 1:
         raise OutOfRange(f"t = {t} exceeds {n_fiber}*{m_level} - 1")
     k = t // m_level
     j, l = divmod(k, 2)

@@ -50,7 +50,9 @@ SCAN_CAP_DEFAULT = 4096
 
 
 def projected_vertex(m_count: int, t: int) -> tuple[Fraction, Fraction]:
-    """Grid vertex (1/(M-1)) (t, t^2/(M-1) - t) of the shadow polygon."""
+    """Grid vertex (1/(M-1)) (t, t^2/(M-1) - t) of the shadow polygon, M >= 2."""
+    if m_count < 2:
+        raise BadParameters(f"M must be at least 2, got {m_count}")
     if not 0 <= t <= m_count - 1:
         raise OutOfRange(f"t = {t} outside 0..{m_count - 1}")
     scale = Fraction(1, m_count - 1)
@@ -58,7 +60,9 @@ def projected_vertex(m_count: int, t: int) -> tuple[Fraction, Fraction]:
 
 
 def shadow_gradient(m_count: int, point: Sequence) -> tuple[Fraction, Fraction]:
-    """Gradient (2 x1 + (3/2)/(M-1) - 1, -1) of the shadow objective."""
+    """Gradient (2 x1 + (3/2)/(M-1) - 1, -1) of the shadow objective, M >= 2."""
+    if m_count < 2:
+        raise BadParameters(f"M must be at least 2, got {m_count}")
     x1 = exactla.rat(point[0])
     return (2 * x1 + Fraction(3, 2) / (m_count - 1) - 1, Fraction(-1))
 
@@ -77,9 +81,7 @@ def chord_inner_product(m_count: int, t: int, k: int) -> Fraction:
     closed = Fraction(k, (m_count - 1) ** 2) * (Fraction(3, 2) - k)
     here = projected_vertex(m_count, t)
     there = projected_vertex(m_count, t + k)
-    direct = exactla.dot(
-        shadow_gradient(m_count, here), exactla.vsub(there, here)
-    )
+    direct = exactla.dot(shadow_gradient(m_count, here), [a - b for a, b in zip(there, here)])
     if closed != direct:
         raise InternalMismatch(
             f"closed form {closed} != direct dot {direct} at (t, k) = ({t}, {k})"
@@ -334,7 +336,7 @@ def iteration_experiment(
                 seed=seed,
                 vertices_visited=trace.vertices_visited,
                 edge_moves=trace.edge_moves,
-                loop_iterations=trace.loop_iterations,
+                loop_iterations=trace.edge_moves,
                 wall_time_ms=elapsed_ms,
             )
         )

@@ -11,9 +11,11 @@ x + y - 1, and corresponding edges of the two families have equal parameter
 sums, which makes the polygons normally equivalent: the precondition for
 deformed products.
 
-``polygon_hrep`` emits the facets in a canonical order (lower edges left to
-right, then the closing chord) so that two normally equivalent polygons share
-their constraint matrix row by row and differ only in right-hand sides.
+A polygon is given by its vertex parameters (``ParabolaVertexList``), so
+every vertex lies on the curve by construction.  ``polygon_hrep`` emits the
+facets in a canonical order (lower edges left to right, then the closing
+chord) so that two normally equivalent polygons share their constraint matrix
+row by row and differ only in right-hand sides.
 """
 
 from __future__ import annotations
@@ -21,10 +23,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
-from typing import Sequence
 
 from . import exactla
-from .errors import BadParameters, NotOnParabola, NotSorted, SizeMismatch
+from .errors import BadParameters, NotSorted, SizeMismatch
 from .exactla import Matrix, Vector
 
 Point = tuple[Fraction, Fraction]
@@ -43,7 +44,7 @@ class ParabolaVertexList:
     """Sorted parabola points, identified by their parameters.
 
     Points are derived from the parameters, so every vertex is on the curve
-    by construction; ``from_points`` validates raw coordinates instead.
+    by construction.
     """
 
     params: tuple[Fraction, ...]
@@ -64,16 +65,6 @@ class ParabolaVertexList:
     @cached_property
     def points(self) -> tuple[Point, ...]:
         return tuple(h(p) for p in self.params)
-
-    @classmethod
-    def from_points(cls, points: Sequence[Sequence]) -> "ParabolaVertexList":
-        params = []
-        for pt in points:
-            x, y = exactla.rat(pt[0]), exactla.rat(pt[1])
-            if y != x * x - x:
-                raise NotOnParabola(f"({x}, {y}) is not on y = x^2 - x")
-            params.append(x)
-        return cls(tuple(params))
 
 
 def build_family(m: int, n: int, family: str) -> ParabolaVertexList:
@@ -109,13 +100,7 @@ def merge_sorted(a: ParabolaVertexList, b: ParabolaVertexList) -> ParabolaVertex
     return ParabolaVertexList(tuple(params))
 
 
-def _as_params(verts) -> tuple[Fraction, ...]:
-    if isinstance(verts, ParabolaVertexList):
-        return verts.params
-    return ParabolaVertexList.from_points(verts).params
-
-
-def polygon_hrep(verts) -> tuple[Matrix, Vector]:
+def polygon_hrep(verts: ParabolaVertexList) -> tuple[Matrix, Vector]:
     """Canonical H-representation of the polygon on the given parabola points.
 
     Row order: for each consecutive parameter pair x < y the lower edge
@@ -124,7 +109,7 @@ def polygon_hrep(verts) -> tuple[Matrix, Vector]:
     The chord through h(x), h(y) is the line u2 = (x + y - 1) u1 - x y, and
     the polygon lies above its lower chords and below the closing one.
     """
-    params = _as_params(verts)
+    params = verts.params
     if len(params) < 3:
         raise BadParameters("polygon needs at least 3 vertices")
     rows = []
@@ -139,9 +124,10 @@ def polygon_hrep(verts) -> tuple[Matrix, Vector]:
 
 
 def _canonical_rows(rows: Matrix) -> tuple[tuple[int, ...], ...]:
-    # Outer normals compare up to positive scaling; primitive() preserves
-    # orientation, giving each row a fixed canonical representative.
-    return tuple(exactla.primitive(row) for row in rows)
+    # Outer normals compare up to positive scaling; clearing denominators and
+    # primitive() preserve orientation, giving each row a fixed canonical
+    # representative.
+    return tuple(exactla.primitive(exactla.common_denominator(row)[0]) for row in rows)
 
 
 def check_normally_equivalent(

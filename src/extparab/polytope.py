@@ -1,8 +1,7 @@
 """H-representation polytopes with exact membership, tight sets and edges.
 
-A polytope is stored as ``{x : A x <= b}`` over rationals, with one
-human-readable label per facet recording construction provenance.  Labels are
-metadata: two polytopes compare equal when A and b agree entry for entry.
+A polytope is stored as ``{x : A x <= b}`` over rationals; two polytopes
+compare equal when A and b agree entry for entry.
 
 Every row is also kept scaled to integers, dense and as its nonzeros only
 (the tower's rows have at most three).  A point is put over the lcm D of its
@@ -32,7 +31,7 @@ matching ``V-representation`` writer for vertex lists.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 from math import gcd
@@ -54,18 +53,12 @@ TightSet = tuple[int, ...]
 Edge = tuple[int, tuple[int, ...]]  # (leaving facet, primitive direction)
 
 
-@dataclass(frozen=True, eq=False)
+@dataclass(frozen=True)
 class HPolytope:
-    """Constraint system A x <= b with facet labels.
-
-    Equality and hashing use (A, b) only; facet_labels carry provenance and
-    are ignored, so a round-trip through the ``.ine`` format (which stores no
-    labels) reproduces an equal polytope.
-    """
+    """Constraint system A x <= b; equal and hashed by (A, b), as the ``.ine`` format stores it."""
 
     A: Matrix
     b: Vector
-    facet_labels: tuple[str, ...] = field(default=())
 
     def __post_init__(self):
         a = exactla.mat(self.A)
@@ -75,12 +68,8 @@ class HPolytope:
         for i, row in enumerate(a):
             if all(e == 0 for e in row):
                 raise BadParameters(f"all-zero constraint row {i}")
-        labels = tuple(self.facet_labels) or tuple(f"row{i}" for i in range(len(a)))
-        if len(labels) != len(a):
-            raise DimensionMismatch("facet label count differs from row count")
         object.__setattr__(self, "A", a)
         object.__setattr__(self, "b", rhs)
-        object.__setattr__(self, "facet_labels", labels)
 
     @property
     def num_facets(self) -> int:
@@ -89,14 +78,6 @@ class HPolytope:
     @property
     def dim(self) -> int:
         return len(self.A[0])
-
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, HPolytope):
-            return NotImplemented
-        return self.A == other.A and self.b == other.b
-
-    def __hash__(self) -> int:
-        return hash((self.A, self.b))
 
     @cached_property
     def _int_rows(self) -> tuple[tuple[tuple[int, ...], int], ...]:
@@ -218,11 +199,6 @@ class _ProvenEdges(tuple):
 
     def __setattr__(self, *_):
         raise AttributeError("a proven edge list is immutable")
-
-    __ne__ = object.__ne__
-
-    def __eq__(self, other):  # equal to the list of its pairs too
-        return tuple.__eq__(self, tuple(other) if isinstance(other, list) else other)
 
 
 def edge_directions(

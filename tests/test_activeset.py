@@ -13,8 +13,8 @@ from hypothesis import strategies as st
 
 from extparab import exactla, polytope
 from extparab.activeset import (
-    Adversarial,
     FirstIndex,
+    PivotRule,
     QuadraticObjective,
     active_set_run,
     grid_index,
@@ -48,7 +48,7 @@ def finite_difference_gradient(f, x):
     # Central differences with step 1 are exact for quadratics.
     out = []
     for i in range(len(x)):
-        e = exactla.unit(len(x), i)
+        e = [int(j == i) for j in range(len(x))]
         plus = tuple(a + b for a, b in zip(x, e))
         minus = tuple(a - b for a, b in zip(x, e))
         out.append((f.value(plus) - f.value(minus)) / 2)
@@ -115,7 +115,7 @@ def test_pullback_values_on_path(tower):
 
 def test_pullback_is_rank_one_convex(tower):
     ext, f = tower
-    assert f.quad == exactla.outer(ext.phi.coeffs, ext.phi.coeffs)
+    assert f.quad == tuple(tuple(a * b for b in ext.phi.coeffs) for a in ext.phi.coeffs)
     for direction in ((1, 0, 0, 0), (1, -2, 3, -4), (0, 0, 1, 1)):
         assert f._scaled_form(direction) >= 0
 
@@ -163,7 +163,7 @@ def test_improving_edges_instance(tower):
     ext, f = tower
     v0 = vertex_for_t(ext, 0)
     for k in (1, 7, 15):
-        chord = exactla.vsub(vertex_for_t(ext, k), v0)
+        chord = [a - b for a, b in zip(vertex_for_t(ext, k), v0)]
         expected = F(k, 225) * (F(3, 2) - k)
         assert exactla.dot(f.gradient(v0), chord) == expected
     edges = polytope.edge_directions(ext.poly, polytope.scaled_point(ext.poly, v0))
@@ -186,7 +186,6 @@ def test_run_visits_all_vertices_in_order(tower):
     assert trace.terminated == "Optimal"
     assert trace.vertices_visited == 16
     assert trace.edge_moves == 15
-    assert trace.loop_iterations == 15
     expected = [vertex_for_t(ext, t) for t in range(16)]
     assert list(trace.vertex_sequence) == expected
 
@@ -230,7 +229,7 @@ def test_run_rule_invariance(tower):
 
 def test_run_from_optimum(tower):
     ext, f = tower
-    trace = active_set_run(ext.poly, f, vertex_for_t(ext, 15), FirstIndex())
+    trace = active_set_run(ext.poly, f, vertex_for_t(ext, 15), FirstIndex(), 64)
     assert trace.terminated == "Optimal"
     assert trace.edge_moves == 0
     assert trace.vertices_visited == 1
@@ -264,32 +263,43 @@ def test_run_rejects_non_vertex_start(tower):
         (a + b) / 2 for a, b in zip(vertex_for_t(ext, 0), vertex_for_t(ext, 1))
     )
     with pytest.raises(NotAVertex):
-        active_set_run(ext.poly, f, interior, FirstIndex())
+        active_set_run(ext.poly, f, interior, FirstIndex(), 64)
 
 
 def test_rule_is_offered_the_integer_state(tower):
     ext, f = tower
     offered = []
 
-    def first(candidates, vertex):
-        offered.append(vertex)
-        return candidates[0]
+    class Recording(PivotRule):
+        def choose_direction(self, candidates, vertex):
+            offered.append(vertex)
+            return candidates[0]
 
-    trace = active_set_run(ext.poly, f, vertex_for_t(ext, 0), Adversarial(first), 64)
+    trace = active_set_run(ext.poly, f, vertex_for_t(ext, 0), Recording(), 64)
     assert all(isinstance(vertex, polytope.ScaledPoint) for vertex in offered)
     assert [vertex.coords for vertex in offered] == list(trace.vertex_sequence[:-1])
 
 
 def test_run_rejects_rule_contract_violation(tower):
     ext, f = tower
-    cheat = Adversarial(lambda candidates, vertex: ("bogus", (0, 0, 0, 0)))
+
+    class Cheat(PivotRule):
+        def choose_direction(self, candidates, vertex):
+            return ("bogus", (0, 0, 0, 0))
+
     with pytest.raises(UnknownRule):
-        active_set_run(ext.poly, f, vertex_for_t(ext, 0), cheat, 64)
+        active_set_run(ext.poly, f, vertex_for_t(ext, 0), Cheat(), 64)
 
 
 def test_make_rule_unknown():
     with pytest.raises(UnknownRule):
         make_rule("steepest")
+
+
+def test_named_rules_pick_first_last_and_middle():
+    candidates = ["a", "b", "c", "d", "e"]
+    names = ("first", "last", "adversarial")
+    assert [make_rule(name).choose_direction(candidates, None) for name in names] == ["a", "e", "c"]
 
 
 def test_seeded_random_is_deterministic():
@@ -383,7 +393,7 @@ def test_runner_checks_survive_optimize_flag():
         "f = pullback_objective(ext)\n"
         "def run(poly=ext.poly, objective=f, start=vertex_for_t(ext, 0)):\n"
         "    try:\n"
-        "        active_set_run(poly, objective, start, make_rule('first'))\n"
+        "        active_set_run(poly, objective, start, make_rule('first'), 64)\n"
         "    except (NotAVertex, InternalMismatch, DegenerateVertex) as exc:\n"
         "        print(f'{type(exc).__name__}: {exc}')\n"
         "    else:\n"

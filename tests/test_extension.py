@@ -72,14 +72,14 @@ def test_build_base_quadrilateral():
 
 
 def test_decompose_examples():
-    assert decompose_t(7, 4) == (0, 1, 0)
-    assert decompose_t(4, 4) == (0, 1, 3)
-    assert decompose_t(0, 4) == (0, 0, 0)
+    assert decompose_t(7, 4, 4) == (0, 1, 0)
+    assert decompose_t(4, 4, 4) == (0, 1, 3)
+    assert decompose_t(0, 4, 4) == (0, 0, 0)
 
 
 def test_decompose_range_checks():
     with pytest.raises(OutOfRange):
-        decompose_t(-1, 4)
+        decompose_t(-1, 4, 4)
     with pytest.raises(OutOfRange):
         decompose_t(16, 4, n_fiber=4)
     decompose_t(15, 4, n_fiber=4)  # boundary is fine

@@ -22,7 +22,7 @@ The trace and plot writers read the steps' integer state; every text they
 write must equal the one derived from the step's Fraction vertex with
 ``ext.phi``, ``ext.phi_prime``, ``str(Fraction)``, ``grid_index`` and
 ``reference_to_decimal``, the decimal rendering in a local context per value
-that ``exactla.to_decimal`` used to be.
+that ``exactla.decimal_text`` replaced.
 """
 
 import json
@@ -34,7 +34,6 @@ import pytest
 
 from extparab import exactla, polytope
 from extparab.activeset import (
-    DEFAULT_MAX_ITER,
     QuadraticObjective,
     Trace,
     TraceStep,
@@ -161,7 +160,7 @@ def test_hot_path_matches_reference_at_every_vertex(n, d):
         assert polytope.tight_set(poly, v) == reference_tight_set(poly, v), t
         point = polytope.scaled_point(poly, v)
         assert point.coords == v and point.tight == reference_tight_set(poly, v), t
-        assert polytope.edge_directions(poly, point) == reference_edge_directions(poly, v), t
+        assert list(polytope.edge_directions(poly, point)) == reference_edge_directions(poly, v), t
         assert polytope.is_simple_vertex(poly, v) and reference_is_simple_vertex(poly, v), t
 
 
@@ -223,10 +222,8 @@ def reference_line_search(f, x, direction, mu_max):
     return min(candidates)
 
 
-def reference_active_set_run(poly, f, x0, rule, max_iter=None):
+def reference_active_set_run(poly, f, x0, rule, max_iter):
     """The active-set loop over Fraction points, with every check of the runner."""
-    if max_iter is None:
-        max_iter = DEFAULT_MAX_ITER
     if f.dim != poly.dim:
         raise DimensionMismatch("objective dimension differs from polytope")
     x = exactla.vec(x0)
@@ -281,10 +278,10 @@ RULES = ("first", "last", "random", "adversarial")
 def test_runner_trace_matches_reference_on_towers(n, d):
     ext = build(ConstructionParams(n=n, d=d))
     f = pullback_objective(ext)
-    start = vertex_for_t(ext, 0)
+    start, cap = vertex_for_t(ext, 0), 4 * ext.params.vertex_count
     for name in RULES:
-        trace = active_set_run(ext.poly, f, start, make_rule(name, 5))
-        assert trace == reference_active_set_run(ext.poly, f, start, make_rule(name, 5)), name
+        trace = active_set_run(ext.poly, f, start, make_rule(name, 5), cap)
+        assert trace == reference_active_set_run(ext.poly, f, start, make_rule(name, 5), cap), name
         assert trace.terminated == "Optimal"
         assert trace.vertices_visited == ext.params.vertex_count
 
@@ -319,8 +316,8 @@ CUBE_OBJECTIVES = {
 def test_runner_trace_matches_reference_on_cut_cube(objective, rule):
     f = CUBE_OBJECTIVES[objective]
     start = (0, 0, 0)
-    trace = active_set_run(CUT_CUBE, f, start, make_rule(rule, 3))
-    assert trace == reference_active_set_run(CUT_CUBE, f, start, make_rule(rule, 3))
+    trace = active_set_run(CUT_CUBE, f, start, make_rule(rule, 3), 64)
+    assert trace == reference_active_set_run(CUT_CUBE, f, start, make_rule(rule, 3), 64)
     assert trace.terminated == "Optimal" and trace.edge_moves >= 2
 
 
@@ -330,7 +327,7 @@ def test_runner_raises_like_reference_at_an_interior_stop():
     f = QuadraticObjective(quad=((-1, 0, 0), (0, 0, 0), (0, 0, 0)), linear=(1, 0, 0))
     for run in (active_set_run, reference_active_set_run):
         with pytest.raises(NotAVertex):
-            run(CUT_CUBE, f, (0, 0, 0), make_rule("first"))
+            run(CUT_CUBE, f, (0, 0, 0), make_rule("first"), 64)
 
 
 def _checking_pivots(monkeypatch, record):
@@ -341,7 +338,7 @@ def _checking_pivots(monkeypatch, record):
         edges = enumerate_edges(poly, point, previous)
         if previous is not None:
             assert edges == enumerate_edges(poly, point)
-            assert edges == reference_edge_directions(poly, point.coords)
+            assert list(edges) == reference_edge_directions(poly, point.coords)
         record.append(previous is not None)
         return edges
 
@@ -359,7 +356,7 @@ def test_pivoted_edges_match_elimination_on_every_walk(n, d, monkeypatch):
     _checking_pivots(monkeypatch, pivoted)
     for name in RULES:
         pivoted.clear()
-        trace = active_set_run(ext.poly, f, start, make_rule(name, 5))
+        trace = active_set_run(ext.poly, f, start, make_rule(name, 5), 4 * ext.params.vertex_count)
         assert pivoted == [False] + [True] * trace.edge_moves, name
     pivoted.clear()
     certificate = monotone_path_check(ext, f)
@@ -373,7 +370,7 @@ def test_pivoted_edges_match_elimination_on_cut_cube(objective, monkeypatch):
     _checking_pivots(monkeypatch, pivoted)
     for name in RULES:
         pivoted.clear()
-        trace = active_set_run(CUT_CUBE, CUBE_OBJECTIVES[objective], (0, 0, 0), make_rule(name, 3))
+        trace = active_set_run(CUT_CUBE, CUBE_OBJECTIVES[objective], (0, 0, 0), make_rule(name, 3), 64)
         assert pivoted == [False] + [True] * trace.edge_moves, name
 
 
@@ -399,7 +396,7 @@ def trace_to_json_dict(trace, instance=None, t_values=None):
         "instance": instance,
         "steps": steps,
         "edge_moves": trace.edge_moves,
-        "loop_iterations": trace.loop_iterations,
+        "loop_iterations": trace.edge_moves,
         "terminated": trace.terminated,
     }
 
@@ -408,19 +405,20 @@ def test_trace_writer_matches_json_dumps():
     ext = build(ConstructionParams(n=16, d=4))
     f = pullback_objective(ext)
     start = vertex_for_t(ext, 0)
-    full = active_set_run(ext.poly, f, start, make_rule("first"))
+    full = active_set_run(ext.poly, f, start, make_rule("first"), 64)
     capped = active_set_run(ext.poly, f, start, make_rule("first"), max_iter=3)
     on_grid = [grid_index(ext, ext.phi(step.vertex)) for step in full.steps]
     instance = {"n": 16, "d": 4, "M": 16, "c": "9/10", "note": 'quote " and \\ slash'}
     off_grid = [None if t % 3 == 1 else t for t in on_grid]
+    cube = active_set_run(CUT_CUBE, CUBE_OBJECTIVES["convex"], (0, 0, 0), make_rule("last"), 64)
     cases = [
         (full, instance, on_grid),
         (capped, instance, on_grid[:4]),
         (full, None, on_grid),
-        (full, {}, None),
+        (full, {}, [None] * len(full.steps)),
         (full, instance, off_grid),
-        (Trace(steps=(), edge_moves=0, terminated="Optimal"), None, None),
-        (active_set_run(CUT_CUBE, CUBE_OBJECTIVES["convex"], (0, 0, 0), make_rule("last")), None, None),
+        (Trace(steps=(), edge_moves=0, terminated="Optimal"), None, []),
+        (cube, None, [None] * len(cube.steps)),
     ]
     for trace, inst, t_values in cases:
         expected = json.dumps(trace_to_json_dict(trace, inst, t_values), indent=2)
@@ -472,7 +470,7 @@ def test_writers_match_fraction_references_on_towers(n, d):
     f = pullback_objective(ext)
     start = vertex_for_t(ext, 0)
     for name in RULES:
-        trace = active_set_run(ext.poly, f, start, make_rule(name, 5))
+        trace = active_set_run(ext.poly, f, start, make_rule(name, 5), 4 * ext.params.vertex_count)
         labels = check_integer_outputs(ext, trace)
         assert labels == list(range(ext.params.vertex_count)), name
 

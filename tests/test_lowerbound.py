@@ -45,6 +45,19 @@ def test_projected_vertex_out_of_range():
         projected_vertex(16, 16)
 
 
+@pytest.mark.parametrize("m_count", [1, 0, -3])
+def test_projected_vertex_refuses_fewer_than_two_vertices(m_count):
+    # M = 1 used to end in a bare ZeroDivisionError from 1/(M - 1).
+    with pytest.raises(BadParameters, match=f"M must be at least 2, got {m_count}"):
+        projected_vertex(m_count, 0)
+
+
+@pytest.mark.parametrize("m_count", [1, 0, -3])
+def test_shadow_gradient_refuses_fewer_than_two_vertices(m_count):
+    with pytest.raises(BadParameters, match=f"M must be at least 2, got {m_count}"):
+        lowerbound.shadow_gradient(m_count, (F(0), F(0)))
+
+
 def test_chord_inner_product_values():
     assert chord_inner_product(16, 0, 1) == F(1, 450)
     assert chord_inner_product(16, 0, 2) == F(-1, 225)

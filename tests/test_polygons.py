@@ -8,7 +8,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from extparab import exactla, polygons
-from extparab.errors import BadParameters, NotOnParabola, NotSorted, SizeMismatch
+from extparab.errors import BadParameters, NotSorted, SizeMismatch
 from extparab.polygons import ParabolaVertexList, build_family, h, polygon_hrep
 
 
@@ -90,11 +90,9 @@ def test_polygon_hrep_each_vertex_tight_on_two_rows():
         assert sum(1 for v in residuals if v == 0) == 2
 
 
-def test_polygon_hrep_validates_input_points():
-    with pytest.raises(NotOnParabola):
-        polygon_hrep([(0, 0), (F(1, 2), F(1, 2)), (1, 0)])
+def test_vertex_list_rejects_unsorted_parameters():
     with pytest.raises(NotSorted):
-        polygon_hrep([h(1), h(F(1, 2)), h(0)])
+        ParabolaVertexList((F(1), F(1, 2), F(0)))
 
 
 def test_vertex_list_rejects_out_of_range_parameter():
@@ -114,6 +112,11 @@ def test_vertex_list_compares_by_params_with_points_cached():
     assert [f.name for f in dataclasses.fields(a)] == ["params"]
     with pytest.raises(dataclasses.FrozenInstanceError):
         a.points = ()
+
+
+def test_canonical_rows_clear_denominators():
+    # Rows compare as primitive integer normals, up to positive scaling.
+    assert polygons._canonical_rows(((F(1, 3), F(-2, 9)), (F(-4), F(6)))) == ((3, -2), (-2, 3))
 
 
 def test_normally_equivalent_m10_n8():

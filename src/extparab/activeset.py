@@ -8,8 +8,9 @@ the gradient (``improving_edges``), follow the chosen improving edge until a
 facet blocks or the gradient along it vanishes, and repeat until no edge
 improves.  A move swaps one tight row, so each vertex's edges are pivoted
 from the last one's.  That loop is written once, as the generator ``walk``:
-``active_set_run`` records its vertices as a trace, and the path certificate
-in ``lowerbound`` checks the same moves against the construction.
+``active_set_run`` records its vertices as a trace, ``stream_trace`` writes
+them to the trace and plot files as they come, and the path certificate in
+``lowerbound`` checks the same moves against the construction.
 
 The one "for some" in that loop, which improving edge to follow, is the
 pivot-rule choice point.  Rules plug in through ``choose_direction`` and must
@@ -18,8 +19,11 @@ Adversarial are provided.
 
 Objectives are convex-or-not quadratics; with a convex one, movement along an
 improving edge stays improving up to the edge endpoint, so every iterate is a
-vertex.  The runner records the full trace: vertices, tight sets,
-directions, step lengths and objective values, plus the edge-move count.
+vertex.  A trace step holds a vertex, its tight set, the followed direction,
+the step length and the objective value.  ``step_json`` and ``plot_row``
+format one step; ``trace_to_json`` and ``trace_plot_rows`` join them over a
+whole ``Trace``, and ``stream_trace`` over batches of the walk, so ``run``'s
+memory does not depend on the number of vertices.
 
 The iterate is one integer state per vertex, ``polytope.ScaledPoint``:
 numerators over one denominator, with the slacks and tight set evaluated
@@ -39,9 +43,9 @@ from abc import ABC, abstractmethod
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
-from itertools import chain, compress, count
+from itertools import chain, compress, count, islice, repeat
 from operator import mul
-from typing import Iterator, NamedTuple, Sequence
+from typing import Iterable, Iterator, NamedTuple, Sequence, TextIO
 
 from . import exactla, polytope
 from .errors import (
@@ -291,10 +295,6 @@ class Trace:
     def vertices_visited(self) -> int:
         return len(self.steps)
 
-    @property
-    def vertex_sequence(self) -> tuple[Vector, ...]:
-        return tuple(s.vertex for s in self.steps)
-
 
 def walk(
     poly: HPolytope, f: QuadraticObjective, point: ScaledPoint, rule: PivotRule, max_iter: int
@@ -348,18 +348,8 @@ def walk(
         yield record
 
 
-def active_set_run(
-    poly: HPolytope,
-    f: QuadraticObjective,
-    x0: Sequence,
-    rule: PivotRule,
-    max_iter: int,
-) -> Trace:
-    """The Trace of ``walk`` from the simple vertex x0 until locally optimal.
-
-    NotAVertex unless x0 is feasible with exactly d tight rows.  Hitting the
-    iteration cap of ``max_iter`` moves is reported in the trace, not raised.
-    """
+def start_point(poly: HPolytope, f: QuadraticObjective, x0: Sequence) -> ScaledPoint:
+    """x0 as ``walk``'s start: NotAVertex unless it is feasible with exactly d tight rows."""
     if f.dim != poly.dim:
         raise DimensionMismatch("objective dimension differs from polytope")
     try:
@@ -368,9 +358,18 @@ def active_set_run(
         raise NotAVertex("start point is not feasible") from None
     if len(point.tight) != poly.dim:
         raise NotAVertex(f"start point has {len(point.tight)} tight rows, need {poly.dim}")
+    return point
 
+
+def active_set_run(
+    poly: HPolytope, f: QuadraticObjective, x0: Sequence, rule: PivotRule, max_iter: int
+) -> Trace:
+    """The Trace of ``walk`` from the simple vertex x0 (``start_point``) until locally optimal.
+
+    Hitting the iteration cap of ``max_iter`` moves is reported in the trace, not raised.
+    """
     steps = []
-    for _, improving, step in walk(poly, f, point, rule, max_iter):
+    for _, improving, step in walk(poly, f, start_point(poly, f, x0), rule, max_iter):
         steps.append(step)
     terminated = "MaxIterations" if improving else "Optimal"
     return Trace(steps=tuple(steps), edge_moves=len(steps) - 1, terminated=terminated)
@@ -380,15 +379,17 @@ def active_set_run(
 # Serialization
 
 
-# The layout json.dumps(..., indent=2) gives a trace document and its steps.
-# A step's arrays are never empty: _ITEMS joins their items, _DIRECTION wraps one.
-_TRACE_JSON = """{{
+# The layout json.dumps(..., indent=2) gives a trace document, cut around its
+# steps array, and a step.  A step's arrays are never empty: _ITEMS joins
+# their items, _DIRECTION wraps one.
+_TRACE_HEAD, _TRACE_TAIL = """{{
   "instance": {instance},
   "steps": {steps},
   "edge_moves": {moves},
   "loop_iterations": {moves},
   "terminated": {terminated}
-}}"""
+}}""".split("{steps}")
+_STEPS_OPEN, _STEPS_SEP, _STEPS_CLOSE = "[\n    ", ",\n    ", "\n  ]"
 _STEP_JSON = """{{
       "t": {t},
       "vertex": [
@@ -402,6 +403,7 @@ _STEP_JSON = """{{
       "f": "{f}"
     }}"""
 _ITEMS, _DIRECTION = ",\n" + " " * 8, "[\n        {}\n      ]"
+_BATCH = 512  # steps that stream_trace formats and writes with one join
 
 
 def _check_one_per_step(trace: Trace, values: Sequence, what: str) -> None:
@@ -409,8 +411,38 @@ def _check_one_per_step(trace: Trace, values: Sequence, what: str) -> None:
         raise DimensionMismatch(f"{len(values)} {what} for {len(trace.steps)} trace steps")
 
 
+def _trace_head(instance: dict | None) -> str:
+    return _TRACE_HEAD.format(instance=json.dumps(instance, indent=2).replace("\n", "\n  "))
+
+
+def step_json(step: TraceStep, t: int | None) -> str:
+    """One step's object in the trace JSON, labelled ``t``."""
+    direction, mu = step.direction, step.mu
+    return _STEP_JSON.format(
+        t="null" if t is None else t,
+        vertex=f'"{_ITEMS}"'.join(rational_texts(step.nums, step.denom)),
+        active=_ITEMS.join(map(str, step.tight)),
+        direction="null"
+        if direction is None
+        else _DIRECTION.format(_ITEMS.join(map(str, direction))),
+        mu="null" if mu is None else f'"{mu}"',
+        f=step.f_value,
+    )
+
+
+def plot_row(ext: ExtendedParabola, step: TraceStep, phi: tuple[int, int], t: int | None) -> tuple:
+    """One step's CSV strings (t, phi, phi_prime, f) from its phi pair and t label."""
+    f = step.f_value
+    return (
+        "" if t is None else str(t),
+        decimal_text(*phi),
+        decimal_text(*ext.phi_prime.scaled_at(step.nums, step.denom)),
+        decimal_text(f.numerator, f.denominator),
+    )
+
+
 def trace_to_json(trace: Trace, instance: dict | None, t_values: Sequence[int | None]) -> str:
-    """JSON form of a trace, steps labelled by ``t_values``; rationals stay ``p/q``.
+    """JSON form of a trace, its steps' ``step_json`` labelled by ``t_values``.
 
     Exactly the text of ``json.dumps(..., indent=2)``, written directly from
     the integer state: rationals render as ``p/q`` or ``p`` strings, which need
@@ -418,52 +450,46 @@ def trace_to_json(trace: Trace, instance: dict | None, t_values: Sequence[int | 
     and ``loop_iterations`` is ``edge_moves``: each loop body makes one move.
     """
     _check_one_per_step(trace, t_values, "t values")
-    steps = []
-    for step, t in zip(trace.steps, t_values):
-        direction, mu = step.direction, step.mu
-        steps.append(
-            _STEP_JSON.format(
-                t="null" if t is None else t,
-                vertex=f'"{_ITEMS}"'.join(rational_texts(step.nums, step.denom)),
-                active=_ITEMS.join(map(str, step.tight)),
-                direction="null"
-                if direction is None
-                else _DIRECTION.format(_ITEMS.join(map(str, direction))),
-                mu="null" if mu is None else f'"{mu}"',
-                f=step.f_value,
-            )
-        )
-    return _TRACE_JSON.format(
-        instance=json.dumps(instance, indent=2).replace("\n", "\n  "),
-        steps="[\n    " + ",\n    ".join(steps) + "\n  ]" if steps else "[]",
-        moves=trace.edge_moves,
-        terminated=json.dumps(trace.terminated),
-    )
+    steps = _STEPS_SEP.join(map(step_json, trace.steps, t_values))
+    steps = _STEPS_OPEN + steps + _STEPS_CLOSE if steps else "[]"
+    tail = _TRACE_TAIL.format(moves=trace.edge_moves, terminated=json.dumps(trace.terminated))
+    return _trace_head(instance) + steps + tail
 
 
 def trace_plot_rows(
-    trace: Trace,
-    ext: ExtendedParabola,
-    phi_values: Sequence[tuple[int, int]],
+    trace: Trace, ext: ExtendedParabola, phi_values: Sequence[tuple[int, int]]
 ) -> list[tuple[str, str, str, str]]:
-    """CSV rows (t, phi, phi_prime, f) from the steps' ``phi_values``; decimals only here.
-
-    ``phi_values`` has one integer pair per step, as ``Functional.scaled_at``
-    gives it (DimensionMismatch otherwise), and phi' is read off the steps.
-    """
+    """The steps' ``plot_row`` from ``phi_values``, one ``Functional.scaled_at`` pair
+    per step (DimensionMismatch otherwise); decimals only here."""
     _check_one_per_step(trace, phi_values, "phi values")
-    rows = []
-    for step, phi in zip(trace.steps, phi_values):
-        t = grid_index(ext, *phi)
-        rows.append(
-            (
-                "" if t is None else str(t),
-                decimal_text(*phi),
-                decimal_text(*ext.phi_prime.scaled_at(step.nums, step.denom)),
-                decimal_text(step.f_value.numerator, step.f_value.denominator),
-            )
-        )
-    return rows
+    return [plot_row(ext, s, phi, grid_index(ext, *phi)) for s, phi in zip(trace.steps, phi_values)]
+
+
+def stream_trace(
+    records: Iterable, ext: ExtendedParabola, instance: dict, trace_out: TextIO, plot_out: TextIO
+) -> tuple[int, str]:
+    """Write a ``walk`` on ``ext`` (one record or more) as trace JSON and plot CSV.
+
+    The text is ``trace_to_json`` of ``active_set_run``'s trace plus a newline,
+    and a header over its ``trace_plot_rows``, formatted ``_BATCH`` steps at a
+    time.  Each step's phi and t label are evaluated once, for both files.
+    Returns (vertices visited, terminated)."""
+    records = iter(records)
+    trace_out.write(_trace_head(instance) + _STEPS_OPEN)
+    plot_out.write("t,phi,phi_prime,f\n")
+    visited, separator = 0, ""
+    while batch := list(islice(records, _BATCH)):
+        steps = [step for _, _, step in batch]
+        phis = [ext.phi.scaled_at(step.nums, step.denom) for step in steps]
+        labels = [grid_index(ext, *phi) for phi in phis]
+        trace_out.write(separator + _STEPS_SEP.join(map(step_json, steps, labels)))
+        rows = map(plot_row, repeat(ext), steps, phis, labels)
+        plot_out.write("".join(",".join(row) + "\n" for row in rows))
+        visited, separator, improving = visited + len(batch), _STEPS_SEP, batch[-1][1]
+    terminated = "MaxIterations" if improving else "Optimal"
+    tail = _TRACE_TAIL.format(moves=visited - 1, terminated=json.dumps(terminated))
+    trace_out.write(_STEPS_CLOSE + tail + "\n")
+    return visited, terminated
 
 
 def grid_index(ext: ExtendedParabola, numerator, denominator: int = 1) -> int | None:

@@ -5,14 +5,18 @@ verification or certificate check fails, a run stops at --max-iter or a file
 cannot be written, 2 on usage errors (bad parameters, unknown rule, scan cap
 refusal).  All file outputs keep exact ``p/q`` rationals except the
 plotting/experiment CSVs: the plot CSV renders decimals to 12 significant
-digits, the experiment CSV its wall times to 3 decimals.
+digits, the experiment CSV its wall times to 3 decimals.  ``run`` writes its
+trace and plot as the walk goes, so its memory does not depend on M, under
+``.part`` names that take the final names only when the walk has ended.
 """
 
 from __future__ import annotations
 
 import argparse
+import contextlib
 import dataclasses
 import json
+import os
 import sys
 from fractions import Fraction
 
@@ -75,10 +79,8 @@ def _inject_phi_weight_fault(ext):
     weights = list(ext.phi_prime.coeffs)
     idx = next(i for i, w in enumerate(weights) if w != 0)
     weights[idx] *= Fraction(24, 25)
-    broken = dataclasses.replace(
-        ext, phi_prime=dataclasses.replace(ext.phi_prime, coeffs=tuple(weights))
-    )
-    return broken
+    phi_prime = dataclasses.replace(ext.phi_prime, coeffs=tuple(weights))
+    return dataclasses.replace(ext, phi_prime=phi_prime)
 
 
 def cmd_build(args) -> int:
@@ -112,16 +114,13 @@ def cmd_verify(args) -> int:
         ext = _inject_phi_weight_fault(ext)
 
     report = extension.verify_construction(ext)
-    normal_equiv = []
-    for level in ext.levels:
-        normal_equiv.append(
-            {
-                "source_dim": level.source_dim,
-                "ok": polygons.check_normally_equivalent(
-                    level.fiber_start, level.fiber_end
-                ),
-            }
-        )
+    normal_equiv = [
+        {
+            "source_dim": lv.source_dim,
+            "ok": polygons.check_normally_equivalent(lv.fiber_start, lv.fiber_end),
+        }
+        for lv in ext.levels
+    ]
     level_reports = []
     stages = [2] + [lv.source_dim + 2 for lv in ext.levels]
     for dim in stages:
@@ -132,17 +131,13 @@ def cmd_verify(args) -> int:
         dp_report = deformed.dp_verify(poly, points, expected_count=params.level_m(dim))
         level_reports.append({"dim": dim, **dp_report.to_json_dict()})
 
+    ok = report.ok and all(e["ok"] for e in normal_equiv) and all(e["ok"] for e in level_reports)
     combined = {
         "construction": report.to_json_dict(),
         "normal_equivalence": normal_equiv,
         "stage_vertex_checks": level_reports,
+        "ok": ok,
     }
-    ok = (
-        report.ok
-        and all(e["ok"] for e in normal_equiv)
-        and all(e["ok"] for e in level_reports)
-    )
-    combined["ok"] = ok
     text = json.dumps(combined, indent=2)
     if args.out:
         with open(args.out, "w") as fh:
@@ -156,6 +151,28 @@ def cmd_verify(args) -> int:
     return 0 if ok else CHECK_FAILURE
 
 
+@contextlib.contextmanager
+def _replaced_on_success(paths: list[str]):
+    """Text files written as ``<path>.part``, renamed to ``paths`` if the block succeeds.
+
+    On an error they are removed, so earlier files at ``paths`` stay as they
+    were, and an OSError about a ``.part`` file names its final path.
+    """
+    temps = [f"{path}.part" for path in paths]
+    try:
+        with contextlib.ExitStack() as stack:
+            yield [stack.enter_context(open(temp, "w")) for temp in temps]
+        for temp, path in zip(temps, paths):
+            os.replace(temp, path)
+    except BaseException as exc:
+        for temp in temps:
+            with contextlib.suppress(OSError):
+                os.remove(temp)
+        if isinstance(exc, OSError) and exc.filename in temps:
+            raise OSError(exc.errno, exc.strerror, paths[temps.index(exc.filename)]) from None
+        raise
+
+
 def cmd_run(args) -> int:
     params = _params_from_args(args)
     ext = extension.build(params)
@@ -163,32 +180,19 @@ def cmd_run(args) -> int:
     rule = activeset.make_rule(args.rule, args.seed)
     m_top = params.vertex_count
     max_iter = args.max_iter if args.max_iter is not None else 4 * m_top
-    start = extension.vertex_for_t(ext, 0)
-    trace = activeset.active_set_run(ext.poly, f, start, rule, max_iter=max_iter)
-
-    instance = {
-        "n": params.n,
-        "d": params.d,
-        "M": m_top,
-        "c": str(activeset.objective_constant(m_top)),
-    }
-    phis = [ext.phi.scaled_at(step.nums, step.denom) for step in trace.steps]
-    t_values = [activeset.grid_index(ext, *phi) for phi in phis]
+    start = activeset.start_point(ext.poly, f, extension.vertex_for_t(ext, 0))
+    c = str(activeset.objective_constant(m_top))
+    instance = {"n": params.n, "d": params.d, "M": m_top, "c": c}
     prefix = args.out or f"run_d{params.d}_{args.rule}"
-    trace_path = f"{prefix}.trace.json"
-    with open(trace_path, "w") as fh:
-        fh.write(activeset.trace_to_json(trace, instance, t_values))
-        fh.write("\n")
-    csv_path = f"{prefix}.plot.csv"
-    with open(csv_path, "w") as fh:
-        fh.write("t,phi,phi_prime,f\n")
-        for row in activeset.trace_plot_rows(trace, ext, phis):
-            fh.write(",".join(row) + "\n")
-    print(f"wrote {trace_path}")
-    print(f"wrote {csv_path}")
-    print(f"visited {trace.vertices_visited} vertices in {trace.edge_moves} moves")
-    if trace.terminated != "Optimal":
-        print(f"terminated: {trace.terminated}")
+    paths = [f"{prefix}.trace.json", f"{prefix}.plot.csv"]
+    with _replaced_on_success(paths) as (trace_out, plot_out):
+        records = activeset.walk(ext.poly, f, start, rule, max_iter)
+        visited, terminated = activeset.stream_trace(records, ext, instance, trace_out, plot_out)
+    for path in paths:
+        print(f"wrote {path}")
+    print(f"visited {visited} vertices in {visited - 1} moves")
+    if terminated != "Optimal":
+        print(f"terminated: {terminated}")
         return CHECK_FAILURE
     return 0
 
@@ -213,12 +217,10 @@ def cmd_report(args) -> int:
         if args.inject_fault == "objective-c":
             # Replace the tuned linear coefficient by 1: chords stop being
             # distinguishable from edges and the certificate must fail.
-            linear = tuple(
-                -a - b for a, b in zip(ext.phi.coeffs, ext.phi_prime.coeffs)
-            )
+            linear = tuple(-a - b for a, b in zip(ext.phi.coeffs, ext.phi_prime.coeffs))
             f = activeset.QuadraticObjective(f.quad, linear, f.constant)
         lowerbound.monotone_path_check(ext, f)
-        table = lowerbound.iteration_experiment(4 * d, d, args.rules, args.seeds, ext=ext, f=f)
+        table = lowerbound.iteration_experiment(ext, f, args.rules, args.seeds)
         if args.out:
             path = f"{args.out}_d{d}.csv"
             with open(path, "w") as fh:
@@ -227,10 +229,8 @@ def cmd_report(args) -> int:
         for row in table.rows:
             seed = "-" if row.seed is None else row.seed
             print(
-                f"d={d} rule={row.rule} seed={seed} "
-                f"vertices_visited={row.vertices_visited} "
-                f"edge_moves={row.edge_moves} "
-                f"loop_iterations={row.loop_iterations} "
+                f"d={d} rule={row.rule} seed={seed} vertices_visited={row.vertices_visited} "
+                f"edge_moves={row.edge_moves} loop_iterations={row.loop_iterations} "
                 f"wall_time_ms={row.wall_time_ms:.1f}"
             )
     return 0
@@ -247,9 +247,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_build.add_argument("--d", type=int, required=True)
     p_build.add_argument("--n", type=int, default=None, help="defaults to 4d")
     p_build.add_argument("--out", default=None, help="output path prefix")
-    p_build.add_argument(
-        "--format", choices=["ine", "ext", "json", "all"], default="all"
-    )
+    p_build.add_argument("--format", choices=["ine", "ext", "json", "all"], default="all")
     p_build.set_defaults(func=cmd_build)
 
     p_verify = sub.add_parser("verify", help="machine-check every construction claim")
@@ -257,10 +255,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_verify.add_argument("--n", type=int, default=None)
     p_verify.add_argument("--out", default=None, help="JSON report path")
     p_verify.add_argument(
-        "--inject-fault",
-        choices=["phi-weight", "vertex"],
-        default=None,
-        help=argparse.SUPPRESS,
+        "--inject-fault", choices=["phi-weight", "vertex"], default=None, help=argparse.SUPPRESS
     )
     p_verify.set_defaults(func=cmd_verify)
 
@@ -288,15 +283,10 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p_report.add_argument("--d", type=int_list, required=True, help="comma list, e.g. 4,6,8")
     p_report.add_argument("--rules", type=rule_list, default="first,last,random")
-    p_report.add_argument(
-        "--seeds", type=seed_spec, default="1..10", help="'1..10' or '1,2,3'"
-    )
+    p_report.add_argument("--seeds", type=seed_spec, default="1..10", help="'1..10' or '1,2,3'")
     p_report.add_argument("--out", default=None, help="CSV path prefix")
     p_report.add_argument(
-        "--inject-fault",
-        choices=["objective-c"],
-        default=None,
-        help=argparse.SUPPRESS,
+        "--inject-fault", choices=["objective-c"], default=None, help=argparse.SUPPRESS
     )
     p_report.set_defaults(func=cmd_report)
 

@@ -126,19 +126,15 @@ def dp_vrep(
 @dataclass(frozen=True)
 class DpVerifyReport:
     total: int
-    expected: int | None
+    expected: int
     duplicate_pairs: tuple[tuple[int, int], ...]
     infeasible: tuple[int, ...]
     non_simple: tuple[int, ...]
 
     @property
     def ok(self) -> bool:
-        return (
-            not self.duplicate_pairs
-            and not self.infeasible
-            and not self.non_simple
-            and (self.expected is None or self.total == self.expected)
-        )
+        clean = not (self.duplicate_pairs or self.infeasible or self.non_simple)
+        return clean and self.total == self.expected
 
     def to_json_dict(self) -> dict:
         return {
@@ -154,9 +150,9 @@ class DpVerifyReport:
 def dp_verify(
     hrep: HPolytope,
     points: Sequence[Sequence],
-    expected_count: int | None = None,
+    expected_count: int,
 ) -> DpVerifyReport:
-    """Check that every generated point is a distinct simple vertex of hrep."""
+    """Check that the points are ``expected_count`` distinct simple vertices of hrep."""
     pts = [exactla.vec(p) for p in points]
     seen: dict[Vector, int] = {}
     duplicates = []

@@ -44,7 +44,7 @@ from .errors import (
     OutOfRange,
     ScanCapExceeded,
 )
-from .extension import ConstructionParams, ExtendedParabola
+from .extension import ExtendedParabola
 
 SCAN_CAP_DEFAULT = 4096
 
@@ -269,27 +269,19 @@ class ExperimentTable:
 
 
 def iteration_experiment(
-    n: int,
-    d: int,
-    rules: Sequence[str],
-    seeds: Sequence[int],
-    ext: ExtendedParabola | None = None,
-    f: QuadraticObjective | None = None,
+    ext: ExtendedParabola, f: QuadraticObjective, rules: Sequence[str], seeds: Sequence[int]
 ) -> ExperimentTable:
-    """Run every rule (and every seed, for seeded rules) from vertex 0.
+    """Run every rule (and every seed, for seeded rules) on ``ext`` and ``f`` from vertex 0.
 
     Requires the n = 4d regime, in which the vertex count is 2^d.  Asserts
     that all runs produce the identical vertex sequence, visiting exactly
     2^d distinct vertices in 2^d - 1 edge moves; any deviation raises
-    CertificateFailure.  A pre-built tower (possibly corrupted, for negative
-    controls) can be passed in.
+    CertificateFailure.  The tower or objective may be corrupted, for
+    negative controls.
     """
+    n, d = ext.params.n, ext.params.d
     if n != 4 * d:
         raise BadParameters(f"iteration experiment requires n = 4d, got n={n}, d={d}")
-    if ext is None:
-        ext = extension.build(ConstructionParams(n=n, d=d))
-    if f is None:
-        f = activeset.pullback_objective(ext)
     m_top = ext.params.vertex_count
     start = extension.vertex_for_t(ext, 0)
 
@@ -308,9 +300,7 @@ def iteration_experiment(
         trace = activeset.active_set_run(ext.poly, f, start, rule, max_iter=4 * m_top)
         elapsed_ms = (time.perf_counter() - t0) * 1000.0
         if trace.terminated != "Optimal":
-            raise CertificateFailure(
-                f"{rule_name}/{seed}: terminated {trace.terminated}"
-            )
+            raise CertificateFailure(f"{rule_name}/{seed}: terminated {trace.terminated}")
         path = [(step.nums, step.denom) for step in trace.steps]  # equal iff the points are
         if reference is None:
             reference = path
@@ -318,17 +308,15 @@ def iteration_experiment(
             raise CertificateFailure(
                 f"{rule_name}/{seed}: vertex sequence differs from the first run"
             )
-        expected = 2**d
-        if trace.vertices_visited != expected:
+        if trace.vertices_visited != m_top:  # 2^d at n = 4d
             raise CertificateFailure(
-                f"{rule_name}/{seed}: visited {trace.vertices_visited} vertices, "
-                f"expected {expected}"
+                f"{rule_name}/{seed}: visited {trace.vertices_visited} vertices, expected {m_top}"
             )
-        if len(set(path)) != expected:
+        if len(set(path)) != m_top:
             raise CertificateFailure(f"{rule_name}/{seed}: repeated vertices in trace")
-        if trace.edge_moves != expected - 1:
+        if trace.edge_moves != m_top - 1:
             raise CertificateFailure(
-                f"{rule_name}/{seed}: {trace.edge_moves} moves, expected {expected - 1}"
+                f"{rule_name}/{seed}: {trace.edge_moves} moves, expected {m_top - 1}"
             )
         rows.append(
             ExperimentRow(

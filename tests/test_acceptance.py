@@ -85,7 +85,7 @@ def test_criterion_2_exponential_scaling():
             elapsed = time.perf_counter() - t0
             assert trace.terminated == "Optimal"
             assert trace.vertices_visited == 2**d
-            assert len(set(trace.vertex_sequence)) == 2**d
+            assert len({step.vertex for step in trace.steps}) == 2**d
             if d == 12:
                 assert elapsed < 60.0, f"d=12 took {elapsed:.1f}s"
 
@@ -93,8 +93,9 @@ def test_criterion_2_exponential_scaling():
 def test_criterion_3_pivot_rule_independence():
     with criterion(3, "first/last/random(10 seeds) traces bit-identical, d in 4..12"):
         for d in SCALING_DIMS:
+            ext = build(ConstructionParams(n=4 * d, d=d))
             table = lowerbound.iteration_experiment(
-                4 * d, d, ["first", "last", "random"], list(range(1, 11))
+                ext, pullback_objective(ext), ["first", "last", "random"], list(range(1, 11))
             )
             # iteration_experiment itself raises on any sequence deviation;
             # re-assert the counters here.

@@ -44,6 +44,11 @@ def tower():
     return ext, pullback_objective(ext)
 
 
+def vertex_sequence(trace):
+    """The trace's vertices as Fraction tuples (test-side reference)."""
+    return tuple(step.vertex for step in trace.steps)
+
+
 def finite_difference_gradient(f, x):
     # Central differences with step 1 are exact for quadratics.
     out = []
@@ -187,7 +192,7 @@ def test_run_visits_all_vertices_in_order(tower):
     assert trace.vertices_visited == 16
     assert trace.edge_moves == 15
     expected = [vertex_for_t(ext, t) for t in range(16)]
-    assert list(trace.vertex_sequence) == expected
+    assert list(vertex_sequence(trace)) == expected
 
 
 def test_walk_records_are_the_trace(tower):
@@ -224,7 +229,7 @@ def test_run_rule_invariance(tower):
     for name, seeds in [("last", [None]), ("adversarial", [None]), ("random", range(10))]:
         for seed in seeds:
             trace = active_set_run(ext.poly, f, start, make_rule(name, seed), 64)
-            assert trace.vertex_sequence == reference.vertex_sequence
+            assert vertex_sequence(trace) == vertex_sequence(reference)
 
 
 def test_run_from_optimum(tower):
@@ -277,7 +282,7 @@ def test_rule_is_offered_the_integer_state(tower):
 
     trace = active_set_run(ext.poly, f, vertex_for_t(ext, 0), Recording(), 64)
     assert all(isinstance(vertex, polytope.ScaledPoint) for vertex in offered)
-    assert [vertex.coords for vertex in offered] == list(trace.vertex_sequence[:-1])
+    assert [vertex.coords for vertex in offered] == list(vertex_sequence(trace)[:-1])
 
 
 def test_run_rejects_rule_contract_violation(tower):
@@ -310,7 +315,7 @@ def test_seeded_random_is_deterministic():
         active_set_run(square, f, (F(0), F(0)), make_rule("random", 42), 16)
         for _ in range(3)
     ]
-    assert runs[0].vertex_sequence == runs[1].vertex_sequence == runs[2].vertex_sequence
+    assert vertex_sequence(runs[0]) == vertex_sequence(runs[1]) == vertex_sequence(runs[2])
 
 
 def test_trace_json_schema(tower):

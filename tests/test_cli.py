@@ -4,13 +4,15 @@ import json
 import os
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import pytest
 
-from extparab import deformed, polytope
+from extparab import activeset, deformed, polytope
 from extparab.cli import main
-from extparab.extension import ConstructionParams, build
+from extparab.errors import InternalMismatch
+from extparab.extension import ConstructionParams, build, vertex_for_t
 
 
 def run_cli(argv):
@@ -136,6 +138,113 @@ def test_run_unknown_rule_is_usage_error(tmp_path, capsys):
     code = run_cli(["run", "--d", "4", "--rule", "nosuch", "--out", str(tmp_path / "x")])
     capsys.readouterr()
     assert code == 2
+
+
+def expected_run_files(n, d, rule, seed, max_iter):
+    """The trace JSON and plot CSV texts that ``trace_to_json`` and
+    ``trace_plot_rows`` give for the whole ``active_set_run`` trace."""
+    ext = build(ConstructionParams(n=n, d=d))
+    f = activeset.pullback_objective(ext)
+    rule = activeset.make_rule(rule, seed)
+    m_top = ext.params.vertex_count
+    max_iter = 4 * m_top if max_iter is None else max_iter  # as run's default
+    trace = activeset.active_set_run(ext.poly, f, vertex_for_t(ext, 0), rule, max_iter)
+    instance = {"n": n, "d": d, "M": m_top, "c": str(activeset.objective_constant(m_top))}
+    phis = [ext.phi.scaled_at(step.nums, step.denom) for step in trace.steps]
+    t_values = [activeset.grid_index(ext, *phi) for phi in phis]
+    rows = activeset.trace_plot_rows(trace, ext, phis)
+    plot = "t,phi,phi_prime,f\n" + "".join(",".join(row) + "\n" for row in rows)
+    return activeset.trace_to_json(trace, instance, t_values) + "\n", plot, trace
+
+
+@pytest.mark.parametrize(
+    "n, d, rule, seed, max_iter, batch",
+    [
+        *[(16, 4, rule, 5, None, None) for rule in activeset.RULE_NAMES],
+        *[(32, 8, rule, 5, None, None) for rule in activeset.RULE_NAMES],
+        (48, 6, "first", None, None, None),
+        (16, 4, "first", None, 0, None),
+        (16, 4, "last", None, 3, None),
+        (24, 6, "first", None, 3, None),
+        (16, 4, "first", None, None, 4),  # 16 steps: the walk ends on a batch boundary
+        (16, 4, "first", None, None, 5),  # 16 steps: the walk ends inside a batch
+        (16, 4, "first", None, 3, 4),  # 4 steps: one full batch, then MaxIterations
+        (40, 10, "first", None, 511, None),  # 512 steps: exactly one default batch
+    ],
+)
+def test_streamed_run_files_are_the_trace_writers_output(
+    tmp_path, capsys, monkeypatch, n, d, rule, seed, max_iter, batch
+):
+    if batch is not None:
+        monkeypatch.setattr(activeset, "_BATCH", batch)
+    argv = ["run", "--n", str(n), "--d", str(d), "--rule", rule, "--out", str(tmp_path / "r")]
+    argv += [] if seed is None else ["--seed", str(seed)]
+    argv += [] if max_iter is None else ["--max-iter", str(max_iter)]
+    trace_text, plot_text, trace = expected_run_files(n, d, rule, seed, max_iter)
+    assert run_cli(argv) == (0 if trace.terminated == "Optimal" else 1)
+    out = capsys.readouterr().out
+    assert f"visited {len(trace.steps)} vertices in {trace.edge_moves} moves" in out
+    assert (tmp_path / "r.trace.json").read_text() == trace_text
+    assert (tmp_path / "r.plot.csv").read_text() == plot_text
+    assert sorted(os.listdir(tmp_path)) == ["r.plot.csv", "r.trace.json"]
+
+
+@pytest.mark.parametrize("earlier", [False, True], ids=["no-earlier-files", "earlier-files"])
+def test_failed_walk_leaves_no_partial_files(tmp_path, capsys, monkeypatch, earlier):
+    # Move 600 of the d = 10 walk fails, after the first batch of 512 steps
+    # went to the temporary trace file.  Those files are removed, and files
+    # that an earlier run left at the prefix keep their content.
+    prefix = tmp_path / "r"
+    if earlier:
+        for suffix in ("trace.json", "plot.csv"):
+            (tmp_path / f"r.{suffix}").write_text(f"earlier {suffix}\n")
+    real_line_search = activeset.line_search
+    calls, partial_sizes = [], []
+
+    def failing_at_move_600(*args):
+        calls.append(None)
+        if len(calls) == 600:
+            partial_sizes.append(os.path.getsize(f"{prefix}.trace.json.part"))
+            raise InternalMismatch("injected at move 600")
+        return real_line_search(*args)
+
+    monkeypatch.setattr(activeset, "line_search", failing_at_move_600)
+    assert run_cli(["run", "--d", "10", "--out", str(prefix)]) == 1
+    captured = capsys.readouterr()
+    assert captured.err == "check failed: injected at move 600\n"
+    assert "wrote" not in captured.out
+    assert partial_sizes and partial_sizes[0] > 0
+    if earlier:
+        assert sorted(os.listdir(tmp_path)) == ["r.plot.csv", "r.trace.json"]
+        for suffix in ("trace.json", "plot.csv"):
+            assert (tmp_path / f"r.{suffix}").read_text() == f"earlier {suffix}\n"
+    else:
+        assert os.listdir(tmp_path) == []
+
+
+def test_unwritable_out_names_the_trace_path(tmp_path, capsys):
+    prefix = tmp_path / "missing" / "r"
+    assert run_cli(["run", "--d", "4", "--out", str(prefix)]) == 1
+    captured = capsys.readouterr()
+    assert captured.err == f"io error: [Errno 2] No such file or directory: '{prefix}.trace.json'\n"
+    assert captured.out == ""
+    assert os.listdir(tmp_path) == []
+
+
+def test_run_memory_does_not_grow_with_the_walk(tmp_path, capsys):
+    # The d = 12 walk has 4,096 steps.  Holding them all (a full Trace, then
+    # the 3.3 MB trace JSON as one string) peaked at about 17 MB of traced
+    # allocations; streaming them in batches peaks at about 2.8 MB, most of
+    # it the tower and one batch.  5 MB leaves room for interpreter
+    # differences and stays far below the whole-walk figure.
+    tracemalloc.start()
+    try:
+        assert run_cli(["run", "--d", "12", "--out", str(tmp_path / "r")]) == 0
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    capsys.readouterr()
+    assert peak < 5_000_000, f"run --d 12 peaked at {peak / 1e6:.1f} MB of traced allocations"
 
 
 @pytest.mark.parametrize(

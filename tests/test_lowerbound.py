@@ -356,8 +356,14 @@ def test_monotone_path_controls_survive_optimize_flag():
     ]
 
 
+def experiment_instance(n, d):
+    """The tower (n, d) and its objective, as ``cli report`` passes them."""
+    ext = build(ConstructionParams(n=n, d=d))
+    return ext, pullback_objective(ext)
+
+
 def test_iteration_experiment_d4():
-    table = iteration_experiment(16, 4, ["first", "last", "random"], [1, 2, 3])
+    table = iteration_experiment(*experiment_instance(16, 4), ["first", "last", "random"], [1, 2, 3])
     assert table.m_count == 16
     assert len(table.rows) == 2 + 3
     for row in table.rows:
@@ -370,7 +376,7 @@ def test_iteration_experiment_d4():
 
 def test_iteration_experiment_requires_4d_regime():
     with pytest.raises(BadParameters):
-        iteration_experiment(32, 4, ["first"], [])
+        iteration_experiment(*experiment_instance(32, 4), ["first"], [])
 
 
 def test_iteration_experiment_detects_corruption():
@@ -379,11 +385,11 @@ def test_iteration_experiment_detects_corruption():
     linear = tuple(-a - b for a, b in zip(ext.phi.coeffs, ext.phi_prime.coeffs))
     bad = QuadraticObjective(good.quad, linear, good.constant)
     with pytest.raises(CertificateFailure):
-        iteration_experiment(16, 4, ["first"], [], ext=ext, f=bad)
+        iteration_experiment(ext, bad, ["first"], [])
 
 
 def test_experiment_csv_columns():
-    table = iteration_experiment(16, 4, ["first"], [])
+    table = iteration_experiment(*experiment_instance(16, 4), ["first"], [])
     lines = table.to_csv().strip().splitlines()
     assert lines[0] == "rule,seed,vertices_visited,edge_moves,loop_iterations,wall_time_ms"
     assert lines[1].startswith("first,,16,15,15,")

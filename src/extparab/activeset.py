@@ -32,7 +32,7 @@ their form with denominators cleared and evaluate the gradient numerators
 (once per vertex), the curvature along an edge and the objective value on
 that state, over the nonzero rows of the quadratic part only (on the tower
 it has a single one).  The rule, the trace steps (without slacks) and the
-writers take that state too; ``TraceStep.vertex`` builds Fractions on demand.
+writers take that state too; no Fraction vertex is built on the walk.
 """
 
 from __future__ import annotations
@@ -208,8 +208,8 @@ class PivotRule(ABC):
     """Picks the improving edge the active-set loop follows.
 
     ``choose_direction`` must return one of the candidates it is offered; the
-    runner enforces this.  ``vertex`` is the runner's ``ScaledPoint`` (whose
-    ``coords`` builds the Fraction coordinates on demand).
+    runner enforces this.  ``vertex`` is the runner's ``ScaledPoint``: integer
+    numerators over one denominator, with slacks and tight rows.
     """
 
     @abstractmethod
@@ -279,10 +279,6 @@ class TraceStep(NamedTuple):
     direction: tuple[int, ...] | None
     mu: Fraction | None
     f_value: Fraction
-
-    @property
-    def vertex(self) -> Vector:
-        return tuple(Fraction(a, self.denom) for a in self.nums)
 
 
 @dataclass(frozen=True)

@@ -18,12 +18,21 @@ quadratic objective can be pulled back without recursion.
 top level into (fiber vertex (j, l), recursive index s), recurse, and append
 the interpolated fiber point.  ``verify_construction`` machine-checks every
 claimed property of the tower with zero tolerance.
+
+Each vertex is built once per tower object: the t-map keeps what it built
+(one vertex and its inner stages per ``vertex_for_t``) in a dict on the
+``ExtendedParabola`` keyed by (dim, t), and ``stage_vertices`` each stage's
+product-map list keyed by dim.  Both depend on the frozen tower's fields
+alone, and the dicts live and die with the object (``dataclasses.replace``
+starts empty ones).  The maps stay apart, so ``deformed.dp_verify`` checks a
+list the t-map did not build.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 from typing import Sequence
 
 from . import exactla, polygons, polytope
@@ -99,6 +108,16 @@ class ExtendedParabola:
     base: HPolytope
     base_vertices: ParabolaVertexList
     levels: tuple[Level, ...]
+
+    @cached_property
+    def _vertices(self) -> dict[tuple[int, int], Vector]:
+        # The t-map's vertex t of the dimension-dim stage, keyed by (dim, t).
+        return {}
+
+    @cached_property
+    def _stage_vertices(self) -> dict[int, tuple[Vector, ...]]:
+        # stage_vertices' product-map list keyed by dim, from the base grid h(t/(N-1)).
+        return {2: self.base_vertices.points}
 
 
 def level_functional(i: int) -> Functional:
@@ -198,19 +217,25 @@ def vertex_for_t(ext: ExtendedParabola, t: int) -> Vector:
 
 
 def _vertex_at_dim(ext: ExtendedParabola, dim: int, t: int) -> Vector:
+    memo = ext._vertices
+    vertex = memo.get((dim, t))
+    if vertex is not None:
+        return vertex
     if dim == 2:
-        return polygons.h(Fraction(t, ext.params.fiber_count - 1))
-    level = ext.levels[(dim - 4) // 2]
-    j, l, s = decompose_t(t, level.m_level, ext.params.fiber_count)
-    inner = _vertex_at_dim(ext, dim - 2, s)
-    sweep = Fraction(s, level.m_level - 1)
-    # x_{dim-3}, the sweep coordinate that level_functional(dim - 2) reads.
-    if inner[dim - 4] != sweep:
-        raise InternalMismatch(f"inner vertex {s} misses sweep value {sweep}")
-    v = level.fiber_start.points[2 * j + l]
-    w = level.fiber_end.points[2 * j + l]
-    tail = tuple(a + sweep * (b - a) for a, b in zip(v, w))
-    return inner + tail
+        vertex = polygons.h(Fraction(t, ext.params.fiber_count - 1))
+    else:
+        level = ext.levels[(dim - 4) // 2]
+        j, l, s = decompose_t(t, level.m_level, ext.params.fiber_count)
+        inner = _vertex_at_dim(ext, dim - 2, s)
+        sweep = Fraction(s, level.m_level - 1)
+        # x_{dim-3}, the sweep coordinate that level_functional(dim - 2) reads.
+        if inner[dim - 4] != sweep:
+            raise InternalMismatch(f"inner vertex {s} misses sweep value {sweep}")
+        v = level.fiber_start.points[2 * j + l]
+        w = level.fiber_end.points[2 * j + l]
+        vertex = inner + tuple(a + sweep * (b - a) for a, b in zip(v, w))
+    memo[dim, t] = vertex
+    return vertex
 
 
 def all_vertices(ext: ExtendedParabola) -> list[Vector]:
@@ -225,20 +250,19 @@ def stage_polytope(ext: ExtendedParabola, dim: int) -> HPolytope:
 
 
 def stage_vertices(ext: ExtendedParabola, dim: int) -> list[Vector]:
-    """All vertices of the dimension-dim stage, via the product vertex map."""
-    if dim == 2:
-        return [
-            polygons.h(Fraction(t, ext.params.fiber_count - 1))
-            for t in range(ext.params.fiber_count)
-        ]
-    level = ext.levels[(dim - 4) // 2]
-    inner = stage_vertices(ext, dim - 2)
-    return dp_vrep(
-        inner,
-        level_functional(dim - 2),
-        level.fiber_start.points,
-        level.fiber_end.points,
-    )
+    """All vertices of the dimension-dim stage, via the product vertex map (a fresh list)."""
+    memo = ext._stage_vertices
+    if dim not in memo:
+        level = ext.levels[(dim - 4) // 2]
+        memo[dim] = tuple(
+            dp_vrep(
+                stage_vertices(ext, dim - 2),
+                level_functional(dim - 2),
+                level.fiber_start.points,
+                level.fiber_end.points,
+            )
+        )
+    return list(memo[dim])
 
 
 def project(ext: ExtendedParabola, x: Sequence) -> tuple[Fraction, Fraction]:

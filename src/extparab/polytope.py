@@ -11,15 +11,20 @@ Edge enumeration and the ratio test take that state; ``step`` moves it along
 an edge in integers, reduced by gcd(D, *X).  Only ``slacks`` and the ratio
 test's minimum are built as Fractions.  The simple-vertex test decides that
 the d tight rows are independent by integer elimination
-(``exactla.is_nonsingular``).  Edge enumeration reads the edges off the
-inverse columns of the negated tight rows (``exactla.int_inverse_scaled``),
-which are the edge directions themselves: at a walk's first vertex by
-elimination, and at every later one by pivoting the edges of the vertex
-the walk just left, as they are, on the one row it swapped, since the
-new edges are -dir_i and the primitive parts of
-(A_b . dir_i) dir_f - (A_b . dir_f) dir_i after a move along dir_i that row
-b blocks.  Edges are checked in full at the first vertex, and at a pivoted
-one only where the pivot changed them.
+(``exactla.is_nonsingular``), once per polytope object and tight-row tuple:
+the verdict depends on A and the tight rows alone, and the polytope is
+frozen, so ``is_simple`` keeps it in a dict that lives and dies with the
+object.  An equal polytope built separately eliminates again, and every
+point is still located in the polytope it is checked against.
+
+Edge enumeration reads the edges off the inverse columns of the negated
+tight rows (``exactla.int_inverse_scaled``), which are the edge directions
+themselves: at a walk's first vertex by elimination, and at every later one
+by pivoting the edges of the vertex the walk just left, as they are, on the
+one row it swapped, since the new edges are -dir_i and the primitive parts
+of (A_b . dir_i) dir_f - (A_b . dir_f) dir_i after a move along dir_i that
+row b blocks.  Edges are checked in full at the first vertex, and at a
+pivoted one only where the pivot changed them.
 
 Edge enumeration raises DegenerateVertex at a non-simple vertex, because on
 the constructed instances degeneracy means a bug, not a case to handle.
@@ -103,6 +108,11 @@ class HPolytope:
             for row, rhs in self._int_rows
         )
 
+    @cached_property
+    def _simple_verdicts(self) -> dict[TightSet, bool]:
+        # is_simple's verdict per d-row tight tuple; it depends on the rows of A alone.
+        return {}
+
 
 def _sparse_dot(row: Sequence[tuple[int, int]], x: Sequence) -> int:
     """A_i . x for a row given as its (column, coefficient) nonzeros."""
@@ -123,10 +133,6 @@ class ScaledPoint(NamedTuple):
     denom: int
     slacks: list[int]
     tight: TightSet
-
-    @property
-    def coords(self) -> Vector:
-        return tuple(Fraction(a, self.denom) for a in self.nums)
 
 
 def _slack_nums(poly: HPolytope, nums: Sequence[int], denom: int) -> list[int]:
@@ -178,10 +184,18 @@ def tight_set(poly: HPolytope, x: Sequence) -> TightSet:
 
 
 def is_simple(poly: HPolytope, point: ScaledPoint) -> bool:
-    """True iff exactly d tight rows meet at the point and they have full rank."""
-    if len(point.tight) != poly.dim:
+    """True iff exactly d tight rows meet at the point and they have full rank.
+
+    The rank is decided once per tight-row tuple of this polytope object.
+    """
+    tight = point.tight
+    if len(tight) != poly.dim:
         return False
-    return exactla.is_nonsingular([poly._int_rows[i][0] for i in point.tight])
+    verdicts = poly._simple_verdicts
+    verdict = verdicts.get(tight)
+    if verdict is None:
+        verdict = verdicts[tight] = exactla.is_nonsingular([poly._int_rows[i][0] for i in tight])
+    return verdict
 
 
 def is_simple_vertex(poly: HPolytope, x: Sequence) -> bool:

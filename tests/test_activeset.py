@@ -36,6 +36,7 @@ from extparab.errors import (
 )
 from extparab.extension import ConstructionParams, build, vertex_for_t
 from extparab.polytope import HPolytope
+from test_hotpath_oracle import fraction_coords
 
 
 @pytest.fixture(scope="module")
@@ -46,7 +47,7 @@ def tower():
 
 def vertex_sequence(trace):
     """The trace's vertices as Fraction tuples (test-side reference)."""
-    return tuple(step.vertex for step in trace.steps)
+    return tuple(fraction_coords(step) for step in trace.steps)
 
 
 def finite_difference_gradient(f, x):
@@ -131,7 +132,7 @@ def test_line_search_boundary_stop(tower):
     gradient = f.gradient_at(v0.nums, v0.denom)
     edges = polytope.edge_directions(ext.poly, v0)
     facet, direction = next(
-        (fc, d) for fc, d in edges if exactla.dot(f.gradient(v0.coords), d) > 0
+        (fc, d) for fc, d in edges if exactla.dot(f.gradient(fraction_coords(v0)), d) > 0
     )
     mu_max = polytope.ratio_test(ext.poly, v0, direction)
     # convex objective: improving all the way to the boundary
@@ -203,7 +204,7 @@ def test_walk_records_are_the_trace(tower):
     trace = active_set_run(ext.poly, f, start, FirstIndex(), 64)
     records = list(walk(ext.poly, f, polytope.scaled_point(ext.poly, start), FirstIndex(), 64))
     assert tuple(step for _, _, step in records) == trace.steps
-    assert all(point.coords == step.vertex for point, _, step in records)
+    assert all(fraction_coords(point) == fraction_coords(step) for point, _, step in records)
     # A step keeps the integer state, not the slack list.
     assert all((step.nums, step.denom) == point[:2] for point, _, step in records)
     assert not any(isinstance(field, list) for _, _, step in records for field in step)
@@ -215,7 +216,8 @@ def test_walk_stops_at_max_iter(tower):
     ext, f = tower
     start = polytope.scaled_point(ext.poly, vertex_for_t(ext, 0))
     records = list(walk(ext.poly, f, start, FirstIndex(), 3))
-    assert [step.vertex for _, _, step in records] == [vertex_for_t(ext, t) for t in range(4)]
+    reached = [fraction_coords(step) for _, _, step in records]
+    assert reached == [vertex_for_t(ext, t) for t in range(4)]
     _, improving, last = records[-1]
     assert (last.direction, last.mu, len(improving)) == (None, None, 1)
     trace = active_set_run(ext.poly, f, vertex_for_t(ext, 0), FirstIndex(), 3)
@@ -246,12 +248,12 @@ def test_run_trace_invariants(tower):
     values = [s.f_value for s in trace.steps]
     assert all(a < b for a, b in zip(values, values[1:]))
     for step in trace.steps:
-        assert polytope.contains(ext.poly, step.vertex)
-        assert polytope.is_simple_vertex(ext.poly, step.vertex)
-        assert step.tight == polytope.tight_set(ext.poly, step.vertex)
+        assert polytope.contains(ext.poly, fraction_coords(step))
+        assert polytope.is_simple_vertex(ext.poly, fraction_coords(step))
+        assert step.tight == polytope.tight_set(ext.poly, fraction_coords(step))
         assert len(step.tight) == ext.poly.dim
     for a, b in zip(trace.steps, trace.steps[1:]):
-        assert a.vertex != b.vertex
+        assert fraction_coords(a) != fraction_coords(b)
 
 
 def test_run_max_iterations(tower):
@@ -282,7 +284,7 @@ def test_rule_is_offered_the_integer_state(tower):
 
     trace = active_set_run(ext.poly, f, vertex_for_t(ext, 0), Recording(), 64)
     assert all(isinstance(vertex, polytope.ScaledPoint) for vertex in offered)
-    assert [vertex.coords for vertex in offered] == list(vertex_sequence(trace)[:-1])
+    assert [fraction_coords(vertex) for vertex in offered] == list(vertex_sequence(trace)[:-1])
 
 
 def test_run_rejects_rule_contract_violation(tower):
@@ -324,7 +326,7 @@ def test_trace_json_schema(tower):
     text = trace_to_json(
         trace,
         instance={"n": 16, "d": 4, "M": 16, "c": "9/10"},
-        t_values=[grid_index(ext, ext.phi(step.vertex)) for step in trace.steps],
+        t_values=[grid_index(ext, ext.phi(fraction_coords(step))) for step in trace.steps],
     )
     doc = json.loads(text)
     assert set(doc) == {"instance", "steps", "edge_moves", "loop_iterations", "terminated"}

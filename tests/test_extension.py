@@ -8,6 +8,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from extparab import polygons
+from extparab.activeset import pullback_objective
 from extparab.errors import BadParameters, DimensionMismatch, InternalMismatch, OutOfRange
 from extparab.extension import (
     ConstructionParams,
@@ -20,6 +21,7 @@ from extparab.extension import (
     verify_construction,
     vertex_for_t,
 )
+from extparab.lowerbound import monotone_path_check
 
 
 def recompose_t(j, l, s, m_level):
@@ -148,6 +150,65 @@ def test_vertex_for_t_sweep_check_catches_misaligned_fibers():
     broken = dataclasses.replace(ext, levels=(first,) + ext.levels[1:])
     with pytest.raises(InternalMismatch, match="misses sweep value"):
         all_vertices(broken)
+
+
+def test_a_replaced_tower_does_not_reuse_the_built_vertices():
+    # The original tower's t-map has built and checked every vertex; the
+    # misaligned copy made by dataclasses.replace starts with empty memos and
+    # still fails its sweep check.
+    ext = build(ConstructionParams(n=24, d=6))
+    verts = all_vertices(ext)
+    stage_vertices(ext, 6)
+    first = dataclasses.replace(ext.levels[0], fiber_start=ext.levels[0].fiber_end)
+    broken = dataclasses.replace(ext, levels=(first,) + ext.levels[1:])
+    assert broken._vertices == {} and list(broken._stage_vertices) == [2]
+    with pytest.raises(InternalMismatch, match="misses sweep value"):
+        all_vertices(broken)
+    assert stage_vertices(broken, 6) != stage_vertices(ext, 6)
+    assert all_vertices(ext) == verts
+
+
+def test_t_map_builds_each_vertex_once_per_tower(monkeypatch):
+    # verify_construction, the path certificate's per-t vertex_for_t calls
+    # and all_vertices share one t-map: at (48, 6) its 512 + 64 + 8 stage
+    # vertices are each built once, so the base polygon's N = 8 points are
+    # the only polygons.h calls (3 x 512 when each call rebuilt its vertex).
+    ext = build(ConstructionParams(n=48, d=6))
+    for level in ext.levels:  # the fibers' own h points, built once per family
+        level.fiber_start.points, level.fiber_end.points
+    real_h, taus = polygons.h, []
+    monkeypatch.setattr(polygons, "h", lambda tau: taus.append(tau) or real_h(tau))
+    assert verify_construction(ext).ok
+    monotone_path_check(ext, pullback_objective(ext))
+    verts = all_vertices(ext)
+    assert sorted(taus) == [F(t, 7) for t in range(8)]
+    assert len(ext._vertices) == 512 + 64 + 8
+    assert verts == [ext._vertices[6, t] for t in range(512)]
+
+
+def test_one_vertex_builds_only_its_own_stages():
+    # run's single vertex_for_t(ext, 0) builds vertex 0 and its inner stage
+    # vertices, d/2 entries in all, never the M = 4,096 vertices of d = 12.
+    ext = build(ConstructionParams(n=48, d=12))
+    start = vertex_for_t(ext, 0)
+    assert sorted(ext._vertices) == [(dim, 0) for dim in range(2, 13, 2)]
+    assert vertex_for_t(ext, 0) is start and "_stage_vertices" not in vars(ext)
+
+
+def test_vertex_lists_are_fresh_for_each_caller():
+    # Callers may mutate what they get (verify's injected vertex fault does);
+    # a later call still returns the vertices as built.
+    ext = build(ConstructionParams(n=16, d=4))
+    verts, stage = all_vertices(ext), stage_vertices(ext, 4)
+    expected_verts, expected_stage = list(verts), list(stage)
+    assert all(type(v) is tuple for v in verts + stage)
+    verts[0] = verts[1]
+    verts.append(verts[2])
+    stage.reverse()
+    stage[0] = (F(1),) * 4
+    assert all_vertices(ext) == expected_verts
+    assert stage_vertices(ext, 4) == expected_stage
+    assert stage_vertices(ext, 4) is not stage_vertices(ext, 4)
 
 
 def test_project_on_grid():

@@ -3,7 +3,8 @@
 The walk digests were taken before the active-set walk moved to integer
 numerators and sparse elimination, from the Fraction-only implementation;
 the verify and build digests before the simple-vertex test left Fraction
-rank for the integer inverse and the fiber points were cached; the scan
+rank for the integer inverse and the fiber points were cached (the fault
+and d = 10 verify digests before the tower kept its vertices and verdicts); the scan
 digest before the chord scan moved from a per-pair loop to packed rows.
 A later change to the hot path that alters a single byte of a trace, a
 plot row, a path certificate, a verify report, a vertex file or a scan
@@ -59,6 +60,30 @@ VERIFY_REPORTS = {
     "d8": (["--d", "8"], "23b0be8f5e98382bc64b91854d762dde9a8dd32b97de6e3181ada39e8a0d519d"),
     "n48-d6": (["--n", "48", "--d", "6"], "460d8af8876f3673f07725fd9ce5b25376d08fa1e29e619e4dc756740416a6e1"),
 }
+# verify's two injected faults (exit 1) and the d = 10 tower: the report and
+# stdout, with the report's path written as <report>.  Taken before the tower
+# kept the vertices it built and its simple-vertex verdicts, which a stale
+# entry would let a fault slip past.
+VERIFY_OTHER = {
+    "d4-vertex-fault": (
+        ["--d", "4", "--inject-fault", "vertex"],
+        1,
+        "89a123e2dfb62e11b2decb173c989266ce9f1eb2ff0302a8cdf317b0e0d05f63",
+        "a98c1aa5f436fd32e803fddbf5e62e651659bfcc01af6eb20923a0e89cfe7419",
+    ),
+    "d4-phi-weight-fault": (
+        ["--d", "4", "--inject-fault", "phi-weight"],
+        1,
+        "40d8d7e793039fab1d0d2feeec3d2e17504c8de40a1ca57b820237618a2342ba",
+        "f74e66c7993e28781ae538c84c295c5e2e21a1b1aa5a2481a558a9397a0ea90a",
+    ),
+    "d10": (
+        ["--d", "10"],
+        0,
+        "112c5579ed9e285c26cafbad29def45b3d046f8687084e88bd008a65c9453586",
+        "31ef217fcc36798dd8f9644556546d66a53e7f243b0e7dc55ea9eddd17ceb27b",
+    ),
+}
 BUILD_D8_EXT = "db14e4b67eac32563a2cee34ee3c750154de7fed8f6bce8fa908656bee5f55e0"
 SCAN_M4096 = "1a8adcbcc49ef01d1599815f845ad0ed515018eb8e8296c5d7aafa9eb8806f6f"
 
@@ -108,6 +133,16 @@ def test_verify_report_is_unchanged(tmp_path, capsys, case):
     assert main(["verify", *args, "--out", str(report)]) == 0
     capsys.readouterr()
     assert sha256(report.read_bytes()) == digest
+
+
+@pytest.mark.parametrize("case", sorted(VERIFY_OTHER))
+def test_verify_outputs_are_unchanged(tmp_path, capsys, case):
+    args, code, report_digest, stdout_digest = VERIFY_OTHER[case]
+    report = tmp_path / "report.json"
+    assert main(["verify", *args, "--out", str(report)]) == code
+    stdout = capsys.readouterr().out.replace(str(report), "<report>")
+    assert sha256(report.read_bytes()) == report_digest
+    assert sha256(stdout.encode()) == stdout_digest
 
 
 def test_build_d8_ext_is_unchanged(tmp_path, capsys):

@@ -67,6 +67,11 @@ def reference_tight_set(poly, x):
     return tuple(i for i, s in enumerate(reference_slacks(poly, x)) if s == 0)
 
 
+def fraction_coords(state):
+    """The Fraction coordinates nums/denom of a ScaledPoint or TraceStep (test-side reference)."""
+    return tuple(Fraction(a, state.denom) for a in state.nums)
+
+
 def reference_rank(rows):
     """Rank over the rationals by Gaussian elimination on Fractions."""
     work = [[Fraction(e) for e in row] for row in rows]
@@ -159,7 +164,7 @@ def test_hot_path_matches_reference_at_every_vertex(n, d):
         assert polytope.slacks(poly, v) == reference_slacks(poly, v), t
         assert polytope.tight_set(poly, v) == reference_tight_set(poly, v), t
         point = polytope.scaled_point(poly, v)
-        assert point.coords == v and point.tight == reference_tight_set(poly, v), t
+        assert fraction_coords(point) == v and point.tight == reference_tight_set(poly, v), t
         assert list(polytope.edge_directions(poly, point)) == reference_edge_directions(poly, v), t
         assert polytope.is_simple_vertex(poly, v) and reference_is_simple_vertex(poly, v), t
 
@@ -338,7 +343,7 @@ def _checking_pivots(monkeypatch, record):
         edges = enumerate_edges(poly, point, previous)
         if previous is not None:
             assert edges == enumerate_edges(poly, point)
-            assert list(edges) == reference_edge_directions(poly, point.coords)
+            assert list(edges) == reference_edge_directions(poly, fraction_coords(point))
         record.append(previous is not None)
         return edges
 
@@ -385,7 +390,7 @@ def trace_to_json_dict(trace, instance=None, t_values=None):
         steps.append(
             {
                 "t": t,
-                "vertex": [str(c) for c in step.vertex],
+                "vertex": [str(c) for c in fraction_coords(step)],
                 "active": list(step.tight),
                 "direction": list(step.direction) if step.direction is not None else None,
                 "mu": str(step.mu) if step.mu is not None else None,
@@ -407,7 +412,7 @@ def test_trace_writer_matches_json_dumps():
     start = vertex_for_t(ext, 0)
     full = active_set_run(ext.poly, f, start, make_rule("first"), 64)
     capped = active_set_run(ext.poly, f, start, make_rule("first"), max_iter=3)
-    on_grid = [grid_index(ext, ext.phi(step.vertex)) for step in full.steps]
+    on_grid = [grid_index(ext, ext.phi(fraction_coords(step))) for step in full.steps]
     instance = {"n": 16, "d": 4, "M": 16, "c": "9/10", "note": 'quote " and \\ slash'}
     off_grid = [None if t % 3 == 1 else t for t in on_grid]
     cube = active_set_run(CUT_CUBE, CUBE_OBJECTIVES["convex"], (0, 0, 0), make_rule("last"), 64)
@@ -446,7 +451,7 @@ def check_integer_outputs(ext, trace):
     doc = json.loads(trace_to_json(trace, None, labels))
     rows = trace_plot_rows(trace, ext, phis)
     for k, step in enumerate(trace.steps):
-        x = step.vertex
+        x = fraction_coords(step)
         assert exactla.common_denominator(x) == (step.nums, step.denom)
         phi, phi_prime = ext.phi(x), ext.phi_prime(x)
         assert Fraction(*phis[k]) == phi

@@ -18,7 +18,15 @@ from extparab.errors import (
     NotFeasible,
     ZeroDirection,
 )
-from extparab.extension import ConstructionParams, build, vertex_for_t
+from extparab.deformed import dp_verify
+from extparab.extension import (
+    ConstructionParams,
+    build,
+    stage_polytope,
+    stage_vertices,
+    verify_construction,
+    vertex_for_t,
+)
 from extparab.polytope import HPolytope
 
 
@@ -213,6 +221,65 @@ def test_edge_directions_refuse_a_predecessor_off_by_more_than_one_row():
     assert polytope.edge_directions(ext.poly, points[1], edges) == polytope.edge_directions(
         ext.poly, points[1]
     )
+
+
+# ---------------------------------------------------------------------------
+# is_simple decides each tight-row tuple once per polytope object
+
+
+def counted_eliminations(monkeypatch) -> list:
+    """The row lists exactla.is_nonsingular is called on, from here on."""
+    calls, real = [], exactla.is_nonsingular
+
+    def counted(rows):
+        calls.append(rows)
+        return real(rows)
+
+    monkeypatch.setattr(exactla, "is_nonsingular", counted)
+    return calls
+
+
+def test_verify_and_stage_checks_eliminate_each_tight_set_once(monkeypatch):
+    # verify_construction checks the 512 top vertices of ext.poly, and
+    # dp_verify the 8 and 64 vertices of stages 2 and 4, two other polytopes.
+    # On stage 6 it locates the same 512 vertices in the same ext.poly again,
+    # and their tight sets are not eliminated again: 584 eliminations, not 1,096.
+    calls = counted_eliminations(monkeypatch)
+    ext = build(ConstructionParams(n=48, d=6))
+    assert verify_construction(ext).ok and len(calls) == 512
+    assert stage_polytope(ext, 6) is ext.poly
+    for dim in (2, 4, 6):
+        points = stage_vertices(ext, dim)
+        assert dp_verify(stage_polytope(ext, dim), points, ext.params.level_m(dim)).ok
+    assert len(calls) == 512 + 8 + 64
+    assert len(ext.poly._simple_verdicts) == 512
+
+
+def test_an_equal_polytope_built_separately_eliminates_again(monkeypatch):
+    calls = counted_eliminations(monkeypatch)
+    ext = build(ConstructionParams(n=16, d=4))
+    point = polytope.scaled_point(ext.poly, vertex_for_t(ext, 3))
+    assert polytope.is_simple(ext.poly, point) and polytope.is_simple(ext.poly, point)
+    assert len(calls) == 1
+    twin = HPolytope(ext.poly.A, ext.poly.b)
+    assert twin == ext.poly and hash(twin) == hash(ext.poly)
+    assert polytope.is_simple(twin, polytope.scaled_point(twin, vertex_for_t(ext, 3)))
+    assert len(calls) == 2
+
+
+def test_a_rank_deficient_tight_set_stays_non_simple_on_repeat(monkeypatch):
+    # x <= 1 and 2x <= 2 are both tight at (1, 1/2): d = 2 tight rows of rank 1.
+    calls = counted_eliminations(monkeypatch)
+    parallel = HPolytope(((1, 0), (2, 0), (0, 1), (-1, 0), (0, -1)), (1, 2, 1, 0, 0))
+    assert [polytope.is_simple_vertex(parallel, (F(1), F(1, 2))) for _ in range(3)] == [False] * 3
+    assert len(calls) == 1 and parallel._simple_verdicts == {(0, 1): False}
+    # Every point is still located: an infeasible one raises, one with fewer
+    # than d tight rows never reaches the verdicts, another tight pair is new.
+    with pytest.raises(NotFeasible):
+        polytope.is_simple_vertex(parallel, (F(2), F(1, 2)))
+    assert not polytope.is_simple_vertex(parallel, (F(1, 2), F(0)))
+    assert polytope.is_simple_vertex(parallel, (F(0), F(0)))
+    assert len(calls) == 2 and parallel._simple_verdicts == {(0, 1): False, (3, 4): True}
 
 
 def test_all_zero_row_rejected():

@@ -125,9 +125,9 @@ def cmd_verify(args) -> int:
     stages = [2] + [lv.source_dim + 2 for lv in ext.levels]
     for dim in stages:
         poly = extension.stage_polytope(ext, dim)
-        points = [list(p) for p in extension.stage_vertices(ext, dim)]
-        if args.inject_fault == "vertex" and dim == stages[-1] and points:
-            points[0][0] += 1
+        points = extension.stage_vertices(ext, dim)
+        if args.inject_fault == "vertex" and dim == stages[-1]:
+            points[0] = (points[0][0] + 1, *points[0][1:])
         dp_report = deformed.dp_verify(poly, points, expected_count=params.level_m(dim))
         level_reports.append({"dim": dim, **dp_report.to_json_dict()})
 

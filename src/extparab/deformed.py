@@ -11,8 +11,10 @@ across P:
 * facets: the rows of P unchanged, plus (beta - beta') phi(x) + B u <= beta.
 
 The product is combinatorially a Cartesian product, so vertex counts multiply
-and every product vertex is simple.  ``dp_verify`` checks exactly that, and
-returns a structured report instead of raising so callers can aggregate.
+and every product vertex is simple.  ``dp_verify`` checks exactly that, telling
+points apart by their integer state (``polytope.cleared``; a repeat is not
+located again), and returns a structured report instead of raising so callers
+can aggregate.
 """
 
 from __future__ import annotations
@@ -153,25 +155,25 @@ def dp_verify(
     expected_count: int,
 ) -> DpVerifyReport:
     """Check that the points are ``expected_count`` distinct simple vertices of hrep."""
-    pts = [exactla.vec(p) for p in points]
-    seen: dict[Vector, int] = {}
+    seen: dict[tuple[tuple[int, ...], int], int] = {}
     duplicates = []
     infeasible = []
     non_simple = []
-    for idx, p in enumerate(pts):
-        if p in seen:
-            duplicates.append((seen[p], idx))
+    for idx, p in enumerate(points):
+        key = polytope.cleared(hrep, exactla.vec(p))
+        if key in seen:
+            duplicates.append((seen[key], idx))
             continue
-        seen[p] = idx
+        seen[key] = idx
         try:
-            point = polytope.scaled_point(hrep, p)
+            point = polytope.locate(hrep, *key)
         except NotFeasible:
             infeasible.append(idx)
             continue
         if not polytope.is_simple(hrep, point):
             non_simple.append(idx)
     return DpVerifyReport(
-        total=len(pts),
+        total=len(points),
         expected=expected_count,
         duplicate_pairs=tuple(duplicates),
         infeasible=tuple(infeasible),

@@ -24,8 +24,8 @@ Each vertex is built once per tower object: the t-map keeps what it built
 ``ExtendedParabola`` keyed by (dim, t), and ``stage_vertices`` each stage's
 product-map list keyed by dim.  Both depend on the frozen tower's fields
 alone, and the dicts live and die with the object (``dataclasses.replace``
-starts empty ones).  The maps stay apart, so ``deformed.dp_verify`` checks a
-list the t-map did not build.
+starts empty ones).  The maps stay apart, so ``deformed.dp_verify``, the one
+vertex-set check, is run on each map's list and not only on the t-map's.
 """
 
 from __future__ import annotations
@@ -35,9 +35,9 @@ from fractions import Fraction
 from functools import cached_property
 from typing import Sequence
 
-from . import exactla, polygons, polytope
-from .deformed import Functional, dp_hrep, dp_vrep
-from .errors import BadParameters, DimensionMismatch, InternalMismatch, NotFeasible, OutOfRange
+from . import exactla, polygons
+from .deformed import Functional, dp_hrep, dp_verify, dp_vrep
+from .errors import BadParameters, DimensionMismatch, InternalMismatch, OutOfRange
 from .exactla import Matrix, Vector
 from .polygons import ParabolaVertexList
 from .polytope import HPolytope
@@ -307,12 +307,13 @@ class ConstructionReport:
 def verify_construction(ext: ExtendedParabola) -> ConstructionReport:
     """Machine-check every claimed property of the tower, exactly.
 
-    (a) facet count n/2; (b) the t-map yields M feasible simple vertices;
-    (c) every vertex projects onto its parabola grid point; (d) the two
-    functionals have orthogonal coefficient vectors; (e) phi spans exactly
-    [0, 1] over the vertices; (f) the t-map is injective.  The squared norms
-    of both functionals are recorded: the projection is orthogonal in the
-    sense of orthogonal directions, not orthonormal rows.
+    (a) facet count n/2; (b) the t-map yields M feasible simple vertices and
+    (f) is injective, both read off one ``dp_verify``; (c) every vertex
+    projects onto its parabola grid point; (d) the two functionals have
+    orthogonal coefficient vectors; (e) phi spans exactly [0, 1] over the
+    vertices.  The squared norms of both functionals are recorded: the
+    projection is orthogonal in the sense of orthogonal directions, not
+    orthonormal rows.
     """
     params = ext.params
     m_top = params.vertex_count
@@ -328,15 +329,11 @@ def verify_construction(ext: ExtendedParabola) -> ConstructionReport:
     )
 
     verts = all_vertices(ext)
-    bad = []
-    for t, v in enumerate(verts):
-        try:
-            point = polytope.scaled_point(ext.poly, v)
-        except NotFeasible:
-            bad.append((t, "infeasible"))
-            continue
-        if not polytope.is_simple(ext.poly, point):
-            bad.append((t, "not a simple vertex"))
+    vertex_check = dp_verify(ext.poly, verts, m_top)
+    bad = sorted(
+        [(t, "infeasible") for t in vertex_check.infeasible]
+        + [(t, "not a simple vertex") for t in vertex_check.non_simple]
+    )
     checks.append(
         CheckResult(
             "vertices_simple",
@@ -345,11 +342,9 @@ def verify_construction(ext: ExtendedParabola) -> ConstructionReport:
         )
     )
 
-    off_grid = []
-    for t, v in enumerate(verts):
-        tau = Fraction(t, m_top - 1)
-        if project(ext, v) != (tau, tau * tau - tau):
-            off_grid.append(t)
+    projections = [project(ext, v) for v in verts]
+    taus = [Fraction(t, m_top - 1) for t in range(m_top)]
+    off_grid = [t for t, tau in enumerate(taus) if projections[t] != (tau, tau * tau - tau)]
     checks.append(
         CheckResult(
             "projection_identity",
@@ -369,7 +364,7 @@ def verify_construction(ext: ExtendedParabola) -> ConstructionReport:
         )
     )
 
-    phis = [ext.phi(v) for v in verts]
+    phis = [phi for phi, _ in projections]
     checks.append(
         CheckResult(
             "phi_range",
@@ -378,7 +373,7 @@ def verify_construction(ext: ExtendedParabola) -> ConstructionReport:
         )
     )
 
-    distinct = len(set(verts))
+    distinct = m_top - len(vertex_check.duplicate_pairs)
     checks.append(
         CheckResult(
             "t_map_bijective",

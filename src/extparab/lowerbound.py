@@ -214,22 +214,23 @@ def monotone_path_check(
     none.  The moves are the active-set method's own: the runner's
     ``activeset.walk`` with the first-index rule from vertex 0, with all its
     checks, and each point it reaches, numerators over a denominator in lowest
-    terms, is compared with the vertex map's.  Any deviation, or any error
-    the walk raises at vertex t or on the edge leaving it, raises
-    CertificateFailure naming the offending t.
+    terms, is compared with the vertex map's (``polytope.cleared``).  Any
+    deviation, or any error raised at vertex t or on the edge leaving it,
+    raises CertificateFailure naming the offending t.
     """
     m_top = ext.params.vertex_count
-    start = polytope.scaled_point(ext.poly, extension.vertex_for_t(ext, 0))
-    records = activeset.walk(ext.poly, f, start, activeset.FirstIndex(), m_top)
-    entries = []
+    entries, records = [], None
     for t in range(m_top):
         try:
+            vertex = extension.vertex_for_t(ext, t)
+            if records is None:  # vertex 0 starts the walk
+                start = activeset.start_point(ext.poly, f, vertex)
+                records = activeset.walk(ext.poly, f, start, activeset.FirstIndex(), m_top)
             point, improving, _ = next(records)
+            state = polytope.cleared(ext.poly, vertex)
         except ExtparabError as exc:
             raise CertificateFailure(f"t = {t}: {exc}") from exc
-        if t and (point.nums, point.denom) != exactla.common_denominator(
-            extension.vertex_for_t(ext, t)
-        ):
+        if t and (point.nums, point.denom) != state:
             raise CertificateFailure(f"t = {t - 1}: improving edge does not reach vertex t + 1")
         expected = 0 if t == m_top - 1 else 1
         if len(improving) != expected:

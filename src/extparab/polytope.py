@@ -4,9 +4,10 @@ A polytope is stored as ``{x : A x <= b}`` over rationals; two polytopes
 compare equal when A and b agree entry for entry.
 
 Every row is also kept scaled to integers, dense and as its nonzeros only
-(the tower's rows have at most three).  A point is put over the lcm D of its
-denominators as a ``ScaledPoint``: integer numerators X over D, its slack
-numerators b_i D - A_i . X, computed once, and the tight set read off them.
+(the tower's rows have at most three).  ``cleared`` is the one conversion of
+a point to integers, numerators X over the lcm D of its denominators, equal
+exactly when the points are; ``locate`` makes that a ``ScaledPoint``, with
+slack numerators b_i D - A_i . X, computed once, and the tight set read off them.
 Edge enumeration and the ratio test take that state; ``step`` moves it along
 an edge in integers, reduced by gcd(D, *X).  Only ``slacks`` and the ratio
 test's minimum are built as Fractions.  The simple-vertex test decides that
@@ -139,8 +140,8 @@ def _slack_nums(poly: HPolytope, nums: Sequence[int], denom: int) -> list[int]:
     return [rhs * denom - _sparse_dot(row, nums) for row, rhs in poly._sparse_rows]
 
 
-def _cleared(poly: HPolytope, x: Sequence) -> tuple[tuple[int, ...], int]:
-    # x as integer numerators over the lcm of its denominators (lowest terms).
+def cleared(poly: HPolytope, x: Sequence) -> tuple[tuple[int, ...], int]:
+    """x as integer numerators over the lcm of its denominators: equal iff the points are."""
     if len(x) != poly.dim:
         raise DimensionMismatch(f"point has dim {len(x)}, polytope {poly.dim}")
     return exactla.common_denominator(x)
@@ -156,7 +157,7 @@ def locate(poly: HPolytope, nums: tuple[int, ...], denom: int) -> ScaledPoint:
 
 def scaled_point(poly: HPolytope, x: Sequence) -> ScaledPoint:
     """``locate`` for a point given by int or Fraction coordinates."""
-    return locate(poly, *_cleared(poly, x))
+    return locate(poly, *cleared(poly, x))
 
 
 def step(point: ScaledPoint, direction: Sequence[int], mu: Fraction) -> tuple[tuple[int, ...], int]:
@@ -169,13 +170,13 @@ def step(point: ScaledPoint, direction: Sequence[int], mu: Fraction) -> tuple[tu
 
 def slacks(poly: HPolytope, x: Sequence) -> Vector:
     """b - A x, in the positively row-scaled integer system."""
-    nums, denom = _cleared(poly, x)
+    nums, denom = cleared(poly, x)
     return tuple(Fraction(s, denom) for s in _slack_nums(poly, nums, denom))
 
 
 def contains(poly: HPolytope, x: Sequence) -> bool:
     """Exact membership test A x <= b."""
-    return min(_slack_nums(poly, *_cleared(poly, x))) >= 0
+    return min(_slack_nums(poly, *cleared(poly, x))) >= 0
 
 
 def tight_set(poly: HPolytope, x: Sequence) -> TightSet:

@@ -146,6 +146,26 @@ def test_dp_verify_flags_duplicates():
     assert report.duplicate_pairs == ((0, 16),)
 
 
+def test_dp_verify_rejects_float_coordinates():
+    ext = build(ConstructionParams(n=16, d=4))
+    points = stage_vertices(ext, 4)
+    with pytest.raises(TypeError):
+        dp_verify(ext.poly, [*points[:3], (0.5,) + points[3][1:]], expected_count=16)
+
+
+def test_dp_verify_tells_points_apart_by_value():
+    # An int and an equal Fraction are the same point; each repeat pairs with
+    # the first index, and a repeated infeasible point is named once.
+    ext = build(ConstructionParams(n=16, d=4))
+    points = stage_vertices(ext, 4)
+    as_ints = tuple(int(c) if c.denominator == 1 else c for c in points[2])
+    outside = tuple(2 * c - 1 for c in points[3])
+    report = dp_verify(ext.poly, [*points, as_ints, outside, outside], expected_count=16)
+    assert report.duplicate_pairs == ((2, 16), (17, 18))
+    assert report.infeasible == (17,) and report.non_simple == ()
+    assert report.total == 19 and not report.ok
+
+
 def test_every_stage_passes_dp_verify():
     ext = build(ConstructionParams(n=24, d=6))
     for dim in (2, 4, 6):

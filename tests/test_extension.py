@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from extparab import polygons
+from extparab import extension, polygons
 from extparab.activeset import pullback_objective
 from extparab.errors import BadParameters, DimensionMismatch, InternalMismatch, OutOfRange
 from extparab.extension import (
@@ -261,6 +261,47 @@ def test_verify_detects_corrupted_weight():
     assert not report.ok
     failed = {c.name for c in report.checks if not c.ok}
     assert "projection_identity" in failed
+
+
+def test_verify_names_bad_and_repeated_t_map_points(monkeypatch):
+    # Three bad t-map entries: vertex 3 moved outside Q, vertex 7 replaced by
+    # the midpoint of the edge to vertex 8, and vertex 11 a copy of vertex 10.
+    ext = build(ConstructionParams(n=16, d=4))
+    real = extension.vertex_for_t
+
+    def corrupted(ext, t):
+        v = real(ext, t)
+        if t == 3:
+            return (v[0] + 5,) + v[1:]
+        if t == 7:
+            return tuple((a + b) / 2 for a, b in zip(v, real(ext, 8)))
+        return real(ext, 10) if t == 11 else v
+
+    monkeypatch.setattr(extension, "vertex_for_t", corrupted)
+    checks = {c.name: c for c in verify_construction(ext).checks}
+    assert not checks["vertices_simple"].ok
+    assert checks["vertices_simple"].detail == (
+        "failures at [(3, 'infeasible'), (7, 'not a simple vertex')]"
+    )
+    assert not checks["t_map_bijective"].ok
+    assert checks["t_map_bijective"].detail == "15 distinct vertices for 16 indices"
+
+
+def test_verify_names_a_repeated_bad_point_once(monkeypatch):
+    # Vertex 9 repeats the infeasible vertex 4: the repeat is a duplicate
+    # of index 4, not a second failure.
+    ext = build(ConstructionParams(n=16, d=4))
+    real = extension.vertex_for_t
+
+    def corrupted(ext, t):
+        v = real(ext, 4 if t == 9 else t)
+        return (v[0] + 5,) + v[1:] if t in (4, 9) else v
+
+    monkeypatch.setattr(extension, "vertex_for_t", corrupted)
+    checks = {c.name: c for c in verify_construction(ext).checks}
+    assert checks["vertices_simple"].detail == "failures at [(4, 'infeasible')]"
+    assert not checks["t_map_bijective"].ok
+    assert checks["t_map_bijective"].detail == "15 distinct vertices for 16 indices"
 
 
 def test_functional_norms_recorded():

@@ -295,6 +295,21 @@ def test_monotone_path_detects_moved_vertex(monkeypatch):
     assert len(priced) == 6
 
 
+def test_monotone_path_names_t0_for_a_start_outside_q(monkeypatch):
+    # Vertex 0 moved outside Q fails the certificate at t = 0, like any
+    # other vertex, and does not escape as NotFeasible.
+    ext = build(ConstructionParams(n=8, d=2))
+    real_vertex_for_t = extension.vertex_for_t
+
+    def moved(ext, t):
+        v = real_vertex_for_t(ext, t)
+        return (v[0] + 5,) + v[1:] if t == 0 else v
+
+    monkeypatch.setattr(extension, "vertex_for_t", moved)
+    with pytest.raises(CertificateFailure, match=r"^t = 0: "):
+        monotone_path_check(ext, pullback_objective(ext))
+
+
 def test_monotone_path_follows_the_runners_line_search(monkeypatch):
     # The certificate steps by the active-set method's own line search: a
     # step cut in half stops mid-edge, and the walk's tight-row check fails

@@ -255,6 +255,24 @@ def test_verify_and_stage_checks_eliminate_each_tight_set_once(monkeypatch):
     assert len(ext.poly._simple_verdicts) == 512
 
 
+def test_certify_path_hashes_no_fraction(monkeypatch):
+    # Vertices are told apart by their integer state (polytope.cleared), so
+    # the vertex-set checks of one tower never hash a Fraction.
+    ext = build(ConstructionParams(n=48, d=6))
+    hashes, real_hash = [], F.__hash__
+
+    def counted(self):
+        hashes.append(self)
+        return real_hash(self)
+
+    monkeypatch.setattr(F, "__hash__", counted)
+    assert verify_construction(ext).ok
+    for dim in (2, 4, 6):
+        points = stage_vertices(ext, dim)
+        assert dp_verify(stage_polytope(ext, dim), points, ext.params.level_m(dim)).ok
+    assert len(hashes) == 0
+
+
 def test_an_equal_polytope_built_separately_eliminates_again(monkeypatch):
     calls = counted_eliminations(monkeypatch)
     ext = build(ConstructionParams(n=16, d=4))

@@ -1,15 +1,19 @@
-"""Source checks over the package: no ``assert`` statements, no unused error classes.
+"""Source checks over the package: no ``assert`` statements, no unused error classes,
+and a line budget.
 
 ``python -O`` strips ``assert`` statements, so an invariant written as one
 is not checked in an optimized run; the package raises explicitly instead.
 An exception class in ``errors.py`` that no other module names is a failure
-mode nothing can raise.
+mode nothing can raise.  The package's total line count may not grow past
+``SOURCE_LINE_BUDGET``: a change that needs more lines raises the number and
+says why in ``CHANGES.md``.
 """
 
 import ast
 from pathlib import Path
 
 PACKAGE = Path(__file__).resolve().parents[1] / "src" / "extparab"
+SOURCE_LINE_BUDGET = 2628
 
 
 def parse(path):
@@ -51,6 +55,15 @@ def test_no_module_uses_assert():
 def test_every_error_class_is_named_outside_errors():
     others = [parse(path) for path in sorted(PACKAGE.glob("*.py")) if path.name != "errors.py"]
     assert unnamed_classes(parse(PACKAGE / "errors.py"), others) == []
+
+
+def test_package_stays_within_its_line_budget():
+    lines = sum(len(path.read_text().splitlines()) for path in PACKAGE.glob("*.py"))
+    assert lines <= SOURCE_LINE_BUDGET, (
+        f"src/extparab has {lines} lines, over the budget of {SOURCE_LINE_BUDGET}; "
+        "ROADMAP.md (Quality of design) asks src/ to shrink while the outputs stay fixed, "
+        "so raise the budget only with the reason recorded in CHANGES.md"
+    )
 
 
 def test_checks_see_what_they_look_for():

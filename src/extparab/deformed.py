@@ -12,9 +12,9 @@ across P:
 
 The product is combinatorially a Cartesian product, so vertex counts multiply
 and every product vertex is simple.  ``dp_verify`` checks exactly that, telling
-points apart by their integer state (``polytope.cleared``; a repeat is not
-located again), and returns a structured report instead of raising so callers
-can aggregate.
+points apart by their integer state (``polytope.cleared``), deciding each
+state once per polytope object, and returns a structured report instead of
+raising so callers can aggregate.
 """
 
 from __future__ import annotations
@@ -154,28 +154,38 @@ def dp_verify(
     points: Sequence[Sequence],
     expected_count: int,
 ) -> DpVerifyReport:
-    """Check that the points are ``expected_count`` distinct simple vertices of hrep."""
+    """Check that the points are ``expected_count`` distinct simple vertices of hrep.
+
+    Points are told apart by their integer state (``polytope.cleared``); a
+    repeat within the call is a duplicate pair.  A new state is located and
+    judged once per hrep object, which keeps the verdict: the top stage after
+    ``verify_construction`` reuses it, and an equal polytope decides again.
+    """
+    verdicts = hrep._point_verdicts
     seen: dict[tuple[tuple[int, ...], int], int] = {}
     duplicates = []
-    infeasible = []
-    non_simple = []
+    flagged: dict[str, list[int]] = {"infeasible": [], "non_simple": []}
     for idx, p in enumerate(points):
         key = polytope.cleared(hrep, exactla.vec(p))
         if key in seen:
             duplicates.append((seen[key], idx))
             continue
         seen[key] = idx
-        try:
-            point = polytope.locate(hrep, *key)
-        except NotFeasible:
-            infeasible.append(idx)
-            continue
-        if not polytope.is_simple(hrep, point):
-            non_simple.append(idx)
+        verdict = verdicts.get(key)
+        if verdict is None:
+            try:
+                point = polytope.locate(hrep, *key)
+            except NotFeasible:
+                verdict = "infeasible"
+            else:
+                verdict = "simple" if polytope.is_simple(hrep, point) else "non_simple"
+            verdicts[key] = verdict
+        if verdict != "simple":
+            flagged[verdict].append(idx)
     return DpVerifyReport(
         total=len(points),
         expected=expected_count,
         duplicate_pairs=tuple(duplicates),
-        infeasible=tuple(infeasible),
-        non_simple=tuple(non_simple),
+        infeasible=tuple(flagged["infeasible"]),
+        non_simple=tuple(flagged["non_simple"]),
     )

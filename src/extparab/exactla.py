@@ -18,11 +18,11 @@ has two paths.  Given the columns for a matrix that differs in one row, it
 pivots them by that row in one fraction-free rank-one update, which leaves
 every column the new row annihilates as it was; this is how an edge walk,
 which swaps one tight row per move, gets each vertex's inverse from the last
-one's.  Otherwise it eliminates [A | I], skipping the rows an elimination
-step leaves unchanged, which on the tower's sparse tight matrices is most of
-them.  That elimination loop, run on the matrix alone, is also the full-rank
-test (``is_nonsingular``) wherever the package needs one.  ``rational_texts``
-and ``decimal_text`` format ints.
+one's.  Otherwise it eliminates [A | I] by a forward and a back pass,
+skipping the rows a step leaves unchanged, which on the tower's sparse tight
+matrices is most of them.  The forward pass alone, on the matrix, is the
+full-rank test (``is_nonsingular``) wherever the package needs one.
+``rational_texts`` and ``decimal_text`` format ints.
 """
 
 from __future__ import annotations
@@ -122,44 +122,56 @@ def common_denominator(values: Sequence) -> tuple[tuple[int, ...], int]:
     return tuple(x.numerator * (denom // x.denominator) for x in values), denom
 
 
-def _eliminate(work: list[list[int]], n: int) -> bool:
-    """Fraction-free Gauss-Jordan, in place, on the first n columns of the n rows of work.
+def _clear_column(work: list[list[int]], k: int, targets: Iterable[int]) -> None:
+    """Fraction-free: zero column k of the rows ``targets`` of work with pivot row k.
 
-    False when they are singular; else row i ends as diag_i e_i on them.  A
-    pivot step changes only the rows with a nonzero multiplier m, to
-    (p/g) row - (m/g) pivot_row with p the pivot and g = gcd(p, m) (only the
-    pivot row's nonzero columns when p/g = 1), then divides each by its
-    content.  Unlike Bareiss's division by the previous pivot, which touches
-    every row at every step, this skips most rows of the tower's sparse
-    tight matrices.
+    A row with multiplier m != 0 becomes (p/g) row - (m/g) pivot_row, with p
+    the pivot and g = gcd(p, m) (only the pivot row's nonzero columns when
+    p/g = 1), divided by its content.  Unlike Bareiss's division by the
+    previous pivot, which touches every row, this skips the rows with m = 0,
+    which on the tower's sparse tight matrices are most of them.
     """
+    pivrow = work[k]
+    pivot = pivrow[k]
+    support = None
+    for r in targets:
+        row = work[r]
+        mult = row[k]
+        if mult == 0:
+            continue
+        if support is None:
+            support = [(c, b) for c, b in enumerate(pivrow) if b]
+        g = gcd(pivot, mult)
+        p, m = pivot // g, mult // g
+        if p != 1:
+            row = [p * a for a in row]
+        for c, b in support:
+            row[c] -= m * b
+        content = gcd(*row)
+        work[r] = [a // content for a in row] if content > 1 else row
+
+
+def _forward(work: list[list[int]], n: int) -> bool:
+    """In-place forward elimination of the n x n left block of work: False iff singular."""
     for k in range(n):
-        piv = next((r for r in range(k, n) if work[r][k] != 0), None)
-        if piv is None:
-            return False
-        if piv != k:
+        if not work[k][k]:
+            piv = next((r for r in range(k + 1, n) if work[r][k]), None)
+            if piv is None:
+                return False
             work[k], work[piv] = work[piv], work[k]
-        pivrow = work[k]
-        pivot = pivrow[k]
-        support = [(c, b) for c, b in enumerate(pivrow) if b]
-        for r, row in enumerate(work):
-            mult = row[k]
-            if mult == 0 or r == k:
-                continue
-            g = gcd(pivot, mult)
-            p, m = pivot // g, mult // g
-            if p != 1:
-                row = [p * a for a in row]
-            for c, b in support:
-                row[c] -= m * b
-            content = gcd(*row)
-            work[r] = [a // content for a in row] if content > 1 else row
+        _clear_column(work, k, range(k + 1, n))
     return True
 
 
+def _back(work: list[list[int]], n: int) -> None:
+    """After ``_forward``: clear above the diagonal, so row i ends as diag_i e_i there."""
+    for k in range(n - 1, 0, -1):
+        _clear_column(work, k, range(k))
+
+
 def is_nonsingular(rows: Sequence[Sequence[int]]) -> bool:
-    """True iff the square integer matrix has full rank (the elimination alone)."""
-    return _eliminate([list(row) for row in rows], len(rows))
+    """True iff the square integer matrix has full rank (the forward pass alone)."""
+    return _forward([list(row) for row in rows], len(rows))
 
 
 def int_inverse_scaled(
@@ -171,9 +183,9 @@ def int_inverse_scaled(
 
     Returns a list of integer vectors y_0..y_{n-1} with A . y_k = lam_k e_k
     for some lam_k > 0, or None when A is singular.  Without ``previous`` it
-    runs ``_eliminate`` on [A | I].  ``previous`` are such columns z_k for a
-    matrix that differs from A in row p = ``swapped`` only; then one
-    fraction-free pivot on the new row r = A_p gives them: with
+    runs ``_forward`` and ``_back`` on [A | I].  ``previous`` are such
+    columns z_k for a matrix that differs from A in row p = ``swapped`` only;
+    then one fraction-free pivot on the new row r = A_p gives them: with
     a = r . z_p, which is 0 exactly when A is singular,
 
         y_p = sgn(a) z_p,   y_k = |a| z_k - sgn(a) (r . z_k) z_p  (k != p),
@@ -185,8 +197,9 @@ def int_inverse_scaled(
         return _pivot(rows[swapped], previous, swapped)
     n = len(rows)
     work = [[*row, *[0] * i, 1, *[0] * (n - 1 - i)] for i, row in enumerate(rows)]
-    if not _eliminate(work, n):
+    if not _forward(work, n):
         return None
+    _back(work, n)
     # Row i is now diag_i e_i | E_i with E A = diag, so A^-1 e_k has entries
     # E_ik / diag_i; scaling by the lcm of |diag| keeps them integers.
     diag = [work[i][i] for i in range(n)]

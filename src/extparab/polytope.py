@@ -10,13 +10,13 @@ exactly when the points are; ``locate`` makes that a ``ScaledPoint``, with
 slack numerators b_i D - A_i . X, computed once, and the tight set read off them.
 Edge enumeration and the ratio test take that state; ``step`` moves it along
 an edge in integers, reduced by gcd(D, *X).  Only ``slacks`` and the ratio
-test's minimum are built as Fractions.  The simple-vertex test decides that
-the d tight rows are independent by integer elimination
-(``exactla.is_nonsingular``), once per polytope object and tight-row tuple:
-the verdict depends on A and the tight rows alone, and the polytope is
-frozen, so ``is_simple`` keeps it in a dict that lives and dies with the
-object.  An equal polytope built separately eliminates again, and every
-point is still located in the polytope it is checked against.
+test's minimum are built as Fractions.  ``is_simple`` decides that the d
+tight rows are independent by the forward pass of integer elimination
+(``exactla.is_nonsingular``) and keeps nothing; ``deformed.dp_verify`` keeps
+its verdict per cleared point on the frozen polytope object, so it dies
+with the object and an equal polytope built separately decides again.  The
+ratio test skips the tight rows: none of them can block an edge that
+``edge_directions`` returned.
 
 Edge enumeration reads the edges off the inverse columns of the negated
 tight rows (``exactla.int_inverse_scaled``), which are the edge directions
@@ -110,8 +110,8 @@ class HPolytope:
         )
 
     @cached_property
-    def _simple_verdicts(self) -> dict[TightSet, bool]:
-        # is_simple's verdict per d-row tight tuple; it depends on the rows of A alone.
+    def _point_verdicts(self) -> dict[tuple[tuple[int, ...], int], str]:
+        # deformed.dp_verify's verdict per cleared point located in this object.
         return {}
 
 
@@ -185,18 +185,9 @@ def tight_set(poly: HPolytope, x: Sequence) -> TightSet:
 
 
 def is_simple(poly: HPolytope, point: ScaledPoint) -> bool:
-    """True iff exactly d tight rows meet at the point and they have full rank.
-
-    The rank is decided once per tight-row tuple of this polytope object.
-    """
-    tight = point.tight
-    if len(tight) != poly.dim:
-        return False
-    verdicts = poly._simple_verdicts
-    verdict = verdicts.get(tight)
-    if verdict is None:
-        verdict = verdicts[tight] = exactla.is_nonsingular([poly._int_rows[i][0] for i in tight])
-    return verdict
+    """True iff exactly d tight rows meet at the point and they have full rank."""
+    rows = [poly._int_rows[i][0] for i in point.tight]
+    return len(rows) == poly.dim and exactla.is_nonsingular(rows)
 
 
 def is_simple_vertex(poly: HPolytope, x: Sequence) -> bool:
@@ -279,18 +270,23 @@ def ratio_test(poly: HPolytope, point: ScaledPoint, direction: Sequence) -> Frac
 
     mu_max = min over rows with A_i . direction > 0 of
     (b_i - A_i x)/(A_i . direction).  Which rows block is read off the
-    endpoint's tight set, so only the minimum is kept.
+    endpoint's tight set, so only the minimum is kept.  Precondition: the
+    direction is an edge ``edge_directions`` returned at the point, so
+    A_j . dir <= 0 on every tight row j and only nonzero slacks are read.
     """
     if all(e == 0 for e in direction):
         raise ZeroDirection("ratio test along the zero direction")
     nums = point.slacks
+    rows = poly._sparse_rows
     # Ratios nums_i / (denom advance_i) are compared by cross-multiplication,
     # so only the minimum becomes a Fraction.
     best: int | None = None
     best_adv = 0
-    for i, (row, _) in enumerate(poly._sparse_rows):
-        adv = _sparse_dot(row, direction)
-        if adv > 0 and (best is None or nums[i] * best_adv < nums[best] * adv):
+    for i, slack in enumerate(nums):
+        if not slack:
+            continue
+        adv = _sparse_dot(rows[i][0], direction)
+        if adv > 0 and (best is None or slack * best_adv < nums[best] * adv):
             best, best_adv = i, adv
     if best is None:
         return None

@@ -236,11 +236,34 @@ def test_edge_check_counts_d_squared_then_only_the_changed_products(monkeypatch)
     assert products[-2:] == [d * d, d * d]
 
 
+# Row 3 is row 0 + 2 row 1 - row 2: every column but the last has a pivot,
+# so only the last forward step finds the dependency.
+LAST_STEP_SINGULAR = [[3, 1, 4, 1], [5, 9, 2, 6], [5, 3, 5, 8], [8, 16, 3, 5]]
+# The tight matrix of the (48, 6) tower's vertex t = 37: two rows per level,
+# block lower triangular.
+TOWER_TIGHT_48_6 = [
+    [14, -49, 0, 0, 0, 0],
+    [28, -49, 0, 0, 0, 0],
+    [56, 0, 0, -3969, 0, 0],
+    [-56, 0, 1008, -3969, 0, 0],
+    [0, 0, -576, 0, -28032, -37303],
+    [0, 0, 576, 0, 0, 5329],
+]
+
+
 @given(int_matrices())
+@example(LAST_STEP_SINGULAR)
+@example(TOWER_TIGHT_48_6)
 @settings(max_examples=150, deadline=None)
 def test_is_nonsingular_matches_reference_rank(rows):
-    # The elimination alone, without the identity block, decides full rank.
+    # The forward pass alone, without the identity block, decides full rank.
     assert exactla.is_nonsingular(rows) == (reference_rank(rows) == len(rows))
+
+
+def test_the_tower_example_is_a_tight_matrix():
+    ext = build(ConstructionParams(n=48, d=6))
+    point = polytope.scaled_point(ext.poly, vertex_for_t(ext, 37))
+    assert [list(ext.poly._int_rows[i][0]) for i in point.tight] == TOWER_TIGHT_48_6
 
 
 def test_is_nonsingular_keeps_its_input():

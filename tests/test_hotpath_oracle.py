@@ -379,6 +379,53 @@ def test_pivoted_edges_match_elimination_on_cut_cube(objective, monkeypatch):
         assert pivoted == [False] + [True] * trace.edge_moves, name
 
 
+def _checking_ratio_tests(monkeypatch, vertices):
+    """At every vertex a walk enumerates edges at, compare ``ratio_test`` on every edge."""
+    enumerate_edges = polytope.edge_directions
+
+    def checked(poly, point, previous=None):
+        edges = enumerate_edges(poly, point, previous)
+        x = fraction_coords(point)
+        for _, direction in edges:
+            mu, blockers = reference_ratio_test(poly, x, direction)
+            assert polytope.ratio_test(poly, point, direction) == mu
+            assert mu is None or mu > 0
+            assert not set(blockers) & set(point.tight)
+        vertices.append(point)
+        return edges
+
+    monkeypatch.setattr(polytope, "edge_directions", checked)
+
+
+SMALL_TOWERS = [(n, d) for n, d in TOWERS if d <= 8]
+
+
+@pytest.mark.parametrize("n, d", SMALL_TOWERS, ids=[f"n{n}-d{d}" for n, d in SMALL_TOWERS])
+def test_ratio_test_matches_reference_on_every_edge_of_every_walk(n, d, monkeypatch):
+    # ratio_test skips the tight rows; the reference reads every row.  Every
+    # edge of every vertex the four rules visit is checked, not only the one
+    # each rule follows.
+    ext = build(ConstructionParams(n=n, d=d))
+    f = pullback_objective(ext)
+    start = vertex_for_t(ext, 0)
+    visited = []
+    _checking_ratio_tests(monkeypatch, visited)
+    for name in RULES:
+        visited.clear()
+        trace = active_set_run(ext.poly, f, start, make_rule(name, 5), 4 * ext.params.vertex_count)
+        assert len(visited) == trace.vertices_visited == ext.params.vertex_count, name
+
+
+@pytest.mark.parametrize("objective", ["linear", "convex"])
+def test_ratio_test_matches_reference_on_every_edge_of_the_cut_cube(objective, monkeypatch):
+    visited = []
+    _checking_ratio_tests(monkeypatch, visited)
+    for name in RULES:
+        visited.clear()
+        trace = active_set_run(CUT_CUBE, CUBE_OBJECTIVES[objective], (0, 0, 0), make_rule(name, 3), 64)
+        assert len(visited) == trace.vertices_visited, name
+
+
 # ---------------------------------------------------------------------------
 # The direct trace writer
 

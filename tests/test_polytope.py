@@ -224,35 +224,42 @@ def test_edge_directions_refuse_a_predecessor_off_by_more_than_one_row():
 
 
 # ---------------------------------------------------------------------------
-# is_simple decides each tight-row tuple once per polytope object
+# dp_verify decides each point once per polytope object
+
+
+def counted_calls(monkeypatch, module, name) -> list:
+    """The first arguments ``module.name`` is called with, from here on."""
+    calls, real = [], getattr(module, name)
+
+    def counted(first, *rest):
+        calls.append(first)
+        return real(first, *rest)
+
+    monkeypatch.setattr(module, name, counted)
+    return calls
 
 
 def counted_eliminations(monkeypatch) -> list:
     """The row lists exactla.is_nonsingular is called on, from here on."""
-    calls, real = [], exactla.is_nonsingular
-
-    def counted(rows):
-        calls.append(rows)
-        return real(rows)
-
-    monkeypatch.setattr(exactla, "is_nonsingular", counted)
-    return calls
+    return counted_calls(monkeypatch, exactla, "is_nonsingular")
 
 
 def test_verify_and_stage_checks_eliminate_each_tight_set_once(monkeypatch):
     # verify_construction checks the 512 top vertices of ext.poly, and
     # dp_verify the 8 and 64 vertices of stages 2 and 4, two other polytopes.
-    # On stage 6 it locates the same 512 vertices in the same ext.poly again,
-    # and their tight sets are not eliminated again: 584 eliminations, not 1,096.
+    # On stage 6 it meets the same 512 vertices in the same ext.poly again and
+    # reuses their verdicts: 584 locates and 584 eliminations, not 1,096 and 584.
+    locates = counted_calls(monkeypatch, polytope, "locate")
     calls = counted_eliminations(monkeypatch)
     ext = build(ConstructionParams(n=48, d=6))
-    assert verify_construction(ext).ok and len(calls) == 512
+    assert verify_construction(ext).ok and len(calls) == len(locates) == 512
     assert stage_polytope(ext, 6) is ext.poly
     for dim in (2, 4, 6):
         points = stage_vertices(ext, dim)
         assert dp_verify(stage_polytope(ext, dim), points, ext.params.level_m(dim)).ok
-    assert len(calls) == 512 + 8 + 64
-    assert len(ext.poly._simple_verdicts) == 512
+    assert len(calls) == len(locates) == 512 + 8 + 64
+    assert len(ext.poly._point_verdicts) == 512
+    assert set(ext.poly._point_verdicts.values()) == {"simple"}
 
 
 def test_certify_path_hashes_no_fraction(monkeypatch):
@@ -276,28 +283,36 @@ def test_certify_path_hashes_no_fraction(monkeypatch):
 def test_an_equal_polytope_built_separately_eliminates_again(monkeypatch):
     calls = counted_eliminations(monkeypatch)
     ext = build(ConstructionParams(n=16, d=4))
-    point = polytope.scaled_point(ext.poly, vertex_for_t(ext, 3))
-    assert polytope.is_simple(ext.poly, point) and polytope.is_simple(ext.poly, point)
+    vertex = vertex_for_t(ext, 3)
+    assert dp_verify(ext.poly, [vertex], 1).ok and dp_verify(ext.poly, [vertex], 1).ok
     assert len(calls) == 1
     twin = HPolytope(ext.poly.A, ext.poly.b)
     assert twin == ext.poly and hash(twin) == hash(ext.poly)
-    assert polytope.is_simple(twin, polytope.scaled_point(twin, vertex_for_t(ext, 3)))
+    assert dp_verify(twin, [vertex], 1).ok
     assert len(calls) == 2
+    key = polytope.cleared(twin, vertex)
+    assert twin._point_verdicts == ext.poly._point_verdicts == {key: "simple"}
+    assert twin._point_verdicts is not ext.poly._point_verdicts
 
 
 def test_a_rank_deficient_tight_set_stays_non_simple_on_repeat(monkeypatch):
     # x <= 1 and 2x <= 2 are both tight at (1, 1/2): d = 2 tight rows of rank 1.
+    locates = counted_calls(monkeypatch, polytope, "locate")
     calls = counted_eliminations(monkeypatch)
     parallel = HPolytope(((1, 0), (2, 0), (0, 1), (-1, 0), (0, -1)), (1, 2, 1, 0, 0))
-    assert [polytope.is_simple_vertex(parallel, (F(1), F(1, 2))) for _ in range(3)] == [False] * 3
-    assert len(calls) == 1 and parallel._simple_verdicts == {(0, 1): False}
-    # Every point is still located: an infeasible one raises, one with fewer
-    # than d tight rows never reaches the verdicts, another tight pair is new.
-    with pytest.raises(NotFeasible):
-        polytope.is_simple_vertex(parallel, (F(2), F(1, 2)))
-    assert not polytope.is_simple_vertex(parallel, (F(1, 2), F(0)))
-    assert polytope.is_simple_vertex(parallel, (F(0), F(0)))
-    assert len(calls) == 2 and parallel._simple_verdicts == {(0, 1): False, (3, 4): True}
+    deficient, outside = (F(1), F(1, 2)), (F(2), F(1, 2))
+    for _ in range(2):
+        report = dp_verify(parallel, [deficient, deficient, outside], 2)
+        assert report.duplicate_pairs == ((0, 1),)
+        assert report.non_simple == (0,) and report.infeasible == (2,)
+    assert len(locates) == 2 and len(calls) == 1
+    assert parallel._point_verdicts == {((2, 1), 2): "non_simple", ((4, 1), 2): "infeasible"}
+    # A point with fewer than d tight rows never reaches elimination; another
+    # tight pair is a new point, decided once.
+    report = dp_verify(parallel, [(F(1, 2), F(0)), (0, 0)], 2)
+    assert report.non_simple == (0,) and not report.infeasible
+    assert len(locates) == 4 and len(calls) == 2
+    assert parallel._point_verdicts[(0, 0), 1] == "simple"
 
 
 def test_all_zero_row_rejected():

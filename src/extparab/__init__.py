@@ -31,13 +31,7 @@ from .extension import (
     verify_construction,
     vertex_for_t,
 )
-from .lowerbound import (
-    chord_inner_product,
-    chord_scan,
-    iteration_experiment,
-    monotone_path_check,
-    projected_vertex,
-)
+from .lowerbound import chord_scan, iteration_experiment, monotone_path_check
 from .polygons import ParabolaVertexList, build_family, check_normally_equivalent, h, polygon_hrep
 from .polytope import (
     HPolytope,

@@ -14,7 +14,8 @@ The product is combinatorially a Cartesian product, so vertex counts multiply
 and every product vertex is simple.  ``dp_verify`` checks exactly that, telling
 points apart by their integer state (``polytope.cleared``), deciding each
 state once per polytope object, and returns a structured report instead of
-raising so callers can aggregate.
+raising so callers can aggregate; ``dp_verify_states`` takes the states, as
+the t-map builds them.  ``dp_vrep``, a witness apart from it, is in Fractions.
 """
 
 from __future__ import annotations
@@ -23,12 +24,12 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 from operator import mul
-from typing import Sequence
+from typing import Iterable, Sequence
 
 from . import exactla, polytope
 from .errors import DimensionMismatch, NotFeasible, SizeMismatch
 from .exactla import Matrix, Vector
-from .polytope import HPolytope
+from .polytope import HPolytope, State
 
 
 @dataclass(frozen=True)
@@ -156,34 +157,49 @@ def dp_verify(
 ) -> DpVerifyReport:
     """Check that the points are ``expected_count`` distinct simple vertices of hrep.
 
-    Points are told apart by their integer state (``polytope.cleared``); a
-    repeat within the call is a duplicate pair.  A new state is located and
-    judged once per hrep object, which keeps the verdict: the top stage after
-    ``verify_construction`` reuses it, and an equal polytope decides again.
+    Points are told apart by their integer state (``polytope.cleared``); see
+    ``dp_verify_states``.
+    """
+    states = (polytope.cleared(hrep, exactla.vec(p)) for p in points)
+    return dp_verify_states(hrep, states, expected_count)
+
+
+def dp_verify_states(
+    hrep: HPolytope,
+    states: Iterable[State],
+    expected_count: int,
+) -> DpVerifyReport:
+    """``dp_verify`` for points given as integer states in lowest terms.
+
+    A repeated state within the call is a duplicate pair.  A new state is
+    located and judged once per hrep object, which keeps the verdict with
+    that state object; a later call finds both, so the top stage after
+    ``verify_construction`` decides nothing again and its duplicate check
+    holds the t-map's states, not copies.  An equal polytope decides again.
     """
     verdicts = hrep._point_verdicts
-    seen: dict[tuple[tuple[int, ...], int], int] = {}
+    seen: dict[State, int] = {}
     duplicates = []
     flagged: dict[str, list[int]] = {"infeasible": [], "non_simple": []}
-    for idx, p in enumerate(points):
-        key = polytope.cleared(hrep, exactla.vec(p))
-        if key in seen:
-            duplicates.append((seen[key], idx))
-            continue
-        seen[key] = idx
-        verdict = verdicts.get(key)
-        if verdict is None:
+    for idx, state in enumerate(states):
+        entry = verdicts.get(state)
+        if entry is None:
             try:
-                point = polytope.locate(hrep, *key)
+                point = polytope.locate(hrep, *state)
             except NotFeasible:
                 verdict = "infeasible"
             else:
                 verdict = "simple" if polytope.is_simple(hrep, point) else "non_simple"
-            verdicts[key] = verdict
+            entry = verdicts[state] = state, verdict
+        state, verdict = entry
+        if state in seen:
+            duplicates.append((seen[state], idx))
+            continue
+        seen[state] = idx
         if verdict != "simple":
             flagged[verdict].append(idx)
     return DpVerifyReport(
-        total=len(points),
+        total=len(seen) + len(duplicates),
         expected=expected_count,
         duplicate_pairs=tuple(duplicates),
         infeasible=tuple(flagged["infeasible"]),

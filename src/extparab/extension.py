@@ -19,28 +19,33 @@ top level into (fiber vertex (j, l), recursive index s), recurse, and append
 the interpolated fiber point.  ``verify_construction`` machine-checks every
 claimed property of the tower with zero tolerance.
 
-Each vertex is built once per tower object: the t-map keeps what it built
-(one vertex and its inner stages per ``vertex_for_t``) in a dict on the
-``ExtendedParabola`` keyed by (dim, t), and ``stage_vertices`` each stage's
-product-map list keyed by dim.  Both depend on the frozen tower's fields
-alone, and the dicts live and die with the object (``dataclasses.replace``
-starts empty ones).  The maps stay apart, so ``deformed.dp_verify``, the one
-vertex-set check, is run on each map's list and not only on the t-map's.
+The t-map builds each vertex once per tower object, as its integer state
+(numerators over one denominator in lowest terms, as ``polytope.cleared``
+gives): the fiber pair is interpolated over one denominator and the sweep
+check is a cross-multiplication.  The states (one vertex and its inner
+stages per ``state_for_t``) are kept in a dict on the ``ExtendedParabola``
+keyed by (dim, t), and ``vertex_for_t`` makes Fractions of one.
+``stage_vertices`` keeps each stage's product-map list, in Fractions, keyed
+by dim.  Both depend on the frozen tower's fields alone, and the dicts live
+and die with the object (``dataclasses.replace`` starts empty ones).  The
+maps stay apart, so ``deformed.dp_verify``, the one vertex-set check, is run
+on each map's list and not only on the t-map's.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cached_property
+from functools import cached_property, cmp_to_key
+from math import gcd
 from typing import Sequence
 
 from . import exactla, polygons
-from .deformed import Functional, dp_hrep, dp_verify, dp_vrep
+from .deformed import Functional, dp_hrep, dp_verify_states, dp_vrep
 from .errors import BadParameters, DimensionMismatch, InternalMismatch, OutOfRange
 from .exactla import Matrix, Vector
 from .polygons import ParabolaVertexList
-from .polytope import HPolytope
+from .polytope import HPolytope, State
 
 
 @dataclass(frozen=True)
@@ -98,6 +103,12 @@ class Level:
     beta_prime: Vector
     product: HPolytope
 
+    @cached_property
+    def _int_fibers(self) -> tuple[State, ...]:
+        # Each aligned fiber pair (v_k, w_k) as one state: integers V_k, then W_k, over E_k.
+        pairs = zip(self.fiber_start.points, self.fiber_end.points)
+        return tuple(exactla.common_denominator(v + w) for v, w in pairs)
+
 
 @dataclass(frozen=True)
 class ExtendedParabola:
@@ -110,8 +121,8 @@ class ExtendedParabola:
     levels: tuple[Level, ...]
 
     @cached_property
-    def _vertices(self) -> dict[tuple[int, int], Vector]:
-        # The t-map's vertex t of the dimension-dim stage, keyed by (dim, t).
+    def _vertices(self) -> dict[tuple[int, int], State]:
+        # The t-map's vertex t of the dimension-dim stage as its integer state, keyed by (dim, t).
         return {}
 
     @cached_property
@@ -208,34 +219,47 @@ def decompose_t(t: int, m_level: int, n_fiber: int) -> tuple[int, int, int]:
     return j, l, s
 
 
-def vertex_for_t(ext: ExtendedParabola, t: int) -> Vector:
-    """The unique vertex of Q with phi value t/(M - 1)."""
+def state_for_t(ext: ExtendedParabola, t: int) -> State:
+    """The unique vertex of Q with phi value t/(M - 1), as its integer state."""
     m_top = ext.params.vertex_count
     if not 0 <= t <= m_top - 1:
         raise OutOfRange(f"t = {t} outside 0..{m_top - 1}")
     return _vertex_at_dim(ext, ext.params.d, t)
 
 
-def _vertex_at_dim(ext: ExtendedParabola, dim: int, t: int) -> Vector:
+def vertex_for_t(ext: ExtendedParabola, t: int) -> Vector:
+    """The unique vertex of Q with phi value t/(M - 1)."""
+    nums, denom = state_for_t(ext, t)
+    return tuple(Fraction(a, denom) for a in nums)
+
+
+def _vertex_at_dim(ext: ExtendedParabola, dim: int, t: int) -> State:
     memo = ext._vertices
-    vertex = memo.get((dim, t))
-    if vertex is not None:
-        return vertex
+    state = memo.get((dim, t))
+    if state is not None:
+        return state
     if dim == 2:
-        vertex = polygons.h(Fraction(t, ext.params.fiber_count - 1))
+        state = exactla.common_denominator(polygons.h(Fraction(t, ext.params.fiber_count - 1)))
     else:
         level = ext.levels[(dim - 4) // 2]
         j, l, s = decompose_t(t, level.m_level, ext.params.fiber_count)
-        inner = _vertex_at_dim(ext, dim - 2, s)
-        sweep = Fraction(s, level.m_level - 1)
-        # x_{dim-3}, the sweep coordinate that level_functional(dim - 2) reads.
-        if inner[dim - 4] != sweep:
-            raise InternalMismatch(f"inner vertex {s} misses sweep value {sweep}")
-        v = level.fiber_start.points[2 * j + l]
-        w = level.fiber_end.points[2 * j + l]
-        vertex = inner + tuple(a + sweep * (b - a) for a, b in zip(v, w))
-    memo[dim, t] = vertex
-    return vertex
+        nums, denom = _vertex_at_dim(ext, dim - 2, s)
+        steps = level.m_level - 1
+        # x_{dim-3}, the sweep coordinate that level_functional(dim - 2) reads, is s/steps.
+        if nums[dim - 4] * steps != s * denom:
+            raise InternalMismatch(f"inner vertex {s} misses sweep value {Fraction(s, steps)}")
+        fiber, fiber_denom = level._int_fibers[2 * j + l]
+        half, tail_denom = len(fiber) // 2, fiber_denom * steps
+        # v + (s/steps)(w - v) has numerators V steps + s (W - V) over E steps.
+        g = gcd(denom, tail_denom)
+        nums = [a * (tail_denom // g) for a in nums]
+        pairs = zip(fiber[:half], fiber[half:])
+        nums += [(a * steps + s * (b - a)) * (denom // g) for a, b in pairs]
+        denom = denom // g * tail_denom
+        g = gcd(denom, *nums)
+        state = tuple(a // g for a in nums), denom // g
+    memo[dim, t] = state
+    return state
 
 
 def all_vertices(ext: ExtendedParabola) -> list[Vector]:
@@ -328,8 +352,8 @@ def verify_construction(ext: ExtendedParabola) -> ConstructionReport:
         )
     )
 
-    verts = all_vertices(ext)
-    vertex_check = dp_verify(ext.poly, verts, m_top)
+    states = [state_for_t(ext, t) for t in range(m_top)]
+    vertex_check = dp_verify_states(ext.poly, states, m_top)
     bad = sorted(
         [(t, "infeasible") for t in vertex_check.infeasible]
         + [(t, "not a simple vertex") for t in vertex_check.non_simple]
@@ -342,9 +366,13 @@ def verify_construction(ext: ExtendedParabola) -> ConstructionReport:
         )
     )
 
-    projections = [project(ext, v) for v in verts]
-    taus = [Fraction(t, m_top - 1) for t in range(m_top)]
-    off_grid = [t for t, tau in enumerate(taus) if projections[t] != (tau, tau * tau - tau)]
+    # On the grid, phi = t/(M - 1) and phi' = t (t - M + 1)/(M - 1)^2.
+    steps, off_grid = m_top - 1, []
+    phis = [ext.phi.scaled_at(*state) for state in states]  # (numerator, denominator > 0)
+    for t, state in enumerate(states):
+        (p, q), (r, u) = phis[t], ext.phi_prime.scaled_at(*state)
+        if p * steps != t * q or r * steps * steps != t * (t - steps) * u:
+            off_grid.append(t)
     checks.append(
         CheckResult(
             "projection_identity",
@@ -364,12 +392,13 @@ def verify_construction(ext: ExtendedParabola) -> ConstructionReport:
         )
     )
 
-    phis = [phi for phi, _ in projections]
+    by_value = cmp_to_key(lambda a, b: a[0] * b[1] - b[0] * a[1])
+    low, high = (Fraction(*pick(phis, key=by_value)) for pick in (min, max))
     checks.append(
         CheckResult(
             "phi_range",
-            min(phis) == 0 and max(phis) == 1,
-            f"phi over vertices spans [{min(phis)}, {max(phis)}]",
+            low == 0 and high == 1,
+            f"phi over vertices spans [{low}, {high}]",
         )
     )
 

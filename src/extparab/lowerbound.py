@@ -22,8 +22,7 @@ taken at t = 0 or M-1 as g_t is affine, |g_t s| <= G (M-1),
 up to whole bytes, so every lane on both sides lies in [0, 2^w).  An integer has
 one base-2^w digit string, so the two are equal exactly when every lane,
 i.e. every pair, agrees.  The G and closed-form bounds are checked as the
-values are made.  ``chord_inner_product`` does the same pair check in plain
-rational arithmetic.  A disagreement between the two computations raises
+values are made.  A disagreement between the two computations raises
 InternalMismatch.
 """
 
@@ -34,59 +33,18 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
 
-from . import activeset, exactla, extension, polytope
+from . import activeset, extension
 from .activeset import QuadraticObjective, make_rule, RULE_CONSUMES_SEED
 from .errors import (
     BadParameters,
     CertificateFailure,
     ExtparabError,
     InternalMismatch,
-    OutOfRange,
     ScanCapExceeded,
 )
 from .extension import ExtendedParabola
 
 SCAN_CAP_DEFAULT = 4096
-
-
-def projected_vertex(m_count: int, t: int) -> tuple[Fraction, Fraction]:
-    """Grid vertex (1/(M-1)) (t, t^2/(M-1) - t) of the shadow polygon, M >= 2."""
-    if m_count < 2:
-        raise BadParameters(f"M must be at least 2, got {m_count}")
-    if not 0 <= t <= m_count - 1:
-        raise OutOfRange(f"t = {t} outside 0..{m_count - 1}")
-    scale = Fraction(1, m_count - 1)
-    return (scale * t, scale * (Fraction(t * t, m_count - 1) - t))
-
-
-def shadow_gradient(m_count: int, point: Sequence) -> tuple[Fraction, Fraction]:
-    """Gradient (2 x1 + (3/2)/(M-1) - 1, -1) of the shadow objective, M >= 2."""
-    if m_count < 2:
-        raise BadParameters(f"M must be at least 2, got {m_count}")
-    x1 = exactla.rat(point[0])
-    return (2 * x1 + Fraction(3, 2) / (m_count - 1) - 1, Fraction(-1))
-
-
-def chord_inner_product(m_count: int, t: int, k: int) -> Fraction:
-    """Gradient-chord inner product at x(t) toward x(t+k), checked two ways.
-
-    Computes the closed form k (3/2 - k)/(M-1)^2 and, independently, the dot
-    product of the shadow gradient with the difference vector, and insists
-    they agree before returning the value.
-    """
-    if k == 0:
-        raise OutOfRange("k must be nonzero")
-    if not 0 <= t <= m_count - 1 or not 0 <= t + k <= m_count - 1:
-        raise OutOfRange(f"(t, k) = ({t}, {k}) outside the grid 0..{m_count - 1}")
-    closed = Fraction(k, (m_count - 1) ** 2) * (Fraction(3, 2) - k)
-    here = projected_vertex(m_count, t)
-    there = projected_vertex(m_count, t + k)
-    direct = exactla.dot(shadow_gradient(m_count, here), [a - b for a, b in zip(there, here)])
-    if closed != direct:
-        raise InternalMismatch(
-            f"closed form {closed} != direct dot {direct} at (t, k) = ({t}, {k})"
-        )
-    return closed
 
 
 @dataclass(frozen=True)
@@ -214,20 +172,20 @@ def monotone_path_check(
     none.  The moves are the active-set method's own: the runner's
     ``activeset.walk`` with the first-index rule from vertex 0, with all its
     checks, and each point it reaches, numerators over a denominator in lowest
-    terms, is compared with the vertex map's (``polytope.cleared``).  Any
-    deviation, or any error raised at vertex t or on the edge leaving it,
-    raises CertificateFailure naming the offending t.
+    terms, is compared with the vertex map's integer state
+    (``extension.state_for_t``).  Any deviation, or any error raised at vertex
+    t or on the edge leaving it, raises CertificateFailure naming the
+    offending t.
     """
     m_top = ext.params.vertex_count
     entries, records = [], None
     for t in range(m_top):
         try:
-            vertex = extension.vertex_for_t(ext, t)
             if records is None:  # vertex 0 starts the walk
-                start = activeset.start_point(ext.poly, f, vertex)
+                start = activeset.start_point(ext.poly, f, extension.vertex_for_t(ext, 0))
                 records = activeset.walk(ext.poly, f, start, activeset.FirstIndex(), m_top)
             point, improving, _ = next(records)
-            state = polytope.cleared(ext.poly, vertex)
+            state = extension.state_for_t(ext, t)
         except ExtparabError as exc:
             raise CertificateFailure(f"t = {t}: {exc}") from exc
         if t and (point.nums, point.denom) != state:

@@ -4,17 +4,18 @@ A polytope is stored as ``{x : A x <= b}`` over rationals; two polytopes
 compare equal when A and b agree entry for entry.
 
 Every row is also kept scaled to integers, dense and as its nonzeros only
-(the tower's rows have at most three).  ``cleared`` is the one conversion of
-a point to integers, numerators X over the lcm D of its denominators, equal
-exactly when the points are; ``locate`` makes that a ``ScaledPoint``, with
-slack numerators b_i D - A_i . X, computed once, and the tight set read off them.
+(the tower's rows have at most three).  A point's state is its numerators
+X over the lcm D of its denominators, equal exactly when the points are;
+the t-map builds states, ``cleared`` converts coordinates to one, and
+``locate`` makes one a ``ScaledPoint``, with slack numerators b_i D - A_i . X,
+computed once, and the tight set read off them.
 Edge enumeration and the ratio test take that state; ``step`` moves it along
 an edge in integers, reduced by gcd(D, *X).  Only ``slacks`` and the ratio
 test's minimum are built as Fractions.  ``is_simple`` decides that the d
 tight rows are independent by the forward pass of integer elimination
 (``exactla.is_nonsingular``) and keeps nothing; ``deformed.dp_verify`` keeps
-its verdict per cleared point on the frozen polytope object, so it dies
-with the object and an equal polytope built separately decides again.  The
+its verdict per point state on the frozen polytope object, so it dies with
+the object and an equal polytope built separately decides again.  The
 ratio test skips the tight rows: none of them can block an edge that
 ``edge_directions`` returned.
 
@@ -56,6 +57,7 @@ from .errors import (
 from .exactla import Matrix, Vector
 
 TightSet = tuple[int, ...]
+State = tuple[tuple[int, ...], int]  # (numerators, denominator > 0) in lowest terms
 Edge = tuple[int, tuple[int, ...]]  # (leaving facet, primitive direction)
 
 
@@ -110,8 +112,8 @@ class HPolytope:
         )
 
     @cached_property
-    def _point_verdicts(self) -> dict[tuple[tuple[int, ...], int], str]:
-        # deformed.dp_verify's verdict per cleared point located in this object.
+    def _point_verdicts(self) -> dict[State, tuple[State, str]]:
+        # deformed.dp_verify's (state, verdict) per point state located in this object.
         return {}
 
 
@@ -140,7 +142,7 @@ def _slack_nums(poly: HPolytope, nums: Sequence[int], denom: int) -> list[int]:
     return [rhs * denom - _sparse_dot(row, nums) for row, rhs in poly._sparse_rows]
 
 
-def cleared(poly: HPolytope, x: Sequence) -> tuple[tuple[int, ...], int]:
+def cleared(poly: HPolytope, x: Sequence) -> State:
     """x as integer numerators over the lcm of its denominators: equal iff the points are."""
     if len(x) != poly.dim:
         raise DimensionMismatch(f"point has dim {len(x)}, polytope {poly.dim}")

@@ -29,6 +29,7 @@ from extparab.extension import (
     vertex_for_t,
 )
 from test_hotpath_oracle import fraction_coords
+from test_lowerbound import chord_inner_product
 
 SCALING_DIMS = (4, 6, 8, 10, 12)
 
@@ -116,7 +117,7 @@ def test_criterion_4_chord_scan():
             assert report.pairs_checked == m_count * (m_count - 1)
         # spot-check the rational route agrees with the integer sweep
         for t, k in [(0, 1), (0, 2), (5, -1), (14, 1), (15, -15)]:
-            value = lowerbound.chord_inner_product(16, t, k)
+            value = chord_inner_product(16, t, k)
             assert (value > 0) == (k == 1)
 
 

@@ -1,15 +1,20 @@
 """The recursive tower: parameters, vertex map, projection, verification."""
 
 import dataclasses
+import os
+import subprocess
+import sys
 from fractions import Fraction as F
+from pathlib import Path
 
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from extparab import extension, polygons
+from extparab import polygons
 from extparab.activeset import pullback_objective
 from extparab.errors import BadParameters, DimensionMismatch, InternalMismatch, OutOfRange
+from extparab.exactla import common_denominator
 from extparab.extension import (
     ConstructionParams,
     all_vertices,
@@ -18,10 +23,26 @@ from extparab.extension import (
     project,
     sidecar_json_dict,
     stage_vertices,
+    state_for_t,
     verify_construction,
     vertex_for_t,
 )
 from extparab.lowerbound import monotone_path_check
+
+
+def reference_vertex_at_dim(ext, dim, t):
+    """The Fraction t-map that the integer states replaced, kept as the oracle."""
+    if dim == 2:
+        return polygons.h(F(t, ext.params.fiber_count - 1))
+    level = ext.levels[(dim - 4) // 2]
+    j, l, s = decompose_t(t, level.m_level, ext.params.fiber_count)
+    inner = reference_vertex_at_dim(ext, dim - 2, s)
+    sweep = F(s, level.m_level - 1)
+    if inner[dim - 4] != sweep:
+        raise InternalMismatch(f"inner vertex {s} misses sweep value {sweep}")
+    v = level.fiber_start.points[2 * j + l]
+    w = level.fiber_end.points[2 * j + l]
+    return inner + tuple(a + sweep * (b - a) for a, b in zip(v, w))
 
 
 def recompose_t(j, l, s, m_level):
@@ -183,7 +204,7 @@ def test_t_map_builds_each_vertex_once_per_tower(monkeypatch):
     verts = all_vertices(ext)
     assert sorted(taus) == [F(t, 7) for t in range(8)]
     assert len(ext._vertices) == 512 + 64 + 8
-    assert verts == [ext._vertices[6, t] for t in range(512)]
+    assert [common_denominator(v) for v in verts] == [ext._vertices[6, t] for t in range(512)]
 
 
 def test_one_vertex_builds_only_its_own_stages():
@@ -192,7 +213,24 @@ def test_one_vertex_builds_only_its_own_stages():
     ext = build(ConstructionParams(n=48, d=12))
     start = vertex_for_t(ext, 0)
     assert sorted(ext._vertices) == [(dim, 0) for dim in range(2, 13, 2)]
-    assert vertex_for_t(ext, 0) is start and "_stage_vertices" not in vars(ext)
+    state = ext._vertices[12, 0]
+    assert state == common_denominator(start) and state_for_t(ext, 0) is state
+    assert vertex_for_t(ext, 0) == start and len(ext._vertices) == 6
+    assert "_stage_vertices" not in vars(ext)
+
+
+@pytest.mark.parametrize("n, d", [(16, 4), (48, 6), (32, 8), (40, 10)])
+def test_t_map_states_match_the_fraction_reference(n, d):
+    # Every state the t-map builds, inner stages too, is the lowest-terms
+    # integer form of the Fraction vertex, and vertex_for_t is that vertex.
+    ext = build(ConstructionParams(n=n, d=d))
+    for t in range(ext.params.vertex_count):
+        vertex = reference_vertex_at_dim(ext, d, t)
+        assert state_for_t(ext, t) == common_denominator(vertex)
+        assert vertex_for_t(ext, t) == vertex
+    assert len(ext._vertices) == sum(ext.params.level_m(dim) for dim in range(2, d + 1, 2))
+    for (dim, t), state in ext._vertices.items():
+        assert state == common_denominator(reference_vertex_at_dim(ext, dim, t))
 
 
 def test_vertex_lists_are_fresh_for_each_caller():
@@ -263,21 +301,15 @@ def test_verify_detects_corrupted_weight():
     assert "projection_identity" in failed
 
 
-def test_verify_names_bad_and_repeated_t_map_points(monkeypatch):
-    # Three bad t-map entries: vertex 3 moved outside Q, vertex 7 replaced by
-    # the midpoint of the edge to vertex 8, and vertex 11 a copy of vertex 10.
+def test_verify_names_bad_and_repeated_t_map_points():
+    # Three bad t-map states: vertex 3 moved outside Q, vertex 7 replaced by
+    # the midpoint of the edge to vertex 8, and vertex 11 an equal copy of
+    # vertex 10, put in the tower's t-map memo.
     ext = build(ConstructionParams(n=16, d=4))
-    real = extension.vertex_for_t
-
-    def corrupted(ext, t):
-        v = real(ext, t)
-        if t == 3:
-            return (v[0] + 5,) + v[1:]
-        if t == 7:
-            return tuple((a + b) / 2 for a, b in zip(v, real(ext, 8)))
-        return real(ext, 10) if t == 11 else v
-
-    monkeypatch.setattr(extension, "vertex_for_t", corrupted)
+    v3, v7, v8, v10 = (vertex_for_t(ext, t) for t in (3, 7, 8, 10))
+    ext._vertices[4, 3] = common_denominator((v3[0] + 5,) + v3[1:])
+    ext._vertices[4, 7] = common_denominator([(a + b) / 2 for a, b in zip(v7, v8)])
+    ext._vertices[4, 11] = common_denominator(v10)
     checks = {c.name: c for c in verify_construction(ext).checks}
     assert not checks["vertices_simple"].ok
     assert checks["vertices_simple"].detail == (
@@ -287,21 +319,41 @@ def test_verify_names_bad_and_repeated_t_map_points(monkeypatch):
     assert checks["t_map_bijective"].detail == "15 distinct vertices for 16 indices"
 
 
-def test_verify_names_a_repeated_bad_point_once(monkeypatch):
+def test_verify_names_a_repeated_bad_point_once():
     # Vertex 9 repeats the infeasible vertex 4: the repeat is a duplicate
     # of index 4, not a second failure.
     ext = build(ConstructionParams(n=16, d=4))
-    real = extension.vertex_for_t
-
-    def corrupted(ext, t):
-        v = real(ext, 4 if t == 9 else t)
-        return (v[0] + 5,) + v[1:] if t in (4, 9) else v
-
-    monkeypatch.setattr(extension, "vertex_for_t", corrupted)
+    v4 = vertex_for_t(ext, 4)
+    for t in (4, 9):
+        ext._vertices[4, t] = common_denominator((v4[0] + 5,) + v4[1:])
     checks = {c.name: c for c in verify_construction(ext).checks}
     assert checks["vertices_simple"].detail == "failures at [(4, 'infeasible')]"
     assert not checks["t_map_bijective"].ok
     assert checks["t_map_bijective"].detail == "15 distinct vertices for 16 indices"
+
+
+def test_t_map_faults_survive_optimize_flag():
+    # Under python -O a moved and a repeated t-map state still fail
+    # verify_construction, by explicit checks.
+    code = (
+        "from extparab.extension import ConstructionParams, build, state_for_t, verify_construction\n"
+        "assert False, 'asserts must be stripped'\n"
+        "ext = build(ConstructionParams(n=16, d=4))\n"
+        "nums, denom = state_for_t(ext, 3)\n"
+        "ext._vertices[4, 3] = (nums[0] + 5 * denom,) + nums[1:], denom\n"
+        "ext._vertices[4, 11] = state_for_t(ext, 10)\n"
+        "for check in verify_construction(ext).checks:\n"
+        "    print(check.ok, check.detail)\n"
+    )
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    done = subprocess.run(
+        [sys.executable, "-O", "-c", code], capture_output=True, text=True, env=env, timeout=60
+    )
+    assert done.returncode == 0, done.stderr
+    lines = done.stdout.splitlines()
+    assert "False failures at [(3, 'infeasible')]" in lines
+    assert "False 15 distinct vertices for 16 indices" in lines
 
 
 def test_functional_norms_recorded():

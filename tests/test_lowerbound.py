@@ -8,7 +8,7 @@ from pathlib import Path
 
 import pytest
 
-from extparab import activeset, extension, lowerbound, polytope
+from extparab import activeset, exactla, extension, lowerbound, polytope
 from extparab.activeset import QuadraticObjective, pullback_objective
 from extparab.errors import (
     BadParameters,
@@ -18,13 +18,48 @@ from extparab.errors import (
     ScanCapExceeded,
 )
 from extparab.extension import ConstructionParams, build, project, vertex_for_t
-from extparab.lowerbound import (
-    chord_inner_product,
-    chord_scan,
-    iteration_experiment,
-    monotone_path_check,
-    projected_vertex,
-)
+from extparab.lowerbound import chord_scan, iteration_experiment, monotone_path_check
+
+
+def projected_vertex(m_count, t):
+    """Grid vertex (1/(M-1)) (t, t^2/(M-1) - t) of the shadow polygon, M >= 2."""
+    if m_count < 2:
+        raise BadParameters(f"M must be at least 2, got {m_count}")
+    if not 0 <= t <= m_count - 1:
+        raise OutOfRange(f"t = {t} outside 0..{m_count - 1}")
+    scale = F(1, m_count - 1)
+    return (scale * t, scale * (F(t * t, m_count - 1) - t))
+
+
+def shadow_gradient(m_count, point):
+    """Gradient (2 x1 + (3/2)/(M-1) - 1, -1) of the shadow objective, M >= 2."""
+    if m_count < 2:
+        raise BadParameters(f"M must be at least 2, got {m_count}")
+    x1 = exactla.rat(point[0])
+    return (2 * x1 + F(3, 2) / (m_count - 1) - 1, F(-1))
+
+
+def chord_inner_product(m_count, t, k):
+    """Gradient-chord inner product at x(t) toward x(t+k), checked two ways.
+
+    The plain rational reference for ``chord_scan``: computes the closed form
+    k (3/2 - k)/(M-1)^2 and, independently, the dot product of the shadow
+    gradient with the difference vector, and insists they agree before
+    returning the value.
+    """
+    if k == 0:
+        raise OutOfRange("k must be nonzero")
+    if not 0 <= t <= m_count - 1 or not 0 <= t + k <= m_count - 1:
+        raise OutOfRange(f"(t, k) = ({t}, {k}) outside the grid 0..{m_count - 1}")
+    closed = F(k, (m_count - 1) ** 2) * (F(3, 2) - k)
+    here = projected_vertex(m_count, t)
+    there = projected_vertex(m_count, t + k)
+    direct = exactla.dot(shadow_gradient(m_count, here), [a - b for a, b in zip(there, here)])
+    if closed != direct:
+        raise InternalMismatch(
+            f"closed form {closed} != direct dot {direct} at (t, k) = ({t}, {k})"
+        )
+    return closed
 
 
 def test_projected_vertex_endpoints():
@@ -55,7 +90,7 @@ def test_projected_vertex_refuses_fewer_than_two_vertices(m_count):
 @pytest.mark.parametrize("m_count", [1, 0, -3])
 def test_shadow_gradient_refuses_fewer_than_two_vertices(m_count):
     with pytest.raises(BadParameters, match=f"M must be at least 2, got {m_count}"):
-        lowerbound.shadow_gradient(m_count, (F(0), F(0)))
+        shadow_gradient(m_count, (F(0), F(0)))
 
 
 def test_chord_inner_product_values():
@@ -276,19 +311,15 @@ def test_monotone_path_detects_moved_vertex(monkeypatch):
     # vertex fails the certificate at t = 4, as soon as the walk yields the
     # record of vertex 5: vertices 0..5 are priced, and none after them.
     ext = build(ConstructionParams(n=16, d=4))
-    real_vertex_for_t = extension.vertex_for_t
+    v = vertex_for_t(ext, 5)
+    ext._vertices[4, 5] = exactla.common_denominator((v[0] + 1,) + v[1:])
     real_edge_directions = polytope.edge_directions
     priced = []
-
-    def moved(ext, t):
-        v = real_vertex_for_t(ext, t)
-        return (v[0] + 1,) + v[1:] if t == 5 else v
 
     def counted(*args):
         priced.append(args[1].tight)
         return real_edge_directions(*args)
 
-    monkeypatch.setattr(extension, "vertex_for_t", moved)
     monkeypatch.setattr(polytope, "edge_directions", counted)
     with pytest.raises(CertificateFailure, match=r"^t = 4: improving edge does not reach vertex t \+ 1$"):
         monotone_path_check(ext, pullback_objective(ext))
@@ -348,16 +379,14 @@ def test_monotone_path_controls_survive_optimize_flag():
         "ext = build(ConstructionParams(n=16, d=4))\n"
         "good = pullback_objective(ext)\n"
         "linear = tuple(-a - b for a, b in zip(ext.phi.coeffs, ext.phi_prime.coeffs))\n"
-        "real = extension.vertex_for_t\n"
-        "def moved(ext, t):\n"
-        "    v = real(ext, t)\n"
-        "    return (v[0] + 1,) + v[1:] if t == 5 else v\n"
+        "nums, denom = extension.state_for_t(ext, 5)\n"
+        "moved = (nums[0] + denom,) + nums[1:], denom\n"
         "for f in (QuadraticObjective(good.quad, linear, good.constant), good):\n"
         "    try:\n"
         "        lowerbound.monotone_path_check(ext, f)\n"
         "    except CertificateFailure as exc:\n"
         "        print(exc)\n"
-        "    extension.vertex_for_t = moved\n"
+        "    ext._vertices[4, 5] = moved\n"
     )
     src = str(Path(__file__).resolve().parents[1] / "src")
     env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))

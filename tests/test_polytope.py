@@ -239,6 +239,13 @@ def counted_calls(monkeypatch, module, name) -> list:
     return calls
 
 
+def verdicts_of(poly) -> dict:
+    """dp_verify's verdict per point state kept on poly; each entry holds its own key object."""
+    memo = poly._point_verdicts
+    assert all(state is key for key, (state, _) in memo.items())
+    return {key: verdict for key, (_, verdict) in memo.items()}
+
+
 def counted_eliminations(monkeypatch) -> list:
     """The row lists exactla.is_nonsingular is called on, from here on."""
     return counted_calls(monkeypatch, exactla, "is_nonsingular")
@@ -249,6 +256,7 @@ def test_verify_and_stage_checks_eliminate_each_tight_set_once(monkeypatch):
     # dp_verify the 8 and 64 vertices of stages 2 and 4, two other polytopes.
     # On stage 6 it meets the same 512 vertices in the same ext.poly again and
     # reuses their verdicts: 584 locates and 584 eliminations, not 1,096 and 584.
+    # The verdicts are kept with the t-map's own state objects.
     locates = counted_calls(monkeypatch, polytope, "locate")
     calls = counted_eliminations(monkeypatch)
     ext = build(ConstructionParams(n=48, d=6))
@@ -259,7 +267,9 @@ def test_verify_and_stage_checks_eliminate_each_tight_set_once(monkeypatch):
         assert dp_verify(stage_polytope(ext, dim), points, ext.params.level_m(dim)).ok
     assert len(calls) == len(locates) == 512 + 8 + 64
     assert len(ext.poly._point_verdicts) == 512
-    assert set(ext.poly._point_verdicts.values()) == {"simple"}
+    assert set(verdicts_of(ext.poly).values()) == {"simple"}
+    states = [ext._vertices[6, t] for t in range(512)]
+    assert all(ext.poly._point_verdicts[state][0] is state for state in states)
 
 
 def test_certify_path_hashes_no_fraction(monkeypatch):
@@ -291,7 +301,7 @@ def test_an_equal_polytope_built_separately_eliminates_again(monkeypatch):
     assert dp_verify(twin, [vertex], 1).ok
     assert len(calls) == 2
     key = polytope.cleared(twin, vertex)
-    assert twin._point_verdicts == ext.poly._point_verdicts == {key: "simple"}
+    assert verdicts_of(twin) == verdicts_of(ext.poly) == {key: "simple"}
     assert twin._point_verdicts is not ext.poly._point_verdicts
 
 
@@ -306,13 +316,13 @@ def test_a_rank_deficient_tight_set_stays_non_simple_on_repeat(monkeypatch):
         assert report.duplicate_pairs == ((0, 1),)
         assert report.non_simple == (0,) and report.infeasible == (2,)
     assert len(locates) == 2 and len(calls) == 1
-    assert parallel._point_verdicts == {((2, 1), 2): "non_simple", ((4, 1), 2): "infeasible"}
+    assert verdicts_of(parallel) == {((2, 1), 2): "non_simple", ((4, 1), 2): "infeasible"}
     # A point with fewer than d tight rows never reaches elimination; another
     # tight pair is a new point, decided once.
     report = dp_verify(parallel, [(F(1, 2), F(0)), (0, 0)], 2)
     assert report.non_simple == (0,) and not report.infeasible
     assert len(locates) == 4 and len(calls) == 2
-    assert parallel._point_verdicts[(0, 0), 1] == "simple"
+    assert verdicts_of(parallel)[(0, 0), 1] == "simple"
 
 
 def test_all_zero_row_rejected():

@@ -27,7 +27,6 @@ from .extension import (
     ExtendedParabola,
     build,
     decompose_t,
-    project,
     verify_construction,
     vertex_for_t,
 )

@@ -31,8 +31,12 @@ once; ``polytope`` owns it, with its row and slack formats.  Objectives keep
 their form with denominators cleared and evaluate the gradient numerators
 (once per vertex), the curvature along an edge and the objective value on
 that state, over the nonzero rows of the quadratic part only (on the tower
-it has a single one).  The rule, the trace steps (without slacks) and the
-writers take that state too; no Fraction vertex is built on the walk.
+it has a single one).  ``walk`` prices a vertex's edges in O(d) integer
+products, as G . dir = D (l . dir) + sum of dir_i (G_i - D l_i) over those
+rows, with the linear price l . dir kept per direction object: the pivot
+hands most directions back as the same immutable tuples, and l is fixed, so
+a kept price is still exact.  The rule, the trace steps (without slacks)
+and the writers take that state too; no Fraction vertex is built on it.
 """
 
 from __future__ import annotations
@@ -195,9 +199,14 @@ def improving_edges(edges: Sequence[Edge], gradient: Sequence) -> list[Edge]:
     ``edges`` is the vertex's ``polytope.edge_directions`` list and
     ``gradient`` any positive multiple of grad f at the vertex, such as the
     integer numerators from ``QuadraticObjective.gradient_at``; the scaling
-    keeps every sign.
+    keeps every sign.  ``walk``'s O(d) pricing is tested against it.
     """
     return [(facet, d) for facet, d in edges if sum(map(mul, gradient, d)) > 0]
+
+
+def _linear_price(linear: Sequence[int], direction: Sequence[int]) -> int:
+    """l . dir, the objective's scaled linear part l: ``walk``'s price of a new direction."""
+    return sum(map(mul, linear, direction))
 
 
 # ---------------------------------------------------------------------------
@@ -310,12 +319,25 @@ def walk(
     improves, or ``max_iter`` moves were made.
     """
     f_value = f.value_at(point.nums, point.denom)
-    edges = None
+    _, curved, linear, _ = f._cleared
+    edges, prices = None, {}
     for moves in count():
         nums, denom, _, tight = point
         gradient = f.gradient_at(nums, denom)
         edges = polytope.edge_directions(poly, point, edges)  # raises DegenerateVertex
-        improving = improving_edges(edges, gradient[0])
+        bends = [(i, gradient[0][i] - denom * linear[i]) for i, _, _ in curved]  # G_i - D l_i
+        seen, prices, improving = prices, {}, []
+        for edge in edges:
+            key = id(direction := edge[1])
+            hit = seen.get(key)  # seen keeps its directions alive, so no id is reused
+            if hit is None or hit[0] is not direction:
+                hit = direction, _linear_price(linear, direction)
+            prices[key] = hit
+            price = denom * hit[1]
+            for i, bend in bends:
+                price += direction[i] * bend
+            if price > 0:
+                improving.append(edge)
         if not improving or moves >= max_iter:
             yield point, improving, TraceStep(nums, denom, tight, None, None, f_value)
             return
@@ -336,7 +358,7 @@ def walk(
                 f"blocking tie leaves {len(point.tight)} tight rows at the new point"
             )
         new_value = f.value_at(point.nums, point.denom)
-        if not new_value > f_value:
+        if new_value.numerator * f_value.denominator <= f_value.numerator * new_value.denominator:
             raise InternalMismatch("objective must strictly increase on a move")
         if len(point.tight) != poly.dim:
             raise NotAVertex(f"iterate has {len(point.tight)} tight rows, need {poly.dim}")

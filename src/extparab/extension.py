@@ -38,11 +38,10 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property, cmp_to_key
 from math import gcd
-from typing import Sequence
 
 from . import exactla, polygons
 from .deformed import Functional, dp_hrep, dp_verify_states, dp_vrep
-from .errors import BadParameters, DimensionMismatch, InternalMismatch, OutOfRange
+from .errors import BadParameters, InternalMismatch, OutOfRange
 from .exactla import Matrix, Vector
 from .polygons import ParabolaVertexList
 from .polytope import HPolytope, State
@@ -287,13 +286,6 @@ def stage_vertices(ext: ExtendedParabola, dim: int) -> list[Vector]:
             )
         )
     return list(memo[dim])
-
-
-def project(ext: ExtendedParabola, x: Sequence) -> tuple[Fraction, Fraction]:
-    """(phi(x), phi'(x)); on vertices this lands on the parabola grid."""
-    if len(x) != ext.params.d:
-        raise DimensionMismatch(f"point has dim {len(x)}, construction {ext.params.d}")
-    return (ext.phi(x), ext.phi_prime(x))
 
 
 @dataclass(frozen=True)

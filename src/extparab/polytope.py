@@ -3,12 +3,15 @@
 A polytope is stored as ``{x : A x <= b}`` over rationals; two polytopes
 compare equal when A and b agree entry for entry.
 
-Every row is also kept scaled to integers, dense and as its nonzeros only
-(the tower's rows have at most three).  A point's state is its numerators
-X over the lcm D of its denominators, equal exactly when the points are;
-the t-map builds states, ``cleared`` converts coordinates to one, and
-``locate`` makes one a ``ScaledPoint``, with slack numerators b_i D - A_i . X,
-computed once, and the tight set read off them.
+Every row is also kept scaled to integers and compiled, once per polytope
+object and by one ``exec``, into straight-line code over its nonzeros (the
+tower's rows have at most three): ``HPolytope._kernel`` holds a slack
+function over all rows and an ``A_i . x`` function per row.  Their source
+holds only values checked to be ``int``, so no input text can reach it.  A
+point's state is its numerators X over the lcm D of its denominators, equal
+exactly when the points are; the t-map builds states, ``cleared`` converts
+coordinates to one, and ``locate`` makes one a ``ScaledPoint``, with slack
+numerators b_i D - A_i . X, computed once, and the tight set read off them.
 Edge enumeration and the ratio test take that state; ``step`` moves it along
 an edge in integers, reduced by gcd(D, *X).  Only ``slacks`` and the ratio
 test's minimum are built as Fractions.  ``is_simple`` decides that the d
@@ -26,7 +29,8 @@ by pivoting the edges of the vertex the walk just left, as they are, on the
 one row it swapped, since the new edges are -dir_i and the primitive parts
 of (A_b . dir_i) dir_f - (A_b . dir_f) dir_i after a move along dir_i that
 row b blocks.  Edges are checked in full at the first vertex, and at a
-pivoted one only where the pivot changed them.
+pivoted one only where the pivot changed them (the rest were proven at the
+vertex before, by the same kernel on the same direction objects).
 
 Edge enumeration raises DegenerateVertex at a non-simple vertex, because on
 the constructed instances degeneracy means a bug, not a case to handle.
@@ -38,11 +42,13 @@ matching ``V-representation`` writer for vertex lists.
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
+from itertools import chain
 from math import gcd
-from typing import Iterable, NamedTuple, Sequence
+from typing import Callable, Iterable, NamedTuple, Sequence
 
 from . import exactla
 from .errors import (
@@ -83,7 +89,7 @@ class HPolytope:
     def num_facets(self) -> int:
         return len(self.A)
 
-    @property
+    @cached_property
     def dim(self) -> int:
         return len(self.A[0])
 
@@ -104,12 +110,16 @@ class HPolytope:
         return tuple(tuple(-a for a in row) for row, _ in self._int_rows)
 
     @cached_property
-    def _sparse_rows(self) -> tuple[tuple[tuple[tuple[int, int], ...], int], ...]:
-        # _int_rows with each row reduced to its (column, coefficient) nonzeros.
-        return tuple(
-            (tuple((j, a) for j, a in enumerate(row) if a), rhs)
-            for row, rhs in self._int_rows
-        )
+    def _kernel(self) -> _RowKernel:
+        # _int_rows as code over their nonzeros, in hex, which no decimal digit limit applies
+        # to; globals apart from the names, so no cycle keeps the functions for the collector.
+        rows = [([(j, a) for j, a in enumerate(row) if a], b) for row, b in self._int_rows]
+        if any(type(v) is not int for terms, b in rows for v in (b, *chain(*terms))):
+            raise InternalMismatch("row kernels are compiled from int entries only")
+        slacks = ",".join(f"{b:+#x}*D" * bool(b) + _sum_source(terms, -1) for terms, b in rows)
+        dots = "".join(f"lambda x: {_sum_source(terms, 1)}," for terms, _ in rows)
+        exec(f"def slacks(x, D): return [{slacks}]\nrows = ({dots})", {}, code := {})
+        return _RowKernel(code["slacks"], code["rows"])
 
     @cached_property
     def _point_verdicts(self) -> dict[State, tuple[State, str]]:
@@ -117,12 +127,17 @@ class HPolytope:
         return {}
 
 
-def _sparse_dot(row: Sequence[tuple[int, int]], x: Sequence) -> int:
-    """A_i . x for a row given as its (column, coefficient) nonzeros."""
-    total = 0
-    for j, a in row:
-        total += a * x[j]
-    return total
+def _sum_source(terms: Sequence[tuple[int, int]], sign: int) -> str:
+    """Source of +sum(sign a x[j]) over (j, a) pairs; a sum() past 64, which nests no deeper."""
+    parts = [f"{sign * a:+#x}*x[{j}]" for j, a in terms]
+    return "".join(parts) if len(parts) <= 64 else f"+sum(({','.join(parts)},))"
+
+
+class _RowKernel(NamedTuple):
+    """``slacks(X, D)``: b_i D - A_i . X for every integer row; ``rows[i](x)``: A_i . x."""
+
+    slacks: Callable[[Sequence[int], int], list[int]]
+    rows: tuple[Callable[[Sequence[int]], int], ...]
 
 
 class ScaledPoint(NamedTuple):
@@ -138,10 +153,6 @@ class ScaledPoint(NamedTuple):
     tight: TightSet
 
 
-def _slack_nums(poly: HPolytope, nums: Sequence[int], denom: int) -> list[int]:
-    return [rhs * denom - _sparse_dot(row, nums) for row, rhs in poly._sparse_rows]
-
-
 def cleared(poly: HPolytope, x: Sequence) -> State:
     """x as integer numerators over the lcm of its denominators: equal iff the points are."""
     if len(x) != poly.dim:
@@ -151,7 +162,7 @@ def cleared(poly: HPolytope, x: Sequence) -> State:
 
 def locate(poly: HPolytope, nums: tuple[int, ...], denom: int) -> ScaledPoint:
     """The point nums/denom (in lowest terms) with its slacks; NotFeasible outside."""
-    slacks = _slack_nums(poly, nums, denom)
+    slacks = poly._kernel.slacks(nums, denom)
     if min(slacks) < 0:
         raise NotFeasible("point is outside the polytope")
     return ScaledPoint(nums, denom, slacks, tuple(i for i, s in enumerate(slacks) if not s))
@@ -173,12 +184,12 @@ def step(point: ScaledPoint, direction: Sequence[int], mu: Fraction) -> tuple[tu
 def slacks(poly: HPolytope, x: Sequence) -> Vector:
     """b - A x, in the positively row-scaled integer system."""
     nums, denom = cleared(poly, x)
-    return tuple(Fraction(s, denom) for s in _slack_nums(poly, nums, denom))
+    return tuple(Fraction(s, denom) for s in poly._kernel.slacks(nums, denom))
 
 
 def contains(poly: HPolytope, x: Sequence) -> bool:
     """Exact membership test A x <= b."""
-    return min(_slack_nums(poly, *cleared(poly, x))) >= 0
+    return min(poly._kernel.slacks(*cleared(poly, x))) >= 0
 
 
 def tight_set(poly: HPolytope, x: Sequence) -> TightSet:
@@ -198,7 +209,7 @@ def is_simple_vertex(poly: HPolytope, x: Sequence) -> bool:
 
 
 class _ProvenEdges(tuple):
-    """Edges whose pattern ``edge_directions`` proved on ``rows``: it alone builds them."""
+    """Edges ``edge_directions`` proved with the row kernel ``rows``; it alone builds them."""
 
     def __new__(cls, edges, rows):
         self = super().__new__(cls, edges)
@@ -218,19 +229,19 @@ def edge_directions(
     primitive integer vector with A_j . dir = 0 for every tight j != i and
     A_i . dir < 0.  The directions are the inverse columns of the negated
     tight matrix.  ``previous`` is the edge list of the vertex a walk just
-    left, whose tight set differs from this one in one row (else
-    InternalMismatch); its directions are pivoted on that row
+    left, in its tight order, whose tight set differs from this one in one
+    row (else InternalMismatch); its directions are pivoted on that row
     (``exactla.int_inverse_scaled`` with the swapped row) instead of
     eliminating the tight matrix again.  The pattern is proven by induction:
     all d x d products A_j . dir_k are checked, unless ``previous`` is a list
-    this function returned for the same rows; then the entering row meets
-    every direction and the other rows only those not ``previous``'s own
-    objects, whose products with them were proven at the last vertex.
+    this function returned with the same row kernel; then the entering row
+    meets every direction and the other rows only those not ``previous``'s
+    own objects, whose products with them were proven at the last vertex.
     """
-    tight = point.tight
-    if len(tight) != poly.dim:
-        raise DegenerateVertex(f"{len(tight)} tight rows at a point of dimension {poly.dim}")
-    entering, fresh = None, range(poly.dim)  # fresh: the columns every tight row is checked on
+    tight, dim, kernel = point.tight, poly.dim, poly._kernel
+    if len(tight) != dim:
+        raise DegenerateVertex(f"{len(tight)} tight rows at a point of dimension {dim}")
+    entering, fresh = None, range(dim)  # fresh: the columns every tight row is checked on
     if previous is None:
         columns = exactla.int_inverse_scaled([poly._neg_rows[i] for i in tight])
     else:
@@ -241,30 +252,29 @@ def edge_directions(
                 f"tight rows {sorted(entered)} replace {sorted(left)}; an edge move swaps one row"
             )
         swapped = facets.index(left.pop())
-        facets[swapped] = entered.pop()
+        facets[swapped] = entered = entered.pop()
         old = [direction for _, direction in previous]
         columns = exactla.int_inverse_scaled([poly._neg_rows[i] for i in facets], old, swapped)
     if columns is None:
         raise DegenerateVertex("tight rows are rank-deficient")
     directions = [exactla.primitive(col) for col in columns]
     if previous is not None:
-        _, directions, old = zip(*sorted(zip(facets, directions, old)))
-        if type(previous) is _ProvenEdges and previous.rows is poly._sparse_rows:
-            entering = facets[swapped]
-            fresh = [k for k in range(poly.dim) if directions[k] is not old[k]]
+        place = bisect_left(tight, entered)  # where the entering row's column goes
+        directions.insert(place, directions.pop(swapped))
+        old.insert(place, old.pop(swapped))
+        if type(previous) is _ProvenEdges and previous.rows is kernel:
+            entering = entered
+            fresh = [k for k in range(dim) if directions[k] is not old[k]]
     # Defensive: edge ray k keeps every tight row j != k and strictly leaves row k.
     for j, i in enumerate(tight):
-        row = poly._sparse_rows[i][0]
-        for k in range(poly.dim) if i == entering else fresh:
-            direction = directions[k]
-            prod = 0
-            for c, a in row:
-                prod += a * direction[c]
+        row = kernel.rows[i]
+        for k in range(dim) if i == entering else fresh:
+            prod = row(directions[k])
             if prod >= 0 if j == k else prod:
                 raise InternalMismatch(
                     f"edge {k} breaks the tightness pattern at tight row {j}"
                 )
-    return _ProvenEdges(zip(tight, directions), poly._sparse_rows)
+    return _ProvenEdges(zip(tight, directions), kernel)
 
 
 def ratio_test(poly: HPolytope, point: ScaledPoint, direction: Sequence) -> Fraction | None:
@@ -278,21 +288,13 @@ def ratio_test(poly: HPolytope, point: ScaledPoint, direction: Sequence) -> Frac
     """
     if all(e == 0 for e in direction):
         raise ZeroDirection("ratio test along the zero direction")
-    nums = point.slacks
-    rows = poly._sparse_rows
-    # Ratios nums_i / (denom advance_i) are compared by cross-multiplication,
+    # Ratios slack_i / (denom advance_i) are compared by cross-multiplication,
     # so only the minimum becomes a Fraction.
-    best: int | None = None
-    best_adv = 0
-    for i, slack in enumerate(nums):
-        if not slack:
-            continue
-        adv = _sparse_dot(rows[i][0], direction)
-        if adv > 0 and (best is None or slack * best_adv < nums[best] * adv):
-            best, best_adv = i, adv
-    if best is None:
-        return None
-    return Fraction(nums[best], point.denom * best_adv)
+    best, adv_best = None, 0
+    for s, row in zip(point.slacks, poly._kernel.rows):
+        if s and (adv := row(direction)) > 0 and (best is None or s * adv_best < best * adv):
+            best, adv_best = s, adv
+    return None if best is None else Fraction(best, point.denom * adv_best)
 
 
 # ---------------------------------------------------------------------------

@@ -20,7 +20,6 @@ from extparab.extension import (
     all_vertices,
     build,
     decompose_t,
-    project,
     sidecar_json_dict,
     stage_vertices,
     state_for_t,
@@ -28,6 +27,14 @@ from extparab.extension import (
     vertex_for_t,
 )
 from extparab.lowerbound import monotone_path_check
+
+
+def project(ext, x):
+    """(phi(x), phi'(x)) of a Fraction point (test-side reference); on vertices it lands on
+    the parabola grid."""
+    if len(x) != ext.params.d:
+        raise DimensionMismatch(f"point has dim {len(x)}, construction {ext.params.d}")
+    return (ext.phi(x), ext.phi_prime(x))
 
 
 def reference_vertex_at_dim(ext, dim, t):

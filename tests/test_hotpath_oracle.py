@@ -32,17 +32,20 @@ from math import gcd, lcm
 
 import pytest
 
-from extparab import exactla, polytope
+from extparab import activeset, exactla, polytope
 from extparab.activeset import (
     QuadraticObjective,
     Trace,
     TraceStep,
     active_set_run,
     grid_index,
+    improving_edges,
     make_rule,
     pullback_objective,
+    start_point,
     trace_plot_rows,
     trace_to_json,
+    walk,
 )
 from extparab.errors import (
     DegenerateVertex,
@@ -424,6 +427,68 @@ def test_ratio_test_matches_reference_on_every_edge_of_the_cut_cube(objective, m
         visited.clear()
         trace = active_set_run(CUT_CUBE, CUBE_OBJECTIVES[objective], (0, 0, 0), make_rule(name, 3), 64)
         assert len(visited) == trace.vertices_visited, name
+
+
+# ---------------------------------------------------------------------------
+# Edge pricing: the walk's per-direction linear price against improving_edges
+
+
+def offers_against_reference(poly, f, x0, rule, max_iter):
+    """(vertices walked, vertices where the walk's improving list differs from the reference).
+
+    The reference prices the edges elimination gives at the vertex with the
+    full gradient, ``improving_edges(edges, f.gradient_at(...)[0])``.
+    """
+    visited = differing = 0
+    for point, improving, _ in walk(poly, f, start_point(poly, f, x0), rule, max_iter):
+        edges = polytope.edge_directions(poly, point)
+        differing += improving != improving_edges(edges, f.gradient_at(point.nums, point.denom)[0])
+        visited += 1
+    return visited, differing
+
+
+@pytest.mark.parametrize("n, d", SMALL_TOWERS, ids=[f"n{n}-d{d}" for n, d in SMALL_TOWERS])
+def test_walk_prices_every_vertex_like_improving_edges(n, d, monkeypatch):
+    # Also counts the linear prices computed: a direction the pivot hands
+    # back as the same object reuses its price, so fewer than d per vertex.
+    ext = build(ConstructionParams(n=n, d=d))
+    f, m_top, price, calls = pullback_objective(ext), ext.params.vertex_count, activeset._linear_price, []
+    monkeypatch.setattr(activeset, "_linear_price", lambda *args: calls.append(1) or price(*args))
+    for name in RULES:
+        calls.clear()
+        rule = make_rule(name, 5)
+        assert offers_against_reference(ext.poly, f, vertex_for_t(ext, 0), rule, 4 * m_top) == (m_top, 0)
+        assert d <= len(calls) < d * m_top, name
+
+
+@pytest.mark.parametrize("objective", sorted(CUBE_OBJECTIVES))
+def test_walk_prices_every_vertex_like_improving_edges_on_the_cut_cube(objective):
+    # No curved row (linear) and three curved rows (convex).
+    for name in RULES:
+        visited, differing = offers_against_reference(
+            CUT_CUBE, CUBE_OBJECTIVES[objective], (0, 0, 0), make_rule(name, 3), 64
+        )
+        assert visited >= 3 and differing == 0, name
+
+
+def test_a_corrupted_cached_linear_price_changes_the_offer_or_raises(monkeypatch):
+    # The start vertex's prices are right; every direction priced after it
+    # is cached negated, and the walk reuses it at later vertices.
+    ext = build(ConstructionParams(n=16, d=4))
+    f, price, calls = pullback_objective(ext), activeset._linear_price, []
+
+    def corrupted(linear, direction):
+        calls.append(direction)
+        return price(linear, direction) * (1 if len(calls) <= 4 else -1)
+
+    monkeypatch.setattr(activeset, "_linear_price", corrupted)
+    try:
+        _, differing = offers_against_reference(
+            ext.poly, f, vertex_for_t(ext, 0), make_rule("first"), 64
+        )
+    except (NotImproving, InternalMismatch, NotAVertex, UnboundedImprovement):
+        differing = "raised"
+    assert len(calls) > 4 and differing
 
 
 # ---------------------------------------------------------------------------

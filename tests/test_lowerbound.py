@@ -17,8 +17,9 @@ from extparab.errors import (
     OutOfRange,
     ScanCapExceeded,
 )
-from extparab.extension import ConstructionParams, build, project, vertex_for_t
+from extparab.extension import ConstructionParams, build, vertex_for_t
 from extparab.lowerbound import chord_scan, iteration_experiment, monotone_path_check
+from test_extension import project
 
 
 def projected_vertex(m_count, t):

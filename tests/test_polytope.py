@@ -7,6 +7,8 @@ from fractions import Fraction as F
 from pathlib import Path
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from extparab import exactla, polytope
 from extparab.errors import (
@@ -323,6 +325,85 @@ def test_a_rank_deficient_tight_set_stays_non_simple_on_repeat(monkeypatch):
     assert report.non_simple == (0,) and not report.infeasible
     assert len(locates) == 4 and len(calls) == 2
     assert verdicts_of(parallel)[(0, 0), 1] == "simple"
+
+
+# ---------------------------------------------------------------------------
+# Row kernels against a plain loop over each row's nonzeros
+
+
+def plain_products(poly, x):
+    """A_i . x for every integer row, by a loop over its (column, coefficient) nonzeros."""
+    products = []
+    for row, _ in poly._int_rows:
+        total = 0
+        for j, a in [(j, a) for j, a in enumerate(row) if a]:
+            total += a * x[j]
+        products.append(total)
+    return products
+
+
+def check_kernel(poly, x, denom):
+    kernel = poly._kernel
+    products = plain_products(poly, x)
+    assert [row(x) for row in kernel.rows] == products
+    assert kernel.slacks(x, denom) == [rhs * denom - p for (_, rhs), p in zip(poly._int_rows, products)]
+
+
+# Entries: zeros (sparse rows), small and negative ones, past 64 bits, rationals.
+ENTRIES = st.one_of(
+    st.just(0),
+    st.integers(-9, 9),
+    st.integers(-(2**200), 2**200),
+    st.fractions(max_denominator=2**70),
+)
+BIG = 2**64 + 3
+
+
+@st.composite
+def polytopes_and_points(draw):
+    dim = draw(st.integers(1, 7))
+    row = st.lists(ENTRIES, min_size=dim, max_size=dim).filter(any)
+    rows = draw(st.lists(row, min_size=1, max_size=7))
+    rhs = draw(st.lists(ENTRIES, min_size=len(rows), max_size=len(rows)))
+    x = draw(st.lists(st.integers(-(2**100), 2**100), min_size=dim, max_size=dim))
+    return HPolytope(tuple(map(tuple, rows)), tuple(rhs)), x, draw(st.integers(1, 2**80))
+
+
+@given(polytopes_and_points())
+@example((HPolytope(((3, -1, 4), (-1, -5, -9), (2, 6, 5)), (3, -5, 8)), [8, -9, 7], 3))  # dense
+@example((HPolytope(((0, 0, -BIG), (BIG, 0, 0)), (0, -BIG)), [-BIG, 1, BIG], BIG))  # sparse, past 64 bits
+@settings(max_examples=150, deadline=None)
+def test_row_kernels_match_a_plain_loop(case):
+    poly, x, denom = case
+    check_kernel(poly, x, denom)
+    readback = polytope.hrep_from_ine(polytope.hrep_to_ine(poly))
+    assert readback == poly and readback._kernel is not poly._kernel
+    check_kernel(readback, x, denom)
+
+
+def test_row_kernels_compile_wide_rows_and_long_integers():
+    # 5000 nonzeros in a row (a flat sum that deep exceeds the compiler's
+    # nesting limit) and a coefficient of over 4300 decimal digits (past the
+    # int-to-decimal limit); both must compile and agree with the plain loop.
+    wide = tuple((-1) ** j * (j + 1) for j in range(5000))
+    huge = 7**6000
+    poly = HPolytope((wide, (huge,) + (0,) * 4999), (5, -huge))
+    x = [j % 11 - 5 for j in range(5000)]
+    check_kernel(poly, x, 3)
+
+
+def test_row_kernels_compile_only_int_entries():
+    # Anything in the integer rows other than an int, however it formats,
+    # is refused before any source is built.
+    class Loud(int):
+        def __format__(self, spec):
+            return "__import__('os')"
+
+    for bad in ("1", 1.0, F(1, 2), Loud(1)):
+        poly = HPolytope(((1, 2), (3, 4)), (5, 6))
+        poly.__dict__["_int_rows"] = (((1, bad), 5), ((3, 4), 6))
+        with pytest.raises(InternalMismatch, match="int entries only"):
+            poly._kernel
 
 
 def test_all_zero_row_rejected():

@@ -13,7 +13,7 @@ import ast
 from pathlib import Path
 
 PACKAGE = Path(__file__).resolve().parents[1] / "src" / "extparab"
-SOURCE_LINE_BUDGET = 2646
+SOURCE_LINE_BUDGET = 2661
 
 
 def parse(path):

@@ -16,7 +16,6 @@ from .activeset import (
     SeededRandom,
     Trace,
     active_set_run,
-    improving_edges,
     line_search,
     make_rule,
     pullback_objective,

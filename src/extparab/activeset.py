@@ -4,13 +4,13 @@ At a simple vertex the feasible directions that keep as many working rows
 tight as possible are exactly the d edge rays (each keeps d-1 of the d tight
 rows and strictly leaves one), so the working set is the tight set and one
 loop body is one edge move: price the edges from ``edge_directions`` against
-the gradient (``improving_edges``), follow the chosen improving edge until a
-facet blocks or the gradient along it vanishes, and repeat until no edge
-improves.  A move swaps one tight row, so each vertex's edges are pivoted
-from the last one's.  That loop is written once, as the generator ``walk``:
-``active_set_run`` records its vertices as a trace, ``stream_trace`` writes
-them to the trace and plot files as they come, and the path certificate in
-``lowerbound`` checks the same moves against the construction.
+the gradient, follow the chosen improving edge until a facet blocks or the
+gradient along it vanishes, and repeat until no edge improves.  A move swaps
+one tight row, so each vertex's edges are pivoted from the last one's.  That
+loop is written once, as the generator ``walk``: ``active_set_run`` records
+its vertices as a trace, ``stream_trace`` writes them to the trace and plot
+files as they come, and the path certificate in ``lowerbound`` checks the
+same moves against the construction.
 
 The one "for some" in that loop, which improving edge to follow, is the
 pivot-rule choice point.  Rules plug in through ``choose_direction`` and must
@@ -191,17 +191,6 @@ def line_search(
     if mu_max is None:
         raise UnboundedImprovement("improving edge is unbounded")
     return mu_max
-
-
-def improving_edges(edges: Sequence[Edge], gradient: Sequence) -> list[Edge]:
-    """The edges (leaving_facet, direction) of a vertex along which the gradient rises.
-
-    ``edges`` is the vertex's ``polytope.edge_directions`` list and
-    ``gradient`` any positive multiple of grad f at the vertex, such as the
-    integer numerators from ``QuadraticObjective.gradient_at``; the scaling
-    keeps every sign.  ``walk``'s O(d) pricing is tested against it.
-    """
-    return [(facet, d) for facet, d in edges if sum(map(mul, gradient, d)) > 0]
 
 
 def _linear_price(linear: Sequence[int], direction: Sequence[int]) -> int:

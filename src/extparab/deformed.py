@@ -15,7 +15,8 @@ and every product vertex is simple.  ``dp_verify`` checks exactly that, telling
 points apart by their integer state (``polytope.cleared``), deciding each
 state once per polytope object, and returns a structured report instead of
 raising so callers can aggregate; ``dp_verify_states`` takes the states, as
-the t-map builds them.  ``dp_vrep``, a witness apart from it, is in Fractions.
+the t-map builds them.  ``dp_vrep``, a witness apart from it, interpolates each
+fiber pair cleared to integers and returns Fraction vertices.
 """
 
 from __future__ import annotations
@@ -110,19 +111,26 @@ def dp_vrep(
     v_verts and w_verts must be aligned index by index under the fiber
     bijection; the alignment is the caller's (sorted-parameter) construction
     and is deliberately not re-derived here, so that alignment bugs surface
-    in dp_verify instead of being silently repaired.
+    in dp_verify instead of being silently repaired.  Each pair is cleared
+    once to integers V, W over one denominator E; with phi(p) = tn/td a tail
+    coordinate is one Fraction (V td + tn (W - V))/(E td), after p's own objects.
     """
     if len(v_verts) != len(w_verts):
         raise SizeMismatch("fiber vertex lists differ in length")
-    v_pts = [exactla.vec(v) for v in v_verts]
-    w_pts = [exactla.vec(w) for w in w_verts]
+    pairs = []
+    for k, (v, w) in enumerate(zip(v_verts, w_verts)):
+        if len(v) != len(w):
+            raise DimensionMismatch(f"fiber pair {k}: v has dim {len(v)}, w has dim {len(w)}")
+        nums, denom = exactla.common_denominator(exactla.vec((*v, *w)))
+        pairs.append((tuple(zip(nums[: len(v)], nums[len(v) :])), denom))
     out: list[Vector] = []
     for p in p_verts:
         p = exactla.vec(p)
         t = phi(p)
-        for v, w in zip(v_pts, w_pts):
-            tail = tuple(a + t * (b - a) for a, b in zip(v, w))
-            out.append(p + tail)
+        tn, td = t.numerator, t.denominator
+        for vw, denom in pairs:
+            denom *= td
+            out.append(p + tuple(Fraction(a * td + tn * (b - a), denom) for a, b in vw))
     return out
 
 

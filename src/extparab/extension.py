@@ -24,12 +24,15 @@ The t-map builds each vertex once per tower object, as its integer state
 gives): the fiber pair is interpolated over one denominator and the sweep
 check is a cross-multiplication.  The states (one vertex and its inner
 stages per ``state_for_t``) are kept in a dict on the ``ExtendedParabola``
-keyed by (dim, t), and ``vertex_for_t`` makes Fractions of one.
-``stage_vertices`` keeps each stage's product-map list, in Fractions, keyed
-by dim.  Both depend on the frozen tower's fields alone, and the dicts live
-and die with the object (``dataclasses.replace`` starts empty ones).  The
-maps stay apart, so ``deformed.dp_verify``, the one vertex-set check, is run
-on each map's list and not only on the t-map's.
+keyed by (dim, t), and ``vertex_for_t`` makes Fractions of one;
+``all_vertices`` makes them stage by stage, each vertex sharing its inner
+vertex's tuple and adding Fractions of its two tail coordinates.
+``stage_vertices`` keeps each stage's product-map list (``dp_vrep``'s
+Fraction vertices, from integer fiber pairs) keyed by dim.  Both depend on
+the frozen tower's fields alone, and the dicts live and die with the object
+(``dataclasses.replace`` starts empty ones).  The maps stay apart, so
+``deformed.dp_verify``, the one vertex-set check, is run on each map's list
+and not only on the t-map's.
 """
 
 from __future__ import annotations
@@ -262,29 +265,30 @@ def _vertex_at_dim(ext: ExtendedParabola, dim: int, t: int) -> State:
 
 
 def all_vertices(ext: ExtendedParabola) -> list[Vector]:
-    return [vertex_for_t(ext, t) for t in range(ext.params.vertex_count)]
+    """``vertex_for_t`` for every t (a fresh list), stage by stage: each vertex is its inner
+    vertex's tuple, shared, plus Fractions of its state's two tail coordinates."""
+    params, verts = ext.params, []
+    for dim in range(2, params.d + 1, 2):
+        inner, verts, m_inner = verts, [], params.level_m(dim - 2)
+        for t in range(params.level_m(dim)):
+            nums, denom = _vertex_at_dim(ext, dim, t)
+            head = inner[decompose_t(t, m_inner, params.fiber_count)[2]] if inner else ()
+            verts.append(head + (Fraction(nums[-2], denom), Fraction(nums[-1], denom)))
+    return verts
 
 
 def stage_polytope(ext: ExtendedParabola, dim: int) -> HPolytope:
     """The dimension-dim stage of the tower (the base hull for dim = 2)."""
-    if dim == 2:
-        return ext.base
-    return ext.levels[(dim - 4) // 2].product
+    return ext.base if dim == 2 else ext.levels[(dim - 4) // 2].product
 
 
 def stage_vertices(ext: ExtendedParabola, dim: int) -> list[Vector]:
     """All vertices of the dimension-dim stage, via the product vertex map (a fresh list)."""
     memo = ext._stage_vertices
     if dim not in memo:
-        level = ext.levels[(dim - 4) // 2]
-        memo[dim] = tuple(
-            dp_vrep(
-                stage_vertices(ext, dim - 2),
-                level_functional(dim - 2),
-                level.fiber_start.points,
-                level.fiber_end.points,
-            )
-        )
+        level, inner = ext.levels[(dim - 4) // 2], stage_vertices(ext, dim - 2)
+        fibers = level.fiber_start.points, level.fiber_end.points
+        memo[dim] = tuple(dp_vrep(inner, level_functional(dim - 2), *fibers))
     return list(memo[dim])
 
 

@@ -244,12 +244,7 @@ def iteration_experiment(
     m_top = ext.params.vertex_count
     start = extension.vertex_for_t(ext, 0)
 
-    runs: list[tuple[str, int | None]] = []
-    for rule_name in rules:
-        if rule_name in RULE_CONSUMES_SEED:
-            runs.extend((rule_name, seed) for seed in seeds)
-        else:
-            runs.append((rule_name, None))
+    runs = [(name, s) for name in rules for s in (seeds if name in RULE_CONSUMES_SEED else [None])]
 
     rows = []
     reference: list[tuple[tuple[int, ...], int]] | None = None

@@ -80,13 +80,11 @@ def build_family(m: int, n: int, family: str) -> ParabolaVertexList:
     if n < 2 or n % 2 != 0:
         raise BadParameters(f"N must be an even integer >= 2, got {n}")
     denom = m * n - 1
-    numerators = []
-    for j in range(n // 2):
-        for l in (0, 1):
-            if family == "V":
-                numerators.append(2 * m * (j + l) - l)
-            else:
-                numerators.append(m * (2 * j + 1) - (1 - l))
+    pairs = [(j, l) for j in range(n // 2) for l in (0, 1)]
+    if family == "V":
+        numerators = [2 * m * (j + l) - l for j, l in pairs]
+    else:
+        numerators = [m * (2 * j + 1) - (1 - l) for j, l in pairs]
     params = tuple(Fraction(p, denom) for p in numerators)
     return ParabolaVertexList(params)
 
@@ -112,11 +110,9 @@ def polygon_hrep(verts: ParabolaVertexList) -> tuple[Matrix, Vector]:
     params = verts.params
     if len(params) < 3:
         raise BadParameters("polygon needs at least 3 vertices")
-    rows = []
-    rhs = []
-    for x, y in zip(params, params[1:]):
-        rows.append((x + y - 1, Fraction(-1)))
-        rhs.append(x * y)
+    chords = list(zip(params, params[1:]))
+    rows = [(x + y - 1, Fraction(-1)) for x, y in chords]
+    rhs = [x * y for x, y in chords]
     x0, xl = params[0], params[-1]
     rows.append((-(x0 + xl - 1), Fraction(1)))
     rhs.append(-x0 * xl)

@@ -3,24 +3,25 @@
 A polytope is stored as ``{x : A x <= b}`` over rationals; two polytopes
 compare equal when A and b agree entry for entry.
 
-Every row is also kept scaled to integers and compiled, once per polytope
-object and by one ``exec``, into straight-line code over its nonzeros (the
-tower's rows have at most three): ``HPolytope._kernel`` holds a slack
-function over all rows and an ``A_i . x`` function per row.  Their source
-holds only values checked to be ``int``, so no input text can reach it.  A
-point's state is its numerators X over the lcm D of its denominators, equal
-exactly when the points are; the t-map builds states, ``cleared`` converts
-coordinates to one, and ``locate`` makes one a ``ScaledPoint``, with slack
-numerators b_i D - A_i . X, computed once, and the tight set read off them.
-Edge enumeration and the ratio test take that state; ``step`` moves it along
-an edge in integers, reduced by gcd(D, *X).  Only ``slacks`` and the ratio
-test's minimum are built as Fractions.  ``is_simple`` decides that the d
-tight rows are independent by the forward pass of integer elimination
-(``exactla.is_nonsingular``) and keeps nothing; ``deformed.dp_verify`` keeps
-its verdict per point state on the frozen polytope object, so it dies with
-the object and an equal polytope built separately decides again.  The
-ratio test skips the tight rows: none of them can block an edge that
-``edge_directions`` returned.
+Every row is also kept scaled to integers and compiled, with one ``exec``
+per polytope object and form, into straight-line code over its nonzeros (at
+most three on the tower): the slack function ``_slacks`` on the first
+``locate``, the ``A_i . x`` functions ``_rows`` on the first edge
+enumeration or ratio test, which a checked but never walked polytope does
+not reach.  Their source holds only values checked to be ``int``, so no
+input text can reach it.  A point's state is its numerators X over the lcm D
+of its denominators, equal exactly when the points are; the t-map builds
+states, ``cleared`` converts coordinates to one, and ``locate`` makes one a
+``ScaledPoint``, with slack numerators b_i D - A_i . X, computed once, and
+the tight set read off them.  Edge enumeration and the ratio test take that
+state; ``step`` moves it along an edge in integers, reduced by gcd(D, *X).
+Only ``slacks`` and the ratio test's minimum are built as Fractions.
+``is_simple`` decides that the d tight rows are independent by the forward
+pass of integer elimination (``exactla.is_nonsingular``) and keeps nothing;
+``deformed.dp_verify`` keeps its verdict per point state on the frozen
+polytope object, so it dies with the object and an equal polytope built
+separately decides again.  The ratio test skips the tight rows: none of them
+can block an edge that ``edge_directions`` returned.
 
 Edge enumeration reads the edges off the inverse columns of the negated
 tight rows (``exactla.int_inverse_scaled``), which are the edge directions
@@ -30,7 +31,7 @@ one row it swapped, since the new edges are -dir_i and the primitive parts
 of (A_b . dir_i) dir_f - (A_b . dir_f) dir_i after a move along dir_i that
 row b blocks.  Edges are checked in full at the first vertex, and at a
 pivoted one only where the pivot changed them (the rest were proven at the
-vertex before, by the same kernel on the same direction objects).
+vertex before, by the same row functions on the same direction objects).
 
 Edge enumeration raises DegenerateVertex at a non-simple vertex, because on
 the constructed instances degeneracy means a bug, not a case to handle.
@@ -110,16 +111,18 @@ class HPolytope:
         return tuple(tuple(-a for a in row) for row, _ in self._int_rows)
 
     @cached_property
-    def _kernel(self) -> _RowKernel:
-        # _int_rows as code over their nonzeros, in hex, which no decimal digit limit applies
-        # to; globals apart from the names, so no cycle keeps the functions for the collector.
-        rows = [([(j, a) for j, a in enumerate(row) if a], b) for row, b in self._int_rows]
-        if any(type(v) is not int for terms, b in rows for v in (b, *chain(*terms))):
-            raise InternalMismatch("row kernels are compiled from int entries only")
-        slacks = ",".join(f"{b:+#x}*D" * bool(b) + _sum_source(terms, -1) for terms, b in rows)
-        dots = "".join(f"lambda x: {_sum_source(terms, 1)}," for terms, _ in rows)
-        exec(f"def slacks(x, D): return [{slacks}]\nrows = ({dots})", {}, code := {})
-        return _RowKernel(code["slacks"], code["rows"])
+    def _slacks(self) -> Callable[[Sequence[int], int], list[int]]:
+        # slacks(X, D): b_i D - A_i . X for every integer row; compiled on the first locate.
+        source = ",".join(f"{b:+#x}*D" * bool(b) + _sum_source(t, -1) for t, b in _terms(self))
+        exec(f"def kernel(x, D): return [{source}]", {}, code := {})
+        return code["kernel"]
+
+    @cached_property
+    def _rows(self) -> tuple[Callable[[Sequence[int]], int], ...]:
+        # rows[i](x) = A_i . x; compiled on the first edge_directions or ratio_test.
+        source = "".join(f"lambda x: {_sum_source(t, 1)}," for t, _ in _terms(self))
+        exec(f"kernel = ({source})", {}, code := {})
+        return code["kernel"]
 
     @cached_property
     def _point_verdicts(self) -> dict[State, tuple[State, str]]:
@@ -127,17 +130,22 @@ class HPolytope:
         return {}
 
 
+def _terms(poly: HPolytope) -> list[tuple[list[tuple[int, int]], int]]:
+    """(nonzero (column, coefficient) pairs, b_i) of each integer row, all checked ``int``.
+
+    A kernel's source writes them in hex, which no decimal digit limit applies to, and runs
+    with globals apart from the dict its name lands in, so no cycle waits for the collector.
+    """
+    rows = [([(j, a) for j, a in enumerate(row) if a], b) for row, b in poly._int_rows]
+    if any(type(v) is not int for terms, b in rows for v in (b, *chain(*terms))):
+        raise InternalMismatch("row kernels are compiled from int entries only")
+    return rows
+
+
 def _sum_source(terms: Sequence[tuple[int, int]], sign: int) -> str:
     """Source of +sum(sign a x[j]) over (j, a) pairs; a sum() past 64, which nests no deeper."""
     parts = [f"{sign * a:+#x}*x[{j}]" for j, a in terms]
     return "".join(parts) if len(parts) <= 64 else f"+sum(({','.join(parts)},))"
-
-
-class _RowKernel(NamedTuple):
-    """``slacks(X, D)``: b_i D - A_i . X for every integer row; ``rows[i](x)``: A_i . x."""
-
-    slacks: Callable[[Sequence[int], int], list[int]]
-    rows: tuple[Callable[[Sequence[int]], int], ...]
 
 
 class ScaledPoint(NamedTuple):
@@ -162,10 +170,10 @@ def cleared(poly: HPolytope, x: Sequence) -> State:
 
 def locate(poly: HPolytope, nums: tuple[int, ...], denom: int) -> ScaledPoint:
     """The point nums/denom (in lowest terms) with its slacks; NotFeasible outside."""
-    slacks = poly._kernel.slacks(nums, denom)
+    slacks = poly._slacks(nums, denom)
     if min(slacks) < 0:
         raise NotFeasible("point is outside the polytope")
-    return ScaledPoint(nums, denom, slacks, tuple(i for i, s in enumerate(slacks) if not s))
+    return ScaledPoint(nums, denom, slacks, tuple([i for i, s in enumerate(slacks) if not s]))
 
 
 def scaled_point(poly: HPolytope, x: Sequence) -> ScaledPoint:
@@ -175,8 +183,9 @@ def scaled_point(poly: HPolytope, x: Sequence) -> ScaledPoint:
 
 def step(point: ScaledPoint, direction: Sequence[int], mu: Fraction) -> tuple[tuple[int, ...], int]:
     """(numerators, denominator) of point + mu direction, in lowest terms."""
-    scale, denom = mu.numerator * point.denom, mu.denominator * point.denom
-    nums = [a * mu.denominator + scale * e for a, e in zip(point.nums, direction)]
+    num, den = mu.numerator, mu.denominator
+    scale, denom = num * point.denom, den * point.denom
+    nums = [a * den + scale * e for a, e in zip(point.nums, direction)]
     g = gcd(denom, *nums)
     return tuple(a // g for a in nums), denom // g
 
@@ -184,12 +193,12 @@ def step(point: ScaledPoint, direction: Sequence[int], mu: Fraction) -> tuple[tu
 def slacks(poly: HPolytope, x: Sequence) -> Vector:
     """b - A x, in the positively row-scaled integer system."""
     nums, denom = cleared(poly, x)
-    return tuple(Fraction(s, denom) for s in poly._kernel.slacks(nums, denom))
+    return tuple(Fraction(s, denom) for s in poly._slacks(nums, denom))
 
 
 def contains(poly: HPolytope, x: Sequence) -> bool:
     """Exact membership test A x <= b."""
-    return min(poly._kernel.slacks(*cleared(poly, x))) >= 0
+    return min(poly._slacks(*cleared(poly, x))) >= 0
 
 
 def tight_set(poly: HPolytope, x: Sequence) -> TightSet:
@@ -238,7 +247,7 @@ def edge_directions(
     meets every direction and the other rows only those not ``previous``'s
     own objects, whose products with them were proven at the last vertex.
     """
-    tight, dim, kernel = point.tight, poly.dim, poly._kernel
+    tight, dim, rows = point.tight, poly.dim, poly._rows
     if len(tight) != dim:
         raise DegenerateVertex(f"{len(tight)} tight rows at a point of dimension {dim}")
     entering, fresh = None, range(dim)  # fresh: the columns every tight row is checked on
@@ -262,19 +271,19 @@ def edge_directions(
         place = bisect_left(tight, entered)  # where the entering row's column goes
         directions.insert(place, directions.pop(swapped))
         old.insert(place, old.pop(swapped))
-        if type(previous) is _ProvenEdges and previous.rows is kernel:
+        if type(previous) is _ProvenEdges and previous.rows is rows:
             entering = entered
             fresh = [k for k in range(dim) if directions[k] is not old[k]]
     # Defensive: edge ray k keeps every tight row j != k and strictly leaves row k.
     for j, i in enumerate(tight):
-        row = kernel.rows[i]
+        row = rows[i]
         for k in range(dim) if i == entering else fresh:
             prod = row(directions[k])
             if prod >= 0 if j == k else prod:
                 raise InternalMismatch(
                     f"edge {k} breaks the tightness pattern at tight row {j}"
                 )
-    return _ProvenEdges(zip(tight, directions), kernel)
+    return _ProvenEdges(zip(tight, directions), rows)
 
 
 def ratio_test(poly: HPolytope, point: ScaledPoint, direction: Sequence) -> Fraction | None:
@@ -286,12 +295,12 @@ def ratio_test(poly: HPolytope, point: ScaledPoint, direction: Sequence) -> Frac
     direction is an edge ``edge_directions`` returned at the point, so
     A_j . dir <= 0 on every tight row j and only nonzero slacks are read.
     """
-    if all(e == 0 for e in direction):
+    if not any(direction):
         raise ZeroDirection("ratio test along the zero direction")
     # Ratios slack_i / (denom advance_i) are compared by cross-multiplication,
     # so only the minimum becomes a Fraction.
     best, adv_best = None, 0
-    for s, row in zip(point.slacks, poly._kernel.rows):
+    for s, row in zip(point.slacks, poly._rows):
         if s and (adv := row(direction)) > 0 and (best is None or s * adv_best < best * adv):
             best, adv_best = s, adv
     return None if best is None else Fraction(best, point.denom * adv_best)

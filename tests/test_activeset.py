@@ -18,7 +18,6 @@ from extparab.activeset import (
     QuadraticObjective,
     active_set_run,
     grid_index,
-    improving_edges,
     line_search,
     make_rule,
     objective_constant,
@@ -36,7 +35,7 @@ from extparab.errors import (
 )
 from extparab.extension import ConstructionParams, build, vertex_for_t
 from extparab.polytope import HPolytope
-from test_hotpath_oracle import fraction_coords
+from test_hotpath_oracle import fraction_coords, improving_edges
 
 
 @pytest.fixture(scope="module")

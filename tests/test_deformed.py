@@ -3,12 +3,37 @@
 from fractions import Fraction as F
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from extparab import exactla, polygons
 from extparab.deformed import Functional, dp_hrep, dp_verify, dp_vrep
 from extparab.errors import DimensionMismatch, SizeMismatch
-from extparab.extension import ConstructionParams, build, stage_polytope, stage_vertices
+from extparab.extension import (
+    ConstructionParams,
+    build,
+    level_functional,
+    stage_polytope,
+    stage_vertices,
+)
 from extparab.polytope import HPolytope
+
+
+def reference_dp_vrep(p_verts, phi, v_verts, w_verts):
+    """The Fraction product map that the integer fiber pairs replaced, kept as the oracle:
+    (p, v_j + phi(p) (w_j - v_j)) with three Fraction operations per tail coordinate."""
+    if len(v_verts) != len(w_verts):
+        raise SizeMismatch("fiber vertex lists differ in length")
+    v_pts = [exactla.vec(v) for v in v_verts]
+    w_pts = [exactla.vec(w) for w in w_verts]
+    out = []
+    for p in p_verts:
+        p = exactla.vec(p)
+        t = phi(p)
+        for v, w in zip(v_pts, w_pts):
+            tail = tuple(a + t * (b - a) for a, b in zip(v, w))
+            out.append(p + tail)
+    return out
 
 
 def segment() -> HPolytope:
@@ -82,6 +107,59 @@ def test_dp_vrep_interpolates():
 def test_dp_vrep_size_mismatch():
     with pytest.raises(SizeMismatch):
         dp_vrep([(F(0),)], Functional((F(1),)), [(0, 0)], [(0, 0), (1, 0)])
+
+
+def test_dp_vrep_refuses_fiber_pairs_of_different_dims():
+    # v and w of one pair must have the same length: the pair is cleared as
+    # one integer vector and split in halves, so a longer w would be cut.
+    with pytest.raises(DimensionMismatch, match="fiber pair 0"):
+        dp_vrep([(0,)], Functional((1,)), [(0, 0)], [(0, 0, 5)])
+    with pytest.raises(DimensionMismatch, match="fiber pair 1"):
+        dp_vrep([(0,)], Functional((1,)), [(0, 0), (1, 2, 3)], [(0, 0), (1, 2)])
+
+
+@pytest.mark.parametrize("n, d", [(16, 4), (48, 6), (32, 8), (40, 10)])
+def test_product_map_matches_the_fraction_reference(n, d):
+    # Every stage of the product map equals the Fraction reference chained
+    # from the base grid, and each product vertex begins with its inner
+    # vertex's own coordinate objects.
+    ext = build(ConstructionParams(n=n, d=d))
+    expected = list(ext.base_vertices.points)
+    for level in ext.levels:
+        dim, pairs = level.source_dim + 2, len(level.fiber_start.points)
+        inner = stage_vertices(ext, dim - 2)
+        expected = reference_dp_vrep(
+            expected, level_functional(dim - 2), level.fiber_start.points, level.fiber_end.points
+        )
+        points = stage_vertices(ext, dim)
+        assert points == expected and len(points) == ext.params.level_m(dim)
+        for k, point in enumerate(points):
+            head = inner[k // pairs]
+            assert len(point) == dim and all(a is b for a, b in zip(point, head))
+
+
+RATIONALS = st.one_of(st.integers(-50, 50), st.fractions(max_denominator=10**6))
+
+
+@st.composite
+def product_inputs(draw):
+    dim, fiber_dim = draw(st.integers(1, 3)), draw(st.integers(1, 3))
+    point = st.lists(RATIONALS, min_size=dim, max_size=dim).map(tuple)
+    fiber = st.lists(RATIONALS, min_size=fiber_dim, max_size=fiber_dim).map(tuple)
+    pairs = draw(st.integers(1, 4))
+    return (
+        draw(st.lists(point, min_size=1, max_size=4)),
+        Functional(tuple(draw(point))),
+        draw(st.lists(fiber, min_size=pairs, max_size=pairs)),
+        draw(st.lists(fiber, min_size=pairs, max_size=pairs)),
+    )
+
+
+@given(product_inputs())
+@settings(max_examples=150, deadline=None)
+def test_dp_vrep_matches_the_fraction_reference_on_any_rationals(case):
+    # ints, negative and large-denominator Fractions, phi(p) of either sign.
+    assert dp_vrep(*case) == reference_dp_vrep(*case)
 
 
 def test_dp_vrep_count_multiplies():

@@ -192,7 +192,7 @@ def test_int_inverse_scaled_pivot_keeps_annihilated_columns_as_objects():
 
 
 def test_edge_check_counts_d_squared_then_only_the_changed_products(monkeypatch):
-    # Test-side row functions in the polytope's kernel count the products
+    # Test-side row functions in the polytope's _rows count the products
     # edge_directions evaluates on a d = 8 walk: d^2 at the start vertex, then
     # d (1 + c) - c at a vertex whose pivot replaced c columns (the entering
     # row against all d, every other tight row against the c replaced ones).
@@ -200,7 +200,7 @@ def test_edge_check_counts_d_squared_then_only_the_changed_products(monkeypatch)
     poly, d = ext.poly, 8
     products, inside = [], [False]
 
-    def counting(kernel):
+    def counting(rows):
         def counted(row):
             def product(x):
                 if inside[0]:
@@ -209,9 +209,9 @@ def test_edge_check_counts_d_squared_then_only_the_changed_products(monkeypatch)
 
             return product
 
-        return kernel._replace(rows=tuple(map(counted, kernel.rows)))
+        return tuple(map(counted, rows))
 
-    poly.__dict__["_kernel"] = counting(poly._kernel)
+    poly.__dict__["_rows"] = counting(poly._rows)
     enumerate_edges, replaced = polytope.edge_directions, []
 
     def counted(poly, point, previous=None):
@@ -233,9 +233,9 @@ def test_edge_check_counts_d_squared_then_only_the_changed_products(monkeypatch)
     assert products[0] == d * d
     assert products[1:] == [d * (1 + c) - c for c in replaced]
     assert all(c >= 1 for c in replaced) and sum(replaced) < 3 * len(replaced)
-    # Edges proven with another polytope object's kernel, even an equal one's, get all d^2.
+    # Edges proven with another polytope object's row functions, even an equal one's, get all d^2.
     twin = HPolytope(poly.A, poly.b)
-    twin.__dict__["_kernel"] = counting(twin._kernel)
+    twin.__dict__["_rows"] = counting(twin._rows)
     here, there = (polytope.scaled_point(poly, vertex_for_t(ext, t)) for t in (0, 1))
     counted(twin, there, counted(poly, here))
     assert products[-2:] == [d * d, d * d]

@@ -240,6 +240,25 @@ def test_t_map_states_match_the_fraction_reference(n, d):
         assert state == common_denominator(reference_vertex_at_dim(ext, dim, t))
 
 
+@pytest.mark.parametrize("n, d", [(16, 4), (48, 6), (32, 8), (40, 10)])
+def test_all_vertices_are_vertex_for_t_with_shared_inner_coordinates(n, d):
+    # all_vertices builds the vertices stage by stage; each is vertex_for_t's
+    # vertex, and its first d - 2 coordinates are objects shared with every
+    # vertex over the same inner vertex: two new Fractions per stage vertex.
+    ext = build(ConstructionParams(n=n, d=d))
+    verts = all_vertices(ext)
+    assert verts == [vertex_for_t(ext, t) for t in range(ext.params.vertex_count)]
+    level = ext.levels[-1]
+    firsts = {}
+    for t, vertex in enumerate(verts):
+        s = decompose_t(t, level.m_level, ext.params.fiber_count)[2]
+        first = firsts.setdefault(s, vertex)
+        assert all(a is b for a, b in zip(vertex[: d - 2], first))
+    assert len(firsts) == level.m_level
+    stage_counts = [ext.params.level_m(dim) for dim in range(2, d + 1, 2)]
+    assert len({id(c) for vertex in verts for c in vertex}) <= 2 * sum(stage_counts)
+
+
 def test_vertex_lists_are_fresh_for_each_caller():
     # Callers may mutate what they get (verify's injected vertex fault does);
     # a later call still returns the vertices as built.

@@ -29,6 +29,7 @@ import json
 from decimal import Decimal, localcontext
 from fractions import Fraction
 from math import gcd, lcm
+from operator import mul
 
 import pytest
 
@@ -39,7 +40,6 @@ from extparab.activeset import (
     TraceStep,
     active_set_run,
     grid_index,
-    improving_edges,
     make_rule,
     pullback_objective,
     start_point,
@@ -431,6 +431,13 @@ def test_ratio_test_matches_reference_on_every_edge_of_the_cut_cube(objective, m
 
 # ---------------------------------------------------------------------------
 # Edge pricing: the walk's per-direction linear price against improving_edges
+
+
+def improving_edges(edges, gradient):
+    """The edges (leaving_facet, direction) along which the gradient rises (test-side
+    reference for walk's O(d) pricing): ``gradient`` is any positive multiple of grad f at
+    the vertex, such as ``QuadraticObjective.gradient_at``'s numerators, which keeps every sign."""
+    return [(facet, d) for facet, d in edges if sum(map(mul, gradient, d)) > 0]
 
 
 def offers_against_reference(poly, f, x0, rule, max_iter):

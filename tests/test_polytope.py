@@ -10,7 +10,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from extparab import exactla, polytope
+from extparab import activeset, exactla, extension, lowerbound, polytope
 from extparab.errors import (
     BadParameters,
     DegenerateVertex,
@@ -343,10 +343,9 @@ def plain_products(poly, x):
 
 
 def check_kernel(poly, x, denom):
-    kernel = poly._kernel
     products = plain_products(poly, x)
-    assert [row(x) for row in kernel.rows] == products
-    assert kernel.slacks(x, denom) == [rhs * denom - p for (_, rhs), p in zip(poly._int_rows, products)]
+    assert [row(x) for row in poly._rows] == products
+    assert poly._slacks(x, denom) == [rhs * denom - p for (_, rhs), p in zip(poly._int_rows, products)]
 
 
 # Entries: zeros (sparse rows), small and negative ones, past 64 bits, rationals.
@@ -377,7 +376,8 @@ def test_row_kernels_match_a_plain_loop(case):
     poly, x, denom = case
     check_kernel(poly, x, denom)
     readback = polytope.hrep_from_ine(polytope.hrep_to_ine(poly))
-    assert readback == poly and readback._kernel is not poly._kernel
+    assert readback == poly and readback._rows is not poly._rows
+    assert readback._slacks is not poly._slacks
     check_kernel(readback, x, denom)
 
 
@@ -402,8 +402,39 @@ def test_row_kernels_compile_only_int_entries():
     for bad in ("1", 1.0, F(1, 2), Loud(1)):
         poly = HPolytope(((1, 2), (3, 4)), (5, 6))
         poly.__dict__["_int_rows"] = (((1, bad), 5), ((3, 4), 6))
-        with pytest.raises(InternalMismatch, match="int entries only"):
-            poly._kernel
+        for kernel in ("_slacks", "_rows"):
+            with pytest.raises(InternalMismatch, match="int entries only"):
+                getattr(poly, kernel)
+
+
+def test_certify_compiles_row_functions_only_for_the_walked_polytope(monkeypatch):
+    # One certify op on the (48, 6) tower: every stage locates points, so each
+    # stage polytope compiles its slack function; only the top polytope, which
+    # the path certificate walks, compiles row functions, and only once.
+    compiled, real_terms = [], polytope._terms
+    monkeypatch.setattr(polytope, "_terms", lambda poly: compiled.append(poly) or real_terms(poly))
+    params = ConstructionParams(n=48, d=6)
+    ext = build(params)
+    f = activeset.pullback_objective(ext)
+    assert verify_construction(ext).ok
+    for dim in (2, 4, 6):
+        points = stage_vertices(ext, dim)
+        assert dp_verify(stage_polytope(ext, dim), points, params.level_m(dim)).ok
+    assert lowerbound.monotone_path_check(ext, f).m_count == params.vertex_count
+    polytope.hrep_from_ine(polytope.hrep_to_ine(ext.poly))
+    polytope.vrep_to_ext(extension.all_vertices(ext))
+    for dim in (2, 4):
+        kernels = vars(stage_polytope(ext, dim))
+        assert "_slacks" in kernels and "_rows" not in kernels
+    kernels = vars(ext.poly)
+    assert "_slacks" in kernels and "_rows" in kernels
+    stages = [stage_polytope(ext, dim) for dim in (2, 4, 6)]
+    assert sorted(map(stages.index, compiled)) == [0, 1, 2, 2]
+    rows = ext.poly._rows
+    assert type(rows) is tuple and len(rows) == ext.poly.num_facets
+    assert all(type(row).__name__ == "function" for row in (*rows, ext.poly._slacks))
+    lowerbound.monotone_path_check(ext, f)  # a second walk compiles nothing
+    assert len(compiled) == 4 and ext.poly._rows is rows
 
 
 def test_all_zero_row_rejected():

@@ -127,7 +127,8 @@ def cmd_verify(args) -> int:
         poly = extension.stage_polytope(ext, dim)
         points = extension.stage_vertices(ext, dim)
         if args.inject_fault == "vertex" and dim == stages[-1]:
-            points[0] = (points[0][0] + 1, *points[0][1:])
+            (first, *rest), denom = points[0]  # coordinate 0 moved by +1
+            points[0] = (first + denom, *rest), denom
         dp_report = deformed.dp_verify(poly, points, expected_count=params.level_m(dim))
         level_reports.append({"dim": dim, **dp_report.to_json_dict()})
 

@@ -11,12 +11,13 @@ across P:
 * facets: the rows of P unchanged, plus (beta - beta') phi(x) + B u <= beta.
 
 The product is combinatorially a Cartesian product, so vertex counts multiply
-and every product vertex is simple.  ``dp_verify`` checks exactly that, telling
-points apart by their integer state (``polytope.cleared``), deciding each
-state once per polytope object, and returns a structured report instead of
-raising so callers can aggregate; ``dp_verify_states`` takes the states, as
-the t-map builds them.  ``dp_vrep``, a witness apart from it, interpolates each
-fiber pair cleared to integers and returns Fraction vertices.
+and every product vertex is simple.  ``dp_verify`` checks exactly that on
+points given as integer states, deciding each state once per polytope object,
+and returns a structured report instead of raising so callers can aggregate.
+``extend`` is the vertex formula on states: (x, v + sigma (w - v)) over one
+denominator in lowest terms.  ``dp_vrep`` calls it with sigma = phi(p) for
+every product vertex; the tower's t-map, a witness apart from it, calls it
+with its own sweep value.
 """
 
 from __future__ import annotations
@@ -24,11 +25,12 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
+from math import gcd
 from operator import mul
 from typing import Iterable, Sequence
 
 from . import exactla, polytope
-from .errors import DimensionMismatch, NotFeasible, SizeMismatch
+from .errors import DimensionMismatch, InternalMismatch, NotFeasible, SizeMismatch
 from .exactla import Matrix, Vector
 from .polytope import HPolytope, State
 
@@ -47,22 +49,15 @@ class Functional:
         return len(self.coeffs)
 
     @cached_property
-    def _support(self) -> tuple[tuple[int, ...], Vector, tuple[int, ...], int]:
-        # (indices, values, values times the lcm S of their denominators, S)
-        # of the nonzero coefficients: one for the tower's phi, d/2 for its phi'.
+    def _support(self) -> tuple[tuple[int, ...], tuple[int, ...], int]:
+        # (indices, values times the lcm S of their denominators, S) of the
+        # nonzero coefficients: one for the tower's phi, d/2 for its phi'.
         indices = tuple(i for i, a in enumerate(self.coeffs) if a)
-        values = tuple(self.coeffs[i] for i in indices)
-        return (indices, values, *exactla.common_denominator(values))
-
-    def __call__(self, x: Sequence) -> Fraction:
-        if len(x) != self.dim:
-            raise DimensionMismatch(f"point has dim {len(x)}, functional {self.dim}")
-        indices, values, _, _ = self._support
-        return exactla.dot(values, [x[i] for i in indices])
+        return (indices, *exactla.common_denominator([self.coeffs[i] for i in indices]))
 
     def scaled_at(self, nums: Sequence[int], denom: int) -> tuple[int, int]:
         """The value at nums/denom (denom > 0) as the unreduced pair (S coeffs . nums, S denom)."""
-        indices, _, ints, scale = self._support
+        indices, ints, scale = self._support
         return sum(map(mul, ints, map(nums.__getitem__, indices))), scale * denom
 
     @classmethod
@@ -100,20 +95,34 @@ def dp_hrep(
     return HPolytope(tuple(new_rows), tuple(new_rhs))
 
 
+def extend(state: State, fiber: State, sigma_num: int, sigma_den: int) -> State:
+    """The state of (x, v + sigma (w - v)) for x = state, fiber = (V | W) over E and
+    sigma = sigma_num/sigma_den, sigma_den > 0: the tail numerators V sigma_den +
+    sigma_num (W - V) over E sigma_den, all over one denominator in lowest terms."""
+    (nums, denom), (pair, pair_denom) = state, fiber
+    half, tail_denom = len(pair) // 2, pair_denom * sigma_den
+    g = gcd(denom, tail_denom)
+    out = [a * (tail_denom // g) for a in nums]
+    vw = zip(pair[:half], pair[half:])
+    out += [(a * sigma_den + sigma_num * (b - a)) * (denom // g) for a, b in vw]
+    denom = denom // g * tail_denom
+    g = gcd(denom, *out)
+    return tuple([a // g for a in out]), denom // g
+
+
 def dp_vrep(
-    p_verts: Sequence[Sequence],
+    p_states: Sequence[State],
     phi: Functional,
     v_verts: Sequence[Sequence],
     w_verts: Sequence[Sequence],
-) -> list[Vector]:
-    """All m*n product vertices (p, v_j + phi(p) (w_j - v_j)).
+) -> list[State]:
+    """All m*n product vertices (p, v_j + phi(p) (w_j - v_j)), as states, p given as states.
 
     v_verts and w_verts must be aligned index by index under the fiber
     bijection; the alignment is the caller's (sorted-parameter) construction
     and is deliberately not re-derived here, so that alignment bugs surface
     in dp_verify instead of being silently repaired.  Each pair is cleared
-    once to integers V, W over one denominator E; with phi(p) = tn/td a tail
-    coordinate is one Fraction (V td + tn (W - V))/(E td), after p's own objects.
+    once to integers V, W over one denominator E.
     """
     if len(v_verts) != len(w_verts):
         raise SizeMismatch("fiber vertex lists differ in length")
@@ -121,17 +130,8 @@ def dp_vrep(
     for k, (v, w) in enumerate(zip(v_verts, w_verts)):
         if len(v) != len(w):
             raise DimensionMismatch(f"fiber pair {k}: v has dim {len(v)}, w has dim {len(w)}")
-        nums, denom = exactla.common_denominator(exactla.vec((*v, *w)))
-        pairs.append((tuple(zip(nums[: len(v)], nums[len(v) :])), denom))
-    out: list[Vector] = []
-    for p in p_verts:
-        p = exactla.vec(p)
-        t = phi(p)
-        tn, td = t.numerator, t.denominator
-        for vw, denom in pairs:
-            denom *= td
-            out.append(p + tuple(Fraction(a * td + tn * (b - a), denom) for a, b in vw))
-    return out
+        pairs.append(exactla.common_denominator((*v, *w)))
+    return [extend(p, pair, *phi.scaled_at(*p)) for p in p_states for pair in pairs]
 
 
 @dataclass(frozen=True)
@@ -160,46 +160,35 @@ class DpVerifyReport:
 
 def dp_verify(
     hrep: HPolytope,
-    points: Sequence[Sequence],
-    expected_count: int,
-) -> DpVerifyReport:
-    """Check that the points are ``expected_count`` distinct simple vertices of hrep.
-
-    Points are told apart by their integer state (``polytope.cleared``); see
-    ``dp_verify_states``.
-    """
-    states = (polytope.cleared(hrep, exactla.vec(p)) for p in points)
-    return dp_verify_states(hrep, states, expected_count)
-
-
-def dp_verify_states(
-    hrep: HPolytope,
     states: Iterable[State],
     expected_count: int,
 ) -> DpVerifyReport:
-    """``dp_verify`` for points given as integer states in lowest terms.
+    """Check that the points, given as integer states in lowest terms, are
+    ``expected_count`` distinct simple vertices of hrep.
 
-    A repeated state within the call is a duplicate pair.  A new state is
-    located and judged once per hrep object, which keeps the verdict with
-    that state object; a later call finds both, so the top stage after
-    ``verify_construction`` decides nothing again and its duplicate check
-    holds the t-map's states, not copies.  An equal polytope decides again.
+    A repeated state within the call is a duplicate pair; a state not in
+    lowest terms, which would hide one, raises InternalMismatch.  A new state
+    is located and judged once per hrep object, which keeps its verdict; a
+    later call finds it, so the top stage after ``verify_construction``
+    decides nothing again.  An equal polytope decides again.
     """
     verdicts = hrep._point_verdicts
     seen: dict[State, int] = {}
     duplicates = []
     flagged: dict[str, list[int]] = {"infeasible": [], "non_simple": []}
     for idx, state in enumerate(states):
-        entry = verdicts.get(state)
-        if entry is None:
+        verdict = verdicts.get(state)
+        if verdict is None:
+            nums, denom = state
+            if denom <= 0 or gcd(denom, *nums) != 1:
+                raise InternalMismatch(f"point {idx} is not a state in lowest terms")
             try:
-                point = polytope.locate(hrep, *state)
+                point = polytope.locate(hrep, nums, denom)
             except NotFeasible:
                 verdict = "infeasible"
             else:
                 verdict = "simple" if polytope.is_simple(hrep, point) else "non_simple"
-            entry = verdicts[state] = state, verdict
-        state, verdict = entry
+            verdicts[state] = verdict
         if state in seen:
             duplicates.append((seen[state], idx))
             continue

@@ -20,19 +20,16 @@ the interpolated fiber point.  ``verify_construction`` machine-checks every
 claimed property of the tower with zero tolerance.
 
 The t-map builds each vertex once per tower object, as its integer state
-(numerators over one denominator in lowest terms, as ``polytope.cleared``
-gives): the fiber pair is interpolated over one denominator and the sweep
-check is a cross-multiplication.  The states (one vertex and its inner
-stages per ``state_for_t``) are kept in a dict on the ``ExtendedParabola``
-keyed by (dim, t), and ``vertex_for_t`` makes Fractions of one;
-``all_vertices`` makes them stage by stage, each vertex sharing its inner
-vertex's tuple and adding Fractions of its two tail coordinates.
-``stage_vertices`` keeps each stage's product-map list (``dp_vrep``'s
-Fraction vertices, from integer fiber pairs) keyed by dim.  Both depend on
-the frozen tower's fields alone, and the dicts live and die with the object
-(``dataclasses.replace`` starts empty ones).  The maps stay apart, so
-``deformed.dp_verify``, the one vertex-set check, is run on each map's list
-and not only on the t-map's.
+(numerators over one denominator in lowest terms): ``deformed.extend``
+interpolates the fiber pair with the sweep value s/(m-1), after a sweep check
+by cross-multiplication.  The states are kept in a dict on the
+``ExtendedParabola`` keyed by (dim, t); ``vertex_for_t`` makes Fractions of
+one, and ``all_vertices`` returns the top stage's own state objects.
+``stage_vertices`` keeps each stage's product-map states (``dp_vrep``) keyed
+by dim.  Both depend on the frozen tower's fields alone, and the dicts live
+and die with the object (``dataclasses.replace`` starts empty ones).  The
+maps stay apart, so ``deformed.dp_verify``, the one vertex-set check, is run
+on each map's states and not only on the t-map's.
 """
 
 from __future__ import annotations
@@ -40,10 +37,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property, cmp_to_key
-from math import gcd
 
 from . import exactla, polygons
-from .deformed import Functional, dp_hrep, dp_verify_states, dp_vrep
+from .deformed import Functional, dp_hrep, dp_verify, dp_vrep, extend
 from .errors import BadParameters, InternalMismatch, OutOfRange
 from .exactla import Matrix, Vector
 from .polygons import ParabolaVertexList
@@ -128,9 +124,9 @@ class ExtendedParabola:
         return {}
 
     @cached_property
-    def _stage_vertices(self) -> dict[int, tuple[Vector, ...]]:
-        # stage_vertices' product-map list keyed by dim, from the base grid h(t/(N-1)).
-        return {2: self.base_vertices.points}
+    def _stage_vertices(self) -> dict[int, tuple[State, ...]]:
+        # stage_vertices' product-map states keyed by dim, from the base grid h(t/(N-1)).
+        return {2: tuple(map(exactla.common_denominator, self.base_vertices.points))}
 
 
 def level_functional(i: int) -> Functional:
@@ -245,36 +241,19 @@ def _vertex_at_dim(ext: ExtendedParabola, dim: int, t: int) -> State:
     else:
         level = ext.levels[(dim - 4) // 2]
         j, l, s = decompose_t(t, level.m_level, ext.params.fiber_count)
-        nums, denom = _vertex_at_dim(ext, dim - 2, s)
+        nums, denom = inner = _vertex_at_dim(ext, dim - 2, s)
         steps = level.m_level - 1
         # x_{dim-3}, the sweep coordinate that level_functional(dim - 2) reads, is s/steps.
         if nums[dim - 4] * steps != s * denom:
             raise InternalMismatch(f"inner vertex {s} misses sweep value {Fraction(s, steps)}")
-        fiber, fiber_denom = level._int_fibers[2 * j + l]
-        half, tail_denom = len(fiber) // 2, fiber_denom * steps
-        # v + (s/steps)(w - v) has numerators V steps + s (W - V) over E steps.
-        g = gcd(denom, tail_denom)
-        nums = [a * (tail_denom // g) for a in nums]
-        pairs = zip(fiber[:half], fiber[half:])
-        nums += [(a * steps + s * (b - a)) * (denom // g) for a, b in pairs]
-        denom = denom // g * tail_denom
-        g = gcd(denom, *nums)
-        state = tuple(a // g for a in nums), denom // g
+        state = extend(inner, level._int_fibers[2 * j + l], s, steps)
     memo[dim, t] = state
     return state
 
 
-def all_vertices(ext: ExtendedParabola) -> list[Vector]:
-    """``vertex_for_t`` for every t (a fresh list), stage by stage: each vertex is its inner
-    vertex's tuple, shared, plus Fractions of its state's two tail coordinates."""
-    params, verts = ext.params, []
-    for dim in range(2, params.d + 1, 2):
-        inner, verts, m_inner = verts, [], params.level_m(dim - 2)
-        for t in range(params.level_m(dim)):
-            nums, denom = _vertex_at_dim(ext, dim, t)
-            head = inner[decompose_t(t, m_inner, params.fiber_count)[2]] if inner else ()
-            verts.append(head + (Fraction(nums[-2], denom), Fraction(nums[-1], denom)))
-    return verts
+def all_vertices(ext: ExtendedParabola) -> list[State]:
+    """``state_for_t`` for every t: a fresh list of the t-map's own states."""
+    return [_vertex_at_dim(ext, ext.params.d, t) for t in range(ext.params.vertex_count)]
 
 
 def stage_polytope(ext: ExtendedParabola, dim: int) -> HPolytope:
@@ -282,8 +261,8 @@ def stage_polytope(ext: ExtendedParabola, dim: int) -> HPolytope:
     return ext.base if dim == 2 else ext.levels[(dim - 4) // 2].product
 
 
-def stage_vertices(ext: ExtendedParabola, dim: int) -> list[Vector]:
-    """All vertices of the dimension-dim stage, via the product vertex map (a fresh list)."""
+def stage_vertices(ext: ExtendedParabola, dim: int) -> list[State]:
+    """The dimension-dim stage's vertex states, via the product vertex map (a fresh list)."""
     memo = ext._stage_vertices
     if dim not in memo:
         level, inner = ext.levels[(dim - 4) // 2], stage_vertices(ext, dim - 2)
@@ -349,7 +328,7 @@ def verify_construction(ext: ExtendedParabola) -> ConstructionReport:
     )
 
     states = [state_for_t(ext, t) for t in range(m_top)]
-    vertex_check = dp_verify_states(ext.poly, states, m_top)
+    vertex_check = dp_verify(ext.poly, states, m_top)
     bad = sorted(
         [(t, "infeasible") for t in vertex_check.infeasible]
         + [(t, "not a simple vertex") for t in vertex_check.non_simple]

@@ -10,10 +10,10 @@ most three on the tower): the slack function ``_slacks`` on the first
 enumeration or ratio test, which a checked but never walked polytope does
 not reach.  Their source holds only values checked to be ``int``, so no
 input text can reach it.  A point's state is its numerators X over the lcm D
-of its denominators, equal exactly when the points are; the t-map builds
-states, ``cleared`` converts coordinates to one, and ``locate`` makes one a
-``ScaledPoint``, with slack numerators b_i D - A_i . X, computed once, and
-the tight set read off them.  Edge enumeration and the ratio test take that
+of its denominators, equal exactly when the points are; both vertex maps
+build states, ``cleared`` converts coordinates to one, and ``locate`` makes
+one a ``ScaledPoint``, with slack numerators b_i D - A_i . X, computed once,
+and the tight set read off them.  Edge enumeration and the ratio test take that
 state; ``step`` moves it along an edge in integers, reduced by gcd(D, *X).
 Only ``slacks`` and the ratio test's minimum are built as Fractions.
 ``is_simple`` decides that the d tight rows are independent by the forward
@@ -38,7 +38,7 @@ the constructed instances degeneracy means a bug, not a case to handle.
 
 The cdd-compatible text formats live here too: ``H-representation`` files
 with exact ``p/q`` entries (rows are ``b_i -A_i1 ... -A_id``), and the
-matching ``V-representation`` writer for vertex lists.
+matching ``V-representation`` writer for vertices given as states.
 """
 
 from __future__ import annotations
@@ -49,7 +49,7 @@ from fractions import Fraction
 from functools import cached_property
 from itertools import chain
 from math import gcd
-from typing import Callable, Iterable, NamedTuple, Sequence
+from typing import Callable, NamedTuple, Sequence
 
 from . import exactla
 from .errors import (
@@ -125,8 +125,8 @@ class HPolytope:
         return code["kernel"]
 
     @cached_property
-    def _point_verdicts(self) -> dict[State, tuple[State, str]]:
-        # deformed.dp_verify's (state, verdict) per point state located in this object.
+    def _point_verdicts(self) -> dict[State, str]:
+        # deformed.dp_verify's verdict per point state located in this object.
         return {}
 
 
@@ -357,16 +357,15 @@ def hrep_from_ine(text: str) -> HPolytope:
     return HPolytope(tuple(rows), tuple(rhs))
 
 
-def vrep_to_ext(points: Iterable[Sequence]) -> str:
-    """Serialize a vertex list as a cdd V-representation (rows ``1 x1 .. xd``)."""
-    pts = [exactla.vec(p) for p in points]
-    if not pts:
+def vrep_to_ext(points: Sequence[State]) -> str:
+    """Serialize vertex states as a cdd V-representation (rows ``1 x1 .. xd``)."""
+    if not points:
         raise FormatError("empty vertex list")
-    dim = len(pts[0])
-    lines = ["V-representation", "begin", f"{len(pts)} {dim + 1} rational"]
-    for i, p in enumerate(pts):
-        if len(p) != dim:
-            raise DimensionMismatch(f"point {i} has dim {len(p)}, point 0 has dim {dim}")
-        lines.append(" ".join(["1"] + [str(c) for c in p]))
+    dim = len(points[0][0])
+    lines = ["V-representation", "begin", f"{len(points)} {dim + 1} rational"]
+    for i, (nums, denom) in enumerate(points):
+        if len(nums) != dim:
+            raise DimensionMismatch(f"point {i} has dim {len(nums)}, point 0 has dim {dim}")
+        lines.append(" ".join(["1", *exactla.rational_texts(nums, denom)]))
     lines.append("end")
     return "\n".join(lines) + "\n"

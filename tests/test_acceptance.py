@@ -195,6 +195,7 @@ def test_criterion_9_negative_controls(capsys):
         )
         with pytest.raises(CertificateFailure):
             lowerbound.monotone_path_check(ext, bad)
-        points = [list(p) for p in stage_vertices(ext, 4)]
-        points[3][2] += 1
+        points = stage_vertices(ext, 4)
+        nums, denom = points[3]
+        points[3] = (*nums[:2], nums[2] + denom, *nums[3:]), denom  # coordinate 2 moved by +1
         assert not deformed.dp_verify(ext.poly, points, expected_count=16).ok

@@ -35,7 +35,7 @@ from extparab.errors import (
 )
 from extparab.extension import ConstructionParams, build, vertex_for_t
 from extparab.polytope import HPolytope
-from test_hotpath_oracle import fraction_coords, improving_edges
+from test_hotpath_oracle import fraction_coords, functional_value, improving_edges
 
 
 @pytest.fixture(scope="module")
@@ -325,7 +325,9 @@ def test_trace_json_schema(tower):
     text = trace_to_json(
         trace,
         instance={"n": 16, "d": 4, "M": 16, "c": "9/10"},
-        t_values=[grid_index(ext, ext.phi(fraction_coords(step))) for step in trace.steps],
+        t_values=[
+            grid_index(ext, functional_value(ext.phi, fraction_coords(step))) for step in trace.steps
+        ],
     )
     doc = json.loads(text)
     assert set(doc) == {"instance", "steps", "edge_moves", "loop_iterations", "terminated"}

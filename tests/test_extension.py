@@ -27,6 +27,7 @@ from extparab.extension import (
     vertex_for_t,
 )
 from extparab.lowerbound import monotone_path_check
+from test_hotpath_oracle import fraction_coords, functional_value
 
 
 def project(ext, x):
@@ -34,7 +35,7 @@ def project(ext, x):
     the parabola grid."""
     if len(x) != ext.params.d:
         raise DimensionMismatch(f"point has dim {len(x)}, construction {ext.params.d}")
-    return (ext.phi(x), ext.phi_prime(x))
+    return (functional_value(ext.phi, x), functional_value(ext.phi_prime, x))
 
 
 def reference_vertex_at_dim(ext, dim, t):
@@ -142,7 +143,7 @@ def test_vertex_for_t_endpoints():
     # t = 15 decomposes to (j, l, s) = (1, 1, 0): inner vertex h(0), fiber
     # vertex v_{1,1} = h(1).
     assert vertex_for_t(ext, 15) == (0, 0, 1, 0)
-    assert ext.phi(vertex_for_t(ext, 15)) == 1
+    assert functional_value(ext.phi, vertex_for_t(ext, 15)) == 1
 
 
 def test_vertex_for_t_midpoint():
@@ -211,7 +212,7 @@ def test_t_map_builds_each_vertex_once_per_tower(monkeypatch):
     verts = all_vertices(ext)
     assert sorted(taus) == [F(t, 7) for t in range(8)]
     assert len(ext._vertices) == 512 + 64 + 8
-    assert [common_denominator(v) for v in verts] == [ext._vertices[6, t] for t in range(512)]
+    assert all(v is ext._vertices[6, t] for t, v in enumerate(verts))
 
 
 def test_one_vertex_builds_only_its_own_stages():
@@ -242,21 +243,21 @@ def test_t_map_states_match_the_fraction_reference(n, d):
 
 @pytest.mark.parametrize("n, d", [(16, 4), (48, 6), (32, 8), (40, 10)])
 def test_all_vertices_are_vertex_for_t_with_shared_inner_coordinates(n, d):
-    # all_vertices builds the vertices stage by stage; each is vertex_for_t's
-    # vertex, and its first d - 2 coordinates are objects shared with every
-    # vertex over the same inner vertex: two new Fractions per stage vertex.
+    # all_vertices is vertex_for_t's vertex for every t, as the t-map's own
+    # state objects, not copies; each vertex begins with the coordinates of
+    # its inner vertex, whose state the t-map keeps too.
     ext = build(ConstructionParams(n=n, d=d))
     verts = all_vertices(ext)
-    assert verts == [vertex_for_t(ext, t) for t in range(ext.params.vertex_count)]
+    assert [fraction_coords(v) for v in verts] == [
+        vertex_for_t(ext, t) for t in range(ext.params.vertex_count)
+    ]
+    assert all(v is ext._vertices[d, t] for t, v in enumerate(verts))
     level = ext.levels[-1]
-    firsts = {}
     for t, vertex in enumerate(verts):
         s = decompose_t(t, level.m_level, ext.params.fiber_count)[2]
-        first = firsts.setdefault(s, vertex)
-        assert all(a is b for a, b in zip(vertex[: d - 2], first))
-    assert len(firsts) == level.m_level
-    stage_counts = [ext.params.level_m(dim) for dim in range(2, d + 1, 2)]
-    assert len({id(c) for vertex in verts for c in vertex}) <= 2 * sum(stage_counts)
+        inner = fraction_coords(ext._vertices[d - 2, s])
+        assert fraction_coords(vertex)[: d - 2] == inner
+    assert len(ext._vertices) == sum(ext.params.level_m(dim) for dim in range(2, d + 1, 2))
 
 
 def test_vertex_lists_are_fresh_for_each_caller():
@@ -269,7 +270,7 @@ def test_vertex_lists_are_fresh_for_each_caller():
     verts[0] = verts[1]
     verts.append(verts[2])
     stage.reverse()
-    stage[0] = (F(1),) * 4
+    stage[0] = ((1,) * 4, 1)
     assert all_vertices(ext) == expected_verts
     assert stage_vertices(ext, 4) == expected_stage
     assert stage_vertices(ext, 4) is not stage_vertices(ext, 4)
@@ -295,7 +296,7 @@ def test_projection_grid_is_strictly_convex_shadow():
     # All vertices project to distinct parameters on a strictly convex
     # curve, so none can land in the interior of the shadow.
     ext = build(ConstructionParams(n=24, d=6))
-    taus = [project(ext, v)[0] for v in all_vertices(ext)]
+    taus = [project(ext, fraction_coords(v))[0] for v in all_vertices(ext)]
     assert len(set(taus)) == len(taus)
     assert sorted(taus) == [F(t, 63) for t in range(64)]
 
@@ -390,9 +391,13 @@ def test_functional_norms_recorded():
 
 def test_stage_vertices_agree_with_t_map():
     # The product vertex enumeration and the integer-indexed map must
-    # produce the same vertex set.
-    ext = build(ConstructionParams(n=16, d=4))
-    assert sorted(stage_vertices(ext, 4)) == sorted(all_vertices(ext))
+    # produce the same vertex set, as states in lowest terms, on both
+    # families n = 4d and n = 8d.
+    for n, d in [(16, 4), (48, 6), (32, 8), (40, 10)]:
+        ext = build(ConstructionParams(n=n, d=d))
+        stage = stage_vertices(ext, d)
+        assert len(stage) == ext.params.vertex_count
+        assert sorted(stage) == sorted(all_vertices(ext)), (n, d)
 
 
 def test_sidecar_json_shape():

@@ -77,6 +77,14 @@ VERIFY_OTHER = {
         "40d8d7e793039fab1d0d2feeec3d2e17504c8de40a1ca57b820237618a2342ba",
         "f74e66c7993e28781ae538c84c295c5e2e21a1b1aa5a2481a558a9397a0ea90a",
     ),
+    # The n = 8d family's vertex fault, taken before the certify path kept
+    # integer states from the product map to the .ext writer.
+    "n48-d6-vertex-fault": (
+        ["--n", "48", "--d", "6", "--inject-fault", "vertex"],
+        1,
+        "1f7ba6f962165e1744eca84333db45186806df6d14847f2dfc74941bd10b8239",
+        "ffdf458f9d0c8612c993aee5347b014a4c15d53dfa45ae18bc31be052750d314",
+    ),
     "d10": (
         ["--d", "10"],
         0,
@@ -85,6 +93,12 @@ VERIFY_OTHER = {
     ),
 }
 BUILD_D8_EXT = "db14e4b67eac32563a2cee34ee3c750154de7fed8f6bce8fa908656bee5f55e0"
+# The n = 8d family's vertex and facet files, taken before the vertex file
+# was written from integer states.
+BUILD_N48_D6 = {
+    "ext": "20ffc0a6920d72dcb9645ac0ba190f8da78357276de5b41a8cdfa123631209f8",
+    "ine": "692329795e451aa14a6fdd16fb134c0ac9f1aa608d510cd0a04171aa03202b2c",
+}
 SCAN_M4096 = "1a8adcbcc49ef01d1599815f845ad0ed515018eb8e8296c5d7aafa9eb8806f6f"
 
 
@@ -150,6 +164,14 @@ def test_build_d8_ext_is_unchanged(tmp_path, capsys):
     assert main(["build", "--d", "8", "--format", "ext", "--out", str(prefix)]) == 0
     capsys.readouterr()
     assert sha256((tmp_path / "q8.ext").read_bytes()) == BUILD_D8_EXT
+
+
+@pytest.mark.parametrize("fmt", sorted(BUILD_N48_D6))
+def test_build_n48_d6_file_is_unchanged(tmp_path, capsys, fmt):
+    prefix = tmp_path / "q"
+    assert main(["build", "--n", "48", "--d", "6", "--format", fmt, "--out", str(prefix)]) == 0
+    capsys.readouterr()
+    assert sha256((tmp_path / f"q.{fmt}").read_bytes()) == BUILD_N48_D6[fmt]
 
 
 def test_scan_m4096_report_is_unchanged(tmp_path, capsys):

@@ -20,8 +20,8 @@ writer must reproduce byte for byte.
 
 The trace and plot writers read the steps' integer state; every text they
 write must equal the one derived from the step's Fraction vertex with
-``ext.phi``, ``ext.phi_prime``, ``str(Fraction)``, ``grid_index`` and
-``reference_to_decimal``, the decimal rendering in a local context per value
+``functional_value`` (phi and phi' by ``exactla.dot``), ``str(Fraction)``,
+``grid_index`` and ``reference_to_decimal``, the decimal rendering in a local context per value
 that ``exactla.decimal_text`` replaced.
 """
 
@@ -71,8 +71,18 @@ def reference_tight_set(poly, x):
 
 
 def fraction_coords(state):
-    """The Fraction coordinates nums/denom of a ScaledPoint or TraceStep (test-side reference)."""
-    return tuple(Fraction(a, state.denom) for a in state.nums)
+    """The Fraction coordinates nums/denom of a (nums, denom) state, ScaledPoint or TraceStep
+    (test-side reference)."""
+    nums, denom = state[:2]
+    return tuple(Fraction(a, denom) for a in nums)
+
+
+def functional_value(phi, x):
+    """phi(x) of an int or Fraction point (test-side reference; the package evaluates a
+    functional on integer states only, with ``Functional.scaled_at``)."""
+    if len(x) != phi.dim:
+        raise DimensionMismatch(f"point has dim {len(x)}, functional {phi.dim}")
+    return exactla.dot(phi.coeffs, x)
 
 
 def reference_rank(rows):
@@ -531,7 +541,8 @@ def test_trace_writer_matches_json_dumps():
     start = vertex_for_t(ext, 0)
     full = active_set_run(ext.poly, f, start, make_rule("first"), 64)
     capped = active_set_run(ext.poly, f, start, make_rule("first"), max_iter=3)
-    on_grid = [grid_index(ext, ext.phi(fraction_coords(step))) for step in full.steps]
+    phis = [functional_value(ext.phi, fraction_coords(step)) for step in full.steps]
+    on_grid = [grid_index(ext, phi) for phi in phis]
     instance = {"n": 16, "d": 4, "M": 16, "c": "9/10", "note": 'quote " and \\ slash'}
     off_grid = [None if t % 3 == 1 else t for t in on_grid]
     cube = active_set_run(CUT_CUBE, CUBE_OBJECTIVES["convex"], (0, 0, 0), make_rule("last"), 64)
@@ -572,7 +583,7 @@ def check_integer_outputs(ext, trace):
     for k, step in enumerate(trace.steps):
         x = fraction_coords(step)
         assert exactla.common_denominator(x) == (step.nums, step.denom)
-        phi, phi_prime = ext.phi(x), ext.phi_prime(x)
+        phi, phi_prime = functional_value(ext.phi, x), functional_value(ext.phi_prime, x)
         assert Fraction(*phis[k]) == phi
         assert Fraction(*ext.phi_prime.scaled_at(step.nums, step.denom)) == phi_prime
         t = grid_index(ext, phi)

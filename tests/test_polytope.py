@@ -26,6 +26,7 @@ from extparab.extension import (
     build,
     stage_polytope,
     stage_vertices,
+    state_for_t,
     verify_construction,
     vertex_for_t,
 )
@@ -242,10 +243,8 @@ def counted_calls(monkeypatch, module, name) -> list:
 
 
 def verdicts_of(poly) -> dict:
-    """dp_verify's verdict per point state kept on poly; each entry holds its own key object."""
-    memo = poly._point_verdicts
-    assert all(state is key for key, (state, _) in memo.items())
-    return {key: verdict for key, (_, verdict) in memo.items()}
+    """dp_verify's verdict per point state kept on poly, as a plain dict."""
+    return dict(poly._point_verdicts)
 
 
 def counted_eliminations(monkeypatch) -> list:
@@ -258,7 +257,7 @@ def test_verify_and_stage_checks_eliminate_each_tight_set_once(monkeypatch):
     # dp_verify the 8 and 64 vertices of stages 2 and 4, two other polytopes.
     # On stage 6 it meets the same 512 vertices in the same ext.poly again and
     # reuses their verdicts: 584 locates and 584 eliminations, not 1,096 and 584.
-    # The verdicts are kept with the t-map's own state objects.
+    # The verdicts are keyed by the t-map's own state objects.
     locates = counted_calls(monkeypatch, polytope, "locate")
     calls = counted_eliminations(monkeypatch)
     ext = build(ConstructionParams(n=48, d=6))
@@ -270,8 +269,8 @@ def test_verify_and_stage_checks_eliminate_each_tight_set_once(monkeypatch):
     assert len(calls) == len(locates) == 512 + 8 + 64
     assert len(ext.poly._point_verdicts) == 512
     assert set(verdicts_of(ext.poly).values()) == {"simple"}
-    states = [ext._vertices[6, t] for t in range(512)]
-    assert all(ext.poly._point_verdicts[state][0] is state for state in states)
+    keys = {id(key) for key in ext.poly._point_verdicts}
+    assert keys == {id(ext._vertices[6, t]) for t in range(512)}
 
 
 def test_certify_path_hashes_no_fraction(monkeypatch):
@@ -295,15 +294,14 @@ def test_certify_path_hashes_no_fraction(monkeypatch):
 def test_an_equal_polytope_built_separately_eliminates_again(monkeypatch):
     calls = counted_eliminations(monkeypatch)
     ext = build(ConstructionParams(n=16, d=4))
-    vertex = vertex_for_t(ext, 3)
+    vertex = state_for_t(ext, 3)
     assert dp_verify(ext.poly, [vertex], 1).ok and dp_verify(ext.poly, [vertex], 1).ok
     assert len(calls) == 1
     twin = HPolytope(ext.poly.A, ext.poly.b)
     assert twin == ext.poly and hash(twin) == hash(ext.poly)
     assert dp_verify(twin, [vertex], 1).ok
     assert len(calls) == 2
-    key = polytope.cleared(twin, vertex)
-    assert verdicts_of(twin) == verdicts_of(ext.poly) == {key: "simple"}
+    assert verdicts_of(twin) == verdicts_of(ext.poly) == {vertex: "simple"}
     assert twin._point_verdicts is not ext.poly._point_verdicts
 
 
@@ -312,7 +310,7 @@ def test_a_rank_deficient_tight_set_stays_non_simple_on_repeat(monkeypatch):
     locates = counted_calls(monkeypatch, polytope, "locate")
     calls = counted_eliminations(monkeypatch)
     parallel = HPolytope(((1, 0), (2, 0), (0, 1), (-1, 0), (0, -1)), (1, 2, 1, 0, 0))
-    deficient, outside = (F(1), F(1, 2)), (F(2), F(1, 2))
+    deficient, outside = ((2, 1), 2), ((4, 1), 2)  # (1, 1/2) and (2, 1/2)
     for _ in range(2):
         report = dp_verify(parallel, [deficient, deficient, outside], 2)
         assert report.duplicate_pairs == ((0, 1),)
@@ -321,7 +319,7 @@ def test_a_rank_deficient_tight_set_stays_non_simple_on_repeat(monkeypatch):
     assert verdicts_of(parallel) == {((2, 1), 2): "non_simple", ((4, 1), 2): "infeasible"}
     # A point with fewer than d tight rows never reaches elimination; another
     # tight pair is a new point, decided once.
-    report = dp_verify(parallel, [(F(1, 2), F(0)), (0, 0)], 2)
+    report = dp_verify(parallel, [((1, 0), 2), ((0, 0), 1)], 2)
     assert report.non_simple == (0,) and not report.infeasible
     assert len(locates) == 4 and len(calls) == 2
     assert verdicts_of(parallel)[(0, 0), 1] == "simple"
@@ -688,8 +686,50 @@ def test_edge_check_sees_a_stale_column_at_the_entering_row_under_optimize_flag(
     )
 
 
+def reference_vrep_to_ext(points):
+    """The Fraction V-representation writer that the state writer replaced, kept as the oracle."""
+    pts = [exactla.vec(p) for p in points]
+    if not pts:
+        raise FormatError("empty vertex list")
+    dim = len(pts[0])
+    lines = ["V-representation", "begin", f"{len(pts)} {dim + 1} rational"]
+    for i, p in enumerate(pts):
+        if len(p) != dim:
+            raise DimensionMismatch(f"point {i} has dim {len(p)}, point 0 has dim {dim}")
+        lines.append(" ".join(["1"] + [str(c) for c in p]))
+    lines.append("end")
+    return "\n".join(lines) + "\n"
+
+
+@st.composite
+def vertex_lists(draw):
+    """(Fraction points of one dim, their states, some scaled by a common factor > 1)."""
+    dim = draw(st.integers(1, 5))
+    point = st.lists(ENTRIES, min_size=dim, max_size=dim).map(tuple)
+    points = draw(st.lists(point, min_size=1, max_size=6))
+    states = []
+    for p in points:
+        nums, denom = exactla.common_denominator(p)
+        k = draw(st.sampled_from([1, 1, 2, 2**70 + 1]))
+        states.append((tuple(a * k for a in nums), denom * k))
+    return points, states
+
+
+@given(vertex_lists())
+@settings(max_examples=150, deadline=None)
+def test_vrep_writer_matches_the_fraction_reference(case):
+    points, states = case
+    assert polytope.vrep_to_ext(states) == reference_vrep_to_ext(points)
+
+
+def test_vrep_rejects_an_empty_vertex_list():
+    for writer in (polytope.vrep_to_ext, reference_vrep_to_ext):
+        with pytest.raises(FormatError, match=r"^empty vertex list$"):
+            writer([])
+
+
 def test_vrep_format_shape():
-    text = polytope.vrep_to_ext([(0, 0), (1, 0), (F(1, 3), F(-2, 9))])
+    text = polytope.vrep_to_ext([((0, 0), 1), ((1, 0), 1), ((3, -2), 9)])
     lines = text.strip().splitlines()
     assert lines[0] == "V-representation"
     assert lines[2] == "3 3 rational"
@@ -700,6 +740,6 @@ def test_vrep_rejects_ragged_points():
     # The width comes from the first point; a shorter one would be written
     # as a malformed row under a "2 3 rational" size line.
     with pytest.raises(DimensionMismatch, match=r"^point 1 has dim 1, point 0 has dim 2$"):
-        polytope.vrep_to_ext([(0, 0), (1,)])
+        polytope.vrep_to_ext([((0, 0), 1), ((1,), 1)])
     with pytest.raises(DimensionMismatch):
-        polytope.vrep_to_ext([(0,), (1, 0)])
+        polytope.vrep_to_ext([((0,), 1), ((1, 0), 1)])

@@ -133,11 +133,12 @@ class QuadraticObjective:
     def value(self, x: Sequence) -> Fraction:
         if len(x) != self.dim:
             raise DimensionMismatch(f"point has dim {len(x)}, objective {self.dim}")
-        return self.value_at(*exactla.common_denominator(x))
+        return self.value_at(*exactla.common_denominator(exactla.vec(x)))
 
     def gradient(self, x: Sequence) -> Vector:
         if len(x) != self.dim:
             raise DimensionMismatch(f"point has dim {len(x)}, objective {self.dim}")
+        x = exactla.vec(x)
         scale, rows, _, _ = self._cleared
         grad = list(self.linear)
         for i, cols, entries in rows:
@@ -360,7 +361,7 @@ def start_point(poly: HPolytope, f: QuadraticObjective, x0: Sequence) -> ScaledP
     if f.dim != poly.dim:
         raise DimensionMismatch("objective dimension differs from polytope")
     try:
-        point = polytope.scaled_point(poly, exactla.vec(x0))
+        point = polytope.scaled_point(poly, x0)
     except NotFeasible:
         raise NotAVertex("start point is not feasible") from None
     if len(point.tight) != poly.dim:

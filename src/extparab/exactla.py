@@ -10,18 +10,19 @@ the text form used in every file format of this package.
 Vectors are tuples of Fractions and matrices are tuples of row tuples, so all
 values are immutable and safe to share; ``vec`` and ``mat`` coerce inputs to
 them.  Dimensions stay small (d <= ~20, m = 2d), so the containers are dense.
-The hot kernels work on plain ints instead: ``dot`` accumulates one integer
-numerator and denominator, ``common_denominator`` puts rationals over one
-integer denominator, and ``primitive`` divides an integer vector by its
-content (and returns a vector of content 1 as it is).  ``int_inverse_scaled``
-has two paths.  Given the columns for a matrix that differs in one row, it
+The hot kernels work on plain ints instead: ``common_denominator`` puts
+rationals over one integer denominator, ``dot`` multiplies two such vectors
+once, and ``primitive`` divides an integer vector by its content (and
+returns a vector of content 1 as it is).  There is one elimination, the
+fraction-free forward pass, which returns the rank of the columns it is given
+(a column with no pivot left is skipped) and skips the rows a step leaves
+unchanged, most of them on the tower's sparse tight matrices.  On a matrix
+alone it is the full-rank test ``is_nonsingular`` and, over rows cleared to
+integers, ``rank``.  ``int_inverse_scaled`` runs it and a back pass on
+[A | I]; or, given the columns for a matrix that differs in one row, it
 pivots them by that row in one fraction-free rank-one update, which leaves
-every column the new row annihilates as it was; this is how an edge walk,
-which swaps one tight row per move, gets each vertex's inverse from the last
-one's.  Otherwise it eliminates [A | I] by a forward and a back pass,
-skipping the rows a step leaves unchanged, which on the tower's sparse tight
-matrices is most of them.  The forward pass alone, on the matrix, is the
-full-rank test (``is_nonsingular``) wherever the package needs one.
+every column the new row annihilates as it was, so an edge walk, which swaps
+one tight row per move, gets each vertex's inverse from the last one's.
 ``rational_texts`` and ``decimal_text`` format ints.
 """
 
@@ -30,6 +31,7 @@ from __future__ import annotations
 from decimal import Context, Decimal
 from fractions import Fraction
 from math import gcd, lcm
+from operator import mul
 from typing import Iterable, Sequence
 
 from .errors import DimensionMismatch, ZeroVector
@@ -63,43 +65,16 @@ def mat(rows: Iterable[Iterable]) -> Matrix:
 
 
 def dot(u: Sequence, v: Sequence) -> Fraction:
-    """Exact u . v of ints and Fractions, reduced once at the end."""
+    """Exact u . v of ints and Fractions: one integer product over both common denominators."""
     if len(u) != len(v):
         raise DimensionMismatch(f"dot of lengths {len(u)} and {len(v)}")
-    num, den = 0, 1
-    for a, b in zip(u, v):
-        if a and b:
-            q = a.denominator * b.denominator
-            num = num * q + a.numerator * b.numerator * den
-            den *= q
-    return Fraction(num, den)
+    (a, da), (b, db) = common_denominator(u), common_denominator(v)
+    return Fraction(sum(map(mul, a, b)), da * db)
 
 
 def rank(a: Matrix) -> int:
-    """Exact rank over the rationals, by Fraction elimination.
-
-    Nothing in the package calls it; ``perfbench``'s traced run wraps it by name.
-    """
-    rows = [list(row) for row in a]
-    m = len(rows)
-    n = len(rows[0]) if m else 0
-    r = 0
-    for col in range(n):
-        piv = next((i for i in range(r, m) if rows[i][col] != 0), None)
-        if piv is None:
-            continue
-        rows[r], rows[piv] = rows[piv], rows[r]
-        pivot = rows[r][col]
-        for i in range(r + 1, m):
-            factor = rows[i][col]
-            if factor == 0:
-                continue
-            factor /= pivot
-            rows[i] = [e - factor * p for e, p in zip(rows[i], rows[r])]
-        r += 1
-        if r == m:
-            break
-    return r
+    """Exact rank, by ``_forward`` on the rows cleared to integers (perfbench wraps it by name)."""
+    return _forward([list(common_denominator(row)[0]) for row in a], len(a[0]) if a else 0)
 
 
 def primitive(v: Sequence[int]) -> tuple[int, ...]:
@@ -122,8 +97,8 @@ def common_denominator(values: Sequence) -> tuple[tuple[int, ...], int]:
     return tuple(x.numerator * (denom // x.denominator) for x in values), denom
 
 
-def _clear_column(work: list[list[int]], k: int, targets: Iterable[int]) -> None:
-    """Fraction-free: zero column k of the rows ``targets`` of work with pivot row k.
+def _clear_column(work: list[list[int]], k: int, col: int, targets: Iterable[int]) -> None:
+    """Fraction-free: zero column col of the rows ``targets`` of work with pivot row k.
 
     A row with multiplier m != 0 becomes (p/g) row - (m/g) pivot_row, with p
     the pivot and g = gcd(p, m) (only the pivot row's nonzero columns when
@@ -132,11 +107,11 @@ def _clear_column(work: list[list[int]], k: int, targets: Iterable[int]) -> None
     which on the tower's sparse tight matrices are most of them.
     """
     pivrow = work[k]
-    pivot = pivrow[k]
+    pivot = pivrow[col]
     support = None
     for r in targets:
         row = work[r]
-        mult = row[k]
+        mult = row[col]
         if mult == 0:
             continue
         if support is None:
@@ -151,27 +126,31 @@ def _clear_column(work: list[list[int]], k: int, targets: Iterable[int]) -> None
         work[r] = [a // content for a in row] if content > 1 else row
 
 
-def _forward(work: list[list[int]], n: int) -> bool:
-    """In-place forward elimination of the n x n left block of work: False iff singular."""
-    for k in range(n):
-        if not work[k][k]:
-            piv = next((r for r in range(k + 1, n) if work[r][k]), None)
+def _forward(work: list[list[int]], width: int) -> int:
+    """In-place forward elimination of work's first ``width`` columns: their rank."""
+    m, k = len(work), 0
+    for col in range(width):
+        if k == m:
+            break
+        if not work[k][col]:
+            piv = next((r for r in range(k + 1, m) if work[r][col]), None)
             if piv is None:
-                return False
+                continue
             work[k], work[piv] = work[piv], work[k]
-        _clear_column(work, k, range(k + 1, n))
-    return True
+        _clear_column(work, k, col, range(k + 1, m))
+        k += 1
+    return k
 
 
 def _back(work: list[list[int]], n: int) -> None:
-    """After ``_forward``: clear above the diagonal, so row i ends as diag_i e_i there."""
+    """After ``_forward`` of full rank: clear above the diagonal, so row i ends as diag_i e_i."""
     for k in range(n - 1, 0, -1):
-        _clear_column(work, k, range(k))
+        _clear_column(work, k, k, range(k))
 
 
 def is_nonsingular(rows: Sequence[Sequence[int]]) -> bool:
     """True iff the square integer matrix has full rank (the forward pass alone)."""
-    return _forward([list(row) for row in rows], len(rows))
+    return _forward([list(row) for row in rows], len(rows)) == len(rows)
 
 
 def int_inverse_scaled(
@@ -197,7 +176,7 @@ def int_inverse_scaled(
         return _pivot(rows[swapped], previous, swapped)
     n = len(rows)
     work = [[*row, *[0] * i, 1, *[0] * (n - 1 - i)] for i, row in enumerate(rows)]
-    if not _forward(work, n):
+    if _forward(work, n) < n:
         return None
     _back(work, n)
     # Row i is now diag_i e_i | E_i with E A = diag, so A^-1 e_k has entries

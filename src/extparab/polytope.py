@@ -16,20 +16,21 @@ one a ``ScaledPoint``, with slack numerators b_i D - A_i . X, computed once,
 and the tight set read off them.  Edge enumeration and the ratio test take that
 state; ``step`` moves it along an edge in integers, reduced by gcd(D, *X).
 Only ``slacks`` and the ratio test's minimum are built as Fractions.
-``is_simple`` decides that the d tight rows are independent by the forward
-pass of integer elimination (``exactla.is_nonsingular``) and keeps nothing;
-``deformed.dp_verify`` keeps its verdict per point state on the frozen
-polytope object, so it dies with the object and an equal polytope built
-separately decides again.  The ratio test skips the tight rows: none of them
-can block an edge that ``edge_directions`` returned.
+``is_simple`` decides that the d tight rows are independent by the rank the
+forward pass of integer elimination returns (``exactla.is_nonsingular``)
+and keeps nothing; ``deformed.dp_verify`` keeps its verdict per point state
+on the frozen polytope object, so it dies with the object and an equal
+polytope built separately decides again.  The ratio test skips the tight
+rows: none of them can block an edge that ``edge_directions`` returned.
 
 Edge enumeration reads the edges off the inverse columns of the negated
 tight rows (``exactla.int_inverse_scaled``), which are the edge directions
 themselves: at a walk's first vertex by elimination, and at every later one
-by pivoting the edges of the vertex the walk just left, as they are, on the
-one row it swapped, since the new edges are -dir_i and the primitive parts
-of (A_b . dir_i) dir_f - (A_b . dir_f) dir_i after a move along dir_i that
-row b blocks.  Edges are checked in full at the first vertex, and at a
+by pivoting, in the new vertex's tight order, the edges of the vertex the
+walk just left on the one row it swapped (the leaving row's edge moved to
+the entering row's place), since the new edges are -dir_i and the primitive
+parts of (A_b . dir_i) dir_f - (A_b . dir_f) dir_i after a move along dir_i
+that row b blocks.  Edges are checked in full at the first vertex, and at a
 pivoted one only where the pivot changed them (the rest were proven at the
 vertex before, by the same row functions on the same direction objects).
 
@@ -165,7 +166,7 @@ def cleared(poly: HPolytope, x: Sequence) -> State:
     """x as integer numerators over the lcm of its denominators: equal iff the points are."""
     if len(x) != poly.dim:
         raise DimensionMismatch(f"point has dim {len(x)}, polytope {poly.dim}")
-    return exactla.common_denominator(x)
+    return exactla.common_denominator(exactla.vec(x))
 
 
 def locate(poly: HPolytope, nums: tuple[int, ...], denom: int) -> ScaledPoint:
@@ -177,7 +178,7 @@ def locate(poly: HPolytope, nums: tuple[int, ...], denom: int) -> ScaledPoint:
 
 
 def scaled_point(poly: HPolytope, x: Sequence) -> ScaledPoint:
-    """``locate`` for a point given by int or Fraction coordinates."""
+    """``locate`` for a point given by its coordinates."""
     return locate(poly, *cleared(poly, x))
 
 
@@ -239,20 +240,21 @@ def edge_directions(
     A_i . dir < 0.  The directions are the inverse columns of the negated
     tight matrix.  ``previous`` is the edge list of the vertex a walk just
     left, in its tight order, whose tight set differs from this one in one
-    row (else InternalMismatch); its directions are pivoted on that row
-    (``exactla.int_inverse_scaled`` with the swapped row) instead of
-    eliminating the tight matrix again.  The pattern is proven by induction:
-    all d x d products A_j . dir_k are checked, unless ``previous`` is a list
-    this function returned with the same row kernel; then the entering row
-    meets every direction and the other rows only those not ``previous``'s
-    own objects, whose products with them were proven at the last vertex.
+    row (else InternalMismatch); with the leaving row's direction moved to
+    the entering row's place, its directions are pivoted there, in this
+    tight order, instead of eliminating the tight matrix again.  The pattern
+    is proven by induction: all d x d products A_j . dir_k are checked,
+    unless ``previous`` is a list this function returned with the same row
+    kernel; then the entering row meets every direction and the other rows
+    only those not ``previous``'s own objects, proven at the last vertex.
     """
     tight, dim, rows = point.tight, poly.dim, poly._rows
     if len(tight) != dim:
         raise DegenerateVertex(f"{len(tight)} tight rows at a point of dimension {dim}")
     entering, fresh = None, range(dim)  # fresh: the columns every tight row is checked on
+    neg_rows = [poly._neg_rows[i] for i in tight]
     if previous is None:
-        columns = exactla.int_inverse_scaled([poly._neg_rows[i] for i in tight])
+        columns = exactla.int_inverse_scaled(neg_rows)
     else:
         facets = [facet for facet, _ in previous]
         left, entered = set(facets).difference(tight), set(tight).difference(facets)
@@ -260,20 +262,17 @@ def edge_directions(
             raise InternalMismatch(
                 f"tight rows {sorted(entered)} replace {sorted(left)}; an edge move swaps one row"
             )
-        swapped = facets.index(left.pop())
-        facets[swapped] = entered = entered.pop()
+        entered = entered.pop()
+        place = bisect_left(tight, entered)  # the leaving row's column moves here
         old = [direction for _, direction in previous]
-        columns = exactla.int_inverse_scaled([poly._neg_rows[i] for i in facets], old, swapped)
+        old.insert(place, old.pop(facets.index(left.pop())))
+        columns = exactla.int_inverse_scaled(neg_rows, old, place)
     if columns is None:
         raise DegenerateVertex("tight rows are rank-deficient")
     directions = [exactla.primitive(col) for col in columns]
-    if previous is not None:
-        place = bisect_left(tight, entered)  # where the entering row's column goes
-        directions.insert(place, directions.pop(swapped))
-        old.insert(place, old.pop(swapped))
-        if type(previous) is _ProvenEdges and previous.rows is rows:
-            entering = entered
-            fresh = [k for k in range(dim) if directions[k] is not old[k]]
+    if type(previous) is _ProvenEdges and previous.rows is rows:
+        entering = entered
+        fresh = [k for k in range(dim) if directions[k] is not old[k]]
     # Defensive: edge ray k keeps every tight row j != k and strictly leaves row k.
     for j, i in enumerate(tight):
         row = rows[i]

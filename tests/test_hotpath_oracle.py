@@ -32,6 +32,8 @@ from math import gcd, lcm
 from operator import mul
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from extparab import activeset, exactla, polytope
 from extparab.activeset import (
@@ -198,6 +200,51 @@ def test_is_simple_vertex_rejects_rank_deficient_tight_rows():
 def test_is_simple_vertex_rejects_infeasible_point():
     with pytest.raises(NotFeasible):
         polytope.is_simple_vertex(PARALLEL, (Fraction(2), Fraction(0)))
+
+
+ENTRIES = st.integers(-3, 3) | st.integers(-(2**80), 2**80) | st.fractions(max_denominator=10**9)
+
+
+@st.composite
+def rational_matrices(draw, square=False):
+    """m x n products of an m x r and an r x n matrix of small, wide-int and Fraction
+    entries, so the rank is at most r, with some rows and columns then zeroed."""
+    m = draw(st.integers(1, 6))
+    n = m if square else draw(st.integers(1, 6))
+    r = draw(st.integers(0, min(m, n)))
+    left = draw(st.lists(st.lists(ENTRIES, min_size=r, max_size=r), min_size=m, max_size=m))
+    right = draw(st.lists(st.lists(ENTRIES, min_size=n, max_size=n), min_size=r, max_size=r))
+    zero_rows = draw(st.sets(st.integers(0, m - 1), max_size=2))
+    zero_cols = draw(st.sets(st.integers(0, n - 1), max_size=2))
+    return tuple(
+        tuple(
+            0 if i in zero_rows or j in zero_cols else sum(map(mul, left[i], [c[j] for c in right]))
+            for j in range(n)
+        )
+        for i in range(m)
+    )
+
+
+@given(rational_matrices())
+@example(((0, 1, 2), (0, 3, 4), (0, 5, 6)))  # no pivot in column 0: skipped, rank 2
+@example(((0, 0, 0, 1), (0, 0, 0, Fraction(1, 2))))  # wide, rank 1 from the last column
+@example(((1,), (2,), (Fraction(-3, 7),)))  # tall, rank 1
+@settings(max_examples=200, deadline=None)
+def test_rank_matches_reference_rank(rows):
+    assert exactla.rank(rows) == reference_rank(rows)
+
+
+@given(rational_matrices(square=True))
+@example(((0, 1, 2), (0, 3, 4), (0, 5, 6)))
+@example(((1, 2, 3), (2, 4, 7), (3, 6, 10)))  # column 1 loses its pivot, column 2 has one
+@settings(max_examples=200, deadline=None)
+def test_full_rank_tests_match_reference_rank(rows):
+    # is_nonsingular and the inverse's None decide rank == n on the integer rows, also where the
+    # forward pass skips a column and finds a later pivot.
+    ints = [exactla.common_denominator(row)[0] for row in rows]
+    full = reference_rank(rows) == len(rows)
+    assert exactla.is_nonsingular(ints) is full
+    assert (exactla.int_inverse_scaled(ints) is not None) is full
 
 
 

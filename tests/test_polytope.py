@@ -111,6 +111,38 @@ def test_simple_vertex_edge_point():
     assert not polytope.is_simple_vertex(unit_square(), (F(1, 2), 0))
 
 
+SQUARE_OBJECTIVE = activeset.QuadraticObjective(((1, 0), (0, 1)), (0, 0))
+
+
+@pytest.mark.parametrize(
+    "entry",
+    [
+        lambda x: polytope.contains(unit_square(), x),
+        lambda x: polytope.slacks(unit_square(), x),
+        lambda x: polytope.tight_set(unit_square(), x),
+        lambda x: polytope.is_simple_vertex(unit_square(), x),
+        lambda x: polytope.scaled_point(unit_square(), x),
+        lambda x: activeset.start_point(unit_square(), SQUARE_OBJECTIVE, x),
+        SQUARE_OBJECTIVE.value,
+        SQUARE_OBJECTIVE.gradient,
+    ],
+    ids=[
+        "contains",
+        "slacks",
+        "tight_set",
+        "is_simple_vertex",
+        "scaled_point",
+        "start_point",
+        "value",
+        "gradient",
+    ],
+)
+def test_float_coordinates_raise_type_error(entry):
+    # Coordinates are coerced with exactla.vec, whose TypeError names the cause.
+    with pytest.raises(TypeError, match="floats are not accepted"):
+        entry((0.5, 0))
+
+
 def test_edge_directions_unit_square():
     dirs = dict(edges_at(unit_square(), (0, 0)))
     assert set(dirs.values()) == {(1, 0), (0, 1)}

@@ -33,10 +33,10 @@ their form with denominators cleared and evaluate the gradient numerators
 that state, over the nonzero rows of the quadratic part only (on the tower
 it has a single one).  ``walk`` prices a vertex's edges in O(d) integer
 products, as G . dir = D (l . dir) + sum of dir_i (G_i - D l_i) over those
-rows, with the linear price l . dir kept per direction object: the pivot
-hands most directions back as the same immutable tuples, and l is fixed, so
-a kept price is still exact.  The rule, the trace steps (without slacks)
-and the writers take that state too; no Fraction vertex is built on it.
+rows, with the linear price l . dir kept in a table by facet: l is fixed, so
+only the ``fresh`` edges ``edge_directions`` names (about 2 of 12 at d = 12)
+are priced again.  The rule, the trace steps (without slacks) and the
+writers take that state too; no Fraction vertex is built on it.
 """
 
 from __future__ import annotations
@@ -195,7 +195,7 @@ def line_search(
 
 
 def _linear_price(linear: Sequence[int], direction: Sequence[int]) -> int:
-    """l . dir, the objective's scaled linear part l: ``walk``'s price of a new direction."""
+    """l . dir, the objective's scaled linear part l: ``walk``'s price of a fresh edge."""
     return sum(map(mul, linear, direction))
 
 
@@ -310,24 +310,22 @@ def walk(
     """
     f_value = f.value_at(point.nums, point.denom)
     _, curved, linear, _ = f._cleared
-    edges, prices = None, {}
+    edges, prices = None, [0] * poly.num_facets  # l . dir of each tight facet's edge
     for moves in count():
         nums, denom, _, tight = point
         gradient = f.gradient_at(nums, denom)
         edges = polytope.edge_directions(poly, point, edges)  # raises DegenerateVertex
+        for k in edges.fresh:
+            facet, direction = edges[k]
+            prices[facet] = _linear_price(linear, direction)
         bends = [(i, gradient[0][i] - denom * linear[i]) for i, _, _ in curved]  # G_i - D l_i
-        seen, prices, improving = prices, {}, []
-        for edge in edges:
-            key = id(direction := edge[1])
-            hit = seen.get(key)  # seen keeps its directions alive, so no id is reused
-            if hit is None or hit[0] is not direction:
-                hit = direction, _linear_price(linear, direction)
-            prices[key] = hit
-            price = denom * hit[1]
+        improving = []
+        for facet, direction in edges:
+            price = denom * prices[facet]
             for i, bend in bends:
                 price += direction[i] * bend
             if price > 0:
-                improving.append(edge)
+                improving.append((facet, direction))
         if not improving or moves >= max_iter:
             yield point, improving, TraceStep(nums, denom, tight, None, None, f_value)
             return

@@ -60,11 +60,13 @@ def rule_list(text: str) -> list[str]:
     return _non_empty([names[names.index(part)] for part in text.split(",") if part], text)
 
 
-def seed_spec(text: str) -> list[int]:
-    """Seeds as '1,2,3' or a range '1..10' (inclusive, lo <= hi)."""
+def seed_spec(text: str) -> range | list[int]:
+    """Seeds as '1,2,3' or a range '1..10' (inclusive, lo <= hi), which stays a ``range``."""
     if ".." in text:
-        lo, hi = text.split("..", 1)
-        return _non_empty(list(range(int(lo), int(hi) + 1)), text)
+        lo, hi = (int(part) for part in text.split("..", 1))
+        if hi - lo >= sys.maxsize:  # the range's len() would overflow
+            raise ValueError(f"{text!r} lists more seeds than a range can count")
+        return _non_empty(range(lo, hi + 1), text)
     return int_list(text)
 
 

@@ -244,7 +244,7 @@ def iteration_experiment(
     m_top = ext.params.vertex_count
     start = extension.vertex_for_t(ext, 0)
 
-    runs = [(name, s) for name in rules for s in (seeds if name in RULE_CONSUMES_SEED else [None])]
+    runs = ((name, s) for name in rules for s in (seeds if name in RULE_CONSUMES_SEED else [None]))
 
     rows = []
     reference: list[tuple[tuple[int, ...], int]] | None = None

@@ -31,8 +31,10 @@ walk just left on the one row it swapped (the leaving row's edge moved to
 the entering row's place), since the new edges are -dir_i and the primitive
 parts of (A_b . dir_i) dir_f - (A_b . dir_f) dir_i after a move along dir_i
 that row b blocks.  Edges are checked in full at the first vertex, and at a
-pivoted one only where the pivot changed them (the rest were proven at the
-vertex before, by the same row functions on the same direction objects).
+pivoted one only at the ``fresh`` positions the list names: the entering
+row's and those whose direction differs in value from the one proven for
+that facet at the vertex before.  A pivot starts only from a list proven for
+the same polytope object, so no other list passes its trust along.
 
 Edge enumeration raises DegenerateVertex at a non-simple vertex, because on
 the constructed instances degeneracy means a bug, not a case to handle.
@@ -219,11 +221,12 @@ def is_simple_vertex(poly: HPolytope, x: Sequence) -> bool:
 
 
 class _ProvenEdges(tuple):
-    """Edges ``edge_directions`` proved with the row kernel ``rows``; it alone builds them."""
+    """Edges ``edge_directions`` proved for ``poly``; it alone builds them.  ``fresh`` lists
+    the positions whose facet or direction is new since the list they were pivoted from."""
 
-    def __new__(cls, edges, rows):
+    def __new__(cls, edges, poly, fresh):
         self = super().__new__(cls, edges)
-        object.__setattr__(self, "rows", rows)
+        self.__dict__.update(poly=poly, fresh=fresh)
         return self
 
     def __setattr__(self, *_):
@@ -231,58 +234,54 @@ class _ProvenEdges(tuple):
 
 
 def edge_directions(
-    poly: HPolytope, point: ScaledPoint, previous: Sequence[Edge] | None = None
-) -> Sequence[Edge]:
-    """The d primitive edge directions leaving a simple vertex.
+    poly: HPolytope, point: ScaledPoint, previous: _ProvenEdges | None = None
+) -> _ProvenEdges:
+    """The d primitive edge directions leaving a simple vertex, with their ``fresh`` positions.
 
     Returns one pair (leaving_facet, direction) per tight row i: the unique
     primitive integer vector with A_j . dir = 0 for every tight j != i and
-    A_i . dir < 0.  The directions are the inverse columns of the negated
-    tight matrix.  ``previous`` is the edge list of the vertex a walk just
-    left, in its tight order, whose tight set differs from this one in one
-    row (else InternalMismatch); with the leaving row's direction moved to
-    the entering row's place, its directions are pivoted there, in this
-    tight order, instead of eliminating the tight matrix again.  The pattern
-    is proven by induction: all d x d products A_j . dir_k are checked,
-    unless ``previous`` is a list this function returned with the same row
-    kernel; then the entering row meets every direction and the other rows
-    only those not ``previous``'s own objects, proven at the last vertex.
+    A_i . dir < 0, an inverse column of the negated tight matrix.  From
+    ``previous``, the list this function returned for the same polytope
+    object at the vertex a walk just left, one tight row away (else
+    InternalMismatch), the directions are pivoted instead, with the leaving
+    row's moved to the entering row's place.  ``fresh`` holds every position
+    after elimination; after a pivot, the entering row's and those whose
+    direction differs in value from that facet's before.  The pattern is
+    checked on every product A_j . dir_k, but after a pivot a kept row meets
+    only the fresh directions: it met the others at the vertex before.
     """
     tight, dim, rows = point.tight, poly.dim, poly._rows
     if len(tight) != dim:
         raise DegenerateVertex(f"{len(tight)} tight rows at a point of dimension {dim}")
-    entering, fresh = None, range(dim)  # fresh: the columns every tight row is checked on
     neg_rows = [poly._neg_rows[i] for i in tight]
     if previous is None:
+        entering = old = None
         columns = exactla.int_inverse_scaled(neg_rows)
     else:
-        facets = [facet for facet, _ in previous]
+        if type(previous) is not _ProvenEdges or previous.poly is not poly:
+            raise InternalMismatch("edges are pivoted only from a list proven for this polytope")
+        facets, old = map(list, zip(*previous))
         left, entered = set(facets).difference(tight), set(tight).difference(facets)
         if len(left) != 1 or len(entered) != 1:
             raise InternalMismatch(
                 f"tight rows {sorted(entered)} replace {sorted(left)}; an edge move swaps one row"
             )
-        entered = entered.pop()
-        place = bisect_left(tight, entered)  # the leaving row's column moves here
-        old = [direction for _, direction in previous]
+        entering = entered.pop()
+        place = bisect_left(tight, entering)  # the leaving row's column moves here
         old.insert(place, old.pop(facets.index(left.pop())))
         columns = exactla.int_inverse_scaled(neg_rows, old, place)
     if columns is None:
         raise DegenerateVertex("tight rows are rank-deficient")
     directions = [exactla.primitive(col) for col in columns]
-    if type(previous) is _ProvenEdges and previous.rows is rows:
-        entering = entered
-        fresh = [k for k in range(dim) if directions[k] is not old[k]]
+    fresh = tuple([k for k in range(dim) if old is None or k == place or directions[k] != old[k]])
     # Defensive: edge ray k keeps every tight row j != k and strictly leaves row k.
     for j, i in enumerate(tight):
         row = rows[i]
         for k in range(dim) if i == entering else fresh:
             prod = row(directions[k])
             if prod >= 0 if j == k else prod:
-                raise InternalMismatch(
-                    f"edge {k} breaks the tightness pattern at tight row {j}"
-                )
-    return _ProvenEdges(zip(tight, directions), rows)
+                raise InternalMismatch(f"edge {k} breaks the tightness pattern at tight row {j}")
+    return _ProvenEdges(zip(tight, directions), poly, fresh)
 
 
 def ratio_test(poly: HPolytope, point: ScaledPoint, direction: Sequence) -> Fraction | None:

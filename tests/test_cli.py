@@ -1,16 +1,21 @@
 """End-to-end CLI contracts: files, stdout summaries, exit codes."""
 
+import contextlib
+import io
 import json
 import os
 import subprocess
 import sys
+import time
 import tracemalloc
 from pathlib import Path
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from extparab import activeset, deformed, polytope
-from extparab.cli import main
+from extparab.cli import build_parser, main
 from extparab.errors import InternalMismatch
 from extparab.extension import ConstructionParams, build, vertex_for_t
 
@@ -258,6 +263,7 @@ def test_run_memory_does_not_grow_with_the_walk(tmp_path, capsys):
         ["report", "--d", "4", "--rules", "random", "--seeds", "5..1"],
         ["report", "--d", "4", "--rules", ","],
         ["report", "--d", "4", "--rules", "first,nosuch"],
+        ["report", "--d", "4", "--seeds", "1..99999999999999999999"],
     ],
     ids=[
         "d-list",
@@ -267,6 +273,7 @@ def test_run_memory_does_not_grow_with_the_walk(tmp_path, capsys):
         "empty-seed-range",
         "empty-rule-list",
         "unknown-rule-in-list",
+        "seed-range-past-len",
     ],
 )
 def test_malformed_argument_is_usage_error(tmp_path, capsys, argv):
@@ -274,6 +281,57 @@ def test_malformed_argument_is_usage_error(tmp_path, capsys, argv):
     err = capsys.readouterr().err
     assert code == 2
     assert "invalid" in err and "Traceback" not in err
+
+
+def test_long_seed_range_parses_at_once():
+    # A range of seeds stays a range: parsing builds no list of 10^12 ints.
+    started = time.perf_counter()
+    args = build_parser().parse_args(["report", "--d", "4", "--seeds", "1..1000000000000"])
+    assert args.seeds == range(1, 10**12 + 1) and len(args.seeds) == 10**12
+    assert time.perf_counter() - started < 1.0
+
+
+# Text that looks like each option's values, and text that does not.
+NUMBER = st.from_regex(r"-?[0-9]{1,22}", fullmatch=True)
+OPTION_TEXT = st.one_of(
+    st.text(max_size=24),
+    NUMBER,
+    st.builds("..".join, st.lists(NUMBER, min_size=2, max_size=3)),
+    st.builds(",".join, st.lists(NUMBER | st.sampled_from(activeset.RULE_NAMES), max_size=4)),
+)
+OPTIONS = [
+    ("report", "--d"),
+    ("report", "--rules"),
+    ("report", "--seeds"),
+    ("run", "--rule"),
+    ("run", "--seed"),
+    ("run", "--max-iter"),
+    ("scan", "--M"),
+]
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.sampled_from(OPTIONS), OPTION_TEXT)
+@example(("report", "--seeds"), "1..99999999999999999999")
+@example(("report", "--seeds"), "-99999999999999999999..1")
+@example(("run", "--max-iter"), "-1")
+def test_cli_arguments_parse_or_exit_2(option, text):
+    # Parsing only, no command runs: every text either parses to a value of
+    # the option's type or ends in argparse's usage error, never another
+    # exception.
+    command, flag = option
+    required = {"report": ["--d", "4"], "run": ["--d", "4"], "scan": ["--M", "4"]}[command]
+    try:
+        with contextlib.redirect_stderr(io.StringIO()):
+            args = build_parser().parse_args([command, *required, flag, text])
+    except SystemExit as exc:
+        assert exc.code == 2
+        return
+    value = getattr(args, flag[2:].replace("-", "_"))
+    if flag in ("--d", "--rules", "--seeds"):
+        assert len(value) > 0
+    elif flag == "--max-iter":
+        assert value >= 0
 
 
 def test_scan_small(capsys):

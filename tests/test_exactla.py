@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 
 from extparab import exactla, polytope
 from extparab.activeset import active_set_run, make_rule, pullback_objective
-from extparab.errors import ZeroVector
+from extparab.errors import InternalMismatch, ZeroVector
 from extparab.extension import ConstructionParams, build, vertex_for_t
 from extparab.polytope import HPolytope
 from test_hotpath_oracle import reference_rank, reference_to_decimal
@@ -107,8 +107,8 @@ def test_primitive_keeps_a_vector_of_content_one():
     assert exactla.primitive([3, -2, 0]) == (3, -2, 0)
     assert exactla.primitive((-1,)) == (-1,)
     assert exactla.primitive([0, -6, 4]) == (0, -3, 2)
-    # A content-1 tuple comes back as the same object, which is how edge
-    # enumeration tells a column the pivot kept from one it replaced.
+    # A content-1 tuple comes back as the same object, so a column the pivot
+    # kept is not copied.
     for v in ((3, -2, 0), (-1,), (0, 0, 1)):
         assert exactla.primitive(v) is v
 
@@ -233,12 +233,13 @@ def test_edge_check_counts_d_squared_then_only_the_changed_products(monkeypatch)
     assert products[0] == d * d
     assert products[1:] == [d * (1 + c) - c for c in replaced]
     assert all(c >= 1 for c in replaced) and sum(replaced) < 3 * len(replaced)
-    # Edges proven with another polytope object's row functions, even an equal one's, get all d^2.
+    # Edges proven for another polytope object, even an equal one, are refused before any product.
     twin = HPolytope(poly.A, poly.b)
     twin.__dict__["_rows"] = counting(twin._rows)
     here, there = (polytope.scaled_point(poly, vertex_for_t(ext, t)) for t in (0, 1))
-    counted(twin, there, counted(poly, here))
-    assert products[-2:] == [d * d, d * d]
+    with pytest.raises(InternalMismatch, match="^edges are pivoted only from a list proven for"):
+        counted(twin, there, counted(poly, here))
+    assert products[-2:] == [d * d, 0]
 
 
 # Row 3 is row 0 + 2 row 1 - row 2: every column but the last has a pivot,

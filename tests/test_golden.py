@@ -14,6 +14,10 @@ four rules walk the same vertex path, so they share one pair of digests.
 
 import hashlib
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -112,6 +116,24 @@ def test_run_d8_outputs_are_unchanged(tmp_path, capsys, rule):
     assert main(["run", "--d", "8", "--rule", rule, "--out", str(prefix)]) == 0
     capsys.readouterr()
     digests = {suffix: sha256((tmp_path / f"{rule}.{suffix}").read_bytes()) for suffix in RUN_D8}
+    assert digests == RUN_D8
+
+
+def test_run_d8_outputs_are_unchanged_under_optimize_flag(tmp_path):
+    # python -O strips assert statements; the walk's checks are explicit
+    # raises, so an optimized run writes the same two files.
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    prefix = tmp_path / "first"
+    done = subprocess.run(
+        [sys.executable, "-O", "-m", "extparab.cli", "run", "--d", "8", "--out", str(prefix)],
+        capture_output=True,
+        text=True,
+        env=env,
+        timeout=120,
+    )
+    assert done.returncode == 0, done.stderr
+    digests = {suffix: sha256((tmp_path / f"first.{suffix}").read_bytes()) for suffix in RUN_D8}
     assert digests == RUN_D8
 
 

@@ -439,6 +439,58 @@ def test_pivoted_edges_match_elimination_on_cut_cube(objective, monkeypatch):
         assert pivoted == [False] + [True] * trace.edge_moves, name
 
 
+def _checking_fresh(monkeypatch, record):
+    """Patch edge_directions so every edge list's ``fresh`` positions are checked.
+
+    After elimination they are all d positions.  After a pivot they are
+    exactly the positions whose facet is not in the previous list or whose
+    direction differs from that facet's direction there, and they hold the
+    entering row's position; every other position holds the previous
+    list's facet and direction.
+    """
+    enumerate_edges = polytope.edge_directions
+
+    def checked(poly, point, previous=None):
+        edges = enumerate_edges(poly, point, previous)
+        if previous is None:
+            assert edges.fresh == tuple(range(poly.dim))
+        else:
+            before = dict(previous)
+            changed = [k for k, (facet, d) in enumerate(edges) if before.get(facet) != d]
+            assert edges.fresh == tuple(changed)
+            (entering,) = set(point.tight).difference(before)
+            assert point.tight.index(entering) in edges.fresh
+        record.append(len(edges.fresh))
+        return edges
+
+    monkeypatch.setattr(polytope, "edge_directions", checked)
+
+
+@pytest.mark.parametrize("n, d", TOWERS, ids=[f"n{n}-d{d}" for n, d in TOWERS])
+def test_fresh_names_every_changed_edge_on_every_walk(n, d, monkeypatch):
+    ext = build(ConstructionParams(n=n, d=d))
+    f = pullback_objective(ext)
+    start, fresh = vertex_for_t(ext, 0), []
+    _checking_fresh(monkeypatch, fresh)
+    for name in RULES:
+        fresh.clear()
+        trace = active_set_run(ext.poly, f, start, make_rule(name, 5), 4 * ext.params.vertex_count)
+        assert len(fresh) == trace.vertices_visited == ext.params.vertex_count, name
+    fresh.clear()
+    certificate = monotone_path_check(ext, f)
+    assert len(fresh) == len(certificate.entries)
+
+
+@pytest.mark.parametrize("objective", ["linear", "convex"])
+def test_fresh_names_every_changed_edge_on_cut_cube(objective, monkeypatch):
+    fresh = []
+    _checking_fresh(monkeypatch, fresh)
+    for name in RULES:
+        fresh.clear()
+        trace = active_set_run(CUT_CUBE, CUBE_OBJECTIVES[objective], (0, 0, 0), make_rule(name, 3), 64)
+        assert len(fresh) == trace.vertices_visited >= 3, name
+
+
 def _checking_ratio_tests(monkeypatch, vertices):
     """At every vertex a walk enumerates edges at, compare ``ratio_test`` on every edge."""
     enumerate_edges = polytope.edge_directions
@@ -513,8 +565,8 @@ def offers_against_reference(poly, f, x0, rule, max_iter):
 
 @pytest.mark.parametrize("n, d", SMALL_TOWERS, ids=[f"n{n}-d{d}" for n, d in SMALL_TOWERS])
 def test_walk_prices_every_vertex_like_improving_edges(n, d, monkeypatch):
-    # Also counts the linear prices computed: a direction the pivot hands
-    # back as the same object reuses its price, so fewer than d per vertex.
+    # Also counts the linear prices computed: only the fresh positions are
+    # priced again, the rest keep their facet's entry, so fewer than d per vertex.
     ext = build(ConstructionParams(n=n, d=d))
     f, m_top, price, calls = pullback_objective(ext), ext.params.vertex_count, activeset._linear_price, []
     monkeypatch.setattr(activeset, "_linear_price", lambda *args: calls.append(1) or price(*args))
@@ -536,8 +588,8 @@ def test_walk_prices_every_vertex_like_improving_edges_on_the_cut_cube(objective
 
 
 def test_a_corrupted_cached_linear_price_changes_the_offer_or_raises(monkeypatch):
-    # The start vertex's prices are right; every direction priced after it
-    # is cached negated, and the walk reuses it at later vertices.
+    # The start vertex's prices are right; every edge priced after it is
+    # kept negated in the per-facet table, and the walk reuses it at later vertices.
     ext = build(ConstructionParams(n=16, d=4))
     f, price, calls = pullback_objective(ext), activeset._linear_price, []
 

@@ -642,33 +642,39 @@ def test_edge_pivot_check_survives_optimize_flag():
     assert done.stdout.strip() == "vertex 2: edge 0 breaks the tightness pattern at tight row 1"
 
 
-def test_edge_check_is_full_for_a_hand_built_predecessor_under_optimize_flag():
-    # Under python -O a list passed as ``previous`` was never proven by
-    # edge_directions, so its kept columns get the full check.  Column 0 +
-    # column 2 of t = 0 has content 1 and is annihilated by the row that
-    # enters at t = 1, so the pivot keeps it as the same object; only the
-    # kept rows, whose products the fast path would trust, see that it
-    # leaves row 0 as well as row 4.
+def test_edge_directions_refuse_an_unproven_predecessor_under_optimize_flag():
+    # Under python -O a pivot starts only from a list edge_directions proved
+    # for the same polytope object.  A hand-built list (here with column 0 +
+    # column 2 of t = 0, which the row entering at t = 1 annihilates, so a
+    # pivot would keep it), a plain copy of a proven list and a list proven
+    # for an equal but separate polytope are all refused before any pivot.
     code = (
         "from extparab import exactla, polytope\n"
         "from extparab.errors import InternalMismatch\n"
         "from extparab.extension import ConstructionParams, build, vertex_for_t\n"
+        "from extparab.polytope import HPolytope\n"
         "assert False, 'asserts must be stripped'\n"
         "ext = build(ConstructionParams(n=16, d=4))\n"
+        "twin = HPolytope(ext.poly.A, ext.poly.b)\n"
         "p0, p1 = (polytope.scaled_point(ext.poly, vertex_for_t(ext, t)) for t in (0, 1))\n"
         "edges = polytope.edge_directions(ext.poly, p0)\n"
         "corrupt = tuple(a + b for a, b in zip(edges[0][1], edges[2][1]))\n"
-        "hand_built = [edges[0], edges[1], (edges[2][0], corrupt), edges[3]]\n"
-        "inverse, kept = exactla.int_inverse_scaled, []\n"
+        "unproven = {\n"
+        "    'hand-built': [edges[0], edges[1], (edges[2][0], corrupt), edges[3]],\n"
+        "    'copied': list(edges),\n"
+        "    'twin': polytope.edge_directions(twin, polytope.scaled_point(twin, vertex_for_t(ext, 0))),\n"
+        "}\n"
+        "inverse, calls = exactla.int_inverse_scaled, []\n"
         "def recorded(rows, previous=None, swapped=None):\n"
-        "    columns = inverse(rows, previous, swapped)\n"
-        "    kept.extend(c for c in columns if c is corrupt)\n"
-        "    return columns\n"
+        "    calls.append(swapped)\n"
+        "    return inverse(rows, previous, swapped)\n"
         "exactla.int_inverse_scaled = recorded\n"
-        "try:\n"
-        "    polytope.edge_directions(ext.poly, p1, hand_built)\n"
-        "except InternalMismatch as exc:\n"
-        "    print(f'{p0.tight} -> {p1.tight}, kept {len(kept)}: {exc}')\n"
+        "for name, previous in unproven.items():\n"
+        "    try:\n"
+        "        polytope.edge_directions(ext.poly, p1, previous)\n"
+        "    except InternalMismatch as exc:\n"
+        "        print(f'{name}, {len(calls)} inverses: {exc}')\n"
+        "print(polytope.edge_directions(ext.poly, p1, edges) == polytope.edge_directions(ext.poly, p1))\n"
     )
     src = str(Path(__file__).resolve().parents[1] / "src")
     env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
@@ -676,9 +682,13 @@ def test_edge_check_is_full_for_a_hand_built_predecessor_under_optimize_flag():
         [sys.executable, "-O", "-c", code], capture_output=True, text=True, env=env, timeout=60
     )
     assert done.returncode == 0, done.stderr
-    assert done.stdout.strip() == (
-        "(0, 3, 4, 7) -> (0, 1, 4, 7), kept 1: edge 2 breaks the tightness pattern at tight row 0"
-    )
+    refusal = "edges are pivoted only from a list proven for this polytope"
+    assert done.stdout.splitlines() == [
+        f"hand-built, 0 inverses: {refusal}",
+        f"copied, 0 inverses: {refusal}",
+        f"twin, 0 inverses: {refusal}",
+        "True",
+    ]
 
 
 def test_edge_check_sees_a_stale_column_at_the_entering_row_under_optimize_flag():

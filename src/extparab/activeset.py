@@ -6,11 +6,12 @@ rows and strictly leaves one), so the working set is the tight set and one
 loop body is one edge move: price the edges from ``edge_directions`` against
 the gradient, follow the chosen improving edge until a facet blocks or the
 gradient along it vanishes, and repeat until no edge improves.  A move swaps
-one tight row, so each vertex's edges are pivoted from the last one's.  That
-loop is written once, as the generator ``walk``: ``active_set_run`` records
-its vertices as a trace, ``stream_trace`` writes them to the trace and plot
-files as they come, and the path certificate in ``lowerbound`` checks the
-same moves against the construction.
+the followed edge's facet for the ratio test's blocking row; handed that
+swap, ``edge_directions`` pivots the last vertex's edges.  That loop is
+written once, as the generator ``walk``: ``active_set_run`` records its
+vertices as a trace, ``stream_trace`` writes them to the trace and plot files
+as they come, and the path certificate in ``lowerbound`` checks the same
+moves against the construction.
 
 The one "for some" in that loop, which improving edge to follow, is the
 pivot-rule choice point.  Rules plug in through ``choose_direction`` and must
@@ -310,11 +311,11 @@ def walk(
     """
     f_value = f.value_at(point.nums, point.denom)
     _, curved, linear, _ = f._cleared
-    edges, prices = None, [0] * poly.num_facets  # l . dir of each tight facet's edge
+    edges, pivot, prices = None, None, [0] * poly.num_facets  # prices: l . dir by tight facet
     for moves in count():
         nums, denom, _, tight = point
         gradient = f.gradient_at(nums, denom)
-        edges = polytope.edge_directions(poly, point, edges)  # raises DegenerateVertex
+        edges = polytope.edge_directions(poly, point, pivot)  # raises DegenerateVertex
         for k in edges.fresh:
             facet, direction = edges[k]
             prices[facet] = _linear_price(linear, direction)
@@ -333,8 +334,8 @@ def walk(
         chosen = rule.choose_direction(improving, point)
         if chosen not in improving:
             raise UnknownRule("pivot rule returned a direction not offered")
-        _, direction = chosen
-        mu_max = polytope.ratio_test(poly, point, direction)
+        leaving, direction = chosen
+        mu_max, entering = polytope.ratio_test(poly, point, direction)
         mu = line_search(f, direction, mu_max, gradient)
         if not mu > 0:
             raise InternalMismatch("a feasible improving edge must allow mu > 0")
@@ -350,7 +351,7 @@ def walk(
             raise InternalMismatch("objective must strictly increase on a move")
         if len(point.tight) != poly.dim:
             raise NotAVertex(f"iterate has {len(point.tight)} tight rows, need {poly.dim}")
-        f_value = new_value
+        f_value, pivot = new_value, (edges, leaving, entering)
         yield record
 
 

@@ -5,9 +5,9 @@ verification or certificate check fails, a run stops at --max-iter or a file
 cannot be written, 2 on usage errors (bad parameters, unknown rule, scan cap
 refusal).  All file outputs keep exact ``p/q`` rationals except the
 plotting/experiment CSVs: the plot CSV renders decimals to 12 significant
-digits, the experiment CSV its wall times to 3 decimals.  ``run`` writes its
-trace and plot as the walk goes, so its memory does not depend on M, under
-``.part`` names that take the final names only when the walk has ended.
+digits, the experiment CSV its wall times to 3 decimals.  Files are written
+under ``.part`` names that take the final names only once all are written,
+so a failed command leaves none; ``run`` streams, so its memory is not O(M).
 """
 
 from __future__ import annotations
@@ -15,6 +15,7 @@ from __future__ import annotations
 import argparse
 import contextlib
 import dataclasses
+import errno
 import json
 import os
 import sys
@@ -85,6 +86,31 @@ def _inject_phi_weight_fault(ext):
     return dataclasses.replace(ext, phi_prime=phi_prime)
 
 
+@contextlib.contextmanager
+def _replaced_on_success(paths: list[str]):
+    """Text files written as ``<path>.part``, renamed to ``paths`` if the block succeeds.
+
+    On an error in the block, or with a directory at one of ``paths``, they
+    are removed and none is renamed, so earlier files at ``paths`` stay as
+    they were; an OSError about a ``.part`` file names its final path.
+    """
+    temps = [f"{path}.part" for path in paths]
+    try:
+        with contextlib.ExitStack() as stack:
+            yield [stack.enter_context(open(temp, "w")) for temp in temps]
+        for path in filter(os.path.isdir, paths):  # a rename onto it would fail midway
+            raise IsADirectoryError(errno.EISDIR, os.strerror(errno.EISDIR), path)
+        for temp, path in zip(temps, paths):
+            os.replace(temp, path)
+    except BaseException as exc:
+        for temp in temps:
+            with contextlib.suppress(OSError):
+                os.remove(temp)
+        if isinstance(exc, OSError) and exc.filename in temps:
+            raise OSError(exc.errno, exc.strerror, paths[temps.index(exc.filename)]) from None
+        raise
+
+
 def cmd_build(args) -> int:
     params = _params_from_args(args)
     ext = extension.build(params)
@@ -94,17 +120,15 @@ def cmd_build(args) -> int:
         "ext": lambda: polytope.vrep_to_ext(extension.all_vertices(ext)),
         "json": lambda: json.dumps(extension.sidecar_json_dict(ext), indent=2) + "\n",
     }
-    written = []
-    for fmt, text in writers.items():
-        if args.format in ("all", fmt):
-            written.append(f"{prefix}.{fmt}")
-            with open(written[-1], "w") as fh:
-                fh.write(text())
+    texts = {f"{prefix}.{fmt}": fn for fmt, fn in writers.items() if args.format in ("all", fmt)}
+    with _replaced_on_success(list(texts)) as files:
+        for fh, text in zip(files, texts.values()):
+            fh.write(text())
     print(
         f"built d={params.d} n={params.n}: "
         f"{ext.poly.num_facets} facets, {params.vertex_count} vertices"
     )
-    for path in written:
+    for path in texts:
         print(f"wrote {path}")
     return 0
 
@@ -143,7 +167,7 @@ def cmd_verify(args) -> int:
     }
     text = json.dumps(combined, indent=2)
     if args.out:
-        with open(args.out, "w") as fh:
+        with _replaced_on_success([args.out]) as (fh,):
             fh.write(text + "\n")
         print(f"wrote {args.out}")
     else:
@@ -152,28 +176,6 @@ def cmd_verify(args) -> int:
         print(f"{'PASS' if check.ok else 'FAIL'} {check.name}: {check.detail}")
     print(f"verify d={params.d} n={params.n}: {'PASS' if ok else 'FAIL'}")
     return 0 if ok else CHECK_FAILURE
-
-
-@contextlib.contextmanager
-def _replaced_on_success(paths: list[str]):
-    """Text files written as ``<path>.part``, renamed to ``paths`` if the block succeeds.
-
-    On an error they are removed, so earlier files at ``paths`` stay as they
-    were, and an OSError about a ``.part`` file names its final path.
-    """
-    temps = [f"{path}.part" for path in paths]
-    try:
-        with contextlib.ExitStack() as stack:
-            yield [stack.enter_context(open(temp, "w")) for temp in temps]
-        for temp, path in zip(temps, paths):
-            os.replace(temp, path)
-    except BaseException as exc:
-        for temp in temps:
-            with contextlib.suppress(OSError):
-                os.remove(temp)
-        if isinstance(exc, OSError) and exc.filename in temps:
-            raise OSError(exc.errno, exc.strerror, paths[temps.index(exc.filename)]) from None
-        raise
 
 
 def cmd_run(args) -> int:
@@ -204,7 +206,7 @@ def cmd_scan(args) -> int:
     cap = None if args.cap_override else lowerbound.SCAN_CAP_DEFAULT
     report = lowerbound.chord_scan(args.M, cap=cap)
     if args.out:
-        with open(args.out, "w") as fh:
+        with _replaced_on_success([args.out]) as (fh,):
             json.dump(report.to_json_dict(), fh, indent=2)
             fh.write("\n")
         print(f"wrote {args.out}")
@@ -226,7 +228,7 @@ def cmd_report(args) -> int:
         table = lowerbound.iteration_experiment(ext, f, args.rules, args.seeds)
         if args.out:
             path = f"{args.out}_d{d}.csv"
-            with open(path, "w") as fh:
+            with _replaced_on_success([path]) as (fh,):
                 fh.write(table.to_csv())
             print(f"wrote {path}")
         for row in table.rows:

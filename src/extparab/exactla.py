@@ -16,14 +16,17 @@ once, and ``primitive`` divides an integer vector by its content (and
 returns a vector of content 1 as it is).  There is one elimination, the
 fraction-free forward pass, which returns the rank of the columns it is given
 (a column with no pivot left is skipped) and skips the rows a step leaves
-unchanged, most of them on the tower's sparse tight matrices.  On a matrix
-alone it is the full-rank test ``is_nonsingular`` and, over rows cleared to
-integers, ``rank``.  ``int_inverse_scaled`` runs it and a back pass on
-[A | I]; or, given the columns for a matrix that differs in one row, it
-pivots them by that row in one fraction-free rank-one update, which leaves
-every column the new row annihilates as it was, so an edge walk, which swaps
-one tight row per move, gets each vertex's inverse from the last one's.
-``rational_texts`` and ``decimal_text`` format ints.
+unchanged.  It runs on the mirrored matrix A' (rows and columns reversed): a
+tower vertex's tight rows, in index order, are a block lower-triangular
+staircase, so from the last column it updates one row per level, d/2 in all,
+where the first column's order filled in down the staircase.  It is the
+full-rank test ``is_nonsingular`` and, over rows cleared to integers,
+``rank``; ``int_inverse_scaled`` runs it and a back pass on [A' | I] and
+reverses the columns back, or, given the columns for a matrix that differs
+in one row, pivots them by that row in one fraction-free rank-one update,
+which leaves every column the new row annihilates as it was, so an edge
+walk, which swaps one tight row per move, gets each vertex's inverse from
+the last one's.  ``rational_texts`` and ``decimal_text`` format ints.
 """
 
 from __future__ import annotations
@@ -74,7 +77,7 @@ def dot(u: Sequence, v: Sequence) -> Fraction:
 
 def rank(a: Matrix) -> int:
     """Exact rank, by ``_forward`` on the rows cleared to integers (perfbench wraps it by name)."""
-    return _forward([list(common_denominator(row)[0]) for row in a], len(a[0]) if a else 0)
+    return _forward(_mirrored([common_denominator(row)[0] for row in a]), len(a[0]) if a else 0)
 
 
 def primitive(v: Sequence[int]) -> tuple[int, ...]:
@@ -126,6 +129,10 @@ def _clear_column(work: list[list[int]], k: int, col: int, targets: Iterable[int
         work[r] = [a // content for a in row] if content > 1 else row
 
 
+def _mirrored(rows: Sequence[Sequence[int]]) -> list[list[int]]:  # rows, columns reversed
+    return [row[::-1] for row in map(list, reversed(rows))]
+
+
 def _forward(work: list[list[int]], width: int) -> int:
     """In-place forward elimination of work's first ``width`` columns: their rank."""
     m, k = len(work), 0
@@ -142,15 +149,9 @@ def _forward(work: list[list[int]], width: int) -> int:
     return k
 
 
-def _back(work: list[list[int]], n: int) -> None:
-    """After ``_forward`` of full rank: clear above the diagonal, so row i ends as diag_i e_i."""
-    for k in range(n - 1, 0, -1):
-        _clear_column(work, k, k, range(k))
-
-
 def is_nonsingular(rows: Sequence[Sequence[int]]) -> bool:
     """True iff the square integer matrix has full rank (the forward pass alone)."""
-    return _forward([list(row) for row in rows], len(rows)) == len(rows)
+    return _forward(_mirrored(rows), len(rows)) == len(rows)
 
 
 def int_inverse_scaled(
@@ -162,10 +163,10 @@ def int_inverse_scaled(
 
     Returns a list of integer vectors y_0..y_{n-1} with A . y_k = lam_k e_k
     for some lam_k > 0, or None when A is singular.  Without ``previous`` it
-    runs ``_forward`` and ``_back`` on [A | I].  ``previous`` are such
-    columns z_k for a matrix that differs from A in row p = ``swapped`` only;
-    then one fraction-free pivot on the new row r = A_p gives them: with
-    a = r . z_p, which is 0 exactly when A is singular,
+    runs ``_forward`` and a back pass on [A' | I] for the mirrored A'.
+    ``previous`` are such columns z_k for a matrix that differs from A in row
+    p = ``swapped`` only; then one fraction-free pivot on the new row r = A_p
+    gives them: with a = r . z_p, which is 0 exactly when A is singular,
 
         y_p = sgn(a) z_p,   y_k = |a| z_k - sgn(a) (r . z_k) z_p  (k != p),
 
@@ -175,16 +176,18 @@ def int_inverse_scaled(
     if previous is not None:
         return _pivot(rows[swapped], previous, swapped)
     n = len(rows)
-    work = [[*row, *[0] * i, 1, *[0] * (n - 1 - i)] for i, row in enumerate(rows)]
+    work = [[*row, *[0] * i, 1, *[0] * (n - 1 - i)] for i, row in enumerate(_mirrored(rows))]
     if _forward(work, n) < n:
         return None
-    _back(work, n)
-    # Row i is now diag_i e_i | E_i with E A = diag, so A^-1 e_k has entries
-    # E_ik / diag_i; scaling by the lcm of |diag| keeps them integers.
+    for k in range(n - 1, 0, -1):  # the back pass: clear above the diagonal
+        _clear_column(work, k, k, range(k))
+    # Row i is now diag_i e_i | E_i with E A' = diag, so A'^-1 e_k = (E_ik / diag_i)_i, integers
+    # once scaled by lcm |diag|.  A' = J A J (J reverses), so A^-1 e_k is A'^-1 e_{n-1-k} reversed.
     diag = [work[i][i] for i in range(n)]
     scale = lcm(*diag)
     factors = [scale // d for d in diag]  # exact by construction of the lcm
-    return list(zip(*([a * f for a in row[n:]] for row, f in zip(work, factors))))
+    scaled = [[a * f for a in reversed(row[n:])] for row, f in zip(work, factors)]
+    return list(zip(*scaled[::-1]))
 
 
 def _pivot(row: Sequence[int], previous: Sequence[Sequence[int]], p: int) -> list | None:

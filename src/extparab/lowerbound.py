@@ -268,10 +268,6 @@ def iteration_experiment(
             )
         if len(set(path)) != m_top:
             raise CertificateFailure(f"{rule_name}/{seed}: repeated vertices in trace")
-        if trace.edge_moves != m_top - 1:
-            raise CertificateFailure(
-                f"{rule_name}/{seed}: {trace.edge_moves} moves, expected {m_top - 1}"
-            )
         rows.append(
             ExperimentRow(
                 rule=rule_name,

@@ -17,24 +17,25 @@ and the tight set read off them.  Edge enumeration and the ratio test take that
 state; ``step`` moves it along an edge in integers, reduced by gcd(D, *X).
 Only ``slacks`` and the ratio test's minimum are built as Fractions.
 ``is_simple`` decides that the d tight rows are independent by the rank the
-forward pass of integer elimination returns (``exactla.is_nonsingular``)
-and keeps nothing; ``deformed.dp_verify`` keeps its verdict per point state
-on the frozen polytope object, so it dies with the object and an equal
-polytope built separately decides again.  The ratio test skips the tight
-rows: none of them can block an edge that ``edge_directions`` returned.
+forward pass of integer elimination returns (``exactla.is_nonsingular``, in
+the mirrored order that is fill-free on the tower) and keeps nothing;
+``deformed.dp_verify`` keeps its verdict per point state on the frozen
+polytope object, so it dies with the object and an equal polytope built
+separately decides again.  The ratio test skips the tight rows: none of
+them can block an edge that ``edge_directions`` returned.
 
 Edge enumeration reads the edges off the inverse columns of the negated
 tight rows (``exactla.int_inverse_scaled``), which are the edge directions
 themselves: at a walk's first vertex by elimination, and at every later one
-by pivoting, in the new vertex's tight order, the edges of the vertex the
-walk just left on the one row it swapped (the leaving row's edge moved to
-the entering row's place), since the new edges are -dir_i and the primitive
-parts of (A_b . dir_i) dir_f - (A_b . dir_f) dir_i after a move along dir_i
-that row b blocks.  Edges are checked in full at the first vertex, and at a
-pivoted one only at the ``fresh`` positions the list names: the entering
-row's and those whose direction differs in value from the one proven for
-that facet at the vertex before.  A pivot starts only from a list proven for
-the same polytope object, so no other list passes its trust along.
+by pivoting the last vertex's edges on the row the move swapped in, since
+the new edges are -dir_i and the primitive parts of (A_b . dir_i) dir_f -
+(A_b . dir_f) dir_i after a move along dir_i that row b blocks.  The walk
+hands over i and b, the ratio test's lowest blocking row; a pivot starts
+only from a list proven for the same polytope object whose tight rows, with
+exactly that swap, are the new vertex's, and moves i's edge to b's place.
+Edges are checked in full at the first vertex, and at a pivoted one only at
+the ``fresh`` positions the list names: b's and those whose direction
+differs in value from the one proven for that facet at the vertex before.
 
 Edge enumeration raises DegenerateVertex at a non-simple vertex, because on
 the constructed instances degeneracy means a bug, not a case to handle.
@@ -46,6 +47,7 @@ matching ``V-representation`` writer for vertices given as states.
 
 from __future__ import annotations
 
+import re
 from bisect import bisect_left
 from dataclasses import dataclass
 from fractions import Fraction
@@ -69,6 +71,8 @@ from .exactla import Matrix, Vector
 TightSet = tuple[int, ...]
 State = tuple[tuple[int, ...], int]  # (numerators, denominator > 0) in lowest terms
 Edge = tuple[int, tuple[int, ...]]  # (leaving facet, primitive direction)
+_INE_NUMBER = re.compile(r"-?[0-9]+(/[0-9]+)?")  # the entry forms hrep_to_ine writes
+_INE_SIZE = re.compile(r"([0-9]+) ([0-9]+) rational")  # its size line, spaces normalized
 
 
 @dataclass(frozen=True)
@@ -221,12 +225,12 @@ def is_simple_vertex(poly: HPolytope, x: Sequence) -> bool:
 
 
 class _ProvenEdges(tuple):
-    """Edges ``edge_directions`` proved for ``poly``; it alone builds them.  ``fresh`` lists
-    the positions whose facet or direction is new since the list they were pivoted from."""
+    """Edges ``edge_directions`` proved for ``poly``, which it alone builds, as ``tight`` facets
+    and ``directions``; ``fresh`` lists the positions new since the list they were pivoted from."""
 
-    def __new__(cls, edges, poly, fresh):
-        self = super().__new__(cls, edges)
-        self.__dict__.update(poly=poly, fresh=fresh)
+    def __new__(cls, poly, tight, directions, fresh):
+        self = super().__new__(cls, zip(tight, directions))
+        self.__dict__.update(poly=poly, tight=tight, directions=tuple(directions), fresh=fresh)
         return self
 
     def __setattr__(self, *_):
@@ -234,41 +238,39 @@ class _ProvenEdges(tuple):
 
 
 def edge_directions(
-    poly: HPolytope, point: ScaledPoint, previous: _ProvenEdges | None = None
+    poly: HPolytope, point: ScaledPoint, pivot: tuple[_ProvenEdges, int, int] | None = None
 ) -> _ProvenEdges:
     """The d primitive edge directions leaving a simple vertex, with their ``fresh`` positions.
 
     Returns one pair (leaving_facet, direction) per tight row i: the unique
     primitive integer vector with A_j . dir = 0 for every tight j != i and
-    A_i . dir < 0, an inverse column of the negated tight matrix.  From
-    ``previous``, the list this function returned for the same polytope
-    object at the vertex a walk just left, one tight row away (else
-    InternalMismatch), the directions are pivoted instead, with the leaving
-    row's moved to the entering row's place.  ``fresh`` holds every position
-    after elimination; after a pivot, the entering row's and those whose
-    direction differs in value from that facet's before.  The pattern is
-    checked on every product A_j . dir_k, but after a pivot a kept row meets
-    only the fresh directions: it met the others at the vertex before.
+    A_i . dir < 0.  Given ``pivot``, this function's list for the same
+    polytope object at the vertex a walk just left with the move's leaving
+    facet and entering row, it pivots that list instead, if the tight rows
+    are the list's with exactly that swap (else InternalMismatch).  Every
+    product A_j . dir_k is checked, but after a pivot a kept row meets only
+    the fresh directions: it met the others at the vertex before.
     """
     tight, dim, rows = point.tight, poly.dim, poly._rows
     if len(tight) != dim:
         raise DegenerateVertex(f"{len(tight)} tight rows at a point of dimension {dim}")
     neg_rows = [poly._neg_rows[i] for i in tight]
-    if previous is None:
+    if pivot is None:
         entering = old = None
         columns = exactla.int_inverse_scaled(neg_rows)
     else:
+        previous, leaving, entering = pivot
         if type(previous) is not _ProvenEdges or previous.poly is not poly:
             raise InternalMismatch("edges are pivoted only from a list proven for this polytope")
-        facets, old = map(list, zip(*previous))
-        left, entered = set(facets).difference(tight), set(tight).difference(facets)
-        if len(left) != 1 or len(entered) != 1:
+        before, out = previous.tight, bisect_left(previous.tight, leaving)
+        kept = before[:out] + before[out + 1 :]
+        place = bisect_left(kept, entering)  # the leaving row's column moves here
+        if before[out : out + 1] != (leaving,) or tight != (*kept[:place], entering, *kept[place:]):
             raise InternalMismatch(
-                f"tight rows {sorted(entered)} replace {sorted(left)}; an edge move swaps one row"
+                f"tight rows {tight} are not {before} with row {leaving} swapped for {entering}"
             )
-        entering = entered.pop()
-        place = bisect_left(tight, entering)  # the leaving row's column moves here
-        old.insert(place, old.pop(facets.index(left.pop())))
+        old = list(previous.directions)
+        old.insert(place, old.pop(out))
         columns = exactla.int_inverse_scaled(neg_rows, old, place)
     if columns is None:
         raise DegenerateVertex("tight rows are rank-deficient")
@@ -281,27 +283,24 @@ def edge_directions(
             prod = row(directions[k])
             if prod >= 0 if j == k else prod:
                 raise InternalMismatch(f"edge {k} breaks the tightness pattern at tight row {j}")
-    return _ProvenEdges(zip(tight, directions), poly, fresh)
+    return _ProvenEdges(poly, tight, directions, fresh)
 
 
-def ratio_test(poly: HPolytope, point: ScaledPoint, direction: Sequence) -> Fraction | None:
-    """Largest feasible step along a direction: mu_max, or None on an unbounded ray.
-
-    mu_max = min over rows with A_i . direction > 0 of
-    (b_i - A_i x)/(A_i . direction).  Which rows block is read off the
-    endpoint's tight set, so only the minimum is kept.  Precondition: the
-    direction is an edge ``edge_directions`` returned at the point, so
-    A_j . dir <= 0 on every tight row j and only nonzero slacks are read.
-    """
+def ratio_test(poly: HPolytope, point: ScaledPoint, direction: Sequence) -> tuple:
+    """(mu_max, blocking row): the largest feasible step along a direction, min over rows with
+    A_i . direction > 0 of (b_i - A_i x)/(A_i . direction), and the lowest row attaining it, both
+    None on an unbounded ray.  The direction must be an edge ``edge_directions`` returned at the
+    point, so A_j . dir <= 0 on every tight row j and only nonzero slacks are read."""
     if not any(direction):
         raise ZeroDirection("ratio test along the zero direction")
-    # Ratios slack_i / (denom advance_i) are compared by cross-multiplication,
-    # so only the minimum becomes a Fraction.
-    best, adv_best = None, 0
+    # Ratios slack_i / (denom advance_i) compare by cross-multiplication; a tie keeps the first.
+    best, adv_best, blocking = None, 0, None
     for s, row in zip(point.slacks, poly._rows):
         if s and (adv := row(direction)) > 0 and (best is None or s * adv_best < best * adv):
-            best, adv_best = s, adv
-    return None if best is None else Fraction(best, point.denom * adv_best)
+            best, adv_best, blocking = s, adv, row
+    if best is None:
+        return None, None
+    return Fraction(best, point.denom * adv_best), poly._rows.index(blocking)  # its row index
 
 
 # ---------------------------------------------------------------------------
@@ -319,7 +318,7 @@ def hrep_to_ine(poly: HPolytope) -> str:
 
 
 def hrep_from_ine(text: str) -> HPolytope:
-    """Parse a cdd H-representation produced by :func:`hrep_to_ine`."""
+    """Parse a cdd H-representation produced by :func:`hrep_to_ine`: integer and p/q entries."""
     lines = [ln.strip() for ln in text.splitlines()]
     lines = [ln for ln in lines if ln and not ln.startswith("*")]
     try:
@@ -328,19 +327,18 @@ def hrep_from_ine(text: str) -> HPolytope:
         raise FormatError("missing 'begin' line") from None
     if "H-representation" not in lines[:start]:
         raise FormatError("missing 'H-representation' header")
-    rows = []
-    rhs = []
+    rows, rhs = [], []
     try:
-        header = lines[start + 1].split()
-        if len(header) != 3 or header[2] != "rational":
-            raise FormatError(f"unsupported size line: {lines[start + 1]!r}")
-        m, cols = int(header[0]), int(header[1])
+        size = _INE_SIZE.fullmatch(" ".join(lines[start + 1].split()))
+        m, cols = map(int, size.groups()) if size else (0, 0)
         if m <= 0 or cols < 2:
             raise FormatError(f"unsupported size line: {lines[start + 1]!r}")
         for ln in lines[start + 2 : start + 2 + m]:
             parts = ln.split()
             if len(parts) != cols:
                 raise FormatError(f"row has {len(parts)} entries, expected {cols}")
+            if bad := [p for p in parts if not _INE_NUMBER.fullmatch(p)]:
+                raise FormatError(f"malformed number {bad[0]!r}: entries are integers or p/q")
             values = [Fraction(p) for p in parts]
             if not any(values[1:]):
                 raise FormatError(f"all-zero constraint row {len(rows)}")

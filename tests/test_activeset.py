@@ -133,7 +133,7 @@ def test_line_search_boundary_stop(tower):
     facet, direction = next(
         (fc, d) for fc, d in edges if exactla.dot(f.gradient(fraction_coords(v0)), d) > 0
     )
-    mu_max = polytope.ratio_test(ext.poly, v0, direction)
+    mu_max, _ = polytope.ratio_test(ext.poly, v0, direction)
     # convex objective: improving all the way to the boundary
     assert line_search(f, direction, mu_max, gradient) == mu_max
     assert line_search(f, direction, F(1, 9), gradient) == F(1, 9)

@@ -237,6 +237,41 @@ def test_unwritable_out_names_the_trace_path(tmp_path, capsys):
     assert os.listdir(tmp_path) == []
 
 
+def test_build_with_a_directory_in_the_way_writes_no_file(tmp_path, capsys):
+    # X.json is a directory: the rename onto it would fail after X.ine and
+    # X.ext took their names, so build refuses before the first rename.
+    (tmp_path / "X.json").mkdir()
+    assert run_cli(["build", "--d", "4", "--out", str(tmp_path / "X")]) == 1
+    captured = capsys.readouterr()
+    assert captured.err == f"io error: [Errno 21] Is a directory: '{tmp_path / 'X.json'}'\n"
+    assert captured.out == ""
+    assert os.listdir(tmp_path) == ["X.json"] and os.listdir(tmp_path / "X.json") == []
+
+
+@pytest.mark.parametrize(
+    "argv, blocked",
+    [
+        (["verify", "--d", "4", "--out", "{dir}/v.json"], "v.json"),
+        (["scan", "--M", "4", "--out", "{dir}/s.json"], "s.json"),
+        (["report", "--d", "4,2", "--rules", "first", "--out", "{dir}/rep"], "rep_d2.csv"),
+        (["run", "--d", "4", "--out", "{dir}/r"], "r.plot.csv"),
+    ],
+    ids=["verify", "scan", "report", "run"],
+)
+def test_every_writer_leaves_no_partial_file_when_its_path_is_a_directory(
+    tmp_path, capsys, argv, blocked
+):
+    # Each command writes through .part files; a directory at the final path
+    # fails the command (exit 1) and leaves no .part behind.  report's d = 4
+    # file, written before the blocked d = 2 one, is the only file it keeps.
+    (tmp_path / blocked).mkdir()
+    assert run_cli([arg.format(dir=tmp_path) for arg in argv]) == 1
+    err = capsys.readouterr().err
+    assert err == f"io error: [Errno 21] Is a directory: '{tmp_path / blocked}'\n"
+    kept = ["rep_d4.csv"] if argv[0] == "report" else []
+    assert sorted(os.listdir(tmp_path)) == sorted([blocked, *kept])
+
+
 def test_run_memory_does_not_grow_with_the_walk(tmp_path, capsys):
     # The d = 12 walk has 4,096 steps.  Holding them all (a full Trace, then
     # the 3.3 MB trace JSON as one string) peaked at about 17 MB of traced

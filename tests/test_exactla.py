@@ -14,7 +14,7 @@ from extparab.activeset import active_set_run, make_rule, pullback_objective
 from extparab.errors import InternalMismatch, ZeroVector
 from extparab.extension import ConstructionParams, build, vertex_for_t
 from extparab.polytope import HPolytope
-from test_hotpath_oracle import reference_rank, reference_to_decimal
+from test_hotpath_oracle import reference_rank, reference_to_decimal, swap_between
 
 
 def test_rank_zero_matrix():
@@ -214,15 +214,15 @@ def test_edge_check_counts_d_squared_then_only_the_changed_products(monkeypatch)
     poly.__dict__["_rows"] = counting(poly._rows)
     enumerate_edges, replaced = polytope.edge_directions, []
 
-    def counted(poly, point, previous=None):
+    def counted(poly, point, pivot=None):
         products.append(0)
         inside[0] = True
         try:
-            edges = enumerate_edges(poly, point, previous)
+            edges = enumerate_edges(poly, point, pivot)
         finally:
             inside[0] = False
-        if previous is not None:
-            old = {id(direction) for _, direction in previous}
+        if pivot is not None:
+            old = {id(direction) for _, direction in pivot[0]}
             replaced.append(sum(id(direction) not in old for _, direction in edges))
         return edges
 
@@ -238,7 +238,7 @@ def test_edge_check_counts_d_squared_then_only_the_changed_products(monkeypatch)
     twin.__dict__["_rows"] = counting(twin._rows)
     here, there = (polytope.scaled_point(poly, vertex_for_t(ext, t)) for t in (0, 1))
     with pytest.raises(InternalMismatch, match="^edges are pivoted only from a list proven for"):
-        counted(twin, there, counted(poly, here))
+        counted(twin, there, (counted(poly, here), *swap_between(here, there)))
     assert products[-2:] == [d * d, 0]
 
 
@@ -270,6 +270,32 @@ def test_the_tower_example_is_a_tight_matrix():
     ext = build(ConstructionParams(n=48, d=6))
     point = polytope.scaled_point(ext.poly, vertex_for_t(ext, 37))
     assert [list(ext.poly._int_rows[i][0]) for i in point.tight] == TOWER_TIGHT_48_6
+
+
+STAIRCASE_TOWERS = [(16, 4), (32, 8), (48, 6), (40, 10), (48, 12)]
+
+
+@pytest.mark.parametrize("n, d", STAIRCASE_TOWERS, ids=[f"n{n}-d{d}" for n, d in STAIRCASE_TOWERS])
+def test_the_mirrored_elimination_updates_one_row_per_level(n, d, monkeypatch):
+    # A test-side counter of the rows each elimination step changes (those
+    # with a nonzero entry in the pivot column): on the tower's staircase
+    # tight matrices, run from the last column, exactly one row per level,
+    # d/2 in all, at every vertex; the first-column order filled in down the
+    # staircase, 9.5 / 12 / 16 / 20 row updates on average at d = 6 / 8 / 10 / 12.
+    clear, updates = exactla._clear_column, []
+
+    def counted(work, k, col, targets):
+        targets = list(targets)
+        updates[-1] += sum(1 for r in targets if work[r][col])
+        clear(work, k, col, targets)
+
+    monkeypatch.setattr(exactla, "_clear_column", counted)
+    ext = build(ConstructionParams(n=n, d=d))
+    for t in range(ext.params.vertex_count):
+        point = polytope.scaled_point(ext.poly, vertex_for_t(ext, t))
+        updates.append(0)
+        assert polytope.is_simple(ext.poly, point), t
+    assert updates == [d // 2] * ext.params.vertex_count
 
 
 def test_is_nonsingular_keeps_its_input():

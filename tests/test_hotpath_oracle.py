@@ -167,6 +167,14 @@ def reference_edge_directions(poly, v):
     return result
 
 
+def swap_between(before, after):
+    """(leaving facet, entering row) of a move between two vertices, from their tight sets:
+    what the walk hands ``edge_directions`` from the edge it followed and ``ratio_test``."""
+    (leaving,) = set(before.tight).difference(after.tight)
+    (entering,) = set(after.tight).difference(before.tight)
+    return leaving, entering
+
+
 TOWERS = [(4 * d, d) for d in (2, 4, 6, 8)] + [(32, 4), (48, 6)]
 
 
@@ -399,12 +407,12 @@ def _checking_pivots(monkeypatch, record):
     """Patch edge_directions so every pivoted edge list is checked against elimination."""
     enumerate_edges = polytope.edge_directions
 
-    def checked(poly, point, previous=None):
-        edges = enumerate_edges(poly, point, previous)
-        if previous is not None:
+    def checked(poly, point, pivot=None):
+        edges = enumerate_edges(poly, point, pivot)
+        if pivot is not None:
             assert edges == enumerate_edges(poly, point)
             assert list(edges) == reference_edge_directions(poly, fraction_coords(point))
-        record.append(previous is not None)
+        record.append(pivot is not None)
         return edges
 
     monkeypatch.setattr(polytope, "edge_directions", checked)
@@ -450,16 +458,17 @@ def _checking_fresh(monkeypatch, record):
     """
     enumerate_edges = polytope.edge_directions
 
-    def checked(poly, point, previous=None):
-        edges = enumerate_edges(poly, point, previous)
-        if previous is None:
+    def checked(poly, point, pivot=None):
+        edges = enumerate_edges(poly, point, pivot)
+        if pivot is None:
             assert edges.fresh == tuple(range(poly.dim))
         else:
+            previous, *swap = pivot
             before = dict(previous)
             changed = [k for k, (facet, d) in enumerate(edges) if before.get(facet) != d]
             assert edges.fresh == tuple(changed)
-            (entering,) = set(point.tight).difference(before)
-            assert point.tight.index(entering) in edges.fresh
+            assert tuple(swap) == swap_between(previous, point)  # the walk's handed-over swap
+            assert point.tight.index(swap[1]) in edges.fresh
         record.append(len(edges.fresh))
         return edges
 
@@ -492,15 +501,17 @@ def test_fresh_names_every_changed_edge_on_cut_cube(objective, monkeypatch):
 
 
 def _checking_ratio_tests(monkeypatch, vertices):
-    """At every vertex a walk enumerates edges at, compare ``ratio_test`` on every edge."""
+    """At every vertex a walk enumerates edges at, compare ``ratio_test`` on every edge:
+    mu_max and the lowest of the reference's blocking rows (None and None if unbounded)."""
     enumerate_edges = polytope.edge_directions
 
-    def checked(poly, point, previous=None):
-        edges = enumerate_edges(poly, point, previous)
+    def checked(poly, point, pivot=None):
+        edges = enumerate_edges(poly, point, pivot)
         x = fraction_coords(point)
         for _, direction in edges:
             mu, blockers = reference_ratio_test(poly, x, direction)
-            assert polytope.ratio_test(poly, point, direction) == mu
+            # The returned row is the lowest of the reference's blocking rows.
+            assert polytope.ratio_test(poly, point, direction) == (mu, min(blockers, default=None))
             assert mu is None or mu > 0
             assert not set(blockers) & set(point.tight)
         vertices.append(point)

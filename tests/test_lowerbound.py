@@ -361,7 +361,7 @@ def test_monotone_path_names_an_unbounded_edge(monkeypatch):
 
     def unblocked(*args):
         calls.append(None)
-        return None if len(calls) == 4 else ratio_test(*args)
+        return (None, None) if len(calls) == 4 else ratio_test(*args)
 
     monkeypatch.setattr(polytope, "ratio_test", unblocked)
     with pytest.raises(CertificateFailure, match=r"^t = 3: improving edge is unbounded$"):

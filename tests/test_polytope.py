@@ -1,6 +1,7 @@
 """Polytope membership, tight sets, edges, ratio tests and cdd round-trips."""
 
 import os
+import re
 import subprocess
 import sys
 from fractions import Fraction as F
@@ -15,6 +16,7 @@ from extparab.errors import (
     BadParameters,
     DegenerateVertex,
     DimensionMismatch,
+    ExtparabError,
     FormatError,
     InternalMismatch,
     NotFeasible,
@@ -31,6 +33,7 @@ from extparab.extension import (
     vertex_for_t,
 )
 from extparab.polytope import HPolytope
+from test_hotpath_oracle import swap_between
 
 
 def unit_square() -> HPolytope:
@@ -56,18 +59,19 @@ def edges_at(poly, x):
 def ratio_with_blockers(poly, point, direction):
     """``ratio_test``'s mu_max, with the argmin set of blocking rows found here.
 
-    The walk reads which rows block off the endpoint's tight set, so
-    ``ratio_test`` returns mu_max alone; this reference computes every ratio
-    as a Fraction and checks mu_max against their minimum.
+    ``ratio_test`` returns mu_max and the lowest blocking row; this reference
+    computes every ratio as a Fraction and checks both against their minimum.
     """
-    mu = polytope.ratio_test(poly, point, direction)
+    mu, row = polytope.ratio_test(poly, point, direction)
     ratios = {}
-    for i, (row, _) in enumerate(poly._int_rows):
-        adv = sum(a * e for a, e in zip(row, direction))
+    for i, (int_row, _) in enumerate(poly._int_rows):
+        adv = sum(a * e for a, e in zip(int_row, direction))
         if adv > 0:
             ratios[i] = F(point.slacks[i], point.denom * adv)
     assert mu == (min(ratios.values()) if ratios else None)
-    return mu, tuple(i for i, ratio in ratios.items() if ratio == mu)
+    blockers = tuple(i for i, ratio in ratios.items() if ratio == mu)
+    assert row == (blockers[0] if blockers else None)
+    return mu, blockers
 
 
 def ratio_at(poly, x, direction):
@@ -195,7 +199,7 @@ def test_step_feasibility_brackets_mu_max():
     x = (F(0), F(0))
     point = polytope.scaled_point(poly, x)
     for _, direction in polytope.edge_directions(poly, point):
-        mu = polytope.ratio_test(poly, point, direction)
+        mu, _ = polytope.ratio_test(poly, point, direction)
         assert mu is not None and mu > 0
         inside = tuple(a + mu * e for a, e in zip(x, direction))
         assert polytope.contains(poly, inside)
@@ -239,7 +243,7 @@ def test_edge_directions_pivot_around_the_quadrilateral():
         leaving, direction = edges[0]
         mu, (blocker,) = ratio_with_blockers(poly, point, direction)
         point = polytope.locate(poly, *polytope.step(point, direction, mu))
-        pivoted = polytope.edge_directions(poly, point, edges)
+        pivoted = polytope.edge_directions(poly, point, (edges, leaving, blocker))
         assert pivoted == polytope.edge_directions(poly, point)
         assert (blocker, tuple(-e for e in direction)) in pivoted
         edges = pivoted
@@ -250,10 +254,11 @@ def test_edge_directions_refuse_a_predecessor_off_by_more_than_one_row():
     points = [polytope.scaled_point(ext.poly, vertex_for_t(ext, t)) for t in range(3)]
     edges = polytope.edge_directions(ext.poly, points[0])
     assert len(set(points[0].tight) ^ set(points[2].tight)) == 4
+    (leaving, entering) = swap = swap_between(points[0], points[1])
     for point in (points[2], points[0]):  # two rows swapped; none swapped
-        with pytest.raises(InternalMismatch, match="an edge move swaps one row"):
-            polytope.edge_directions(ext.poly, point, edges)
-    assert polytope.edge_directions(ext.poly, points[1], edges) == polytope.edge_directions(
+        with pytest.raises(InternalMismatch, match=rf"with row {leaving} swapped for {entering}$"):
+            polytope.edge_directions(ext.poly, point, (edges, *swap))
+    assert polytope.edge_directions(ext.poly, points[1], (edges, *swap)) == polytope.edge_directions(
         ext.poly, points[1]
     )
 
@@ -520,6 +525,7 @@ def test_ine_parse_rejects_garbage():
         "H-representation\nend\nbegin\n-3 3 rational\n",
         "H-representation\nbegin\n1 1 rational\n1\nend\n",
         "H-representation\nbegin\n1 3 rational\n1 0 0\nend\n",
+        "H-representation\nbegin\n+1 3 rational\n1 -1 0\nend\n",
     ],
     ids=[
         "truncated-body",
@@ -530,11 +536,63 @@ def test_ine_parse_rejects_garbage():
         "negative-rows",
         "one-column",
         "all-zero-row",
+        "signed-size",
     ],
 )
 def test_ine_parse_rejects_malformed(text):
     with pytest.raises(FormatError):
         polytope.hrep_from_ine(text)
+
+
+# Tokens Fraction() would take, or nearly: hrep_to_ine writes none of them.
+# Exponents stay small here; a huge one is what the strict forms keep out.
+NOT_INE_NUMBERS = [
+    "1e5", "1E5", "0.5", ".5", "1_0", "+1", "inf", "nan", "0x10", "\u0661", "1/2/3", "1/"
+]
+
+
+@pytest.mark.parametrize("token", NOT_INE_NUMBERS)
+def test_ine_parse_accepts_only_integers_and_p_over_q(token):
+    text = f"H-representation\nbegin\n1 3 rational\n{token} 1 0\nend\n"
+    with pytest.raises(FormatError, match=rf"^malformed number {re.escape(repr(token))}"):
+        polytope.hrep_from_ine(text)
+    poly = polytope.hrep_from_ine("H-representation\nbegin\n1 3 rational\n-7/2 1 0\nend\n")
+    assert poly.b == (F(-7, 2),) and poly.A == ((-1, 0),)
+
+
+INE_TOKENS = st.sampled_from(
+    ["0", "1", "-2", "3/4", "-5/6", "1/0", "H-representation", "begin", "end", "rational", "*"]
+    + NOT_INE_NUMBERS
+)
+INE_LINES = st.lists(INE_TOKENS, max_size=4).map(" ".join) | st.sampled_from(
+    ["H-representation", "begin", "end", "1 3 rational", "2 3 rational", "* comment"]
+)
+
+
+@st.composite
+def ine_texts(draw):
+    """Arbitrary text; lines of .ine words; or a well-formed frame around drawn entries."""
+    kind = draw(st.sampled_from(["text", "lines", "frame"]))
+    if kind == "text":
+        return draw(st.text(max_size=200))
+    if kind == "lines":
+        return "\n".join(draw(st.lists(INE_LINES, max_size=8)))
+    m, cols = draw(st.integers(1, 3)), draw(st.integers(2, 4))
+    rows = [" ".join(draw(st.lists(INE_TOKENS, min_size=cols, max_size=cols))) for _ in range(m)]
+    return "\n".join(["H-representation", "begin", f"{m} {cols} rational", *rows, "end", ""])
+
+
+@given(ine_texts())
+@example("H-representation\nbegin\n1 3 rational\n1e5 1 0\nend\n")
+@example("H-representation\nbegin\n1 3 rational\n1/2 1 0\nend\n")
+@settings(max_examples=300, deadline=None)
+def test_ine_parse_returns_a_polytope_or_an_extparab_error(text):
+    try:
+        poly = polytope.hrep_from_ine(text)
+    except ExtparabError:
+        return
+    assert isinstance(poly, HPolytope)
+    assert polytope.hrep_from_ine(polytope.hrep_to_ine(poly)) == poly
 
 
 def test_ine_parse_names_the_all_zero_row():
@@ -657,6 +715,7 @@ def test_edge_directions_refuse_an_unproven_predecessor_under_optimize_flag():
         "ext = build(ConstructionParams(n=16, d=4))\n"
         "twin = HPolytope(ext.poly.A, ext.poly.b)\n"
         "p0, p1 = (polytope.scaled_point(ext.poly, vertex_for_t(ext, t)) for t in (0, 1))\n"
+        "swap = (*set(p0.tight) - set(p1.tight), *set(p1.tight) - set(p0.tight))\n"
         "edges = polytope.edge_directions(ext.poly, p0)\n"
         "corrupt = tuple(a + b for a, b in zip(edges[0][1], edges[2][1]))\n"
         "unproven = {\n"
@@ -671,10 +730,10 @@ def test_edge_directions_refuse_an_unproven_predecessor_under_optimize_flag():
         "exactla.int_inverse_scaled = recorded\n"
         "for name, previous in unproven.items():\n"
         "    try:\n"
-        "        polytope.edge_directions(ext.poly, p1, previous)\n"
+        "        polytope.edge_directions(ext.poly, p1, (previous, *swap))\n"
         "    except InternalMismatch as exc:\n"
         "        print(f'{name}, {len(calls)} inverses: {exc}')\n"
-        "print(polytope.edge_directions(ext.poly, p1, edges) == polytope.edge_directions(ext.poly, p1))\n"
+        "print(polytope.edge_directions(ext.poly, p1, (edges, *swap)) == polytope.edge_directions(ext.poly, p1))\n"
     )
     src = str(Path(__file__).resolve().parents[1] / "src")
     env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
@@ -703,7 +762,9 @@ def test_edge_check_sees_a_stale_column_at_the_entering_row_under_optimize_flag(
         "assert False, 'asserts must be stripped'\n"
         "ext = build(ConstructionParams(n=16, d=4))\n"
         "p0, p1, p2 = (polytope.scaled_point(ext.poly, vertex_for_t(ext, t)) for t in range(3))\n"
-        "edges = polytope.edge_directions(ext.poly, p1, polytope.edge_directions(ext.poly, p0))\n"
+        "swap = lambda a, b: (*set(a.tight) - set(b.tight), *set(b.tight) - set(a.tight))\n"
+        "edges = polytope.edge_directions(ext.poly, p0)\n"
+        "edges = polytope.edge_directions(ext.poly, p1, (edges, *swap(p0, p1)))\n"
         "inverse = exactla.int_inverse_scaled\n"
         "def stale(rows, previous=None, swapped=None):\n"
         "    columns = inverse(rows, previous, swapped)\n"
@@ -713,7 +774,7 @@ def test_edge_check_sees_a_stale_column_at_the_entering_row_under_optimize_flag(
         "exactla.int_inverse_scaled = stale\n"
         "(entering,) = set(p2.tight).difference(p1.tight)\n"
         "try:\n"
-        "    polytope.edge_directions(ext.poly, p2, edges)\n"
+        "    polytope.edge_directions(ext.poly, p2, (edges, *swap(p1, p2)))\n"
         "except InternalMismatch as exc:\n"
         "    print(f'entering row at {p2.tight.index(entering)}: {exc}')\n"
     )
@@ -726,6 +787,62 @@ def test_edge_check_sees_a_stale_column_at_the_entering_row_under_optimize_flag(
     assert done.stdout.strip() == (
         "entering row at 1: edge 0 breaks the tightness pattern at tight row 1"
     )
+
+
+def test_edge_directions_refuse_a_swap_the_move_did_not_make_under_optimize_flag():
+    # Under python -O a pivot starts only where the tight rows are the
+    # previous ones with exactly the handed-over (leaving, entering) swap: a
+    # ratio test that names the row after the blocking one stops the walk at
+    # its first pivoted vertex, and four wrong swaps at t = 1 are refused,
+    # all before any pivot.
+    code = (
+        "from extparab import exactla, polytope\n"
+        "from extparab.activeset import active_set_run, make_rule, pullback_objective\n"
+        "from extparab.errors import InternalMismatch\n"
+        "from extparab.extension import ConstructionParams, build, vertex_for_t\n"
+        "assert False, 'asserts must be stripped'\n"
+        "ratio_test, inverse, pivots = polytope.ratio_test, exactla.int_inverse_scaled, []\n"
+        "def next_row(poly, point, direction):\n"
+        "    mu, row = ratio_test(poly, point, direction)\n"
+        "    return mu, row + 1\n"
+        "def recorded(rows, previous=None, swapped=None):\n"
+        "    pivots.append(previous is not None)\n"
+        "    return inverse(rows, previous, swapped)\n"
+        "polytope.ratio_test, exactla.int_inverse_scaled = next_row, recorded\n"
+        "ext = build(ConstructionParams(n=16, d=4))\n"
+        "try:\n"
+        "    active_set_run(ext.poly, pullback_objective(ext), vertex_for_t(ext, 0), make_rule('first'), 64)\n"
+        "except InternalMismatch as exc:\n"
+        "    print(f'walk, {len(pivots)} inverses, {sum(pivots)} pivots: {exc}')\n"
+        "p0, p1, p2 = (polytope.scaled_point(ext.poly, vertex_for_t(ext, t)) for t in range(3))\n"
+        "(leaving,), (entering,) = set(p0.tight) - set(p1.tight), set(p1.tight) - set(p0.tight)\n"
+        "edges = polytope.edge_directions(ext.poly, p0)\n"
+        "handed = {\n"
+        "    'two rows': (p2, (leaving, entering)),\n"
+        "    'reversed': (p1, (entering, leaving)),\n"
+        "    'untight leaving': (p1, (entering, entering)),\n"
+        "    'tight entering': (p1, (leaving, p0.tight[0])),\n"
+        "}\n"
+        "for name, (point, swap) in handed.items():\n"
+        "    pivots.clear()\n"
+        "    try:\n"
+        "        polytope.edge_directions(ext.poly, point, (edges, *swap))\n"
+        "    except InternalMismatch as exc:\n"
+        "        print(f'{name}, {sum(pivots)} pivots: {exc}')\n"
+    )
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    done = subprocess.run(
+        [sys.executable, "-O", "-c", code], capture_output=True, text=True, env=env, timeout=60
+    )
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.splitlines() == [
+        "walk, 1 inverses, 0 pivots: tight rows (0, 1, 4, 7) are not (0, 3, 4, 7) with row 3 swapped for 2",
+        "two rows, 0 pivots: tight rows (1, 2, 4, 7) are not (0, 3, 4, 7) with row 3 swapped for 1",
+        "reversed, 0 pivots: tight rows (0, 1, 4, 7) are not (0, 3, 4, 7) with row 1 swapped for 3",
+        "untight leaving, 0 pivots: tight rows (0, 1, 4, 7) are not (0, 3, 4, 7) with row 1 swapped for 1",
+        "tight entering, 0 pivots: tight rows (0, 1, 4, 7) are not (0, 3, 4, 7) with row 3 swapped for 0",
+    ]
 
 
 def reference_vrep_to_ext(points):

@@ -78,9 +78,9 @@ class ConstructionParams:
     def facet_count(self) -> int:
         return self.n // 2
 
-    @property
+    @cached_property
     def vertex_count(self) -> int:
-        """M = (n/d)^{d/2}."""
+        """M = (n/d)^{d/2}, computed once per parameter object, which is frozen."""
         return self.fiber_count ** (self.d // 2)
 
     def level_m(self, i: int) -> int:

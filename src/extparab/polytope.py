@@ -34,8 +34,9 @@ hands over i and b, the ratio test's lowest blocking row; a pivot starts
 only from a list proven for the same polytope object whose tight rows, with
 exactly that swap, are the new vertex's, and moves i's edge to b's place.
 Edges are checked in full at the first vertex, and at a pivoted one only at
-the ``fresh`` positions the list names: b's and those whose direction
-differs in value from the one proven for that facet at the vertex before.
+the ``fresh`` positions the list names: b's and those whose direction is not
+the very object proven for that facet at the vertex before, which the pivot
+keeps and ``exactla.primitive`` returns as it is, with no gcd.
 
 Edge enumeration raises DegenerateVertex at a non-simple vertex, because on
 the constructed instances degeneracy means a bug, not a case to handle.
@@ -249,7 +250,8 @@ def edge_directions(
     facet and entering row, it pivots that list instead, if the tight rows
     are the list's with exactly that swap (else InternalMismatch).  Every
     product A_j . dir_k is checked, but after a pivot a kept row meets only
-    the fresh directions: it met the others at the vertex before.
+    the fresh directions, all but the very objects proven at the vertex
+    before: it met those there (a new object equal to one is checked again).
     """
     tight, dim, rows = point.tight, poly.dim, poly._rows
     if len(tight) != dim:
@@ -275,7 +277,7 @@ def edge_directions(
     if columns is None:
         raise DegenerateVertex("tight rows are rank-deficient")
     directions = [exactla.primitive(col) for col in columns]
-    fresh = tuple([k for k in range(dim) if old is None or k == place or directions[k] != old[k]])
+    fresh = tuple([k for k in range(dim) if old is None or k == place or directions[k] is not old[k]])
     # Defensive: edge ray k keeps every tight row j != k and strictly leaves row k.
     for j, i in enumerate(tight):
         row = rows[i]

@@ -103,14 +103,83 @@ def test_int_inverse_scaled_matches_solve(rows):
                 assert image[j] == 0
 
 
-def test_primitive_keeps_a_vector_of_content_one():
+def _counting_gcd(monkeypatch):
+    """Replace ``exactla.gcd`` by a counting one; the list grows by one per call."""
+    calls = []
+
+    def counted(*values):
+        calls.append(values)
+        return gcd(*values)
+
+    monkeypatch.setattr(exactla, "gcd", counted)
+    return calls
+
+
+def test_primitive_keeps_a_vector_of_content_one(monkeypatch):
     assert exactla.primitive([3, -2, 0]) == (3, -2, 0)
     assert exactla.primitive((-1,)) == (-1,)
     assert exactla.primitive([0, -6, 4]) == (0, -3, 2)
-    # A content-1 tuple comes back as the same object, so a column the pivot
-    # kept is not copied.
+    # A plain content-1 tuple comes back as an equal copy of primitive's own
+    # type, after one gcd.  That result comes back as the same object, with
+    # no gcd, so a column the pivot kept is neither copied nor reduced again.
+    calls = _counting_gcd(monkeypatch)
     for v in ((3, -2, 0), (-1,), (0, 0, 1)):
-        assert exactla.primitive(v) is v
+        ints = exactla.primitive(v)
+        assert ints == v and type(ints) is exactla._Primitive
+        assert exactla.primitive(ints) is ints
+    assert len(calls) == 3
+
+
+@given(st.lists(big_ints, min_size=1, max_size=12).filter(any))
+def test_primitive_returns_its_own_result_without_a_gcd(entries):
+    with pytest.MonkeyPatch.context() as monkeypatch:
+        ints = exactla.primitive(entries)
+        calls = _counting_gcd(monkeypatch)
+        assert exactla.primitive(ints) is ints
+        assert calls == []
+
+
+def test_primitive_takes_a_gcd_only_for_the_columns_a_pivot_replaced(monkeypatch):
+    # Along the (32,8) path each vertex makes d primitive calls, and the gcds
+    # they take are exactly the columns the pivot did not hand back as the
+    # previous vertex's objects: all d at the start vertex, about 2 later.
+    ext = build(ConstructionParams(n=32, d=8))
+    d, inside, primitives, gcds, replaced = 8, [False], [], [], []
+    take_primitive, inverse = exactla.primitive, exactla.int_inverse_scaled
+    enumerate_edges = polytope.edge_directions
+
+    def counted_gcd(*values):
+        gcds[-1] += inside[0]
+        return gcd(*values)
+
+    def counted_primitive(v):
+        primitives[-1] += 1
+        inside[0] = True
+        try:
+            return take_primitive(v)
+        finally:
+            inside[0] = False
+
+    def recorded_inverse(rows, previous=None, swapped=None):
+        columns = inverse(rows, previous, swapped)
+        old = set(map(id, previous or ()))
+        replaced.append(sum(id(col) not in old for col in columns))
+        return columns
+
+    def counted_edges(poly, point, pivot=None):
+        primitives.append(0)
+        gcds.append(0)
+        return enumerate_edges(poly, point, pivot)
+
+    monkeypatch.setattr(exactla, "gcd", counted_gcd)
+    monkeypatch.setattr(exactla, "primitive", counted_primitive)
+    monkeypatch.setattr(exactla, "int_inverse_scaled", recorded_inverse)
+    monkeypatch.setattr(polytope, "edge_directions", counted_edges)
+    f, start = pullback_objective(ext), vertex_for_t(ext, 0)
+    trace = active_set_run(ext.poly, f, start, make_rule("first"), 1024)
+    assert trace.edge_moves == 255 and primitives == [d] * 256
+    assert gcds == replaced and replaced[0] == d
+    assert all(c >= 1 for c in replaced[1:]) and sum(replaced[1:]) < 3 * 255
 
 
 @st.composite

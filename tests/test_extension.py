@@ -161,6 +161,22 @@ def test_vertex_for_t_out_of_range():
         vertex_for_t(ext, -1)
 
 
+def test_vertex_count_is_kept_and_still_bounds_t():
+    # M is computed once per parameter object; equality and hashing still
+    # read (n, d) alone, and with every state made, t = -1 and t = M are
+    # still refused.
+    ext = build(ConstructionParams(n=16, d=4))
+    states = [state_for_t(ext, t) for t in range(16)]
+    assert ext.params.__dict__["vertex_count"] == 16 and len(set(states)) == 16
+    assert ext.params == ConstructionParams(n=16, d=4)
+    assert hash(ext.params) == hash(ConstructionParams(n=16, d=4))
+    for t in (-1, 16):
+        with pytest.raises(OutOfRange):
+            state_for_t(ext, t)
+        with pytest.raises(OutOfRange):
+            vertex_for_t(ext, t)
+
+
 def test_vertex_for_t_sweep_check_catches_shifted_base_points(monkeypatch):
     # Base points off their grid values miss the sweep value of the first
     # deformed product, whose sweep coordinate is x_1.

@@ -1,19 +1,22 @@
 """Source checks over the package: no ``assert`` statements, no unused error classes,
-and a line budget.
+proof-carrying types built in one place each, and a line budget.
 
 ``python -O`` strips ``assert`` statements, so an invariant written as one
 is not checked in an optimized run; the package raises explicitly instead.
 An exception class in ``errors.py`` that no other module names is a failure
-mode nothing can raise.  The package's total line count may not grow past
-``SOURCE_LINE_BUDGET``: a change that needs more lines raises the number and
-says why in ``CHANGES.md``.
+mode nothing can raise.  ``exactla._Primitive`` (content 1) and
+``polytope._ProvenEdges`` (edges proven for a polytope object) are trusted
+because of who builds them, so each is called in exactly one function:
+``exactla.primitive`` and ``polytope.edge_directions``.  The package's total
+line count may not grow past ``SOURCE_LINE_BUDGET``: a change that needs
+more lines raises the number and says why in ``CHANGES.md``.
 """
 
 import ast
 from pathlib import Path
 
 PACKAGE = Path(__file__).resolve().parents[1] / "src" / "extparab"
-SOURCE_LINE_BUDGET = 2607
+SOURCE_LINE_BUDGET = 2615
 
 
 def parse(path):
@@ -38,6 +41,25 @@ def names_used(tree):
     return used
 
 
+def builders(trees, name):
+    """(module, enclosing function or None) of every call of ``name``, in source order."""
+    found = []
+
+    def visit(module, node, scope):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            scope = node.name
+        elif isinstance(node, ast.Call):
+            func = node.func
+            if getattr(func, "id", None) == name or getattr(func, "attr", None) == name:
+                found.append((module, scope))
+        for child in ast.iter_child_nodes(node):
+            visit(module, child, scope)
+
+    for module, tree in trees.items():
+        visit(module, tree, None)
+    return found
+
+
 def unnamed_classes(errors_tree, other_trees):
     """The classes defined in errors_tree that none of other_trees names."""
     used = set().union(*map(names_used, other_trees))
@@ -55,6 +77,12 @@ def test_no_module_uses_assert():
 def test_every_error_class_is_named_outside_errors():
     others = [parse(path) for path in sorted(PACKAGE.glob("*.py")) if path.name != "errors.py"]
     assert unnamed_classes(parse(PACKAGE / "errors.py"), others) == []
+
+
+def test_proof_carrying_types_are_built_in_one_function_each():
+    trees = {path.stem: parse(path) for path in sorted(PACKAGE.glob("*.py"))}
+    assert builders(trees, "_Primitive") == [("exactla", "primitive")]
+    assert builders(trees, "_ProvenEdges") == [("polytope", "edge_directions")]
 
 
 def test_package_stays_within_its_line_budget():
@@ -80,3 +108,14 @@ def test_checks_see_what_they_look_for():
     ]
     assert unnamed_classes(errors, users) == ["Unused"]
     assert unnamed_classes(errors, users[:1]) == ["Base", "Unused"]
+
+
+def test_builders_names_the_function_around_every_call():
+    module = ast.parse(
+        "class _P(tuple):\n    pass\n\n"
+        "def make(v):\n    return _P(v) if type(v) is not _P else v\n\n"
+        "class Other:\n    def copy(self, v):\n        return m._P(v)\n\n"
+        "LOADED = _P(())\n"
+        "later = lambda v: _P(v)\n"
+    )
+    assert builders({"m": module}, "_P") == [("m", "make"), ("m", "copy"), ("m", None), ("m", None)]

@@ -38,6 +38,13 @@ rows, with the linear price l . dir kept in a table by facet: l is fixed, so
 only the ``fresh`` edges ``edge_directions`` names (about 2 of 12 at d = 12)
 are priced again.  The rule, the trace steps (without slacks) and the
 writers take that state too; no Fraction vertex is built on it.
+
+``stream_trace``, the walk ``run`` writes, runs on the twin from
+``polytope.equilibrated`` (y = s * x), whose tower vertices are integer
+points over 1 or 9, so at d = 12 their numerators, slacks and edges fit in
+one 30-bit digit; its rule is offered the twin's vertex and directions, and
+it maps each step back to x, coordinate by coordinate, as it writes it.
+``active_set_run`` and the path certificate walk the polytope they are given.
 """
 
 from __future__ import annotations
@@ -49,10 +56,12 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 from itertools import chain, compress, count, islice, repeat
-from operator import mul
-from typing import Iterable, Iterator, NamedTuple, Sequence, TextIO
+from math import gcd, lcm
+from operator import mul, truediv
+from typing import Iterator, NamedTuple, Sequence, TextIO
 
 from . import exactla, polytope
+from .deformed import Functional
 from .errors import (
     BadParameters,
     DegenerateVertex,
@@ -130,6 +139,11 @@ class QuadraticObjective:
         for i, cols, entries in rows:
             grad[i] += 2 * sum(map(mul, entries, map(nums.__getitem__, cols)))
         return tuple(grad), scale * denom
+
+    def rescaled(self, scales: Sequence[int]) -> QuadraticObjective:
+        """f(y / scales), which takes f's values in the coordinates y = scales * x."""
+        quad = [[q / (a * b) for q, b in zip(row, scales)] for row, a in zip(self.quad, scales)]
+        return QuadraticObjective(quad, tuple(map(truediv, self.linear, scales)), self.constant)
 
     def value(self, x: Sequence) -> Fraction:
         if len(x) != self.dim:
@@ -422,12 +436,11 @@ def _trace_head(instance: dict | None) -> str:
     return _TRACE_HEAD.format(instance=json.dumps(instance, indent=2).replace("\n", "\n  "))
 
 
-def step_json(step: TraceStep, t: int | None) -> str:
-    """One step's object in the trace JSON, labelled ``t``."""
-    direction, mu = step.direction, step.mu
+def _step_text(t: int | None, vertex: Sequence[str], step: TraceStep, direction, mu) -> str:
+    """A step's object in the trace JSON from its vertex texts, direction and step length."""
     return _STEP_JSON.format(
         t="null" if t is None else t,
-        vertex=f'"{_ITEMS}"'.join(rational_texts(step.nums, step.denom)),
+        vertex=f'"{_ITEMS}"'.join(vertex),
         active=_ITEMS.join(map(str, step.tight)),
         direction="null"
         if direction is None
@@ -437,13 +450,18 @@ def step_json(step: TraceStep, t: int | None) -> str:
     )
 
 
-def plot_row(ext: ExtendedParabola, step: TraceStep, phi: tuple[int, int], t: int | None) -> tuple:
+def step_json(step: TraceStep, t: int | None) -> str:
+    """One step's object in the trace JSON, labelled ``t``."""
+    return _step_text(t, rational_texts(step.nums, step.denom), step, step.direction, step.mu)
+
+
+def plot_row(phi_prime: Functional, step: TraceStep, phi: tuple[int, int], t: int | None) -> tuple:
     """One step's CSV strings (t, phi, phi_prime, f) from its phi pair and t label."""
     f = step.f_value
     return (
         "" if t is None else str(t),
         decimal_text(*phi),
-        decimal_text(*ext.phi_prime.scaled_at(step.nums, step.denom)),
+        decimal_text(*phi_prime.scaled_at(step.nums, step.denom)),
         decimal_text(f.numerator, f.denominator),
     )
 
@@ -469,28 +487,61 @@ def trace_plot_rows(
     """The steps' ``plot_row`` from ``phi_values``, one ``Functional.scaled_at`` pair
     per step (DimensionMismatch otherwise); decimals only here."""
     _check_one_per_step(trace, phi_values, "phi values")
-    return [plot_row(ext, s, phi, grid_index(ext, *phi)) for s, phi in zip(trace.steps, phi_values)]
+    phi_prime = ext.phi_prime
+    return [plot_row(phi_prime, s, p, grid_index(ext, *p)) for s, p in zip(trace.steps, phi_values)]
 
 
 def stream_trace(
-    records: Iterable, ext: ExtendedParabola, instance: dict, trace_out: TextIO, plot_out: TextIO
+    ext: ExtendedParabola,
+    f: QuadraticObjective,
+    x0: Sequence,
+    rule: PivotRule,
+    max_iter: int,
+    instance: dict,
+    trace_out: TextIO,
+    plot_out: TextIO,
 ) -> tuple[int, str]:
-    """Write a ``walk`` on ``ext`` (one record or more) as trace JSON and plot CSV.
+    """Walk ``ext``'s tower from the vertex x0 and write it as trace JSON and plot CSV.
 
-    The text is ``trace_to_json`` of ``active_set_run``'s trace plus a newline,
-    and a header over its ``trace_plot_rows``, formatted ``_BATCH`` steps at a
-    time.  Each step's phi and t label are evaluated once, for both files.
-    Returns (vertices visited, terminated)."""
-    records = iter(records)
+    The walk runs on the twin y = s * x from ``polytope.equilibrated``, from
+    s * x0 with the objective f(y / s); its rule is offered the twin's vertex
+    and edges, facet for facet in the same order.  The text is
+    ``trace_to_json`` of ``active_set_run``'s trace on ``ext.poly`` plus a
+    newline, and a header over its ``trace_plot_rows``, formatted ``_BATCH``
+    steps at a time, each mapped back coordinate by coordinate: x_i is
+    nums_i/(denom s_i) in lowest terms, the direction the primitive part of
+    dir_i (L/s_i) for L = lcm(s), the step mu content/L, and phi and phi' are
+    rescaled to y.  Returns (vertices visited, terminated)."""
+    twin, scales = polytope.equilibrated(ext.poly)
+    f_y = f.rescaled(scales)
+    start = start_point(twin, f_y, [x * s for x, s in zip(x0, scales)])
+    records = walk(twin, f_y, start, rule, max_iter)
+    phi, phi_prime = (Functional(map(truediv, g.coeffs, scales)) for g in (ext.phi, ext.phi_prime))
+    wide = lcm(*scales)
+    lifts = [wide // s for s in scales]
+
+    def mapped_json(step: TraceStep, t: int | None) -> str:
+        denom, direction, mu = step.denom, step.direction, step.mu
+        vertex = [
+            str(a // g) if (g := gcd(a, q := denom * s)) == q else f"{a // g}/{q // g}"
+            for a, s in zip(step.nums, scales)
+        ]
+        if direction is not None:
+            direction = list(map(mul, direction, lifts))
+            content = gcd(*direction)
+            direction = [a // content for a in direction]
+            mu = Fraction(mu.numerator * content, mu.denominator * wide)
+        return _step_text(t, vertex, step, direction, mu)
+
     trace_out.write(_trace_head(instance) + _STEPS_OPEN)
     plot_out.write("t,phi,phi_prime,f\n")
     visited, separator = 0, ""
     while batch := list(islice(records, _BATCH)):
         steps = [step for _, _, step in batch]
-        phis = [ext.phi.scaled_at(step.nums, step.denom) for step in steps]
-        labels = [grid_index(ext, *phi) for phi in phis]
-        trace_out.write(separator + _STEPS_SEP.join(map(step_json, steps, labels)))
-        rows = map(plot_row, repeat(ext), steps, phis, labels)
+        phis = [phi.scaled_at(step.nums, step.denom) for step in steps]
+        labels = [grid_index(ext, *p) for p in phis]
+        trace_out.write(separator + _STEPS_SEP.join(map(mapped_json, steps, labels)))
+        rows = map(plot_row, repeat(phi_prime), steps, phis, labels)
         plot_out.write("".join(",".join(row) + "\n" for row in rows))
         visited, separator, improving = visited + len(batch), _STEPS_SEP, batch[-1][1]
     terminated = "MaxIterations" if improving else "Optimal"

@@ -7,7 +7,8 @@ refusal).  All file outputs keep exact ``p/q`` rationals except the
 plotting/experiment CSVs: the plot CSV renders decimals to 12 significant
 digits, the experiment CSV its wall times to 3 decimals.  Files are written
 under ``.part`` names that take the final names only once all are written,
-so a failed command leaves none; ``run`` streams, so its memory is not O(M).
+so a failed command leaves none; ``run`` streams, so its memory is not O(M),
+and walks the tower's equilibrated twin (``activeset.stream_trace``).
 """
 
 from __future__ import annotations
@@ -185,14 +186,15 @@ def cmd_run(args) -> int:
     rule = activeset.make_rule(args.rule, args.seed)
     m_top = params.vertex_count
     max_iter = args.max_iter if args.max_iter is not None else 4 * m_top
-    start = activeset.start_point(ext.poly, f, extension.vertex_for_t(ext, 0))
+    x0 = extension.vertex_for_t(ext, 0)
     c = str(activeset.objective_constant(m_top))
     instance = {"n": params.n, "d": params.d, "M": m_top, "c": c}
     prefix = args.out or f"run_d{params.d}_{args.rule}"
     paths = [f"{prefix}.trace.json", f"{prefix}.plot.csv"]
     with _replaced_on_success(paths) as (trace_out, plot_out):
-        records = activeset.walk(ext.poly, f, start, rule, max_iter)
-        visited, terminated = activeset.stream_trace(records, ext, instance, trace_out, plot_out)
+        visited, terminated = activeset.stream_trace(
+            ext, f, x0, rule, max_iter, instance, trace_out, plot_out
+        )
     for path in paths:
         print(f"wrote {path}")
     print(f"visited {visited} vertices in {visited - 1} moves")

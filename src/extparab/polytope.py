@@ -38,6 +38,10 @@ the ``fresh`` positions the list names: b's and those whose direction is not
 the very object proven for that facet at the vertex before, which the pivot
 keeps and ``exactla.primitive`` returns as it is, with no gcd.
 
+``equilibrated`` gives a polytope's twin in the coordinates y = s * x: its
+integer rows divided by their column contents, the scales s, and then by
+their row contents, which on the tower leaves entries of at most 4 bits.
+
 Edge enumeration raises DegenerateVertex at a non-simple vertex, because on
 the constructed instances degeneracy means a bug, not a case to handle.
 
@@ -53,7 +57,7 @@ from bisect import bisect_left
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
-from itertools import chain
+from itertools import chain, count
 from math import gcd
 from typing import Callable, NamedTuple, Sequence
 
@@ -174,6 +178,24 @@ def cleared(poly: HPolytope, x: Sequence) -> State:
     if len(x) != poly.dim:
         raise DimensionMismatch(f"point has dim {len(x)}, polytope {poly.dim}")
     return exactla.common_denominator(exactla.vec(x))
+
+
+def equilibrated(poly: HPolytope) -> tuple[HPolytope, tuple[int, ...]]:
+    """(twin, scales): poly in the coordinates y = scales * x, with integer rows in poly's order.
+
+    Each column of the integer rows is divided by its content, that
+    coordinate's scale, then each row (A_i | b_i) by its content.  Repeating
+    both changes nothing (a prime that divided a column after the row
+    divisions divided every entry of it before), so the twin's own scales
+    are 1.  A x <= b holds iff A' y <= b' does, row by row, with the same
+    tight rows; the scales are positive ints fixed by the rows alone.
+    """
+    scales = tuple(gcd(*column) or 1 for column in zip(*(row for row, _ in poly._int_rows)))
+    rows = []
+    for row, b in poly._int_rows:
+        row = [*(a // s for a, s in zip(row, scales)), b]
+        rows.append([a // g for a in row] if (g := gcd(*row)) > 1 else row)
+    return HPolytope(tuple(row[:-1] for row in rows), tuple(row[-1] for row in rows)), scales
 
 
 def locate(poly: HPolytope, nums: tuple[int, ...], denom: int) -> ScaledPoint:
@@ -297,12 +319,12 @@ def ratio_test(poly: HPolytope, point: ScaledPoint, direction: Sequence) -> tupl
         raise ZeroDirection("ratio test along the zero direction")
     # Ratios slack_i / (denom advance_i) compare by cross-multiplication; a tie keeps the first.
     best, adv_best, blocking = None, 0, None
-    for s, row in zip(point.slacks, poly._rows):
+    for i, s, row in zip(count(), point.slacks, poly._rows):
         if s and (adv := row(direction)) > 0 and (best is None or s * adv_best < best * adv):
-            best, adv_best, blocking = s, adv, row
+            best, adv_best, blocking = s, adv, i
     if best is None:
         return None, None
-    return Fraction(best, point.denom * adv_best), poly._rows.index(blocking)  # its row index
+    return Fraction(best, point.denom * adv_best), blocking
 
 
 # ---------------------------------------------------------------------------

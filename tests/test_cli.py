@@ -14,7 +14,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from extparab import activeset, deformed, polytope
+from extparab import activeset, deformed, exactla, polytope
 from extparab.cli import build_parser, main
 from extparab.errors import InternalMismatch
 from extparab.extension import ConstructionParams, build, vertex_for_t
@@ -442,3 +442,42 @@ def test_negative_controls_survive_optimize_flag():
     )
     assert done.returncode == 0, done.stderr
     assert done.stdout.split() == ["1", "1", "1"]
+
+
+def counted_everywhere(monkeypatch, module, name):
+    """Wrap module.name on every extparab module that binds it, as the benchmark's
+    tracer does, and return the list its calls append to."""
+    original, calls = getattr(module, name), []
+
+    def counted(*args, **kwargs):
+        calls.append(None)
+        return original(*args, **kwargs)
+
+    for module_name, holder in list(sys.modules.items()):
+        if module_name == "extparab" or module_name.startswith("extparab."):
+            for attr, value in list(vars(holder).items()):
+                if value is original:
+                    monkeypatch.setattr(holder, attr, counted)
+    return calls
+
+
+@pytest.mark.parametrize("rule", activeset.RULE_NAMES)
+def test_run_keeps_the_benchmark_count_identities(tmp_path, capsys, monkeypatch, rule):
+    # The traced walk benchmark asserts d primitive calls and one edge
+    # enumeration and one inverse per vertex; the coordinate change and the
+    # trace writer's map back take their gcds directly and add none.
+    counts = {
+        name: counted_everywhere(monkeypatch, module, name)
+        for module, name in (
+            (exactla, "primitive"),
+            (polytope, "edge_directions"),
+            (exactla, "int_inverse_scaled"),
+        )
+    }
+    assert run_cli(["run", "--d", "8", "--rule", rule, "--seed", "1", "--out", str(tmp_path / "r")]) == 0
+    capsys.readouterr()
+    assert {name: len(calls) for name, calls in counts.items()} == {
+        "primitive": 2048,
+        "edge_directions": 256,
+        "int_inverse_scaled": 256,
+    }

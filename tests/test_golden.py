@@ -5,7 +5,8 @@ numerators and sparse elimination, from the Fraction-only implementation;
 the verify and build digests before the simple-vertex test left Fraction
 rank for the integer inverse and the fiber points were cached (the fault
 and d = 10 verify digests before the tower kept its vertices and verdicts); the scan
-digest before the chord scan moved from a per-pair loop to packed rows.
+digest before the chord scan moved from a per-pair loop to packed rows; the
+d = 14 walk digests before ``run`` walked the equilibrated twin.
 A later change to the hot path that alters a single byte of a trace, a
 plot row, a path certificate, a verify report, a vertex file or a scan
 report fails here, even when every structural check still passes.  All
@@ -37,6 +38,13 @@ RUN_D8 = {
 RUN_D12 = {
     "trace.json": "992d31c5bbe5a7d4a4fd2598831af01551724266160ae864c10e48be0dc1f113",
     "plot.csv": "1693fda6a0398af757d869582f9161f7d71019e75ab2d2adb471a3c2b9b096e9",
+}
+# 16,384 steps, where the walk's integers are wider again than at d = 12.
+# Taken before ``run`` walked the polytope's gcd-equilibrated twin and mapped
+# each step back to the tower's coordinates as it wrote it.
+RUN_D14 = {
+    "trace.json": "5a39dc612074f3ae7615fc7e97053929b2c8ac9b48900642645ed46831c62af3",
+    "plot.csv": "c0e5d084a8d635eb1eaf92cddca81a6f58c522dd0071f60d43487c9e564b3abe",
 }
 # The only n != 4d walk, and a walk cut short into a MaxIterations trace
 # (exit 1).  Taken before the trace steps kept the runner's integer state
@@ -143,6 +151,14 @@ def test_run_d12_outputs_are_unchanged(tmp_path, capsys):
     capsys.readouterr()
     digests = {suffix: sha256((tmp_path / f"first.{suffix}").read_bytes()) for suffix in RUN_D12}
     assert digests == RUN_D12
+
+
+def test_run_d14_outputs_are_unchanged(tmp_path, capsys):
+    prefix = tmp_path / "first"
+    assert main(["run", "--d", "14", "--rule", "first", "--out", str(prefix)]) == 0
+    capsys.readouterr()
+    digests = {suffix: sha256((tmp_path / f"first.{suffix}").read_bytes()) for suffix in RUN_D14}
+    assert digests == RUN_D14
 
 
 @pytest.mark.parametrize("case", sorted(RUN_OTHER))

@@ -21,10 +21,10 @@ Adversarial are provided.
 Objectives are convex-or-not quadratics; with a convex one, movement along an
 improving edge stays improving up to the edge endpoint, so every iterate is a
 vertex.  A trace step holds a vertex, its tight set, the followed direction,
-the step length and the objective value.  ``step_json`` and ``plot_row``
-format one step; ``trace_to_json`` and ``trace_plot_rows`` join them over a
-whole ``Trace``, and ``stream_trace`` over batches of the walk, so ``run``'s
-memory does not depend on the number of vertices.
+the step length and the objective value.  ``trace_to_json`` and
+``trace_plot_rows`` format a whole ``Trace``, and ``stream_trace`` the walk
+in batches, so ``run``'s memory does not depend on the number of vertices;
+each transposes its steps and formats them column by column.
 
 The iterate is one integer state per vertex, ``polytope.ScaledPoint``:
 numerators over one denominator, with the slacks and tight set evaluated
@@ -32,7 +32,9 @@ once; ``polytope`` owns it, with its row and slack formats.  Objectives keep
 their form with denominators cleared and evaluate the gradient numerators
 (once per vertex), the curvature along an edge and the objective value on
 that state, over the nonzero rows of the quadratic part only (on the tower
-it has a single one).  ``walk`` prices a vertex's edges in O(d) integer
+it has a single one).  Step lengths and values are integer pairs
+(numerator, denominator > 0), compared by cross-multiplication: no Fraction
+is built on a move.  ``walk`` prices a vertex's edges in O(d) integer
 products, as G . dir = D (l . dir) + sum of dir_i (G_i - D l_i) over those
 rows, with the linear price l . dir kept in a table by facet: l is fixed, so
 only the ``fresh`` edges ``edge_directions`` names (about 2 of 12 at d = 12)
@@ -55,10 +57,10 @@ from abc import ABC, abstractmethod
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
-from itertools import chain, compress, count, islice, repeat
+from itertools import chain, compress, count, islice, repeat, starmap
 from math import gcd, lcm
-from operator import mul, truediv
-from typing import Iterator, NamedTuple, Sequence, TextIO
+from operator import floordiv, mul, truediv
+from typing import Iterable, Iterator, NamedTuple, Sequence, TextIO
 
 from . import exactla, polytope
 from .deformed import Functional
@@ -122,11 +124,11 @@ class QuadraticObjective:
                 total += u[i] * sum(map(mul, entries, map(u.__getitem__, cols)))
         return total
 
-    def value_at(self, nums: Sequence[int], denom: int) -> Fraction:
-        """f at the point nums/denom, as (S X^T quad X + D S linear . X + D^2 S c)/(S D^2)."""
+    def value_at(self, nums: Sequence[int], denom: int) -> tuple[int, int]:
+        """f at nums/denom as the pair (S X^T quad X + D S linear . X + D^2 S c, S D^2)."""
         scale, _, linear, constant = self._cleared
         affine = sum(map(mul, linear, nums)) + denom * constant
-        return Fraction(self._scaled_form(nums) + denom * affine, scale * denom**2)
+        return self._scaled_form(nums) + denom * affine, scale * denom**2
 
     def gradient_at(self, nums: Sequence[int], denom: int) -> tuple[tuple[int, ...], int]:
         """grad f at the point nums/denom as (integer numerators G, scale S D), grad f = G/(S D).
@@ -148,7 +150,7 @@ class QuadraticObjective:
     def value(self, x: Sequence) -> Fraction:
         if len(x) != self.dim:
             raise DimensionMismatch(f"point has dim {len(x)}, objective {self.dim}")
-        return self.value_at(*exactla.common_denominator(exactla.vec(x)))
+        return Fraction(*self.value_at(*exactla.common_denominator(exactla.vec(x))))
 
     def gradient(self, x: Sequence) -> Vector:
         if len(x) != self.dim:
@@ -184,9 +186,9 @@ def pullback_objective(ext: ExtendedParabola) -> QuadraticObjective:
 def line_search(
     f: QuadraticObjective,
     direction: Sequence[int],
-    mu_max: Fraction | None,
+    mu_max: tuple[int, int] | None,
     gradient: tuple[Sequence[int], int],
-) -> Fraction:
+) -> tuple[int, int]:
     """Largest step keeping the direction improving, capped by mu_max.
 
     The directional derivative g(mu) = grad(x) . d + 2 mu d^T quad d is
@@ -194,7 +196,8 @@ def line_search(
     infinity for nonnegative curvature.  Requires g(0) > 0.  ``gradient`` is
     grad f(x) as ``QuadraticObjective.gradient_at`` gives it, which the
     caller has already evaluated to price the edges.  Both terms stay
-    integers (G . d and S d^T quad d); only a finite root is a Fraction.
+    integers (G . d and S d^T quad d), and mu_max, the root and the result
+    are pairs (numerator, denominator > 0), compared by cross-multiplication.
     """
     numerators, scale = gradient
     g0 = sum(map(mul, numerators, direction))
@@ -202,8 +205,8 @@ def line_search(
         raise NotImproving(f"directional derivative {Fraction(g0, scale)} is not positive")
     curvature = f._scaled_form(direction)
     if curvature < 0:
-        stationary = Fraction(g0 * f._cleared[0], -2 * curvature * scale)
-        return stationary if mu_max is None else min(mu_max, stationary)
+        root = g0 * f._cleared[0], -2 * curvature * scale
+        return root if mu_max is None or root[0] * mu_max[1] < mu_max[0] * root[1] else mu_max
     if mu_max is None:
         raise UnboundedImprovement("improving edge is unbounded")
     return mu_max
@@ -284,15 +287,15 @@ def make_rule(name: str, seed: int | None = None) -> PivotRule:
 
 
 class TraceStep(NamedTuple):
-    """A visited vertex as nums/denom in lowest terms (the runner's state), with
-    tight rows, followed direction, step and f (direction and step None last)."""
+    """A visited vertex as nums/denom in lowest terms (the runner's state), with tight
+    rows, followed direction, step and f pairs (direction and step None last)."""
 
     nums: tuple[int, ...]
     denom: int
     tight: TightSet
     direction: tuple[int, ...] | None
-    mu: Fraction | None
-    f_value: Fraction
+    mu: tuple[int, int] | None
+    f_value: tuple[int, int]
 
 
 @dataclass(frozen=True)
@@ -351,7 +354,8 @@ def walk(
         leaving, direction = chosen
         mu_max, entering = polytope.ratio_test(poly, point, direction)
         mu = line_search(f, direction, mu_max, gradient)
-        if not mu > 0:
+        num, den = mu
+        if not num > 0 < den:
             raise InternalMismatch("a feasible improving edge must allow mu > 0")
         record = point, improving, TraceStep(nums, denom, tight, direction, mu, f_value)
 
@@ -361,7 +365,7 @@ def walk(
                 f"blocking tie leaves {len(point.tight)} tight rows at the new point"
             )
         new_value = f.value_at(point.nums, point.denom)
-        if new_value.numerator * f_value.denominator <= f_value.numerator * new_value.denominator:
+        if new_value[0] * f_value[1] <= f_value[0] * new_value[1]:  # both denominators S D^2 > 0
             raise InternalMismatch("objective must strictly increase on a move")
         if len(point.tight) != poly.dim:
             raise NotAVertex(f"iterate has {len(point.tight)} tight rows, need {poly.dim}")
@@ -401,8 +405,8 @@ def active_set_run(
 
 
 # The layout json.dumps(..., indent=2) gives a trace document, cut around its
-# steps array, and a step.  A step's arrays are never empty: _ITEMS joins
-# their items, _DIRECTION wraps one.
+# steps array, and a step: t, vertex, active, direction, mu and f, in order.
+# A step's arrays are never empty: _ITEMS joins their items, _DIRECTION wraps one.
 _TRACE_HEAD, _TRACE_TAIL = """{{
   "instance": {instance},
   "steps": {steps},
@@ -412,16 +416,16 @@ _TRACE_HEAD, _TRACE_TAIL = """{{
 }}""".split("{steps}")
 _STEPS_OPEN, _STEPS_SEP, _STEPS_CLOSE = "[\n    ", ",\n    ", "\n  ]"
 _STEP_JSON = """{{
-      "t": {t},
+      "t": {},
       "vertex": [
-        "{vertex}"
+        "{}"
       ],
       "active": [
-        {active}
+        {}
       ],
-      "direction": {direction},
-      "mu": {mu},
-      "f": "{f}"
+      "direction": {},
+      "mu": {},
+      "f": "{}"
     }}"""
 _ITEMS, _DIRECTION = ",\n" + " " * 8, "[\n        {}\n      ]"
 _BATCH = 512  # steps that stream_trace formats and writes with one join
@@ -436,38 +440,49 @@ def _trace_head(instance: dict | None) -> str:
     return _TRACE_HEAD.format(instance=json.dumps(instance, indent=2).replace("\n", "\n  "))
 
 
-def _step_text(t: int | None, vertex: Sequence[str], step: TraceStep, direction, mu) -> str:
-    """A step's object in the trace JSON from its vertex texts, direction and step length."""
-    return _STEP_JSON.format(
-        t="null" if t is None else t,
-        vertex=f'"{_ITEMS}"'.join(vertex),
-        active=_ITEMS.join(map(str, step.tight)),
-        direction="null"
-        if direction is None
-        else _DIRECTION.format(_ITEMS.join(map(str, direction))),
-        mu="null" if mu is None else f'"{mu}"',
-        f=step.f_value,
+def _steps_json(steps: Sequence[TraceStep], labels: Sequence[int | None], scales: Sequence) -> str:
+    """The steps' objects in the trace JSON, labelled ``labels`` and joined.
+
+    The steps are transposed and formatted column by column, and mapped back
+    from the coordinates y = scales * x they were walked in: x_i is
+    nums_i/(denom s_i) in lowest terms, a direction the primitive part of
+    dir_i (L/s_i) for L = lcm(s), and its step mu content/L.  Only the last
+    step may have no direction.
+    """
+    nums, denoms, tights, directions, mus, values = zip(*steps)
+    moved, wide = len(steps) - (directions[-1] is None), lcm(*scales)
+    columns = zip(zip(*nums), scales)
+    vertices = zip(*[rational_texts(x, [q * s for q in denoms]) for x, s in columns])
+    facets = list(map(str, range(1 + max(map(max, tights)))))  # the texts of row indices
+    edges, steps_mu = ["null"] * len(steps), ["null"] * len(steps)
+    if moved:
+        lifted = [[a * (wide // s) for a in d] for d, s in zip(zip(*directions[:moved]), scales)]
+        contents = list(map(gcd, *lifted))
+        entries = zip(*[map(str, map(floordiv, d, contents)) for d in lifted])
+        edges[:moved] = map(_DIRECTION.format, map(_ITEMS.join, entries))
+        mu_nums, mu_dens = zip(*mus[:moved])
+        mu_texts = rational_texts(list(map(mul, mu_nums, contents)), [q * wide for q in mu_dens])
+        steps_mu[:moved] = map('"{}"'.format, mu_texts)
+    return _STEPS_SEP.join(
+        map(
+            _STEP_JSON.format,
+            ["null" if t is None else str(t) for t in labels],
+            map(f'"{_ITEMS}"'.join, vertices),
+            map(_ITEMS.join, map(map, repeat(facets.__getitem__), tights)),
+            edges,
+            steps_mu,
+            rational_texts(*zip(*values)),
+        )
     )
 
 
-def step_json(step: TraceStep, t: int | None) -> str:
-    """One step's object in the trace JSON, labelled ``t``."""
-    return _step_text(t, rational_texts(step.nums, step.denom), step, step.direction, step.mu)
-
-
-def plot_row(phi_prime: Functional, step: TraceStep, phi: tuple[int, int], t: int | None) -> tuple:
-    """One step's CSV strings (t, phi, phi_prime, f) from its phi pair and t label."""
-    f = step.f_value
-    return (
-        "" if t is None else str(t),
-        decimal_text(*phi),
-        decimal_text(*phi_prime.scaled_at(step.nums, step.denom)),
-        decimal_text(f.numerator, f.denominator),
-    )
+def _plot_columns(labels: Sequence[int | None], *pairs: Iterable[tuple[int, int]]) -> tuple:
+    """The plot CSV's columns: the t labels, then phi, phi' and f from their value pairs."""
+    return ["" if t is None else str(t) for t in labels], *map(starmap, repeat(decimal_text), pairs)
 
 
 def trace_to_json(trace: Trace, instance: dict | None, t_values: Sequence[int | None]) -> str:
-    """JSON form of a trace, its steps' ``step_json`` labelled by ``t_values``.
+    """JSON form of a trace, its steps labelled by ``t_values``.
 
     Exactly the text of ``json.dumps(..., indent=2)``, written directly from
     the integer state: rationals render as ``p/q`` or ``p`` strings, which need
@@ -475,7 +490,7 @@ def trace_to_json(trace: Trace, instance: dict | None, t_values: Sequence[int | 
     and ``loop_iterations`` is ``edge_moves``: each loop body makes one move.
     """
     _check_one_per_step(trace, t_values, "t values")
-    steps = _STEPS_SEP.join(map(step_json, trace.steps, t_values))
+    steps = trace.steps and _steps_json(trace.steps, t_values, (1,) * len(trace.steps[0].nums))
     steps = _STEPS_OPEN + steps + _STEPS_CLOSE if steps else "[]"
     tail = _TRACE_TAIL.format(moves=trace.edge_moves, terminated=json.dumps(trace.terminated))
     return _trace_head(instance) + steps + tail
@@ -484,11 +499,12 @@ def trace_to_json(trace: Trace, instance: dict | None, t_values: Sequence[int | 
 def trace_plot_rows(
     trace: Trace, ext: ExtendedParabola, phi_values: Sequence[tuple[int, int]]
 ) -> list[tuple[str, str, str, str]]:
-    """The steps' ``plot_row`` from ``phi_values``, one ``Functional.scaled_at`` pair
-    per step (DimensionMismatch otherwise); decimals only here."""
+    """The steps' CSV strings (t, phi, phi_prime, f) from ``phi_values``, one
+    ``Functional.scaled_at`` pair per step (DimensionMismatch otherwise); decimals only here."""
     _check_one_per_step(trace, phi_values, "phi values")
-    phi_prime = ext.phi_prime
-    return [plot_row(phi_prime, s, p, grid_index(ext, *p)) for s, p in zip(trace.steps, phi_values)]
+    primes = [ext.phi_prime.scaled_at(s.nums, s.denom) for s in trace.steps]
+    labels = [grid_index(ext, *p) for p in phi_values]
+    return list(zip(*_plot_columns(labels, phi_values, primes, [s.f_value for s in trace.steps])))
 
 
 def stream_trace(
@@ -508,41 +524,24 @@ def stream_trace(
     and edges, facet for facet in the same order.  The text is
     ``trace_to_json`` of ``active_set_run``'s trace on ``ext.poly`` plus a
     newline, and a header over its ``trace_plot_rows``, formatted ``_BATCH``
-    steps at a time, each mapped back coordinate by coordinate: x_i is
-    nums_i/(denom s_i) in lowest terms, the direction the primitive part of
-    dir_i (L/s_i) for L = lcm(s), the step mu content/L, and phi and phi' are
+    steps at a time and mapped back to x by ``_steps_json``; phi and phi' are
     rescaled to y.  Returns (vertices visited, terminated)."""
     twin, scales = polytope.equilibrated(ext.poly)
     f_y = f.rescaled(scales)
     start = start_point(twin, f_y, [x * s for x, s in zip(x0, scales)])
     records = walk(twin, f_y, start, rule, max_iter)
     phi, phi_prime = (Functional(map(truediv, g.coeffs, scales)) for g in (ext.phi, ext.phi_prime))
-    wide = lcm(*scales)
-    lifts = [wide // s for s in scales]
-
-    def mapped_json(step: TraceStep, t: int | None) -> str:
-        denom, direction, mu = step.denom, step.direction, step.mu
-        vertex = [
-            str(a // g) if (g := gcd(a, q := denom * s)) == q else f"{a // g}/{q // g}"
-            for a, s in zip(step.nums, scales)
-        ]
-        if direction is not None:
-            direction = list(map(mul, direction, lifts))
-            content = gcd(*direction)
-            direction = [a // content for a in direction]
-            mu = Fraction(mu.numerator * content, mu.denominator * wide)
-        return _step_text(t, vertex, step, direction, mu)
-
     trace_out.write(_trace_head(instance) + _STEPS_OPEN)
     plot_out.write("t,phi,phi_prime,f\n")
     visited, separator = 0, ""
     while batch := list(islice(records, _BATCH)):
         steps = [step for _, _, step in batch]
-        phis = [phi.scaled_at(step.nums, step.denom) for step in steps]
+        nums, denoms, *_, values = zip(*steps)
+        phis = list(map(phi.scaled_at, nums, denoms))
         labels = [grid_index(ext, *p) for p in phis]
-        trace_out.write(separator + _STEPS_SEP.join(map(mapped_json, steps, labels)))
-        rows = map(plot_row, repeat(phi_prime), steps, phis, labels)
-        plot_out.write("".join(",".join(row) + "\n" for row in rows))
+        trace_out.write(separator + _steps_json(steps, labels, scales))
+        columns = _plot_columns(labels, phis, map(phi_prime.scaled_at, nums, denoms), values)
+        plot_out.write("".join(map("{},{},{},{}\n".format, *columns)))
         visited, separator, improving = visited + len(batch), _STEPS_SEP, batch[-1][1]
     terminated = "MaxIterations" if improving else "Optimal"
     tail = _TRACE_TAIL.format(moves=visited - 1, terminated=json.dumps(terminated))

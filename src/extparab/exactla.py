@@ -24,10 +24,11 @@ where the first column's order filled in down the staircase.  It is the
 full-rank test ``is_nonsingular`` and, over rows cleared to integers,
 ``rank``; ``int_inverse_scaled`` runs it and a back pass on [A' | I] and
 reverses the columns back, or, given the columns for a matrix that differs
-in one row, pivots them by that row in one fraction-free rank-one update,
-which leaves every column the new row annihilates as it was, so an edge
-walk, which swaps one tight row per move, gets each vertex's inverse from
-the last one's.  ``rational_texts`` and ``decimal_text`` format ints.
+in one row and that row's products with them, pivots them in one
+fraction-free rank-one update with those multipliers, which leaves every
+column the new row annihilates as it was, so an edge walk, which swaps one
+tight row per move, gets each vertex's inverse from the last one's.
+``rational_texts`` and ``decimal_text`` format integer pairs.
 """
 
 from __future__ import annotations
@@ -164,6 +165,7 @@ def int_inverse_scaled(
     rows: Sequence[Sequence[int]],
     previous: Sequence[Sequence[int]] | None = None,
     swapped: int | None = None,
+    products: Sequence[int] = (),
 ) -> list[Sequence[int]] | None:
     """Columns of the inverse of an integer matrix, up to positive scaling.
 
@@ -171,16 +173,26 @@ def int_inverse_scaled(
     for some lam_k > 0, or None when A is singular.  Without ``previous`` it
     runs ``_forward`` and a back pass on [A' | I] for the mirrored A'.
     ``previous`` are such columns z_k for a matrix that differs from A in row
-    p = ``swapped`` only; then one fraction-free pivot on the new row r = A_p
-    gives them: with a = r . z_p, which is 0 exactly when A is singular,
+    p = ``swapped`` only, and ``products`` the new row's r . z_k, which the
+    caller computes once (r = A_p); then one fraction-free pivot gives the
+    columns: with a = r . z_p, which is 0 exactly when A is singular,
 
-        y_p = sgn(a) z_p,   y_k = |a| z_k - sgn(a) (r . z_k) z_p  (k != p),
+        y_p = sgn(a) z_p,   y_k = |a| z_k - (r . z_k) y_p  (k != p),
 
     so y_k is z_k itself wherever r . z_k = 0.  The columns are not reduced
     by their content.
     """
     if previous is not None:
-        return _pivot(rows[swapped], previous, swapped)
+        a = products[swapped]
+        if not a:
+            return None
+        columns = list(previous)
+        y = columns[swapped] = previous[swapped] if a > 0 else [-x for x in previous[swapped]]
+        a = abs(a)
+        for k, beta in enumerate(products):
+            if beta and k != swapped:
+                columns[k] = [a * x - beta * e for x, e in zip(previous[k], y)]
+        return columns
     n = len(rows)
     work = [[*row, *[0] * i, 1, *[0] * (n - 1 - i)] for i, row in enumerate(_mirrored(rows))]
     if _forward(work, n) < n:
@@ -196,37 +208,10 @@ def int_inverse_scaled(
     return list(zip(*scaled[::-1]))
 
 
-def _pivot(row: Sequence[int], previous: Sequence[Sequence[int]], p: int) -> list | None:
-    """``int_inverse_scaled``'s one-row update of the columns ``previous``."""
-    support = [(c, b) for c, b in enumerate(row) if b]
-    zp = previous[p]
-    a = 0
-    for c, b in support:
-        a += b * zp[c]
-    if not a:
-        return None
-    columns = list(previous)
-    if a < 0:
-        a = -a
-        columns[p] = [-x for x in zp]
-    else:
-        support = [(c, -b) for c, b in support]  # every beta below comes out as -sgn(a) r . z_k
-    for k, z in enumerate(previous):
-        if k == p:
-            continue
-        beta = 0
-        for c, b in support:
-            beta += b * z[c]
-        if beta:
-            columns[k] = [a * x + beta * y for x, y in zip(z, zp)]
-    return columns
-
-
-def rational_texts(nums: Sequence[int], denom: int) -> list[str]:
-    """``str(Fraction(a, denom))`` for each a in nums, for denom > 0: one gcd each."""
-    return [
-        str(a // g) if (g := gcd(a, denom)) == denom else f"{a // g}/{denom // g}" for a in nums
-    ]
+def rational_texts(nums: Sequence[int], denoms: Sequence[int]) -> list[str]:
+    """``str(Fraction(a, q))`` for a in nums and q > 0 in denoms, pairwise: one gcd each."""
+    pairs = zip(nums, denoms)
+    return [str(a // g) if (g := gcd(a, q)) == q else f"{a // g}/{q // g}" for a, q in pairs]
 
 
 _DECIMAL = Context(prec=12)

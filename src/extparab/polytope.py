@@ -14,8 +14,9 @@ of its denominators, equal exactly when the points are; both vertex maps
 build states, ``cleared`` converts coordinates to one, and ``locate`` makes
 one a ``ScaledPoint``, with slack numerators b_i D - A_i . X, computed once,
 and the tight set read off them.  Edge enumeration and the ratio test take that
-state; ``step`` moves it along an edge in integers, reduced by gcd(D, *X).
-Only ``slacks`` and the ratio test's minimum are built as Fractions.
+state; the ratio test's minimum is the integer pair (slack, D advance), and
+``step`` moves the state by such a pair, reduced by gcd(D, *X).  Only
+``slacks`` builds Fractions.
 ``is_simple`` decides that the d tight rows are independent by the rank the
 forward pass of integer elimination returns (``exactla.is_nonsingular``, in
 the mirrored order that is fill-free on the tower) and keeps nothing;
@@ -36,7 +37,8 @@ exactly that swap, are the new vertex's, and moves i's edge to b's place.
 Edges are checked in full at the first vertex, and at a pivoted one only at
 the ``fresh`` positions the list names: b's and those whose direction is not
 the very object proven for that facet at the vertex before, which the pivot
-keeps and ``exactla.primitive`` returns as it is, with no gcd.
+keeps and ``exactla.primitive`` returns as it is, with no gcd.  A kept edge
+meets only the entering row anew, in the product the pivot took, once.
 
 ``equilibrated`` gives a polytope's twin in the coordinates y = s * x: its
 integer rows divided by their column contents, the scales s, and then by
@@ -211,9 +213,9 @@ def scaled_point(poly: HPolytope, x: Sequence) -> ScaledPoint:
     return locate(poly, *cleared(poly, x))
 
 
-def step(point: ScaledPoint, direction: Sequence[int], mu: Fraction) -> tuple[tuple[int, ...], int]:
-    """(numerators, denominator) of point + mu direction, in lowest terms."""
-    num, den = mu.numerator, mu.denominator
+def step(point: ScaledPoint, direction: Sequence[int], mu: tuple[int, int]) -> State:
+    """(numerators, denominator) of point + mu direction, for mu = num/den (den > 0), reduced."""
+    num, den = mu
     scale, denom = num * point.denom, den * point.denom
     nums = [a * den + scale * e for a, e in zip(point.nums, direction)]
     g = gcd(denom, *nums)
@@ -295,26 +297,36 @@ def edge_directions(
             )
         old = list(previous.directions)
         old.insert(place, old.pop(out))
-        columns = exactla.int_inverse_scaled(neg_rows, old, place)
+        entry = rows[entering]
+        products = [-entry(z) for z in old]  # r . z_k for the new row r = -A_entering
+        columns = exactla.int_inverse_scaled(neg_rows, old, place, products)
     if columns is None:
         raise DegenerateVertex("tight rows are rank-deficient")
     directions = [exactla.primitive(col) for col in columns]
-    fresh = tuple([k for k in range(dim) if old is None or k == place or directions[k] is not old[k]])
-    # Defensive: edge ray k keeps every tight row j != k and strictly leaves row k.
+    # Defensive: edge ray k keeps every tight row j != k and strictly leaves row k.  A kept
+    # column met every row but the entering one at the vertex before, and meets that one in
+    # the product the pivot took, which must be 0.
+    fresh = []
+    for k, direction in enumerate(directions):
+        if old is None or k == place or direction is not old[k]:
+            fresh.append(k)
+        elif products[k]:
+            raise InternalMismatch(f"edge {k} breaks the tightness pattern at tight row {place}")
     for j, i in enumerate(tight):
         row = rows[i]
-        for k in range(dim) if i == entering else fresh:
+        for k in fresh:
             prod = row(directions[k])
             if prod >= 0 if j == k else prod:
                 raise InternalMismatch(f"edge {k} breaks the tightness pattern at tight row {j}")
-    return _ProvenEdges(poly, tight, directions, fresh)
+    return _ProvenEdges(poly, tight, directions, tuple(fresh))
 
 
 def ratio_test(poly: HPolytope, point: ScaledPoint, direction: Sequence) -> tuple:
     """(mu_max, blocking row): the largest feasible step along a direction, min over rows with
-    A_i . direction > 0 of (b_i - A_i x)/(A_i . direction), and the lowest row attaining it, both
-    None on an unbounded ray.  The direction must be an edge ``edge_directions`` returned at the
-    point, so A_j . dir <= 0 on every tight row j and only nonzero slacks are read."""
+    A_i . direction > 0 of (b_i - A_i x)/(A_i . direction), as the unreduced pair (slack_i,
+    denom advance_i) of positive ints, and the lowest row attaining it, both None on an
+    unbounded ray.  The direction must be an edge ``edge_directions`` returned at the point, so
+    A_j . dir <= 0 on every tight row j and only nonzero slacks are read."""
     if not any(direction):
         raise ZeroDirection("ratio test along the zero direction")
     # Ratios slack_i / (denom advance_i) compare by cross-multiplication; a tie keeps the first.
@@ -324,7 +336,7 @@ def ratio_test(poly: HPolytope, point: ScaledPoint, direction: Sequence) -> tupl
             best, adv_best, blocking = s, adv, i
     if best is None:
         return None, None
-    return Fraction(best, point.denom * adv_best), blocking
+    return (best, point.denom * adv_best), blocking
 
 
 # ---------------------------------------------------------------------------
@@ -386,6 +398,6 @@ def vrep_to_ext(points: Sequence[State]) -> str:
     for i, (nums, denom) in enumerate(points):
         if len(nums) != dim:
             raise DimensionMismatch(f"point {i} has dim {len(nums)}, point 0 has dim {dim}")
-        lines.append(" ".join(["1", *exactla.rational_texts(nums, denom)]))
+        lines.append(" ".join(["1", *exactla.rational_texts(nums, [denom] * dim)]))
     lines.append("end")
     return "\n".join(lines) + "\n"

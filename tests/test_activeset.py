@@ -8,7 +8,7 @@ from fractions import Fraction as F
 from pathlib import Path
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from extparab import exactla, polytope
@@ -35,7 +35,12 @@ from extparab.errors import (
 )
 from extparab.extension import ConstructionParams, build, vertex_for_t
 from extparab.polytope import HPolytope
-from test_hotpath_oracle import fraction_coords, functional_value, improving_edges
+from test_hotpath_oracle import (
+    fraction_coords,
+    functional_value,
+    improving_edges,
+    reference_line_search,
+)
 
 
 @pytest.fixture(scope="module")
@@ -98,7 +103,9 @@ def test_cleared_form_matches_fraction_form(linear, upper, constant, x):
         + sum(l * xi for l, xi in zip(linear, x))
         + constant
     )
-    assert f.value_at(nums, denom) == f.value(x) == expected
+    value, value_denom = f.value_at(nums, denom)
+    assert value_denom == f._cleared[0] * denom**2 > 0  # the unreduced pair (numerator, S D^2)
+    assert F(value, value_denom) == f.value(x) == expected
     numerators, scale = f.gradient_at(nums, denom)
     assert scale > 0
     assert tuple(F(g, scale) for g in numerators) == f.gradient(x)
@@ -136,24 +143,57 @@ def test_line_search_boundary_stop(tower):
     mu_max, _ = polytope.ratio_test(ext.poly, v0, direction)
     # convex objective: improving all the way to the boundary
     assert line_search(f, direction, mu_max, gradient) == mu_max
-    assert line_search(f, direction, F(1, 9), gradient) == F(1, 9)
+    assert line_search(f, direction, (1, 9), gradient) == (1, 9)
 
 
 def test_line_search_interior_root():
     # f(x) = x - x^2 on the line: g(mu) = 1 - 2 mu vanishes at 1/2.
     f = QuadraticObjective(quad=((-1,),), linear=(1,))
-    assert line_search(f, (1,), F(10), f.gradient_at((0,), 1)) == F(1, 2)
+    assert F(*line_search(f, (1,), (10, 1), f.gradient_at((0,), 1))) == F(1, 2)
 
 
 def test_line_search_blocked_immediately():
     f = QuadraticObjective(quad=((1,),), linear=(1,))
-    assert line_search(f, (1,), F(0), f.gradient_at((0,), 1)) == 0
+    assert F(*line_search(f, (1,), (0, 1), f.gradient_at((0,), 1))) == 0
+
+
+pairs = st.tuples(st.integers(0, 60), st.integers(1, 60))
+
+
+@given(
+    st.lists(rationals, min_size=3, max_size=3),
+    st.lists(rationals, min_size=2, max_size=2),
+    st.lists(rationals, min_size=2, max_size=2),
+    st.tuples(st.integers(-4, 4), st.integers(-4, 4)).filter(any),
+    st.none() | pairs,
+)
+@example([-1, 0, 0], [1, 0], [0, 0], (1, 0), (1, 2))  # mu_max ties the root 1/2
+@example([-1, 0, 0], [1, 0], [0, 0], (1, 0), (4, 8))  # the same tie, unreduced
+@example([-1, 0, 0], [1, 0], [0, 0], (1, 0), None)  # the root alone
+@example([1, 0, 0], [1, 0], [0, 0], (1, 0), None)  # convex and unbounded
+@settings(max_examples=300, deadline=None)
+def test_line_search_pair_minimum_matches_the_fraction_minimum(quad, linear, x, direction, mu_max):
+    # The pair line_search returns, compared by value with the Fraction
+    # reference's minimum of mu_max and the root, None (no cap) included;
+    # where the reference raises, so does line_search.
+    a, b, c = quad
+    f = QuadraticObjective(quad=((a, b), (b, c)), linear=linear)
+    gradient = f.gradient_at(*exactla.common_denominator(x))
+    capped = None if mu_max is None else F(*mu_max)
+    try:
+        expected = reference_line_search(f, x, direction, capped)
+    except (NotImproving, UnboundedImprovement) as exc:
+        with pytest.raises(type(exc)):
+            line_search(f, direction, mu_max, gradient)
+        return
+    num, den = line_search(f, direction, mu_max, gradient)
+    assert den > 0 and F(num, den) == expected
 
 
 def test_line_search_requires_improvement():
     f = QuadraticObjective(quad=((1,),), linear=(0,))
     with pytest.raises(NotImproving):
-        line_search(f, (1,), F(1), f.gradient_at((0,), 1))
+        line_search(f, (1,), (1, 1), f.gradient_at((0,), 1))
 
 
 def test_line_search_unbounded():
@@ -244,7 +284,7 @@ def test_run_from_optimum(tower):
 def test_run_trace_invariants(tower):
     ext, f = tower
     trace = active_set_run(ext.poly, f, vertex_for_t(ext, 0), FirstIndex(), 64)
-    values = [s.f_value for s in trace.steps]
+    values = [F(*s.f_value) for s in trace.steps]
     assert all(a < b for a, b in zip(values, values[1:]))
     for step in trace.steps:
         assert polytope.contains(ext.poly, fraction_coords(step))
@@ -390,7 +430,6 @@ def test_runner_checks_survive_optimize_flag():
     # Under python -O a corrupted step, a blocking tie and a tampered
     # objective value must each still be refused by an explicit raise.
     code = (
-        "from fractions import Fraction\n"
         "from extparab import activeset, polytope\n"
         "from extparab.activeset import QuadraticObjective, active_set_run, make_rule, pullback_objective\n"
         "from extparab.errors import DegenerateVertex, InternalMismatch, NotAVertex\n"
@@ -407,15 +446,15 @@ def test_runner_checks_survive_optimize_flag():
         "    else:\n"
         "        print('accepted')\n"
         "search, step, value_at = activeset.line_search, polytope.step, QuadraticObjective.value_at\n"
-        "activeset.line_search = lambda *args: search(*args) / 2\n"
+        "activeset.line_search = lambda *args: (lambda num, den: (num, 2 * den))(*search(*args))\n"
         "run()\n"
-        "activeset.line_search = lambda *args: Fraction(0)\n"
+        "activeset.line_search = lambda *args: (0, 1)\n"
         "run()\n"
         "activeset.line_search = search\n"
         "polytope.step = lambda *args: (step(*args)[0], 2 * step(*args)[1])\n"
         "run()\n"
         "polytope.step = step\n"
-        "QuadraticObjective.value_at = lambda self, nums, denom: Fraction(1)\n"
+        "QuadraticObjective.value_at = lambda self, nums, denom: (1, 1)\n"
         "run()\n"
         "QuadraticObjective.value_at = value_at\n"
         "square = HPolytope(((1, 0), (0, 1), (-1, 0), (0, -1), (1, 1)), (1, 1, 0, 0, 2))\n"
@@ -438,4 +477,36 @@ def test_runner_checks_survive_optimize_flag():
         # x1 + x2 <= 2 also blocks at (1, 1)
         "DegenerateVertex: blocking tie leaves 3 tight rows at the new point",
         "accepted",  # every patch undone
+    ]
+
+
+def test_a_step_pair_that_is_not_positive_is_refused_before_any_step_under_optimize_flag():
+    # Under python -O a ratio test that returns (-1, -2), whose value 1/2 is
+    # positive but whose terms are not, or (0, 5) as mu_max must be refused by
+    # the walk's explicit num > 0 < den check before polytope.step moves.
+    code = (
+        "from extparab import polytope\n"
+        "from extparab.activeset import active_set_run, make_rule, pullback_objective\n"
+        "from extparab.errors import InternalMismatch\n"
+        "from extparab.extension import ConstructionParams, build, vertex_for_t\n"
+        "assert False, 'asserts must be stripped'\n"
+        "ext = build(ConstructionParams(n=16, d=4))\n"
+        "ratio_test, step, steps = polytope.ratio_test, polytope.step, []\n"
+        "polytope.step = lambda *args: steps.append(args) or step(*args)\n"
+        "for pair in ((-1, -2), (0, 5)):\n"
+        "    polytope.ratio_test = lambda *args: (pair, ratio_test(*args)[1])\n"
+        "    try:\n"
+        "        active_set_run(ext.poly, pullback_objective(ext), vertex_for_t(ext, 0), make_rule('first'), 64)\n"
+        "    except InternalMismatch as exc:\n"
+        "        print(f'{pair}, {len(steps)} steps: {exc}')\n"
+    )
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    done = subprocess.run(
+        [sys.executable, "-O", "-c", code], capture_output=True, text=True, env=env, timeout=60
+    )
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.splitlines() == [
+        "(-1, -2), 0 steps: a feasible improving edge must allow mu > 0",
+        "(0, 5), 0 steps: a feasible improving edge must allow mu > 0",
     ]

@@ -160,8 +160,8 @@ def test_primitive_takes_a_gcd_only_for_the_columns_a_pivot_replaced(monkeypatch
         finally:
             inside[0] = False
 
-    def recorded_inverse(rows, previous=None, swapped=None):
-        columns = inverse(rows, previous, swapped)
+    def recorded_inverse(rows, previous=None, swapped=None, products=()):
+        columns = inverse(rows, previous, swapped, products)
         old = set(map(id, previous or ()))
         replaced.append(sum(id(col) not in old for col in columns))
         return columns
@@ -203,13 +203,20 @@ def _same_up_to_positive_scale(u, v):
     return exactla.primitive(u) == exactla.primitive(v)
 
 
+def pivoted_inverse(rows, columns, p):
+    """``int_inverse_scaled``'s one-row update of ``columns`` by the new row ``rows[p]``, with
+    that row's products r . z_k computed here, as ``edge_directions`` computes them once."""
+    products = [sum(a * y for a, y in zip(rows[p], z)) for z in columns]
+    return exactla.int_inverse_scaled(rows, columns, p, products)
+
+
 @given(row_swaps())
 @settings(max_examples=200, deadline=None)
 def test_int_inverse_scaled_pivot_matches_elimination(swap):
     rows, columns, p, new_row = swap
     swapped = rows[:p] + [new_row] + rows[p + 1 :]
     full = exactla.int_inverse_scaled(swapped)
-    pivoted = exactla.int_inverse_scaled(swapped, columns, p)
+    pivoted = pivoted_inverse(swapped, columns, p)
     if full is None:
         assert pivoted is None
         return
@@ -223,12 +230,12 @@ def test_int_inverse_scaled_pivot_matches_elimination(swap):
 def test_int_inverse_scaled_pivot_on_a_dependent_row_is_none():
     rows = [[2, 1, 0], [0, 1, 0], [1, 0, 3]]
     columns = exactla.int_inverse_scaled(rows)
-    assert exactla.int_inverse_scaled([rows[0], rows[1], [4, 5, 0]], columns, 2) is None
+    assert pivoted_inverse([rows[0], rows[1], [4, 5, 0]], columns, 2) is None
     assert exactla.int_inverse_scaled([rows[0], rows[1], [4, 5, 0]]) is None
     # The same swap with an independent row, either sign of r . z_p.
     for new_row in ([0, 0, 1], [0, 0, -1]):
         swapped = [rows[0], rows[1], new_row]
-        pivoted = exactla.int_inverse_scaled(swapped, columns, 2)
+        pivoted = pivoted_inverse(swapped, columns, 2)
         for col, ref in zip(pivoted, exactla.int_inverse_scaled(swapped)):
             assert _same_up_to_positive_scale(col, ref)
 
@@ -250,7 +257,7 @@ def test_int_inverse_scaled_pivot_keeps_annihilated_columns_as_objects():
         facets[p] = entered
         previous = [direction for _, direction in edges]
         rows = [poly._neg_rows[i] for i in facets]
-        columns = exactla.int_inverse_scaled(rows, previous, p)
+        columns = pivoted_inverse(rows, previous, p)
         for k, (col, z) in enumerate(zip(columns, previous)):
             if k != p and sum(a * y for a, y in zip(rows[p], z)) == 0:
                 assert col is z, (t, k)
@@ -263,8 +270,9 @@ def test_int_inverse_scaled_pivot_keeps_annihilated_columns_as_objects():
 def test_edge_check_counts_d_squared_then_only_the_changed_products(monkeypatch):
     # Test-side row functions in the polytope's _rows count the products
     # edge_directions evaluates on a d = 8 walk: d^2 at the start vertex, then
-    # d (1 + c) - c at a vertex whose pivot replaced c columns (the entering
-    # row against all d, every other tight row against the c replaced ones).
+    # d (1 + c) at a vertex whose pivot replaced c columns (the entering row
+    # against all d once, which the pivot and the check share, and every
+    # tight row against the c replaced ones).
     ext = build(ConstructionParams(n=32, d=8))
     poly, d = ext.poly, 8
     products, inside = [], [False]
@@ -300,7 +308,7 @@ def test_edge_check_counts_d_squared_then_only_the_changed_products(monkeypatch)
     trace = active_set_run(poly, f, start, make_rule("first"), 1024)
     assert trace.edge_moves == 255 and len(products) == 256
     assert products[0] == d * d
-    assert products[1:] == [d * (1 + c) - c for c in replaced]
+    assert products[1:] == [d * (1 + c) for c in replaced]
     assert all(c >= 1 for c in replaced) and sum(replaced) < 3 * len(replaced)
     # Edges proven for another polytope object, even an equal one, are refused before any product.
     twin = HPolytope(poly.A, poly.b)
@@ -399,13 +407,13 @@ denominators = st.integers(1, 10**30)
 factors = st.integers(1, 10**6)
 
 
-@given(st.lists(numerators, max_size=6), denominators, factors)
-@example([0, 5, -5, 10, -3, 7], 5, 1)
-@example([0, 6, -4], 2, 3)
-@example([1, -1], 1, 1)
-def test_rational_texts_match_fraction_str(nums, denom, factor):
-    nums, denom = [a * factor for a in nums], denom * factor
-    assert exactla.rational_texts(nums, denom) == [str(F(a, denom)) for a in nums]
+@given(st.lists(st.tuples(numerators, denominators), max_size=6), factors)
+@example([(0, 5), (5, 5), (-5, 5), (10, 5), (-3, 5), (7, 5)], 1)
+@example([(0, 2), (6, 2), (-4, 2), (9, 6)], 3)
+@example([(1, 1), (-1, 1)], 1)
+def test_rational_texts_match_fraction_str(pairs, factor):
+    nums, denoms = [a * factor for a, _ in pairs], [q * factor for _, q in pairs]
+    assert exactla.rational_texts(nums, denoms) == [str(F(a, q)) for a, q in pairs]
 
 
 @given(numerators, denominators, factors)

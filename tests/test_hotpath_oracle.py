@@ -295,6 +295,21 @@ def reference_line_search(f, x, direction, mu_max):
     return min(candidates)
 
 
+def as_pair(value):
+    """A Fraction as the pair (numerator, denominator) a ``TraceStep`` carries."""
+    return value.numerator, value.denominator
+
+
+def by_value(trace):
+    """A trace with each step's mu and f pair read as a Fraction: the runner's pairs are not
+    reduced, so two traces compare by value, step by step."""
+    steps = [
+        step._replace(mu=step.mu and Fraction(*step.mu), f_value=Fraction(*step.f_value))
+        for step in trace.steps
+    ]
+    return steps, trace.edge_moves, trace.terminated
+
+
 def reference_active_set_run(poly, f, x0, rule, max_iter):
     """The active-set loop over Fraction points, with every check of the runner."""
     if f.dim != poly.dim:
@@ -318,7 +333,7 @@ def reference_active_set_run(poly, f, x0, rule, max_iter):
             if exactla.dot(gradient, d) > 0
         ]
         if not improving or edge_moves >= max_iter:
-            steps.append(TraceStep(*exactla.common_denominator(x), tight, None, None, f_value))
+            steps.append(TraceStep(*exactla.common_denominator(x), tight, None, None, as_pair(f_value)))
             terminated = "MaxIterations" if improving else "Optimal"
             break
         chosen = rule.choose_direction(improving, x)
@@ -329,7 +344,9 @@ def reference_active_set_run(poly, f, x0, rule, max_iter):
         mu = reference_line_search(f, x, direction, mu_max)
         if not mu > 0:
             raise InternalMismatch("a feasible improving edge must allow mu > 0")
-        steps.append(TraceStep(*exactla.common_denominator(x), tight, direction, mu, f_value))
+        steps.append(
+            TraceStep(*exactla.common_denominator(x), tight, direction, as_pair(mu), as_pair(f_value))
+        )
         x = tuple(a + mu * e for a, e in zip(x, direction))
         if any(s < 0 for s in reference_slacks(poly, x)):
             raise NotFeasible("point is outside the polytope")
@@ -354,7 +371,8 @@ def test_runner_trace_matches_reference_on_towers(n, d):
     start, cap = vertex_for_t(ext, 0), 4 * ext.params.vertex_count
     for name in RULES:
         trace = active_set_run(ext.poly, f, start, make_rule(name, 5), cap)
-        assert trace == reference_active_set_run(ext.poly, f, start, make_rule(name, 5), cap), name
+        reference = reference_active_set_run(ext.poly, f, start, make_rule(name, 5), cap)
+        assert by_value(trace) == by_value(reference), name
         assert trace.terminated == "Optimal"
         assert trace.vertices_visited == ext.params.vertex_count
 
@@ -364,7 +382,8 @@ def test_runner_trace_matches_reference_with_max_iter():
     f = pullback_objective(ext)
     start = vertex_for_t(ext, 0)
     trace = active_set_run(ext.poly, f, start, make_rule("first"), max_iter=17)
-    assert trace == reference_active_set_run(ext.poly, f, start, make_rule("first"), max_iter=17)
+    reference = reference_active_set_run(ext.poly, f, start, make_rule("first"), max_iter=17)
+    assert by_value(trace) == by_value(reference)
     assert trace.terminated == "MaxIterations" and trace.edge_moves == 17
 
 
@@ -390,7 +409,7 @@ def test_runner_trace_matches_reference_on_cut_cube(objective, rule):
     f = CUBE_OBJECTIVES[objective]
     start = (0, 0, 0)
     trace = active_set_run(CUT_CUBE, f, start, make_rule(rule, 3), 64)
-    assert trace == reference_active_set_run(CUT_CUBE, f, start, make_rule(rule, 3), 64)
+    assert by_value(trace) == by_value(reference_active_set_run(CUT_CUBE, f, start, make_rule(rule, 3), 64))
     assert trace.terminated == "Optimal" and trace.edge_moves >= 2
 
 
@@ -510,9 +529,10 @@ def _checking_ratio_tests(monkeypatch, vertices):
         x = fraction_coords(point)
         for _, direction in edges:
             mu, blockers = reference_ratio_test(poly, x, direction)
-            # The returned row is the lowest of the reference's blocking rows.
-            assert polytope.ratio_test(poly, point, direction) == (mu, min(blockers, default=None))
-            assert mu is None or mu > 0
+            pair, row = polytope.ratio_test(poly, point, direction)
+            # mu_max by value, and the lowest of the reference's blocking rows.
+            assert (pair and Fraction(*pair), row) == (mu, min(blockers, default=None))
+            assert mu is None or mu > 0 and pair[0] > 0 < pair[1]
             assert not set(blockers) & set(point.tight)
         vertices.append(point)
         return edges
@@ -632,8 +652,8 @@ def trace_to_json_dict(trace, instance=None, t_values=None):
                 "vertex": [str(c) for c in fraction_coords(step)],
                 "active": list(step.tight),
                 "direction": list(step.direction) if step.direction is not None else None,
-                "mu": str(step.mu) if step.mu is not None else None,
-                "f": str(step.f_value),
+                "mu": str(Fraction(*step.mu)) if step.mu is not None else None,
+                "f": str(Fraction(*step.f_value)),
             }
         )
     return {
@@ -703,7 +723,7 @@ def check_integer_outputs(ext, trace):
             "" if t is None else str(t),
             reference_to_decimal(phi),
             reference_to_decimal(phi_prime),
-            reference_to_decimal(step.f_value),
+            reference_to_decimal(Fraction(*step.f_value)),
         )
         assert rows[k] == expected_row, k
     return labels

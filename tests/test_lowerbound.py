@@ -348,7 +348,10 @@ def test_monotone_path_follows_the_runners_line_search(monkeypatch):
     # on the edge leaving t = 0.
     ext = build(ConstructionParams(n=16, d=4))
     search = activeset.line_search
-    monkeypatch.setattr(activeset, "line_search", lambda *args: search(*args) / 2)
+
+    def halved(num, den):
+        return num, 2 * den
+    monkeypatch.setattr(activeset, "line_search", lambda *args: halved(*search(*args)))
     with pytest.raises(CertificateFailure, match=r"^t = 0: iterate has 3 tight rows, need 4$"):
         monotone_path_check(ext, pullback_objective(ext))
 

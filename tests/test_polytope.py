@@ -57,21 +57,24 @@ def edges_at(poly, x):
 
 
 def ratio_with_blockers(poly, point, direction):
-    """``ratio_test``'s mu_max, with the argmin set of blocking rows found here.
+    """``ratio_test``'s mu_max pair, with the argmin set of blocking rows found here.
 
-    ``ratio_test`` returns mu_max and the lowest blocking row; this reference
-    computes every ratio as a Fraction and checks both against their minimum.
+    ``ratio_test`` returns mu_max as a pair of positive ints and the lowest
+    blocking row; this reference computes every ratio as a Fraction and
+    checks both against their minimum.
     """
-    mu, row = polytope.ratio_test(poly, point, direction)
+    pair, row = polytope.ratio_test(poly, point, direction)
     ratios = {}
     for i, (int_row, _) in enumerate(poly._int_rows):
         adv = sum(a * e for a, e in zip(int_row, direction))
         if adv > 0:
             ratios[i] = F(point.slacks[i], point.denom * adv)
+    assert pair is None or (type(pair[0]) is type(pair[1]) is int and pair[0] > 0 < pair[1])
+    mu = None if pair is None else F(*pair)
     assert mu == (min(ratios.values()) if ratios else None)
     blockers = tuple(i for i, ratio in ratios.items() if ratio == mu)
     assert row == (blockers[0] if blockers else None)
-    return mu, blockers
+    return pair, blockers
 
 
 def ratio_at(poly, x, direction):
@@ -168,14 +171,15 @@ def test_edge_directions_requires_vertex():
 
 def test_ratio_test_unit_square():
     mu, blockers = ratio_at(unit_square(), (0, 0), (1, 0))
-    assert mu == 1
+    assert mu == (1, 1)
     assert blockers == (0,)
 
 
 def test_ratio_test_quadrilateral():
     # Oracle: solving h(0) + mu (3, -2) against every facet stops first at
     # the edge through h(1/3) and h(2/3); indeed h(1/3) = (1/9) (3, -2).
-    mu, blockers = ratio_at(quadrilateral(), (0, 0), (3, -2))
+    pair, blockers = ratio_at(quadrilateral(), (0, 0), (3, -2))
+    mu = F(*pair)
     assert mu == F(1, 9)
     assert blockers == (1,)
     endpoint = (F(3) * mu, F(-2) * mu)
@@ -199,8 +203,9 @@ def test_step_feasibility_brackets_mu_max():
     x = (F(0), F(0))
     point = polytope.scaled_point(poly, x)
     for _, direction in polytope.edge_directions(poly, point):
-        mu, _ = polytope.ratio_test(poly, point, direction)
-        assert mu is not None and mu > 0
+        pair, _ = polytope.ratio_test(poly, point, direction)
+        assert pair is not None and pair[0] > 0 < pair[1]
+        mu = F(*pair)
         inside = tuple(a + mu * e for a, e in zip(x, direction))
         assert polytope.contains(poly, inside)
         beyond = tuple(a + 2 * mu * e for a, e in zip(x, direction))
@@ -215,8 +220,8 @@ def test_endpoint_tight_set_gains_blockers():
     point = polytope.scaled_point(poly, x)
     tight = set(polytope.tight_set(poly, x))
     for leaving, direction in polytope.edge_directions(poly, point):
-        mu, blockers = ratio_with_blockers(poly, point, direction)
-        endpoint = tuple(a + mu * e for a, e in zip(x, direction))
+        pair, blockers = ratio_with_blockers(poly, point, direction)
+        endpoint = tuple(a + F(*pair) * e for a, e in zip(x, direction))
         end_tight = set(polytope.tight_set(poly, endpoint))
         assert (tight - {leaving}) | set(blockers) <= end_tight
 
@@ -665,9 +670,10 @@ def test_edge_pattern_checks_both_signs_under_optimize_flag():
 
 
 def test_edge_pivot_check_survives_optimize_flag():
-    # Under python -O a pivot that drops the (A_b . dir_f) dir_i term keeps
-    # every column but the one for the entering row b on the wrong plane;
-    # the tightness check must refuse it at the first pivoted vertex.
+    # Under python -O a pivot that drops the (A_b . dir_f) dir_i term, here
+    # built from the entering row's products it is handed, keeps every
+    # column but the one for the entering row b on the wrong plane; the
+    # tightness check must refuse it at the first pivoted vertex.
     code = (
         "from extparab import exactla\n"
         "from extparab.activeset import active_set_run, make_rule, pullback_objective\n"
@@ -675,14 +681,13 @@ def test_edge_pivot_check_survives_optimize_flag():
         "from extparab.extension import ConstructionParams, build, vertex_for_t\n"
         "assert False, 'asserts must be stripped'\n"
         "inverse, calls = exactla.int_inverse_scaled, []\n"
-        "def dropped(rows, previous=None, swapped=None):\n"
+        "def dropped(rows, previous=None, swapped=None, products=()):\n"
         "    calls.append(swapped)\n"
         "    if previous is None:\n"
         "        return inverse(rows)\n"
-        "    zp = previous[swapped]\n"
-        "    a = sum(r * z for r, z in zip(rows[swapped], zp))\n"
+        "    a = products[swapped]\n"
         "    sign = 1 if a > 0 else -1\n"
-        "    return [[sign * x for x in zp] if k == swapped else [abs(a) * x for x in z]\n"
+        "    return [[sign * x for x in previous[swapped]] if k == swapped else [abs(a) * x for x in z]\n"
         "            for k, z in enumerate(previous)]\n"
         "exactla.int_inverse_scaled = dropped\n"
         "ext = build(ConstructionParams(n=32, d=4))\n"
@@ -724,9 +729,9 @@ def test_edge_directions_refuse_an_unproven_predecessor_under_optimize_flag():
         "    'twin': polytope.edge_directions(twin, polytope.scaled_point(twin, vertex_for_t(ext, 0))),\n"
         "}\n"
         "inverse, calls = exactla.int_inverse_scaled, []\n"
-        "def recorded(rows, previous=None, swapped=None):\n"
+        "def recorded(rows, previous=None, swapped=None, products=()):\n"
         "    calls.append(swapped)\n"
-        "    return inverse(rows, previous, swapped)\n"
+        "    return inverse(rows, previous, swapped, products)\n"
         "exactla.int_inverse_scaled = recorded\n"
         "for name, previous in unproven.items():\n"
         "    try:\n"
@@ -753,8 +758,9 @@ def test_edge_directions_refuse_an_unproven_predecessor_under_optimize_flag():
 def test_edge_check_sees_a_stale_column_at_the_entering_row_under_optimize_flag():
     # Under python -O a pivot that hands back the previous column object
     # where the entering row's product is nonzero passes every kept row (the
-    # column was proven there) and must be refused at the entering row, the
-    # one row the fast path checks against every column.
+    # column was proven there) and must be refused at the entering row: the
+    # check reads that column's product, the one the pivot was handed, which
+    # must be 0 for a column the pivot keeps.
     code = (
         "from extparab import exactla, polytope\n"
         "from extparab.errors import InternalMismatch\n"
@@ -766,8 +772,8 @@ def test_edge_check_sees_a_stale_column_at_the_entering_row_under_optimize_flag(
         "edges = polytope.edge_directions(ext.poly, p0)\n"
         "edges = polytope.edge_directions(ext.poly, p1, (edges, *swap(p0, p1)))\n"
         "inverse = exactla.int_inverse_scaled\n"
-        "def stale(rows, previous=None, swapped=None):\n"
-        "    columns = inverse(rows, previous, swapped)\n"
+        "def stale(rows, previous=None, swapped=None, products=()):\n"
+        "    columns = inverse(rows, previous, swapped, products)\n"
         "    k = next(k for k, c in enumerate(columns) if k != swapped and c is not previous[k])\n"
         "    columns[k] = previous[k]\n"
         "    return columns\n"
@@ -805,9 +811,9 @@ def test_edge_directions_refuse_a_swap_the_move_did_not_make_under_optimize_flag
         "def next_row(poly, point, direction):\n"
         "    mu, row = ratio_test(poly, point, direction)\n"
         "    return mu, row + 1\n"
-        "def recorded(rows, previous=None, swapped=None):\n"
+        "def recorded(rows, previous=None, swapped=None, products=()):\n"
         "    pivots.append(previous is not None)\n"
-        "    return inverse(rows, previous, swapped)\n"
+        "    return inverse(rows, previous, swapped, products)\n"
         "polytope.ratio_test, exactla.int_inverse_scaled = next_row, recorded\n"
         "ext = build(ConstructionParams(n=16, d=4))\n"
         "try:\n"

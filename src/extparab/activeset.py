@@ -29,17 +29,18 @@ each transposes its steps and formats them column by column.
 The iterate is one integer state per vertex, ``polytope.ScaledPoint``:
 numerators over one denominator, with the slacks and tight set evaluated
 once; ``polytope`` owns it, with its row and slack formats.  Objectives keep
-their form with denominators cleared and evaluate the gradient numerators
-(once per vertex), the curvature along an edge and the objective value on
-that state, over the nonzero rows of the quadratic part only (on the tower
-it has a single one).  Step lengths and values are integer pairs
-(numerator, denominator > 0), compared by cross-multiplication: no Fraction
-is built on a move.  ``walk`` prices a vertex's edges in O(d) integer
-products, as G . dir = D (l . dir) + sum of dir_i (G_i - D l_i) over those
-rows, with the linear price l . dir kept in a table by facet: l is fixed, so
-only the ``fresh`` edges ``edge_directions`` names (about 2 of 12 at d = 12)
-are priced again.  The rule, the trace steps (without slacks) and the
-writers take that state too; no Fraction vertex is built on it.
+their form with denominators cleared and evaluate the curvature along an
+edge and the objective value on that state, over the nonzero rows of the
+quadratic part only (on the tower it has a single one).  Step lengths and
+values are integer pairs (numerator, denominator > 0), compared by
+cross-multiplication: no Fraction is built on a move.  ``walk`` prices a
+vertex's edges by G . dir = D (l . dir) + sum of dir_i (G_i - D l_i) over
+those rows, for G = 2 S quad X + D S linear, which it never forms, and keeps
+each l . dir in a table by facet: l is fixed, so only the ``fresh`` edges
+``edge_directions`` names (about 2 of 12 at d = 12) are priced again, and
+the followed edge's l . dir is taken afresh and checked against the table.
+The rule, the trace steps (without slacks) and the writers take that state
+too; no Fraction vertex is built on it.
 
 ``stream_trace``, the walk ``run`` writes, runs on the twin from
 ``polytope.equilibrated`` (y = s * x), whose tower vertices are integer
@@ -130,18 +131,6 @@ class QuadraticObjective:
         affine = sum(map(mul, linear, nums)) + denom * constant
         return self._scaled_form(nums) + denom * affine, scale * denom**2
 
-    def gradient_at(self, nums: Sequence[int], denom: int) -> tuple[tuple[int, ...], int]:
-        """grad f at the point nums/denom as (integer numerators G, scale S D), grad f = G/(S D).
-
-        G = 2 S quad X + D S linear is a positive multiple of the gradient,
-        so it prices edges with the right signs.
-        """
-        scale, rows, linear, _ = self._cleared
-        grad = [denom * a for a in linear]
-        for i, cols, entries in rows:
-            grad[i] += 2 * sum(map(mul, entries, map(nums.__getitem__, cols)))
-        return tuple(grad), scale * denom
-
     def rescaled(self, scales: Sequence[int]) -> QuadraticObjective:
         """f(y / scales), which takes f's values in the coordinates y = scales * x."""
         quad = [[q / (a * b) for q, b in zip(row, scales)] for row, a in zip(self.quad, scales)]
@@ -187,20 +176,19 @@ def line_search(
     f: QuadraticObjective,
     direction: Sequence[int],
     mu_max: tuple[int, int] | None,
-    gradient: tuple[Sequence[int], int],
+    slope: tuple[int, int],
 ) -> tuple[int, int]:
     """Largest step keeping the direction improving, capped by mu_max.
 
     The directional derivative g(mu) = grad(x) . d + 2 mu d^T quad d is
     affine in mu; the step is min(mu_max, root of g) with the root at
-    infinity for nonnegative curvature.  Requires g(0) > 0.  ``gradient`` is
-    grad f(x) as ``QuadraticObjective.gradient_at`` gives it, which the
-    caller has already evaluated to price the edges.  Both terms stay
-    integers (G . d and S d^T quad d), and mu_max, the root and the result
-    are pairs (numerator, denominator > 0), compared by cross-multiplication.
+    infinity for nonnegative curvature.  ``slope`` is g(0) as the pair
+    (G . d, S D) with G = 2 S quad X + D S linear, the price ``walk`` gave
+    the edge; it must be positive (else NotImproving).  The curvature term
+    stays an integer (S d^T quad d), and mu_max, the root and the result are
+    pairs (numerator, denominator > 0), compared by cross-multiplication.
     """
-    numerators, scale = gradient
-    g0 = sum(map(mul, numerators, direction))
+    g0, scale = slope
     if g0 <= 0:
         raise NotImproving(f"directional derivative {Fraction(g0, scale)} is not positive")
     curvature = f._scaled_form(direction)
@@ -323,20 +311,21 @@ def walk(
     (DegenerateVertex, not perturbed), a strict increase of f and exactly d
     tight rows at the new point (NotAVertex; a convex f only stops where a
     facet blocks).  An error raised while vertex k's record is made is about
-    vertex k or its edge.  The last record has no direction: no edge
-    improves, or ``max_iter`` moves were made.
+    vertex k or its edge.  The chosen edge's linear price is taken afresh and
+    must equal the table's (InternalMismatch).  The last record has no
+    direction: no edge improves, or ``max_iter`` moves were made.
     """
     f_value = f.value_at(point.nums, point.denom)
-    _, curved, linear, _ = f._cleared
+    scale, curved, linear, _ = f._cleared
     edges, pivot, prices = None, None, [0] * poly.num_facets  # prices: l . dir by tight facet
     for moves in count():
         nums, denom, _, tight = point
-        gradient = f.gradient_at(nums, denom)
         edges = polytope.edge_directions(poly, point, pivot)  # raises DegenerateVertex
         for k in edges.fresh:
             facet, direction = edges[k]
             prices[facet] = _linear_price(linear, direction)
-        bends = [(i, gradient[0][i] - denom * linear[i]) for i, _, _ in curved]  # G_i - D l_i
+        # G_i - D l_i = 2 (S quad X)_i, which is 0 off the curved rows.
+        bends = [(i, 2 * sum(map(mul, e, map(nums.__getitem__, c)))) for i, c, e in curved]
         improving = []
         for facet, direction in edges:
             price = denom * prices[facet]
@@ -352,8 +341,14 @@ def walk(
         if chosen not in improving:
             raise UnknownRule("pivot rule returned a direction not offered")
         leaving, direction = chosen
+        linear_price = sum(map(mul, linear, direction))  # apart from the table's _linear_price
+        if linear_price != prices[leaving]:
+            raise InternalMismatch(f"the table's linear price for facet {leaving} is stale")
+        slope = denom * linear_price
+        for i, bend in bends:
+            slope += direction[i] * bend
         mu_max, entering = polytope.ratio_test(poly, point, direction)
-        mu = line_search(f, direction, mu_max, gradient)
+        mu = line_search(f, direction, mu_max, (slope, scale * denom))
         num, den = mu
         if not num > 0 < den:
             raise InternalMismatch("a feasible improving edge must allow mu > 0")
@@ -428,7 +423,10 @@ _STEP_JSON = """{{
       "f": "{}"
     }}"""
 _ITEMS, _DIRECTION = ",\n" + " " * 8, "[\n        {}\n      ]"
-_BATCH = 512  # steps that stream_trace formats and writes with one join
+# Steps that stream_trace formats and writes with one join: a batch's live containers, about
+# six a step, stay below the young generation's threshold (gc.get_threshold()[0], 700), so a
+# batch is freed before a collection can move it to the older generations and scan it there.
+_BATCH = 64
 
 
 def _check_one_per_step(trace: Trace, values: Sequence, what: str) -> None:
@@ -534,16 +532,15 @@ def stream_trace(
     trace_out.write(_trace_head(instance) + _STEPS_OPEN)
     plot_out.write("t,phi,phi_prime,f\n")
     visited, separator = 0, ""
-    while batch := list(islice(records, _BATCH)):
-        steps = [step for _, _, step in batch]
+    while steps := [(last := record)[2] for record in islice(records, _BATCH)]:
         nums, denoms, *_, values = zip(*steps)
         phis = list(map(phi.scaled_at, nums, denoms))
         labels = [grid_index(ext, *p) for p in phis]
         trace_out.write(separator + _steps_json(steps, labels, scales))
         columns = _plot_columns(labels, phis, map(phi_prime.scaled_at, nums, denoms), values)
         plot_out.write("".join(map("{},{},{},{}\n".format, *columns)))
-        visited, separator, improving = visited + len(batch), _STEPS_SEP, batch[-1][1]
-    terminated = "MaxIterations" if improving else "Optimal"
+        visited, separator = visited + len(steps), _STEPS_SEP
+    terminated = "MaxIterations" if last[1] else "Optimal"
     tail = _TRACE_TAIL.format(moves=visited - 1, terminated=json.dumps(terminated))
     trace_out.write(_STEPS_CLOSE + tail + "\n")
     return visited, terminated

@@ -174,8 +174,9 @@ def int_inverse_scaled(
     runs ``_forward`` and a back pass on [A' | I] for the mirrored A'.
     ``previous`` are such columns z_k for a matrix that differs from A in row
     p = ``swapped`` only, and ``products`` the new row's r . z_k, which the
-    caller computes once (r = A_p); then one fraction-free pivot gives the
-    columns: with a = r . z_p, which is 0 exactly when A is singular,
+    caller computes once (r = A_p); then ``rows`` is not read and one
+    fraction-free pivot gives the columns: with a = r . z_p, which is 0
+    exactly when A is singular,
 
         y_p = sgn(a) z_p,   y_k = |a| z_k - (r . z_k) y_p  (k != p),
 

@@ -219,7 +219,7 @@ def step(point: ScaledPoint, direction: Sequence[int], mu: tuple[int, int]) -> S
     scale, denom = num * point.denom, den * point.denom
     nums = [a * den + scale * e for a, e in zip(point.nums, direction)]
     g = gcd(denom, *nums)
-    return tuple(a // g for a in nums), denom // g
+    return tuple([a // g for a in nums]), denom // g
 
 
 def slacks(poly: HPolytope, x: Sequence) -> Vector:
@@ -280,10 +280,9 @@ def edge_directions(
     tight, dim, rows = point.tight, poly.dim, poly._rows
     if len(tight) != dim:
         raise DegenerateVertex(f"{len(tight)} tight rows at a point of dimension {dim}")
-    neg_rows = [poly._neg_rows[i] for i in tight]
     if pivot is None:
         entering = old = None
-        columns = exactla.int_inverse_scaled(neg_rows)
+        columns = exactla.int_inverse_scaled([poly._neg_rows[i] for i in tight])
     else:
         previous, leaving, entering = pivot
         if type(previous) is not _ProvenEdges or previous.poly is not poly:
@@ -299,7 +298,7 @@ def edge_directions(
         old.insert(place, old.pop(out))
         entry = rows[entering]
         products = [-entry(z) for z in old]  # r . z_k for the new row r = -A_entering
-        columns = exactla.int_inverse_scaled(neg_rows, old, place, products)
+        columns = exactla.int_inverse_scaled((), old, place, products)  # reads no row
     if columns is None:
         raise DegenerateVertex("tight rows are rank-deficient")
     directions = [exactla.primitive(col) for col in columns]

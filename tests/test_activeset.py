@@ -39,7 +39,9 @@ from test_hotpath_oracle import (
     fraction_coords,
     functional_value,
     improving_edges,
+    reference_gradient_at,
     reference_line_search,
+    reference_slope,
 )
 
 
@@ -106,7 +108,7 @@ def test_cleared_form_matches_fraction_form(linear, upper, constant, x):
     value, value_denom = f.value_at(nums, denom)
     assert value_denom == f._cleared[0] * denom**2 > 0  # the unreduced pair (numerator, S D^2)
     assert F(value, value_denom) == f.value(x) == expected
-    numerators, scale = f.gradient_at(nums, denom)
+    numerators, scale = reference_gradient_at(f, nums, denom)
     assert scale > 0
     assert tuple(F(g, scale) for g in numerators) == f.gradient(x)
     # The line search's curvature term S u^T quad u, here for u = nums.
@@ -135,26 +137,26 @@ def test_pullback_is_rank_one_convex(tower):
 def test_line_search_boundary_stop(tower):
     ext, f = tower
     v0 = polytope.scaled_point(ext.poly, vertex_for_t(ext, 0))
-    gradient = f.gradient_at(v0.nums, v0.denom)
     edges = polytope.edge_directions(ext.poly, v0)
     facet, direction = next(
         (fc, d) for fc, d in edges if exactla.dot(f.gradient(fraction_coords(v0)), d) > 0
     )
+    slope = reference_slope(f, v0.nums, v0.denom, direction)
     mu_max, _ = polytope.ratio_test(ext.poly, v0, direction)
     # convex objective: improving all the way to the boundary
-    assert line_search(f, direction, mu_max, gradient) == mu_max
-    assert line_search(f, direction, (1, 9), gradient) == (1, 9)
+    assert line_search(f, direction, mu_max, slope) == mu_max
+    assert line_search(f, direction, (1, 9), slope) == (1, 9)
 
 
 def test_line_search_interior_root():
     # f(x) = x - x^2 on the line: g(mu) = 1 - 2 mu vanishes at 1/2.
     f = QuadraticObjective(quad=((-1,),), linear=(1,))
-    assert F(*line_search(f, (1,), (10, 1), f.gradient_at((0,), 1))) == F(1, 2)
+    assert F(*line_search(f, (1,), (10, 1), reference_slope(f, (0,), 1, (1,)))) == F(1, 2)
 
 
 def test_line_search_blocked_immediately():
     f = QuadraticObjective(quad=((1,),), linear=(1,))
-    assert F(*line_search(f, (1,), (0, 1), f.gradient_at((0,), 1))) == 0
+    assert F(*line_search(f, (1,), (0, 1), reference_slope(f, (0,), 1, (1,)))) == 0
 
 
 pairs = st.tuples(st.integers(0, 60), st.integers(1, 60))
@@ -178,28 +180,28 @@ def test_line_search_pair_minimum_matches_the_fraction_minimum(quad, linear, x, 
     # where the reference raises, so does line_search.
     a, b, c = quad
     f = QuadraticObjective(quad=((a, b), (b, c)), linear=linear)
-    gradient = f.gradient_at(*exactla.common_denominator(x))
+    slope = reference_slope(f, *exactla.common_denominator(x), direction)
     capped = None if mu_max is None else F(*mu_max)
     try:
         expected = reference_line_search(f, x, direction, capped)
     except (NotImproving, UnboundedImprovement) as exc:
         with pytest.raises(type(exc)):
-            line_search(f, direction, mu_max, gradient)
+            line_search(f, direction, mu_max, slope)
         return
-    num, den = line_search(f, direction, mu_max, gradient)
+    num, den = line_search(f, direction, mu_max, slope)
     assert den > 0 and F(num, den) == expected
 
 
 def test_line_search_requires_improvement():
     f = QuadraticObjective(quad=((1,),), linear=(0,))
     with pytest.raises(NotImproving):
-        line_search(f, (1,), (1, 1), f.gradient_at((0,), 1))
+        line_search(f, (1,), (1, 1), reference_slope(f, (0,), 1, (1,)))
 
 
 def test_line_search_unbounded():
     f = QuadraticObjective(quad=((0,),), linear=(1,))
     with pytest.raises(UnboundedImprovement):
-        line_search(f, (1,), None, f.gradient_at((0,), 1))
+        line_search(f, (1,), None, reference_slope(f, (0,), 1, (1,)))
 
 
 def test_improving_edges_instance(tower):
@@ -222,7 +224,7 @@ def test_improving_edges_zero_objective(tower):
     )
     v0 = polytope.scaled_point(ext.poly, vertex_for_t(ext, 0))
     edges = polytope.edge_directions(ext.poly, v0)
-    assert improving_edges(edges, zero.gradient_at(v0.nums, v0.denom)[0]) == []
+    assert improving_edges(edges, reference_gradient_at(zero, v0.nums, v0.denom)[0]) == []
 
 
 def test_run_visits_all_vertices_in_order(tower):
@@ -509,4 +511,44 @@ def test_a_step_pair_that_is_not_positive_is_refused_before_any_step_under_optim
     assert done.stdout.splitlines() == [
         "(-1, -2), 0 steps: a feasible improving edge must allow mu > 0",
         "(0, 5), 0 steps: a feasible improving edge must allow mu > 0",
+    ]
+
+
+def test_a_stale_linear_price_is_refused_before_the_step_under_optimize_flag():
+    # Under python -O a table entry that is not the chosen edge's linear price
+    # must be refused by the walk's explicit comparison with the price taken
+    # afresh, before polytope.step moves.  From the fifth price on, the table
+    # is filled off by one (the edge's offer may stay right) or by 10**9 (a
+    # falling edge is offered as well).
+    code = (
+        "from extparab import activeset, polytope\n"
+        "from extparab.activeset import make_rule, pullback_objective, start_point, walk\n"
+        "from extparab.errors import InternalMismatch\n"
+        "from extparab.extension import ConstructionParams, build, vertex_for_t\n"
+        "assert False, 'asserts must be stripped'\n"
+        "ext = build(ConstructionParams(n=16, d=4))\n"
+        "f = pullback_objective(ext)\n"
+        "price, step, prices, steps = activeset._linear_price, polytope.step, [], []\n"
+        "polytope.step = lambda *args: steps.append(args) or step(*args)\n"
+        "for shift in (1, 10**9):\n"
+        "    prices.clear(), steps.clear()\n"
+        "    activeset._linear_price = (\n"
+        "        lambda *args: price(*args) + shift * (len(prices.append(args) or prices) > 4)\n"
+        "    )\n"
+        "    moves = 0\n"
+        "    try:\n"
+        "        for _ in walk(ext.poly, f, start_point(ext.poly, f, vertex_for_t(ext, 0)), make_rule('first'), 64):\n"
+        "            moves += 1\n"
+        "    except InternalMismatch as exc:\n"
+        "        print(f'{shift}: {moves} moves, {len(steps)} steps: {exc}')\n"
+    )
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    done = subprocess.run(
+        [sys.executable, "-O", "-c", code], capture_output=True, text=True, env=env, timeout=60
+    )
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.splitlines() == [
+        "1: 2 moves, 2 steps: the table's linear price for facet 1 is stale",
+        "1000000000: 2 moves, 2 steps: the table's linear price for facet 1 is stale",
     ]

@@ -1,6 +1,7 @@
 """End-to-end CLI contracts: files, stdout summaries, exit codes."""
 
 import contextlib
+import gc
 import io
 import json
 import os
@@ -175,7 +176,8 @@ def expected_run_files(n, d, rule, seed, max_iter):
         (16, 4, "first", None, None, 4),  # 16 steps: the walk ends on a batch boundary
         (16, 4, "first", None, None, 5),  # 16 steps: the walk ends inside a batch
         (16, 4, "first", None, 3, 4),  # 4 steps: one full batch, then MaxIterations
-        (40, 10, "first", None, 511, None),  # 512 steps: exactly one default batch
+        (40, 10, "first", None, 511, None),  # 512 steps: a whole number of default batches
+        (32, 8, "first", None, activeset._BATCH - 1, None),  # exactly one default batch
     ],
 )
 def test_streamed_run_files_are_the_trace_writers_output(
@@ -197,7 +199,7 @@ def test_streamed_run_files_are_the_trace_writers_output(
 
 @pytest.mark.parametrize("earlier", [False, True], ids=["no-earlier-files", "earlier-files"])
 def test_failed_walk_leaves_no_partial_files(tmp_path, capsys, monkeypatch, earlier):
-    # Move 600 of the d = 10 walk fails, after the first batch of 512 steps
+    # Move 600 of the d = 10 walk fails, after the first batches of steps
     # went to the temporary trace file.  Those files are removed, and files
     # that an earlier run left at the prefix keep their content.
     prefix = tmp_path / "r"
@@ -286,6 +288,30 @@ def test_run_memory_does_not_grow_with_the_walk(tmp_path, capsys):
         tracemalloc.stop()
     capsys.readouterr()
     assert peak < 5_000_000, f"run --d 12 peaked at {peak / 1e6:.1f} MB of traced allocations"
+
+
+def test_run_leaves_the_collector_few_collections(tmp_path, capsys):
+    # stream_trace keeps one small batch of steps, whose containers stay
+    # below the young generation's threshold, so a d = 12 run triggers a few
+    # collections (3 on CPython 3.11), where batches of 512 whole walk
+    # records triggered 59, four of them of the older generation too.  The
+    # second run in the process is counted: a process's first run also fills
+    # CPython's tuple free lists (2,000 of each size), and those allocations
+    # count toward a collection with no deallocation to cancel them.
+    assert run_cli(["run", "--d", "12", "--out", str(tmp_path / "first")]) == 0
+    generations = []
+
+    def count(phase, info):
+        if phase == "start":
+            generations.append(info["generation"])
+
+    gc.callbacks.append(count)
+    try:
+        assert run_cli(["run", "--d", "12", "--out", str(tmp_path / "r")]) == 0
+    finally:
+        gc.callbacks.remove(count)
+    capsys.readouterr()
+    assert len(generations) <= 10, generations
 
 
 @pytest.mark.parametrize(

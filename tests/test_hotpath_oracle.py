@@ -14,7 +14,10 @@ denominator; ``reference_active_set_run`` is the runner it replaced, with a
 Fraction iterate, Fraction gradient, objective value and line search, and
 its trace must equal the runner's step for step (its steps keep each
 Fraction point as numerators over their lcm denominator, which is the
-runner's integer state in lowest terms).  ``trace_to_json_dict`` is the dict
+runner's integer state in lowest terms).  ``reference_gradient_at`` is the
+integer gradient vector the runner no longer forms: the slope it hands
+``line_search`` must be that vector's product with the followed edge at
+every move.  ``trace_to_json_dict`` is the dict
 that ``json.dumps(..., indent=2)`` used to serialize, which the direct trace
 writer must reproduce byte for byte.
 
@@ -267,6 +270,26 @@ def reference_value(f, x):
 
 def reference_gradient(f, x):
     return tuple(2 * exactla.dot(row, x) + a for row, a in zip(f.quad, f.linear))
+
+
+def reference_gradient_at(f, nums, denom):
+    """grad f at nums/denom as (integer numerators G, scale S D), grad f = G/(S D).
+
+    G = 2 S quad X + D S linear is a positive multiple of the gradient, so it
+    prices edges with the right signs; ``walk`` forms only its curved rows and
+    gives the edge it follows the slope (G . dir, S D).
+    """
+    scale, rows, linear, _ = f._cleared
+    grad = [denom * a for a in linear]
+    for i, cols, entries in rows:
+        grad[i] += 2 * sum(map(mul, entries, map(nums.__getitem__, cols)))
+    return tuple(grad), scale * denom
+
+
+def reference_slope(f, nums, denom, direction):
+    """The slope (G . dir, S D) of f along ``direction`` at nums/denom, from ``reference_gradient_at``."""
+    numerators, scale = reference_gradient_at(f, nums, denom)
+    return sum(map(mul, numerators, direction)), scale
 
 
 def reference_ratio_test(poly, x, direction):
@@ -576,7 +599,7 @@ def test_ratio_test_matches_reference_on_every_edge_of_the_cut_cube(objective, m
 def improving_edges(edges, gradient):
     """The edges (leaving_facet, direction) along which the gradient rises (test-side
     reference for walk's O(d) pricing): ``gradient`` is any positive multiple of grad f at
-    the vertex, such as ``QuadraticObjective.gradient_at``'s numerators, which keeps every sign."""
+    the vertex, such as ``reference_gradient_at``'s numerators, which keeps every sign."""
     return [(facet, d) for facet, d in edges if sum(map(mul, gradient, d)) > 0]
 
 
@@ -584,12 +607,13 @@ def offers_against_reference(poly, f, x0, rule, max_iter):
     """(vertices walked, vertices where the walk's improving list differs from the reference).
 
     The reference prices the edges elimination gives at the vertex with the
-    full gradient, ``improving_edges(edges, f.gradient_at(...)[0])``.
+    full gradient, ``improving_edges(edges, reference_gradient_at(f, ...)[0])``.
     """
     visited = differing = 0
     for point, improving, _ in walk(poly, f, start_point(poly, f, x0), rule, max_iter):
         edges = polytope.edge_directions(poly, point)
-        differing += improving != improving_edges(edges, f.gradient_at(point.nums, point.denom)[0])
+        gradient, _ = reference_gradient_at(f, point.nums, point.denom)
+        differing += improving != improving_edges(edges, gradient)
         visited += 1
     return visited, differing
 
@@ -616,6 +640,46 @@ def test_walk_prices_every_vertex_like_improving_edges_on_the_cut_cube(objective
             CUT_CUBE, CUBE_OBJECTIVES[objective], (0, 0, 0), make_rule(name, 3), 64
         )
         assert visited >= 3 and differing == 0, name
+
+
+def slopes_against_reference(poly, f, x0, rule, max_iter, monkeypatch):
+    """(moves, moves where the slope ``walk`` hands ``line_search`` is not ``reference_slope``)."""
+    search, handed = activeset.line_search, []
+
+    def recording(f, direction, mu_max, slope):
+        handed.append(slope)
+        return search(f, direction, mu_max, slope)
+
+    monkeypatch.setattr(activeset, "line_search", recording)
+    moves = differing = 0
+    for point, _, step in walk(poly, f, start_point(poly, f, x0), rule, max_iter):
+        if step.direction is not None:  # line_search ran for this move before the record came
+            differing += handed[moves] != reference_slope(f, point.nums, point.denom, step.direction)
+            moves += 1
+    assert len(handed) == moves
+    return moves, differing
+
+
+@pytest.mark.parametrize("n, d", SMALL_TOWERS, ids=[f"n{n}-d{d}" for n, d in SMALL_TOWERS])
+def test_walk_hands_line_search_the_full_gradients_slope(n, d, monkeypatch):
+    # The walk forms no gradient vector: the slope it hands over is the table's
+    # linear price, checked afresh, plus the curved rows' terms.  At every move
+    # it must be G . dir for the whole G = 2 S quad X + D S linear.
+    ext = build(ConstructionParams(n=n, d=d))
+    f, m_top = pullback_objective(ext), ext.params.vertex_count
+    for name in RULES:
+        rule = make_rule(name, 5)
+        moves = slopes_against_reference(ext.poly, f, vertex_for_t(ext, 0), rule, 4 * m_top, monkeypatch)
+        assert moves == (m_top - 1, 0), name
+
+
+@pytest.mark.parametrize("objective", sorted(CUBE_OBJECTIVES))
+def test_walk_hands_line_search_the_full_gradients_slope_on_the_cut_cube(objective, monkeypatch):
+    for name in RULES:
+        moves, differing = slopes_against_reference(
+            CUT_CUBE, CUBE_OBJECTIVES[objective], (0, 0, 0), make_rule(name, 3), 64, monkeypatch
+        )
+        assert moves >= 2 and differing == 0, name
 
 
 def test_a_corrupted_cached_linear_price_changes_the_offer_or_raises(monkeypatch):
@@ -746,3 +810,43 @@ def test_writers_match_fraction_references_on_a_capped_run():
     trace = active_set_run(ext.poly, f, vertex_for_t(ext, 0), make_rule("first"), max_iter=5)
     assert trace.terminated == "MaxIterations"
     assert check_integer_outputs(ext, trace) == list(range(6))
+
+
+def entrywise_map_back(direction, scales, mu):
+    """A twin step's x-direction and step, reduced entry by entry: dir_i/s_i = p_i/q_i in lowest
+    terms, Q = lcm(q), the direction p_i (Q/q_i) and the step mu/Q."""
+    reduced = [(a // g, s // g) for a, s in zip(direction, scales) for g in [gcd(a, s)]]
+    wide = lcm(*[q for _, q in reduced])
+    return [p * (wide // q) for p, q in reduced], Fraction(mu[0], mu[1] * wide)
+
+
+@given(
+    st.lists(
+        st.tuples(st.integers(-(10**6), 10**6) | st.integers(-(2**70), 2**70), st.integers(1, 10**7)),
+        min_size=1,
+        max_size=8,
+    ).filter(lambda entries: any(a for a, _ in entries)),
+    st.tuples(st.integers(1, 10**12), st.integers(1, 10**12)),
+)
+@example([(3, 2), (-6, 4)], (1, 1))  # dir/s = (3/2, -3/2)
+@example([(0, 7), (5, 1), (0, 9)], (4, 6))
+@settings(max_examples=300, deadline=None)
+def test_the_writers_direction_map_is_the_entrywise_reduced_one(entries, mu):
+    # The writer maps a twin step back by lifting dir by L/s_i for L = lcm(s),
+    # dividing by the lift's content and writing mu content/L.  That must be
+    # the map reduced entry by entry, which is primitive with no gcd taken
+    # (a prime dividing Q divides neither p_i nor Q/q_i where q_i has its full
+    # power, and one that does not divides every p_i only if it divides every
+    # dir_i), a positive multiple of dir/s, at the same point x + mu dir/s.
+    raw, scales = zip(*entries)
+    content = gcd(*raw)
+    direction = tuple(a // content for a in raw)
+    moved = TraceStep((0,) * len(scales), 1, (0,), direction, mu, (0, 1))
+    last = TraceStep((0,) * len(scales), 1, (0,), None, None, (0, 1))
+    doc = json.loads("[" + activeset._steps_json([moved, last], [None, None], scales) + "]")
+    expected, step = entrywise_map_back(direction, scales, mu)
+    assert gcd(*expected) == 1 and step > 0
+    moves = [Fraction(mu[0] * a, mu[1] * s) for a, s in zip(direction, scales)]
+    assert [step * e for e in expected] == moves  # the same displacement mu dir/s
+    assert doc[0]["direction"] == expected
+    assert doc[0]["mu"] == str(step)

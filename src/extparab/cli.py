@@ -7,8 +7,9 @@ refusal).  All file outputs keep exact ``p/q`` rationals except the
 plotting/experiment CSVs: the plot CSV renders decimals to 12 significant
 digits, the experiment CSV its wall times to 3 decimals.  Files are written
 under ``.part`` names that take the final names only once all are written,
-so a failed command leaves none; ``run`` streams, so its memory is not O(M),
-and walks the tower's equilibrated twin (``activeset.stream_trace``).
+so a failed command renames none of them, except that ``report`` renames each
+d's file when that d ends.  ``run`` streams, so its memory is not O(M), and
+walks the tower's equilibrated twin (``activeset.stream_trace``).
 """
 
 from __future__ import annotations

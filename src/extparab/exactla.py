@@ -12,9 +12,8 @@ values are immutable and safe to share; ``vec`` and ``mat`` coerce inputs to
 them.  Dimensions stay small (d <= ~20, m = 2d), so the containers are dense.
 The hot kernels work on plain ints instead: ``common_denominator`` puts
 rationals over one integer denominator, ``dot`` multiplies two such vectors
-once, and ``primitive`` divides an integer vector by its content.  Its result
-is a tuple subclass only it builds, so the type proves content 1: handed one
-back, it returns that object and takes no gcd.  There is one elimination, the
+once, and ``primitive`` divides an integer vector by its content (one gcd),
+returning a tuple of content 1 as it is.  There is one elimination, the
 fraction-free forward pass, which returns the rank of the columns it is given
 (a column with no pivot left is skipped) and skips the rows a step leaves
 unchanged.  It runs on the mirrored matrix A' (rows and columns reversed): a
@@ -82,23 +81,17 @@ def rank(a: Matrix) -> int:
     return _forward(_mirrored([common_denominator(row)[0] for row in a]), len(a[0]) if a else 0)
 
 
-class _Primitive(tuple):  # an integer vector of content 1, built by ``primitive`` alone
-    __slots__ = ()
-
-
 def primitive(v: Sequence[int]) -> tuple[int, ...]:
     """Unique coprime integer vector with the direction and orientation of the integer vector v.
 
     Divides by the gcd of the entries, which is positive, so the orientation
-    is preserved.  The result is a ``_Primitive``; given one, it returns that
-    object and takes no gcd, so a column an edge pivot kept costs no gcd.
+    is preserved.  The result is a tuple; an exact tuple of content 1 comes
+    back as that object, so a column an edge pivot kept is still the one proven.
     """
-    if type(v) is _Primitive:
-        return v
     g = gcd(*v)
     if g == 0:
         raise ZeroVector("primitive of the zero vector")
-    return _Primitive(v if g == 1 else [x // g for x in v])
+    return tuple(v if g == 1 else [x // g for x in v])
 
 
 def common_denominator(values: Sequence) -> tuple[tuple[int, ...], int]:

@@ -37,7 +37,7 @@ exactly that swap, are the new vertex's, and moves i's edge to b's place.
 Edges are checked in full at the first vertex, and at a pivoted one only at
 the ``fresh`` positions the list names: b's and those whose direction is not
 the very object proven for that facet at the vertex before, which the pivot
-keeps and ``exactla.primitive`` returns as it is, with no gcd.  A kept edge
+keeps and ``exactla.primitive``, after its gcd, returns as it is.  A kept edge
 meets only the entering row anew, in the product the pivot took, once.
 
 ``equilibrated`` gives a polytope's twin in the coordinates y = s * x: its

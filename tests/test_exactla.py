@@ -60,10 +60,13 @@ def test_primitive_divides_by_its_content(entries):
     if all(e == 0 for e in entries):
         return
     ints = exactla.primitive(entries)
-    assert all(type(e) is int for e in ints)
+    assert type(ints) is tuple and all(type(e) is int for e in ints)
     # The input over its content, so every sign is kept and the content is 1.
     g = gcd(*entries)
     assert [a * g for a in ints] == entries and gcd(*ints) == 1
+    # An exact tuple comes back as itself exactly when its content is 1; a list never does.
+    exact = tuple(entries)
+    assert ints is not entries and (exactla.primitive(exact) is exact) == (g == 1)
 
 
 @st.composite
@@ -119,32 +122,35 @@ def test_primitive_keeps_a_vector_of_content_one(monkeypatch):
     assert exactla.primitive([3, -2, 0]) == (3, -2, 0)
     assert exactla.primitive((-1,)) == (-1,)
     assert exactla.primitive([0, -6, 4]) == (0, -3, 2)
-    # A plain content-1 tuple comes back as an equal copy of primitive's own
-    # type, after one gcd.  That result comes back as the same object, with
-    # no gcd, so a column the pivot kept is neither copied nor reduced again.
+    # A tuple of content 1 comes back as the same object, after one gcd, so a
+    # column the pivot kept is neither copied nor reduced; a list of content
+    # 1 comes back as an equal tuple.
     calls = _counting_gcd(monkeypatch)
     for v in ((3, -2, 0), (-1,), (0, 0, 1)):
         ints = exactla.primitive(v)
-        assert ints == v and type(ints) is exactla._Primitive
+        assert ints == v and ints is v
         assert exactla.primitive(ints) is ints
-    assert len(calls) == 3
+        copied = exactla.primitive(list(v))
+        assert copied == v and type(copied) is tuple
+    assert len(calls) == 9
 
 
 @given(st.lists(big_ints, min_size=1, max_size=12).filter(any))
-def test_primitive_returns_its_own_result_without_a_gcd(entries):
+def test_primitive_returns_its_own_result_after_one_gcd(entries):
     with pytest.MonkeyPatch.context() as monkeypatch:
         ints = exactla.primitive(entries)
         calls = _counting_gcd(monkeypatch)
         assert exactla.primitive(ints) is ints
-        assert calls == []
+        assert calls == [ints]
 
 
-def test_primitive_takes_a_gcd_only_for_the_columns_a_pivot_replaced(monkeypatch):
-    # Along the (32,8) path each vertex makes d primitive calls, and the gcds
-    # they take are exactly the columns the pivot did not hand back as the
-    # previous vertex's objects: all d at the start vertex, about 2 later.
+def test_primitive_takes_d_gcds_and_keeps_the_columns_a_pivot_kept(monkeypatch):
+    # Along the (32,8) path each vertex makes d primitive calls, one gcd each.
+    # A column the pivot handed back as the previous vertex's object comes
+    # back from primitive as that object, so the fresh positions are exactly
+    # the columns the pivot replaced: all d at the start vertex, about 2 later.
     ext = build(ConstructionParams(n=32, d=8))
-    d, inside, primitives, gcds, replaced = 8, [False], [], [], []
+    d, inside, primitives, gcds, kept, same, fresh = 8, [False], [], [], [], [], []
     take_primitive, inverse = exactla.primitive, exactla.int_inverse_scaled
     enumerate_edges = polytope.edge_directions
 
@@ -162,14 +168,16 @@ def test_primitive_takes_a_gcd_only_for_the_columns_a_pivot_replaced(monkeypatch
 
     def recorded_inverse(rows, previous=None, swapped=None, products=()):
         columns = inverse(rows, previous, swapped, products)
-        old = set(map(id, previous or ()))
-        replaced.append(sum(id(col) not in old for col in columns))
+        kept.append([(k, col) for k, col in enumerate(columns) if previous and col is previous[k]])
         return columns
 
     def counted_edges(poly, point, pivot=None):
         primitives.append(0)
         gcds.append(0)
-        return enumerate_edges(poly, point, pivot)
+        edges = enumerate_edges(poly, point, pivot)
+        same.append(all(edges.directions[k] is col for k, col in kept[-1]))
+        fresh.append(edges.fresh)
+        return edges
 
     monkeypatch.setattr(exactla, "gcd", counted_gcd)
     monkeypatch.setattr(exactla, "primitive", counted_primitive)
@@ -178,7 +186,10 @@ def test_primitive_takes_a_gcd_only_for_the_columns_a_pivot_replaced(monkeypatch
     f, start = pullback_objective(ext), vertex_for_t(ext, 0)
     trace = active_set_run(ext.poly, f, start, make_rule("first"), 1024)
     assert trace.edge_moves == 255 and primitives == [d] * 256
-    assert gcds == replaced and replaced[0] == d
+    assert gcds == [d] * 256 and all(same) and len(same) == 256
+    assert fresh == [tuple(k for k in range(d) if k not in dict(ks)) for ks in kept]
+    replaced = [d - len(ks) for ks in kept]
+    assert replaced[0] == d
     assert all(c >= 1 for c in replaced[1:]) and sum(replaced[1:]) < 3 * 255
 
 

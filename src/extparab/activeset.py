@@ -24,7 +24,8 @@ vertex.  A trace step holds a vertex, its tight set, the followed direction,
 the step length and the objective value.  ``trace_to_json`` and
 ``trace_plot_rows`` format a whole ``Trace``, and ``stream_trace`` the walk
 in batches, so ``run``'s memory does not depend on the number of vertices;
-each transposes its steps and formats them column by column.
+each transposes its steps and formats them column by column (phi, phi' and
+the decimals a call per column), each trace step with one %-template for its shape.
 
 The iterate is one integer state per vertex, ``polytope.ScaledPoint``:
 numerators over one denominator, with the slacks and tight set evaluated
@@ -57,11 +58,11 @@ import random
 from abc import ABC, abstractmethod
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cached_property
-from itertools import chain, compress, count, islice, repeat, starmap
+from functools import cache, cached_property, partial
+from itertools import chain, compress, count, islice, repeat
 from math import gcd, lcm
 from operator import floordiv, mul, truediv
-from typing import Iterable, Iterator, NamedTuple, Sequence, TextIO
+from typing import Iterator, NamedTuple, Sequence, TextIO
 
 from . import exactla, polytope
 from .deformed import Functional
@@ -76,7 +77,7 @@ from .errors import (
     UnboundedImprovement,
     UnknownRule,
 )
-from .exactla import Matrix, Vector, decimal_text, rational_texts
+from .exactla import Matrix, Vector, decimal_texts, rational_texts
 from .extension import ExtendedParabola
 from .polytope import Edge, HPolytope, ScaledPoint, TightSet
 
@@ -438,45 +439,43 @@ def _trace_head(instance: dict | None) -> str:
     return _TRACE_HEAD.format(instance=json.dumps(instance, indent=2).replace("\n", "\n  "))
 
 
+@cache
+def _step_template(dim: int, rows: int, entries: int) -> str:
+    """_STEP_JSON as a %-template for a step of ``dim`` coordinates, ``rows`` tight rows and
+    ``entries`` direction entries (0: no direction).  It takes t, the vertex texts, the rows,
+    the entries, the mu text ("null" with no direction) and the f text."""
+    vertex, active = f'"{_ITEMS}"'.join(["%s"] * dim), _ITEMS.join(["%d"] * rows)
+    edge = _DIRECTION.format(_ITEMS.join(["%d"] * entries)) if entries else "null"
+    return _STEP_JSON.format("%s", vertex, active, edge, '"%s"' if entries else "%s", "%s")
+
+
 def _steps_json(steps: Sequence[TraceStep], labels: Sequence[int | None], scales: Sequence) -> str:
     """The steps' objects in the trace JSON, labelled ``labels`` and joined.
 
     The steps are transposed and formatted column by column, and mapped back
     from the coordinates y = scales * x they were walked in: x_i is
     nums_i/(denom s_i) in lowest terms, a direction the primitive part of
-    dir_i (L/s_i) for L = lcm(s), and its step mu content/L.  Only the last
-    step may have no direction.
+    dir_i (L/s_i) for L = lcm(s), and its step mu content/L.  Each step is
+    then one ``_step_template`` for its shape.  Only the last step may have
+    no direction.
     """
     nums, denoms, tights, directions, mus, values = zip(*steps)
     moved, wide = len(steps) - (directions[-1] is None), lcm(*scales)
     columns = zip(zip(*nums), scales)
     vertices = zip(*[rational_texts(x, [q * s for q in denoms]) for x, s in columns])
-    facets = list(map(str, range(1 + max(map(max, tights)))))  # the texts of row indices
-    edges, steps_mu = ["null"] * len(steps), ["null"] * len(steps)
+    edges, steps_mu = [()] * len(steps), ["null"] * len(steps)
     if moved:
-        lifted = [[a * (wide // s) for a in d] for d, s in zip(zip(*directions[:moved]), scales)]
+        lifts = zip(zip(*directions[:moved]), scales)
+        lifted = [list(map(mul, d, repeat(wide // s))) for d, s in lifts]
         contents = list(map(gcd, *lifted))
-        entries = zip(*[map(str, map(floordiv, d, contents)) for d in lifted])
-        edges[:moved] = map(_DIRECTION.format, map(_ITEMS.join, entries))
-        mu_nums, mu_dens = zip(*mus[:moved])
-        mu_texts = rational_texts(list(map(mul, mu_nums, contents)), [q * wide for q in mu_dens])
-        steps_mu[:moved] = map('"{}"'.format, mu_texts)
-    return _STEPS_SEP.join(
-        map(
-            _STEP_JSON.format,
-            ["null" if t is None else str(t) for t in labels],
-            map(f'"{_ITEMS}"'.join, vertices),
-            map(_ITEMS.join, map(map, repeat(facets.__getitem__), tights)),
-            edges,
-            steps_mu,
-            rational_texts(*zip(*values)),
-        )
-    )
-
-
-def _plot_columns(labels: Sequence[int | None], *pairs: Iterable[tuple[int, int]]) -> tuple:
-    """The plot CSV's columns: the t labels, then phi, phi' and f from their value pairs."""
-    return ["" if t is None else str(t) for t in labels], *map(starmap, repeat(decimal_text), pairs)
+        edges[:moved] = zip(*[map(floordiv, d, contents) for d in lifted])
+        mu_pairs = [(a * c, q * wide) for (a, q), c in zip(mus, contents)]
+        steps_mu[:moved] = rational_texts(*zip(*mu_pairs))
+    labels = ["null" if t is None else t for t in labels]
+    shaped = zip(labels, vertices, tights, edges, steps_mu, rational_texts(*zip(*values)))
+    template = partial(_step_template, len(scales))
+    texts = [template(len(a), len(e)) % (t, *v, *a, *e, m, f) for t, v, a, e, m, f in shaped]
+    return _STEPS_SEP.join(texts)
 
 
 def trace_to_json(trace: Trace, instance: dict | None, t_values: Sequence[int | None]) -> str:
@@ -500,9 +499,13 @@ def trace_plot_rows(
     """The steps' CSV strings (t, phi, phi_prime, f) from ``phi_values``, one
     ``Functional.scaled_at`` pair per step (DimensionMismatch otherwise); decimals only here."""
     _check_one_per_step(trace, phi_values, "phi values")
-    primes = [ext.phi_prime.scaled_at(s.nums, s.denom) for s in trace.steps]
-    labels = [grid_index(ext, *p) for p in phi_values]
-    return list(zip(*_plot_columns(labels, phi_values, primes, [s.f_value for s in trace.steps])))
+    if not trace.steps:
+        return []
+    nums, denoms, *_, values = zip(*trace.steps)
+    primes = ext.phi_prime.scaled_columns(list(zip(*nums)), denoms)
+    labels = ["" if (t := grid_index(ext, *p)) is None else str(t) for p in phi_values]
+    pairs = zip(*phi_values), primes, zip(*values)
+    return list(zip(labels, *[decimal_texts(*pair) for pair in pairs]))
 
 
 def stream_trace(
@@ -534,11 +537,14 @@ def stream_trace(
     visited, separator = 0, ""
     while steps := [(last := record)[2] for record in islice(records, _BATCH)]:
         nums, denoms, *_, values = zip(*steps)
-        phis = list(map(phi.scaled_at, nums, denoms))
-        labels = [grid_index(ext, *p) for p in phis]
+        columns = list(zip(*nums))
+        phis = phi.scaled_columns(columns, denoms)
+        labels = list(map(grid_index, repeat(ext), *phis))
         trace_out.write(separator + _steps_json(steps, labels, scales))
-        columns = _plot_columns(labels, phis, map(phi_prime.scaled_at, nums, denoms), values)
-        plot_out.write("".join(map("{},{},{},{}\n".format, *columns)))
+        primes = phi_prime.scaled_columns(columns, denoms)
+        texts = [decimal_texts(*pair) for pair in (phis, primes, zip(*values))]
+        blanks = ["" if t is None else t for t in labels]
+        plot_out.write("".join(map("{},{},{},{}\n".format, blanks, *texts)))
         visited, separator = visited + len(steps), _STEPS_SEP
     terminated = "MaxIterations" if last[1] else "Optimal"
     tail = _TRACE_TAIL.format(moves=visited - 1, terminated=json.dumps(terminated))

@@ -57,6 +57,14 @@ def int_list(text: str) -> list[int]:
     return _non_empty([int(part) for part in text.split(",") if part], text)
 
 
+def tower_dims(text: str) -> list[int]:
+    """Tower dimensions as '4,6,8', each one that ``ConstructionParams(n=4d, d)`` accepts."""
+    try:
+        return [ConstructionParams(n=4 * d, d=d).d for d in int_list(text)]
+    except BadParameters as exc:
+        raise ValueError(text) from exc
+
+
 def rule_list(text: str) -> list[str]:
     """Pivot rule names as 'first,last'; index raises ValueError on an unknown name."""
     names = activeset.RULE_NAMES
@@ -289,7 +297,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_report = sub.add_parser(
         "report", help="path certificates and iteration counts across dimensions"
     )
-    p_report.add_argument("--d", type=int_list, required=True, help="comma list, e.g. 4,6,8")
+    p_report.add_argument("--d", type=tower_dims, required=True, help="comma list, e.g. 4,6,8")
     p_report.add_argument("--rules", type=rule_list, default="first,last,random")
     p_report.add_argument("--seeds", type=seed_spec, default="1..10", help="'1..10' or '1,2,3'")
     p_report.add_argument("--out", default=None, help="CSV path prefix")

@@ -25,8 +25,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
+from itertools import repeat
 from math import gcd
-from operator import mul
+from operator import add, mul
 from typing import Iterable, Sequence
 
 from . import exactla, polytope
@@ -59,6 +60,15 @@ class Functional:
         """The value at nums/denom (denom > 0) as the unreduced pair (S coeffs . nums, S denom)."""
         indices, ints, scale = self._support
         return sum(map(mul, ints, map(nums.__getitem__, indices))), scale * denom
+
+    def scaled_columns(self, columns: Sequence, denoms: Sequence[int]) -> tuple[list, list]:
+        """``scaled_at`` at every point k, whose coordinates are columns[i][k] over denoms[k]: the
+        numerators and the denominators, each a list, one column product per nonzero coefficient."""
+        indices, ints, scale = self._support
+        values = repeat(0, len(denoms))
+        for i, a in zip(indices, ints):
+            values = map(add, values, map(mul, repeat(a), columns[i]))
+        return list(values), [scale * q for q in denoms]
 
     @classmethod
     def coordinate(cls, dim: int, index: int) -> "Functional":
@@ -131,7 +141,8 @@ def dp_vrep(
         if len(v) != len(w):
             raise DimensionMismatch(f"fiber pair {k}: v has dim {len(v)}, w has dim {len(w)}")
         pairs.append(exactla.common_denominator((*v, *w)))
-    return [extend(p, pair, *phi.scaled_at(*p)) for p in p_states for pair in pairs]
+    sigmas = [phi.scaled_at(*p) for p in p_states]  # phi(p) once per p, for all its pairs
+    return [extend(p, pair, *sigma) for p, sigma in zip(p_states, sigmas) for pair in pairs]
 
 
 @dataclass(frozen=True)

@@ -27,12 +27,12 @@ in one row and that row's products with them, pivots them in one
 fraction-free rank-one update with those multipliers, which leaves every
 column the new row annihilates as it was, so an edge walk, which swaps one
 tight row per move, gets each vertex's inverse from the last one's.
-``rational_texts`` and ``decimal_text`` format integer pairs.
+``rational_texts`` and ``decimal_texts`` format integer pairs, pairwise over two columns.
 """
 
 from __future__ import annotations
 
-from decimal import Context, Decimal
+from decimal import Context
 from fractions import Fraction
 from math import gcd, lcm
 from operator import mul
@@ -211,11 +211,10 @@ def rational_texts(nums: Sequence[int], denoms: Sequence[int]) -> list[str]:
 _DECIMAL = Context(prec=12)
 
 
-def decimal_text(numerator: int, denominator: int) -> str:
-    """numerator/denominator as a decimal string to 12 significant digits.
+def decimal_texts(nums: Sequence[int], denoms: Sequence[int]) -> list[str]:
+    """a/q for a in nums and q > 0 in denoms, pairwise, as decimals to 12 significant digits.
 
-    The division is correctly rounded (half even), so the text depends on the
-    value only.  Only the CSV emitters use this; every other format keeps
-    exact ``p/q``.
+    Each division is correctly rounded (half even), so a text depends on the
+    value only.  Only the CSV emitters use this; every other format keeps p/q.
     """
-    return str(_DECIMAL.divide(Decimal(numerator), Decimal(denominator)))
+    return list(map(str, map(_DECIMAL.divide, nums, denoms)))

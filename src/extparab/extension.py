@@ -343,9 +343,11 @@ def verify_construction(ext: ExtendedParabola) -> ConstructionReport:
 
     # On the grid, phi = t/(M - 1) and phi' = t (t - M + 1)/(M - 1)^2.
     steps, off_grid = m_top - 1, []
-    phis = [ext.phi.scaled_at(*state) for state in states]  # (numerator, denominator > 0)
-    for t, state in enumerate(states):
-        (p, q), (r, u) = phis[t], ext.phi_prime.scaled_at(*state)
+    nums, denoms = zip(*states)
+    columns = list(zip(*nums))
+    phis = list(zip(*ext.phi.scaled_columns(columns, denoms)))  # (numerator, denominator > 0)
+    primes = zip(*ext.phi_prime.scaled_columns(columns, denoms))
+    for t, ((p, q), (r, u)) in enumerate(zip(phis, primes)):
         if p * steps != t * q or r * steps * steps != t * (t - steps) * u:
             off_grid.append(t)
     checks.append(

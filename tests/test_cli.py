@@ -112,23 +112,30 @@ def test_run_first_rule(tmp_path, capsys):
 def test_run_evaluates_phi_once_per_step(tmp_path, capsys, monkeypatch):
     # The trace's t labels and the plot's t and phi columns share one phi
     # value per step; phi' is the only other functional evaluated.  Both are
-    # evaluated on the steps' integer state, never on Fraction vertices: a
-    # Functional is not callable, and the call put in place here refuses.
-    calls = []
-    real_scaled_at = deformed.Functional.scaled_at
+    # evaluated a batch at a time on the steps' integer state, never on
+    # Fraction vertices and never point by point: a Functional is not
+    # callable, and the calls put in place here refuse.
+    points = {}  # the coefficients of each functional evaluated -> points it was evaluated at
+    real_scaled_columns = deformed.Functional.scaled_columns
 
-    def counting(self, nums, denom):
-        calls.append(self)
-        return real_scaled_at(self, nums, denom)
+    def counting(self, columns, denoms):
+        ints = [*denoms, *(x for column in columns for x in column)]
+        assert ints and all(type(x) is int for x in ints)
+        points[self.coeffs] = points.get(self.coeffs, 0) + len(denoms)
+        return real_scaled_columns(self, columns, denoms)
 
-    def refuse(self, x):
-        raise AssertionError("run evaluated a functional on a Fraction vertex")
+    def refuse(self, *args):
+        raise AssertionError("run evaluated a functional on a Fraction vertex or point by point")
 
-    monkeypatch.setattr(deformed.Functional, "scaled_at", counting)
+    monkeypatch.setattr(deformed.Functional, "scaled_columns", counting)
+    monkeypatch.setattr(deformed.Functional, "scaled_at", refuse)
     monkeypatch.setattr(deformed.Functional, "__call__", refuse, raising=False)
     assert run_cli(["run", "--d", "8", "--out", str(tmp_path / "run8")]) == 0
     capsys.readouterr()
-    assert len(calls) == 2 * 256
+    ext = build(ConstructionParams(n=32, d=8))
+    _, scales = polytope.equilibrated(ext.poly)
+    phis = [tuple(a / s for a, s in zip(g.coeffs, scales)) for g in (ext.phi, ext.phi_prime)]
+    assert points == {phi: 256 for phi in phis}
 
 
 def test_run_random_seed_matches_first(tmp_path):
@@ -435,6 +442,17 @@ def test_report_table(tmp_path, capsys):
     csv_lines = (tmp_path / "rep_d4.csv").read_text().strip().splitlines()
     assert csv_lines[0] == "rule,seed,vertices_visited,edge_moves,loop_iterations,wall_time_ms"
     assert len(csv_lines) == 1 + 2 + 3  # first, last, random x 3 seeds
+
+
+@pytest.mark.parametrize("dims", ["4,3", "4,0", "4,-2", "3", "4,,5"])
+def test_report_refuses_a_bad_d_before_any_work(tmp_path, capsys, dims):
+    # Every d must be even and >= 2; a bad one later in the list is a usage
+    # error before the first d is built, so no file and no result row exist.
+    prefix = str(tmp_path / "P")
+    argv = ["report", "--d", dims, "--rules", "first", "--seeds", "1", "--out", prefix]
+    assert run_cli(argv) == 2
+    assert "d=" not in capsys.readouterr().out
+    assert list(tmp_path.iterdir()) == []
 
 
 def test_report_detects_objective_fault(capsys):

@@ -202,12 +202,21 @@ def test_extend_matches_fraction_arithmetic(case):
     assert fraction_coords(out) == expected and out == state(expected)
 
 
-def test_dp_vrep_count_multiplies():
+def test_dp_vrep_count_multiplies(monkeypatch):
+    # m inner vertices times n fiber pairs, with phi evaluated once per inner vertex.
     fam_v = polygons.build_family(4, 4, "V")
     fam_w = polygons.build_family(4, 4, "W")
     base = [polygons.h(F(t, 3)) for t in range(4)]
+    points, real_scaled_at = [], Functional.scaled_at
+
+    def counting(g, nums, denom):
+        points.append((nums, denom))
+        return real_scaled_at(g, nums, denom)
+
+    monkeypatch.setattr(Functional, "scaled_at", counting)
     out = dp_vrep(states(base), Functional.coordinate(2, 0), fam_v.points, fam_w.points)
     assert len(out) == len(base) * 4
+    assert points == states(base)
 
 
 def test_dp_verify_q4():
@@ -257,6 +266,14 @@ def test_functional_reads_only_its_nonzero_coefficients():
     for x in ((5, F(3, 2), 7, F(1, 4)), (9, 3, 9, 0), (F(-1, 7), 0, 1, F(2, 5))):
         assert F(*phi.scaled_at(*state(x))) == functional_value(phi, x) == exactla.dot(phi.coeffs, x)
     assert phi.scaled_at((9, 3, 9, 0), 1) == (3, 3)
+    # scaled_columns gives scaled_at's pairs at every point of the columns,
+    # as a numerator list and a denominator list; the zero functional gives 0s.
+    states = [state(x) for x in ((5, F(3, 2), 7, F(1, 4)), (9, 3, 9, 0), (F(-1, 7), 0, 1, F(2, 5)))]
+    columns, denoms = list(zip(*[nums for nums, _ in states])), [q for _, q in states]
+    for g in (phi, Functional((0, 0, 0, 0)), Functional((1, F(-2, 5), 3, F(1, 2)))):
+        expected = [g.scaled_at(*s) for s in states]
+        assert g.scaled_columns(columns, denoms) == tuple(map(list, zip(*expected)))
+    assert phi.scaled_columns([(), (), (), ()], []) == ([], [])
     with pytest.raises(DimensionMismatch):
         functional_value(phi, (1, 2, 3))
 

@@ -406,8 +406,8 @@ def test_exact_addition_cancels(a, b):
 
 
 def test_decimal_text_is_display_only():
-    assert exactla.decimal_text(1, 150) == "0.00666666666667"
-    assert exactla.decimal_text(6, 2) == "3"
+    assert exactla.decimal_texts([1, 6], [150, 2]) == ["0.00666666666667", "3"]
+    assert exactla.decimal_texts([], []) == []
 
 
 # Numerators (zero, negative, whole multiples of the denominator) over a
@@ -427,13 +427,16 @@ def test_rational_texts_match_fraction_str(pairs, factor):
     assert exactla.rational_texts(nums, denoms) == [str(F(a, q)) for a, q in pairs]
 
 
-@given(numerators, denominators, factors)
-@example(0, 7, 3)
-@example(-1, 150, 2)
-@example(10**15, 1, 1)
-@example(3, 1, 5)
-def test_decimal_text_matches_local_context_form(numerator, denominator, factor):
-    value = F(numerator, denominator)
-    text = exactla.decimal_text(numerator * factor, denominator * factor)
-    assert text == reference_to_decimal(value)
-    assert text == exactla.decimal_text(value.numerator, value.denominator)
+@given(st.lists(st.tuples(numerators, denominators), max_size=6), factors)
+@example([(0, 7)], 3)
+@example([(-1, 150)], 2)
+@example([(10**15, 1), (3, 1)], 5)
+@example([(3, 1), (-1, 150), (0, 7)], 1)
+def test_decimal_text_matches_local_context_form(pairs, factor):
+    # Pairwise over the columns, each text the value's alone: scaling a pair
+    # or reducing it to lowest terms gives the same text.
+    values = [F(a, q) for a, q in pairs]
+    texts = exactla.decimal_texts([a * factor for a, _ in pairs], [q * factor for _, q in pairs])
+    assert texts == [reference_to_decimal(value) for value in values]
+    lowest = [v.numerator for v in values], [v.denominator for v in values]
+    assert texts == exactla.decimal_texts(*lowest)

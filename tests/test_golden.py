@@ -66,6 +66,25 @@ RUN_OTHER = {
             "plot.csv": "8c8aa4bdb384cb0f8552c3d2fcdf3ccc3071a2e2a0c1dc2b716731afaa5cfd1e",
         },
     ),
+    # The smallest step shape (two coordinates, two tight rows), and a trace
+    # of one step that has no direction (exit 1).  Taken before each step was
+    # written with one template for its shape.
+    "d2": (
+        ["--d", "2"],
+        0,
+        {
+            "trace.json": "45dfb48fd66ecf16f7e3451ffcb3effb3a45f742b2fa7b901ac3bc84d4185fbd",
+            "plot.csv": "a1e81e08ad5685ba01ffcb79e60a20b511c19cf79f25fd4900dd0b0a99294be6",
+        },
+    ),
+    "d4-max-iter-0": (
+        ["--d", "4", "--max-iter", "0"],
+        1,
+        {
+            "trace.json": "774a436ac414b4c8a5394e271dcc4fc27a10937a255894e111e64d44f4e7826f",
+            "plot.csv": "d61b8957f5f0a11c755ac5b3e6ee556e790de3a4d6b4516eabfa9eb341285571",
+        },
+    ),
 }
 CERTIFICATE_N48_D6 = "f052096e69ae72405847851ac84af3bbf5497d296b46059d5cab0049c5d2650b"
 VERIFY_REPORTS = {

@@ -25,7 +25,7 @@ The trace and plot writers read the steps' integer state; every text they
 write must equal the one derived from the step's Fraction vertex with
 ``functional_value`` (phi and phi' by ``exactla.dot``), ``str(Fraction)``,
 ``grid_index`` and ``reference_to_decimal``, the decimal rendering in a local context per value
-that ``exactla.decimal_text`` replaced.
+that ``exactla.decimal_texts`` replaced.
 """
 
 import json
@@ -740,6 +740,13 @@ def test_trace_writer_matches_json_dumps():
     instance = {"n": 16, "d": 4, "M": 16, "c": "9/10", "note": 'quote " and \\ slash'}
     off_grid = [None if t % 3 == 1 else t for t in on_grid]
     cube = active_set_run(CUT_CUBE, CUBE_OBJECTIVES["convex"], (0, 0, 0), make_rule("last"), 64)
+    # Each step is written with the template for its own shape: one, three
+    # and four tight rows in one trace.
+    shapes = (
+        TraceStep((1, -2, 0), 3, (0,), (1, 0, -1), (1, 2), (1, 3)),
+        TraceStep((5, -2, -1), 6, (0, 4, 7), (0, 2, 1), (3, 1), (5, 6)),
+        TraceStep((11, 4, 5), 6, (1, 2, 10, 11), None, None, (-7, 2)),
+    )
     cases = [
         (full, instance, on_grid),
         (capped, instance, on_grid[:4]),
@@ -748,6 +755,7 @@ def test_trace_writer_matches_json_dumps():
         (full, instance, off_grid),
         (Trace(steps=(), edge_moves=0, terminated="Optimal"), None, []),
         (cube, None, [None] * len(cube.steps)),
+        (Trace(steps=shapes, edge_moves=2, terminated="Optimal"), instance, [None, 1, 2]),
     ]
     for trace, inst, t_values in cases:
         expected = json.dumps(trace_to_json_dict(trace, inst, t_values), indent=2)

@@ -29,26 +29,24 @@ the decimals a call per column), each trace step with one %-template for its sha
 
 The iterate is one integer state per vertex, ``polytope.ScaledPoint``:
 numerators over one denominator, with the slacks and tight set evaluated
-once; ``polytope`` owns it, with its row and slack formats.  Objectives keep
-their form with denominators cleared and evaluate the curvature along an
-edge and the objective value on that state, over the nonzero rows of the
-quadratic part only (on the tower it has a single one).  Step lengths and
-values are integer pairs (numerator, denominator > 0), compared by
-cross-multiplication: no Fraction is built on a move.  ``walk`` prices a
+once.  Objectives keep their form with denominators cleared and evaluate the
+curvature along an edge and the objective value on that state, over the
+nonzero rows of the quadratic part only (on the tower it has one).  Step
+lengths and values are integer pairs (numerator, denominator > 0), compared
+by cross-multiplication: no Fraction is built on a move.  ``walk`` prices a
 vertex's edges by G . dir = D (l . dir) + sum of dir_i (G_i - D l_i) over
 those rows, for G = 2 S quad X + D S linear, which it never forms, and keeps
-each l . dir in a table by facet: l is fixed, so only the ``fresh`` edges
+each l . dir in a table by facet: only the ``fresh`` edges
 ``edge_directions`` names (about 2 of 12 at d = 12) are priced again, and
 the followed edge's l . dir is taken afresh and checked against the table.
-The rule, the trace steps (without slacks) and the writers take that state
-too; no Fraction vertex is built on it.
 
-``stream_trace``, the walk ``run`` writes, runs on the twin from
-``polytope.equilibrated`` (y = s * x), whose tower vertices are integer
-points over 1 or 9, so at d = 12 their numerators, slacks and edges fit in
-one 30-bit digit; its rule is offered the twin's vertex and directions, and
-it maps each step back to x, coordinate by coordinate, as it writes it.
-``active_set_run`` and the path certificate walk the polytope they are given.
+``walk`` and ``active_set_run`` walk the polytope they are given; every
+walk of the tower is on its twin (``ExtendedParabola.twin``, y = s * x),
+whose vertices are integer points over 1 or 9, so at d = 12 their
+numerators, slacks and edges fit in one 30-bit digit.  ``stream_trace``, the
+walk ``run`` writes, offers its rule the twin's vertex and directions and
+maps each step back to x as it writes it; the path certificate and
+``report``'s runs compare y states.
 """
 
 from __future__ import annotations
@@ -65,7 +63,6 @@ from operator import floordiv, mul, truediv
 from typing import Iterator, NamedTuple, Sequence, TextIO
 
 from . import exactla, polytope
-from .deformed import Functional
 from .errors import (
     BadParameters,
     DegenerateVertex,
@@ -527,11 +524,11 @@ def stream_trace(
     newline, and a header over its ``trace_plot_rows``, formatted ``_BATCH``
     steps at a time and mapped back to x by ``_steps_json``; phi and phi' are
     rescaled to y.  Returns (vertices visited, terminated)."""
-    twin, scales = polytope.equilibrated(ext.poly)
+    twin, scales = ext.twin, ext.scales
     f_y = f.rescaled(scales)
     start = start_point(twin, f_y, [x * s for x, s in zip(x0, scales)])
     records = walk(twin, f_y, start, rule, max_iter)
-    phi, phi_prime = (Functional(map(truediv, g.coeffs, scales)) for g in (ext.phi, ext.phi_prime))
+    phi, phi_prime = (g.rescaled(scales) for g in (ext.phi, ext.phi_prime))
     trace_out.write(_trace_head(instance) + _STEPS_OPEN)
     plot_out.write("t,phi,phi_prime,f\n")
     visited, separator = 0, ""

@@ -8,8 +8,10 @@ plotting/experiment CSVs: the plot CSV renders decimals to 12 significant
 digits, the experiment CSV its wall times to 3 decimals.  Files are written
 under ``.part`` names that take the final names only once all are written,
 so a failed command renames none of them, except that ``report`` renames each
-d's file when that d ends.  ``run`` streams, so its memory is not O(M), and
-walks the tower's equilibrated twin (``activeset.stream_trace``).
+d's file when that d ends.  ``run`` streams, so its memory is not O(M).
+Every command but ``scan`` checks and walks the tower's equilibrated twin
+y = s * x and writes x: ``.ine`` from the tower's own rows, ``.ext`` and the
+trace mapped back.
 """
 
 from __future__ import annotations
@@ -163,8 +165,8 @@ def cmd_verify(args) -> int:
         poly = extension.stage_polytope(ext, dim)
         points = extension.stage_vertices(ext, dim)
         if args.inject_fault == "vertex" and dim == stages[-1]:
-            (first, *rest), denom = points[0]  # coordinate 0 moved by +1
-            points[0] = (first + denom, *rest), denom
+            (first, *rest), denom = points[0]  # x_0 moved by +1: y_0 by s_0
+            points[0] = (first + ext.scales[0] * denom, *rest), denom
         dp_report = deformed.dp_verify(poly, points, expected_count=params.level_m(dim))
         level_reports.append({"dim": dim, **dp_report.to_json_dict()})
 

@@ -27,7 +27,7 @@ from fractions import Fraction
 from functools import cached_property
 from itertools import repeat
 from math import gcd
-from operator import add, mul
+from operator import add, mul, truediv
 from typing import Iterable, Sequence
 
 from . import exactla, polytope
@@ -69,6 +69,10 @@ class Functional:
         for i, a in zip(indices, ints):
             values = map(add, values, map(mul, repeat(a), columns[i]))
         return list(values), [scale * q for q in denoms]
+
+    def rescaled(self, scales: Sequence[int]) -> "Functional":
+        """This functional in the coordinates y = scales * x: coefficients coeffs / scales."""
+        return Functional(map(truediv, self.coeffs, scales))
 
     @classmethod
     def coordinate(cls, dim: int, index: int) -> "Functional":

@@ -19,17 +19,18 @@ top level into (fiber vertex (j, l), recursive index s), recurse, and append
 the interpolated fiber point.  ``verify_construction`` machine-checks every
 claimed property of the tower with zero tolerance.
 
-The t-map builds each vertex once per tower object, as its integer state
-(numerators over one denominator in lowest terms): ``deformed.extend``
-interpolates the fiber pair with the sweep value s/(m-1), after a sweep check
-by cross-multiplication.  The states are kept in a dict on the
-``ExtendedParabola`` keyed by (dim, t); ``vertex_for_t`` makes Fractions of
-one, and ``all_vertices`` returns the top stage's own state objects.
-``stage_vertices`` keeps each stage's product-map states (``dp_vrep``) keyed
-by dim.  Both depend on the frozen tower's fields alone, and the dicts live
-and die with the object (``dataclasses.replace`` starts empty ones).  The
-maps stay apart, so ``deformed.dp_verify``, the one vertex-set check, is run
-on each map's states and not only on the t-map's.
+Both vertex maps and every check run in one integer coordinate system, the
+twin y = s * x from ``polytope.equilibrated`` (the tower's ``scales`` and
+``twin``, each made on first use); each stage's twin (``stage_polytope``) is
+the top twin's first rows on its first coordinates.  The t-map builds each
+vertex once per tower, keyed by (dim, t), as its y state in lowest terms:
+``deformed.extend`` interpolates the fiber pair, scaled by the level's two
+tail scales, with the sweep value s/(m-1), after a sweep check.
+``stage_vertices`` keeps each stage's product-map (``dp_vrep``) y states.
+The memos die with the frozen tower (``dataclasses.replace`` starts empty
+ones), and the maps stay apart, so ``deformed.dp_verify`` is run on each
+map's states.  ``vertex_for_t`` and ``all_vertices`` (the ``.ext`` file) map
+back to x.
 """
 
 from __future__ import annotations
@@ -37,8 +38,10 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property, cmp_to_key
+from math import gcd, lcm
+from operator import mul
 
-from . import exactla, polygons
+from . import exactla, polygons, polytope
 from .deformed import Functional, dp_hrep, dp_verify, dp_vrep, extend
 from .errors import BadParameters, InternalMismatch, OutOfRange
 from .exactla import Matrix, Vector
@@ -101,12 +104,6 @@ class Level:
     beta_prime: Vector
     product: HPolytope
 
-    @cached_property
-    def _int_fibers(self) -> tuple[State, ...]:
-        # Each aligned fiber pair (v_k, w_k) as one state: integers V_k, then W_k, over E_k.
-        pairs = zip(self.fiber_start.points, self.fiber_end.points)
-        return tuple(exactla.common_denominator(v + w) for v, w in pairs)
-
 
 @dataclass(frozen=True)
 class ExtendedParabola:
@@ -119,14 +116,47 @@ class ExtendedParabola:
     levels: tuple[Level, ...]
 
     @cached_property
+    def scales(self) -> tuple[int, ...]:
+        """s of the twin's coordinates y = s * x, read off ``poly`` without building the twin."""
+        return polytope.column_scales(self.poly)
+
+    @cached_property
+    def twin(self) -> HPolytope:
+        """``poly`` in the coordinates y = s * x (``polytope.equilibrated``), built on first use."""
+        return polytope.equilibrated(self.poly)[0]
+
+    @cached_property
     def _vertices(self) -> dict[tuple[int, int], State]:
-        # The t-map's vertex t of the dimension-dim stage as its integer state, keyed by (dim, t).
+        # The t-map's vertex t of the dimension-dim stage as its y state, keyed by (dim, t).
         return {}
 
     @cached_property
+    def _fibers(self) -> tuple[tuple[State, ...], ...]:
+        # Per level, each aligned fiber pair (v_k, w_k) in y: integers V_k, then W_k, over E_k.
+        pairs = (zip(*_twin_fibers(self, level)) for level in self.levels)
+        return tuple(tuple(exactla.common_denominator(v + w) for v, w in p) for p in pairs)
+
+    @cached_property
+    def _stage_twins(self) -> dict[int, HPolytope]:
+        # stage_polytope's twins keyed by dim; the top stage's is the tower's own.
+        return {self.params.d: self.twin}
+
+    @cached_property
     def _stage_vertices(self) -> dict[int, tuple[State, ...]]:
-        # stage_vertices' product-map states keyed by dim, from the base grid h(t/(N-1)).
-        return {2: tuple(map(exactla.common_denominator, self.base_vertices.points))}
+        # stage_vertices' product-map y states keyed by dim, from the base grid h(t/(N-1)).
+        return {2: tuple(_twin_state(self, x) for x in self.base_vertices.points)}
+
+
+def _twin_state(ext: ExtendedParabola, x: Vector) -> State:
+    """The y state of a point x given by its leading coordinates."""
+    return exactla.common_denominator(tuple(map(mul, x, ext.scales)))
+
+
+def _twin_fibers(ext: ExtendedParabola, level: Level) -> tuple[list[Vector], list[Vector]]:
+    """The level's fiber vertices v_k and w_k in y, scaled by its two tail scales."""
+    tail = ext.scales[level.source_dim : level.source_dim + 2]
+    fibers = level.fiber_start.points, level.fiber_end.points
+    return tuple([tuple(map(mul, x, tail)) for x in points] for points in fibers)
 
 
 def level_functional(i: int) -> Functional:
@@ -156,43 +186,22 @@ def build(params: ConstructionParams) -> ExtendedParabola:
         b_rows, beta = polygons.polygon_hrep(fiber_start)
         b_rows_end, beta_prime = polygons.polygon_hrep(fiber_end)
         if b_rows != b_rows_end:
-            raise BadParameters(
-                f"fiber polygons at dimension {i} are not normally equivalent"
-            )
+            raise BadParameters(f"fiber polygons at dimension {i} are not normally equivalent")
         current = dp_hrep(current, level_functional(i), b_rows, beta, beta_prime)
-        levels.append(
-            Level(
-                source_dim=i,
-                m_level=m_level,
-                fiber_start=fiber_start,
-                fiber_end=fiber_end,
-                b_rows=b_rows,
-                beta=beta,
-                beta_prime=beta_prime,
-                product=current,
-            )
-        )
+        level = Level(i, m_level, fiber_start, fiber_end, b_rows, beta, beta_prime, current)
+        levels.append(level)
 
     phi = level_functional(params.d)
     m_top = params.vertex_count
     weights = [Fraction(0)] * params.d
     for k in range(1, params.d // 2 + 1):
-        m_2k = params.level_m(2 * k)
-        weights[2 * k - 1] = Fraction(m_2k - 1, m_top - 1) ** 2
+        weights[2 * k - 1] = Fraction(params.level_m(2 * k) - 1, m_top - 1) ** 2
     phi_prime = Functional(tuple(weights))
 
     if exactla.dot(phi.coeffs, phi_prime.coeffs) != 0:
         raise BadParameters("projection functionals are not orthogonal")
 
-    return ExtendedParabola(
-        params=params,
-        poly=current,
-        phi=phi,
-        phi_prime=phi_prime,
-        base=base,
-        base_vertices=base_verts,
-        levels=tuple(levels),
-    )
+    return ExtendedParabola(params, current, phi, phi_prime, base, base_verts, tuple(levels))
 
 
 def decompose_t(t: int, m_level: int, n_fiber: int) -> tuple[int, int, int]:
@@ -218,7 +227,7 @@ def decompose_t(t: int, m_level: int, n_fiber: int) -> tuple[int, int, int]:
 
 
 def state_for_t(ext: ExtendedParabola, t: int) -> State:
-    """The unique vertex of Q with phi value t/(M - 1), as its integer state."""
+    """The unique vertex of Q with phi value t/(M - 1), as its integer state in y = s * x."""
     m_top = ext.params.vertex_count
     if not 0 <= t <= m_top - 1:
         raise OutOfRange(f"t = {t} outside 0..{m_top - 1}")
@@ -226,9 +235,9 @@ def state_for_t(ext: ExtendedParabola, t: int) -> State:
 
 
 def vertex_for_t(ext: ExtendedParabola, t: int) -> Vector:
-    """The unique vertex of Q with phi value t/(M - 1)."""
+    """The unique vertex of Q with phi value t/(M - 1), in x."""
     nums, denom = state_for_t(ext, t)
-    return tuple(Fraction(a, denom) for a in nums)
+    return tuple(Fraction(a, denom * s) for a, s in zip(nums, ext.scales))
 
 
 def _vertex_at_dim(ext: ExtendedParabola, dim: int, t: int) -> State:
@@ -237,37 +246,51 @@ def _vertex_at_dim(ext: ExtendedParabola, dim: int, t: int) -> State:
     if state is not None:
         return state
     if dim == 2:
-        state = exactla.common_denominator(polygons.h(Fraction(t, ext.params.fiber_count - 1)))
+        state = _twin_state(ext, polygons.h(Fraction(t, ext.params.fiber_count - 1)))
     else:
         level = ext.levels[(dim - 4) // 2]
         j, l, s = decompose_t(t, level.m_level, ext.params.fiber_count)
         nums, denom = inner = _vertex_at_dim(ext, dim - 2, s)
         steps = level.m_level - 1
-        # x_{dim-3}, the sweep coordinate that level_functional(dim - 2) reads, is s/steps.
-        if nums[dim - 4] * steps != s * denom:
+        # Coordinate dim - 4 (y over its scale), which level_functional(dim - 2) reads, is s/steps.
+        if nums[dim - 4] * steps != s * denom * ext.scales[dim - 4]:
             raise InternalMismatch(f"inner vertex {s} misses sweep value {Fraction(s, steps)}")
-        state = extend(inner, level._int_fibers[2 * j + l], s, steps)
+        state = extend(inner, ext._fibers[(dim - 4) // 2][2 * j + l], s, steps)
     memo[dim, t] = state
     return state
 
 
 def all_vertices(ext: ExtendedParabola) -> list[State]:
-    """``state_for_t`` for every t: a fresh list of the t-map's own states."""
-    return [_vertex_at_dim(ext, ext.params.d, t) for t in range(ext.params.vertex_count)]
+    """``state_for_t`` for every t, mapped back to x: x_i = y_i (L/s_i)/(D L) for L = lcm(s),
+    reduced by one gcd."""
+    wide = lcm(*ext.scales)
+    lifts = [wide // s for s in ext.scales]
+    states = []
+    for t in range(ext.params.vertex_count):
+        nums, denom = _vertex_at_dim(ext, ext.params.d, t)
+        nums, denom = list(map(mul, nums, lifts)), denom * wide
+        g = gcd(denom, *nums)
+        states.append((tuple([a // g for a in nums]), denom // g))
+    return states
 
 
 def stage_polytope(ext: ExtendedParabola, dim: int) -> HPolytope:
-    """The dimension-dim stage of the tower (the base hull for dim = 2)."""
-    return ext.base if dim == 2 else ext.levels[(dim - 4) // 2].product
+    """The dimension-dim stage of the tower (the base hull for dim = 2) in y = s * x: the twin's
+    first rows on its first dim coordinates, and for dim = d the twin itself."""
+    memo = ext._stage_twins
+    if dim not in memo:
+        rows = (ext.base if dim == 2 else ext.levels[(dim - 4) // 2].product).num_facets
+        memo[dim] = HPolytope(tuple(a[:dim] for a in ext.twin.A[:rows]), ext.twin.b[:rows])
+    return memo[dim]
 
 
 def stage_vertices(ext: ExtendedParabola, dim: int) -> list[State]:
-    """The dimension-dim stage's vertex states, via the product vertex map (a fresh list)."""
+    """The dimension-dim stage's vertex y states, via the product vertex map (a fresh list)."""
     memo = ext._stage_vertices
     if dim not in memo:
         level, inner = ext.levels[(dim - 4) // 2], stage_vertices(ext, dim - 2)
-        fibers = level.fiber_start.points, level.fiber_end.points
-        memo[dim] = tuple(dp_vrep(inner, level_functional(dim - 2), *fibers))
+        sweep = level_functional(dim - 2).rescaled(ext.scales)
+        memo[dim] = tuple(dp_vrep(inner, sweep, *_twin_fibers(ext, level)))
     return list(memo[dim])
 
 
@@ -295,12 +318,13 @@ class ConstructionReport:
             "n": self.n,
             "d": self.d,
             "ok": self.ok,
-            "checks": [
-                {"name": c.name, "ok": c.ok, "detail": c.detail} for c in self.checks
-            ],
+            "checks": [{"name": c.name, "ok": c.ok, "detail": c.detail} for c in self.checks],
             "norm_sq_phi": str(self.norm_sq_phi),
             "norm_sq_phi_prime": str(self.norm_sq_phi_prime),
         }
+
+
+_ON_GRID = "phi'(p) = phi(p)^2 - phi(p) at every vertex"
 
 
 def verify_construction(ext: ExtendedParabola) -> ConstructionReport:
@@ -316,82 +340,46 @@ def verify_construction(ext: ExtendedParabola) -> ConstructionReport:
     """
     params = ext.params
     m_top = params.vertex_count
-    checks = []
-
-    actual_facets = ext.poly.num_facets
-    checks.append(
-        CheckResult(
-            "facet_count",
-            actual_facets == params.facet_count,
-            f"{actual_facets} facets, expected {params.facet_count}",
-        )
-    )
+    facets, expected = ext.poly.num_facets, params.facet_count
+    checks = [("facet_count", facets == expected, f"{facets} facets, expected {expected}")]
 
     states = [state_for_t(ext, t) for t in range(m_top)]
-    vertex_check = dp_verify(ext.poly, states, m_top)
+    vertex_check = dp_verify(ext.twin, states, m_top)
     bad = sorted(
         [(t, "infeasible") for t in vertex_check.infeasible]
         + [(t, "not a simple vertex") for t in vertex_check.non_simple]
     )
-    checks.append(
-        CheckResult(
-            "vertices_simple",
-            not bad,
-            f"{m_top} vertices checked" if not bad else f"failures at {bad[:5]}",
-        )
-    )
+    detail = f"failures at {bad[:5]}" if bad else f"{m_top} vertices checked"
+    checks.append(("vertices_simple", not bad, detail))
 
-    # On the grid, phi = t/(M - 1) and phi' = t (t - M + 1)/(M - 1)^2.
+    # On the grid, phi = t/(M - 1) and phi' = t (t - M + 1)/(M - 1)^2; in y both are rescaled.
     steps, off_grid = m_top - 1, []
     nums, denoms = zip(*states)
     columns = list(zip(*nums))
-    phis = list(zip(*ext.phi.scaled_columns(columns, denoms)))  # (numerator, denominator > 0)
-    primes = zip(*ext.phi_prime.scaled_columns(columns, denoms))
+    phi, phi_prime = (g.rescaled(ext.scales) for g in (ext.phi, ext.phi_prime))
+    phis = list(zip(*phi.scaled_columns(columns, denoms)))  # (numerator, denominator > 0)
+    primes = zip(*phi_prime.scaled_columns(columns, denoms))
     for t, ((p, q), (r, u)) in enumerate(zip(phis, primes)):
         if p * steps != t * q or r * steps * steps != t * (t - steps) * u:
             off_grid.append(t)
-    checks.append(
-        CheckResult(
-            "projection_identity",
-            not off_grid,
-            "phi'(p) = phi(p)^2 - phi(p) at every vertex"
-            if not off_grid
-            else f"identity fails at t in {off_grid[:5]}",
-        )
-    )
+    detail = f"identity fails at t in {off_grid[:5]}"
+    checks.append(("projection_identity", not off_grid, detail if off_grid else _ON_GRID))
 
     ortho = exactla.dot(ext.phi.coeffs, ext.phi_prime.coeffs)
-    checks.append(
-        CheckResult(
-            "functional_orthogonality",
-            ortho == 0,
-            f"<c_phi, c_phi'> = {ortho}",
-        )
-    )
+    checks.append(("functional_orthogonality", ortho == 0, f"<c_phi, c_phi'> = {ortho}"))
 
     by_value = cmp_to_key(lambda a, b: a[0] * b[1] - b[0] * a[1])
     low, high = (Fraction(*pick(phis, key=by_value)) for pick in (min, max))
-    checks.append(
-        CheckResult(
-            "phi_range",
-            low == 0 and high == 1,
-            f"phi over vertices spans [{low}, {high}]",
-        )
-    )
+    checks.append(("phi_range", low == 0 and high == 1, f"phi over vertices spans [{low}, {high}]"))
 
     distinct = m_top - len(vertex_check.duplicate_pairs)
-    checks.append(
-        CheckResult(
-            "t_map_bijective",
-            distinct == m_top,
-            f"{distinct} distinct vertices for {m_top} indices",
-        )
-    )
+    detail = f"{distinct} distinct vertices for {m_top} indices"
+    checks.append(("t_map_bijective", distinct == m_top, detail))
 
     return ConstructionReport(
         n=params.n,
         d=params.d,
-        checks=tuple(checks),
+        checks=tuple(CheckResult(*check) for check in checks),
         norm_sq_phi=exactla.dot(ext.phi.coeffs, ext.phi.coeffs),
         norm_sq_phi_prime=exactla.dot(ext.phi_prime.coeffs, ext.phi_prime.coeffs),
     )

@@ -7,7 +7,8 @@ x(t) with the chord to x(t+k) collapses to k (3/2 - k)/(M-1)^2, positive
 exactly for k = 1.  Because the objective is invariant under the projection
 and edges upstairs map to edges and chords downstairs, scanning all chords in
 2D certifies that no shortcut exists anywhere on the tower; the lift itself
-is certified separately by walking the actual edge graph.
+is certified separately by walking the actual edge graph, on the tower's
+twin y = s * x with f(y / s), as ``report``'s runs are.
 
 ``chord_scan`` checks every (t, k) pair two independent ways, as numerators
 over 2 (M-1)^2: the closed form k (3 - 2k), and the direct product
@@ -170,9 +171,9 @@ def monotone_path_check(
     At every non-optimal vertex exactly one of the d edges improves, and
     following it lands exactly on the next indexed vertex; the optimum has
     none.  The moves are the active-set method's own: the runner's
-    ``activeset.walk`` with the first-index rule from vertex 0, with all its
-    checks, and each point it reaches, numerators over a denominator in lowest
-    terms, is compared with the vertex map's integer state
+    ``activeset.walk`` with the first-index rule from vertex 0 on the twin
+    y = s * x with f(y / s), with all its checks, and each point it reaches,
+    in lowest terms, is compared with the vertex map's y state
     (``extension.state_for_t``).  Any deviation, or any error raised at vertex
     t or on the edge leaving it, raises CertificateFailure naming the
     offending t.
@@ -182,8 +183,9 @@ def monotone_path_check(
     for t in range(m_top):
         try:
             if records is None:  # vertex 0 starts the walk
-                start = activeset.start_point(ext.poly, f, extension.vertex_for_t(ext, 0))
-                records = activeset.walk(ext.poly, f, start, activeset.FirstIndex(), m_top)
+                twin, f_y, x0 = _on_twin(ext, f)
+                start = activeset.start_point(twin, f_y, x0)
+                records = activeset.walk(twin, f_y, start, activeset.FirstIndex(), m_top)
             point, improving, _ = next(records)
             state = extension.state_for_t(ext, t)
         except ExtparabError as exc:
@@ -197,6 +199,12 @@ def monotone_path_check(
             )
         entries.append(PathStep(t, expected, t + 1 if expected else None))
     return PathCertificate(m_top, tuple(entries))
+
+
+def _on_twin(ext: ExtendedParabola, f: QuadraticObjective) -> tuple:
+    """(twin, f(y / s), vertex 0 in y): what the certificate and the experiment's runs walk."""
+    nums, denom = extension.state_for_t(ext, 0)
+    return ext.twin, f.rescaled(ext.scales), [Fraction(a, denom) for a in nums]
 
 
 @dataclass(frozen=True)
@@ -230,7 +238,7 @@ class ExperimentTable:
 def iteration_experiment(
     ext: ExtendedParabola, f: QuadraticObjective, rules: Sequence[str], seeds: Sequence[int]
 ) -> ExperimentTable:
-    """Run every rule (and every seed, for seeded rules) on ``ext`` and ``f`` from vertex 0.
+    """Run every rule (and every seed, for seeded rules) on ``ext``'s twin and ``f`` from vertex 0.
 
     Requires the n = 4d regime, in which the vertex count is 2^d.  Asserts
     that all runs produce the identical vertex sequence, visiting exactly
@@ -242,7 +250,7 @@ def iteration_experiment(
     if n != 4 * d:
         raise BadParameters(f"iteration experiment requires n = 4d, got n={n}, d={d}")
     m_top = ext.params.vertex_count
-    start = extension.vertex_for_t(ext, 0)
+    twin, f_y, start = _on_twin(ext, f)
 
     runs = ((name, s) for name in rules for s in (seeds if name in RULE_CONSUMES_SEED else [None]))
 
@@ -251,7 +259,7 @@ def iteration_experiment(
     for rule_name, seed in runs:
         rule = make_rule(rule_name, seed)
         t0 = time.perf_counter()
-        trace = activeset.active_set_run(ext.poly, f, start, rule, max_iter=4 * m_top)
+        trace = activeset.active_set_run(twin, f_y, start, rule, max_iter=4 * m_top)
         elapsed_ms = (time.perf_counter() - t0) * 1000.0
         if trace.terminated != "Optimal":
             raise CertificateFailure(f"{rule_name}/{seed}: terminated {trace.terminated}")

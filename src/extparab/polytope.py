@@ -7,49 +7,41 @@ Every row is also kept scaled to integers and compiled, with one ``exec``
 per polytope object and form, into straight-line code over its nonzeros (at
 most three on the tower): the slack function ``_slacks`` on the first
 ``locate``, the ``A_i . x`` functions ``_rows`` on the first edge
-enumeration or ratio test, which a checked but never walked polytope does
-not reach.  Their source holds only values checked to be ``int``, so no
-input text can reach it.  A point's state is its numerators X over the lcm D
-of its denominators, equal exactly when the points are; both vertex maps
-build states, ``cleared`` converts coordinates to one, and ``locate`` makes
-one a ``ScaledPoint``, with slack numerators b_i D - A_i . X, computed once,
-and the tight set read off them.  Edge enumeration and the ratio test take that
-state; the ratio test's minimum is the integer pair (slack, D advance), and
-``step`` moves the state by such a pair, reduced by gcd(D, *X).  Only
-``slacks`` builds Fractions.
-``is_simple`` decides that the d tight rows are independent by the rank the
-forward pass of integer elimination returns (``exactla.is_nonsingular``, in
-the mirrored order that is fill-free on the tower) and keeps nothing;
+enumeration or ratio test.  Their source holds only values checked to be
+``int``, so no input text can reach it.  A point's state is its numerators X
+over the lcm D of its denominators, equal exactly when the points are;
+``locate`` makes one a ``ScaledPoint``, with slack numerators
+b_i D - A_i . X, computed once, and the tight set read off them.  The ratio
+test's minimum is the integer pair (slack, D advance), and ``step`` moves
+the state by such a pair, reduced by gcd(D, *X).  Only ``slacks`` builds
+Fractions.  ``is_simple`` decides that the d tight rows are independent by
+the forward pass of integer elimination (``exactla.is_nonsingular``);
 ``deformed.dp_verify`` keeps its verdict per point state on the frozen
-polytope object, so it dies with the object and an equal polytope built
-separately decides again.  The ratio test skips the tight rows: none of
-them can block an edge that ``edge_directions`` returned.
+polytope object, so an equal polytope built separately decides again.
 
 Edge enumeration reads the edges off the inverse columns of the negated
-tight rows (``exactla.int_inverse_scaled``), which are the edge directions
-themselves: at a walk's first vertex by elimination, and at every later one
-by pivoting the last vertex's edges on the row the move swapped in, since
-the new edges are -dir_i and the primitive parts of (A_b . dir_i) dir_f -
-(A_b . dir_f) dir_i after a move along dir_i that row b blocks.  The walk
-hands over i and b, the ratio test's lowest blocking row; a pivot starts
-only from a list proven for the same polytope object whose tight rows, with
-exactly that swap, are the new vertex's, and moves i's edge to b's place.
-Edges are checked in full at the first vertex, and at a pivoted one only at
-the ``fresh`` positions the list names: b's and those whose direction is not
-the very object proven for that facet at the vertex before, which the pivot
-keeps and ``exactla.primitive``, after its gcd, returns as it is.  A kept edge
-meets only the entering row anew, in the product the pivot took, once.
+tight rows (``exactla.int_inverse_scaled``): at a walk's first vertex by
+elimination, and at every later one by pivoting the last vertex's edges on
+the row the move swapped in, since the new edges are -dir_i and the
+primitive parts of (A_b . dir_i) dir_f - (A_b . dir_f) dir_i after a move
+along dir_i that row b, the ratio test's lowest blocking row, blocks.  A
+pivot starts only from a list proven for the same polytope object, and
+checks only the ``fresh`` positions: b's and those whose direction is not
+the very object proven for that facet at the vertex before.  A kept edge
+meets only the entering row anew, in the product the pivot took.  The ratio
+test skips the tight rows, and edge enumeration raises DegenerateVertex at
+a non-simple vertex: on the constructed instances that means a bug.
 
 ``equilibrated`` gives a polytope's twin in the coordinates y = s * x: its
-integer rows divided by their column contents, the scales s, and then by
-their row contents, which on the tower leaves entries of at most 4 bits.
-
-Edge enumeration raises DegenerateVertex at a non-simple vertex, because on
-the constructed instances degeneracy means a bug, not a case to handle.
+integer rows divided by their column contents, the scales s
+(``column_scales``), and then by their row contents, which on the tower
+leaves entries of at most 4 bits.  The tower keeps one twin, on which its
+vertex maps, checks and walks all run.
 
 The cdd-compatible text formats live here too: ``H-representation`` files
-with exact ``p/q`` entries (rows are ``b_i -A_i1 ... -A_id``), and the
-matching ``V-representation`` writer for vertices given as states.
+with exact ``p/q`` entries (rows are ``b_i -A_i1 ... -A_id``; a
+``linearity`` line is refused), and the matching ``V-representation``
+writer for vertices given as states.
 """
 
 from __future__ import annotations
@@ -182,6 +174,11 @@ def cleared(poly: HPolytope, x: Sequence) -> State:
     return exactla.common_denominator(exactla.vec(x))
 
 
+def column_scales(poly: HPolytope) -> tuple[int, ...]:
+    """``equilibrated``'s scales: the contents of the integer rows' columns (1 if all 0)."""
+    return tuple(gcd(*column) or 1 for column in zip(*(row for row, _ in poly._int_rows)))
+
+
 def equilibrated(poly: HPolytope) -> tuple[HPolytope, tuple[int, ...]]:
     """(twin, scales): poly in the coordinates y = scales * x, with integer rows in poly's order.
 
@@ -192,7 +189,7 @@ def equilibrated(poly: HPolytope) -> tuple[HPolytope, tuple[int, ...]]:
     are 1.  A x <= b holds iff A' y <= b' does, row by row, with the same
     tight rows; the scales are positive ints fixed by the rows alone.
     """
-    scales = tuple(gcd(*column) or 1 for column in zip(*(row for row, _ in poly._int_rows)))
+    scales = column_scales(poly)
     rows = []
     for row, b in poly._int_rows:
         row = [*(a // s for a, s in zip(row, scales)), b]
@@ -362,6 +359,8 @@ def hrep_from_ine(text: str) -> HPolytope:
         raise FormatError("missing 'begin' line") from None
     if "H-representation" not in lines[:start]:
         raise FormatError("missing 'H-representation' header")
+    if any(ln.split()[0] == "linearity" for ln in lines):
+        raise FormatError("'linearity' (equality rows) is not supported: rows are A_i x <= b_i")
     rows, rhs = [], []
     try:
         size = _INE_SIZE.fullmatch(" ".join(lines[start + 1].split()))

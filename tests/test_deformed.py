@@ -18,7 +18,7 @@ from extparab.extension import (
     stage_vertices,
 )
 from extparab.polytope import HPolytope
-from test_hotpath_oracle import fraction_coords, functional_value
+from test_hotpath_oracle import fraction_coords, functional_value, x_state
 
 state = exactla.common_denominator  # a point's lowest-terms integer state
 
@@ -128,12 +128,13 @@ def test_dp_vrep_refuses_fiber_pairs_of_different_dims():
 
 @pytest.mark.parametrize("n, d", [(16, 4), (48, 6), (32, 8), (40, 10)])
 def test_product_map_matches_the_fraction_reference(n, d):
-    # Every stage of the product map, base included, is the lowest-terms state
-    # of the Fraction reference chained from the base grid, and each product
-    # vertex begins with its inner vertex's coordinates.
+    # Every stage of the product map, base included, mapped back from the twin's
+    # coordinates y = s * x, is the lowest-terms state of the Fraction reference
+    # chained from the base grid, and each product vertex begins with its inner
+    # vertex's coordinates.
     ext = build(ConstructionParams(n=n, d=d))
     expected = list(ext.base_vertices.points)
-    assert stage_vertices(ext, 2) == states(expected)
+    assert [x_state(ext, p) for p in stage_vertices(ext, 2)] == states(expected)
     for level in ext.levels:
         dim, pairs = level.source_dim + 2, len(level.fiber_start.points)
         inner = stage_vertices(ext, dim - 2)
@@ -141,7 +142,8 @@ def test_product_map_matches_the_fraction_reference(n, d):
             expected, level_functional(dim - 2), level.fiber_start.points, level.fiber_end.points
         )
         points = stage_vertices(ext, dim)
-        assert points == states(expected) and len(points) == ext.params.level_m(dim)
+        assert [x_state(ext, p) for p in points] == states(expected)
+        assert len(points) == ext.params.level_m(dim)
         for k, point in enumerate(points):
             assert fraction_coords(point)[: dim - 2] == fraction_coords(inner[k // pairs])
 
@@ -221,7 +223,7 @@ def test_dp_vrep_count_multiplies(monkeypatch):
 
 def test_dp_verify_q4():
     ext = build(ConstructionParams(n=16, d=4))
-    points = stage_vertices(ext, 4)
+    points = [x_state(ext, p) for p in stage_vertices(ext, 4)]
     report = dp_verify(ext.poly, points, expected_count=16)
     assert report.ok
     assert report.total == 16
@@ -229,7 +231,7 @@ def test_dp_verify_q4():
 
 def test_dp_verify_q6():
     ext = build(ConstructionParams(n=24, d=6))
-    points = stage_vertices(ext, 6)
+    points = [x_state(ext, p) for p in stage_vertices(ext, 6)]
     assert ext.poly.num_facets == 12
     report = dp_verify(ext.poly, points, expected_count=64)
     assert report.ok
@@ -249,7 +251,7 @@ def test_dp_verify_tells_infeasible_from_non_simple():
     # One slack evaluation per point gives both verdicts: outside, and
     # feasible but not a simple vertex (the midpoint of an edge).
     ext = build(ConstructionParams(n=16, d=4))
-    points = stage_vertices(ext, 4)
+    points = [x_state(ext, p) for p in stage_vertices(ext, 4)]
     outside = state(tuple(2 * c - 1 for c in fraction_coords(points[3])))
     first, second = map(fraction_coords, points[:2])
     midpoint = state(tuple((a + b) / 2 for a, b in zip(first, second)))
@@ -311,7 +313,7 @@ def test_dp_verify_tells_points_apart_by_value():
     # A point cleared from ints and Fractions has the map's state; each repeat
     # pairs with the first index, and a repeated infeasible point is named once.
     ext = build(ConstructionParams(n=16, d=4))
-    points = stage_vertices(ext, 4)
+    points = [x_state(ext, p) for p in stage_vertices(ext, 4)]
     as_ints = state(tuple(int(c) if c.denominator == 1 else c for c in fraction_coords(points[2])))
     outside = state(tuple(2 * c - 1 for c in fraction_coords(points[3])))
     report = dp_verify(ext.poly, [*points, as_ints, outside, outside], expected_count=16)

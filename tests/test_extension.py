@@ -11,8 +11,9 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from extparab import polygons
+from extparab import polygons, polytope
 from extparab.activeset import pullback_objective
+from extparab.deformed import dp_vrep, extend
 from extparab.errors import BadParameters, DimensionMismatch, InternalMismatch, OutOfRange
 from extparab.exactla import common_denominator
 from extparab.extension import (
@@ -20,14 +21,16 @@ from extparab.extension import (
     all_vertices,
     build,
     decompose_t,
+    level_functional,
     sidecar_json_dict,
+    stage_polytope,
     stage_vertices,
     state_for_t,
     verify_construction,
     vertex_for_t,
 )
 from extparab.lowerbound import monotone_path_check
-from test_hotpath_oracle import fraction_coords, functional_value
+from test_hotpath_oracle import fraction_coords, functional_value, x_state, y_state
 
 
 def project(ext, x):
@@ -51,6 +54,34 @@ def reference_vertex_at_dim(ext, dim, t):
     v = level.fiber_start.points[2 * j + l]
     w = level.fiber_end.points[2 * j + l]
     return inner + tuple(a + sweep * (b - a) for a, b in zip(v, w))
+
+
+def reference_x_state(ext, dim, t, memo):
+    """The integer t-map in x that the twin's replaced, kept as a reference: vertex t of the
+    dimension-dim stage as its lowest-terms x state, each one built once into ``memo``."""
+    if (dim, t) not in memo:
+        if dim == 2:
+            memo[dim, t] = common_denominator(polygons.h(F(t, ext.params.fiber_count - 1)))
+        else:
+            level = ext.levels[(dim - 4) // 2]
+            j, l, s = decompose_t(t, level.m_level, ext.params.fiber_count)
+            nums, denom = inner = reference_x_state(ext, dim - 2, s, memo)
+            steps = level.m_level - 1
+            if nums[dim - 4] * steps != s * denom:
+                raise InternalMismatch(f"inner vertex {s} misses sweep value {F(s, steps)}")
+            v, w = level.fiber_start.points[2 * j + l], level.fiber_end.points[2 * j + l]
+            memo[dim, t] = extend(inner, common_denominator(v + w), s, steps)
+    return memo[dim, t]
+
+
+def reference_x_stage_vertices(ext, dim):
+    """The product vertex map in x that the twin's replaced, kept as a reference."""
+    if dim == 2:
+        return [common_denominator(x) for x in ext.base_vertices.points]
+    level = ext.levels[(dim - 4) // 2]
+    inner = reference_x_stage_vertices(ext, dim - 2)
+    fibers = level.fiber_start.points, level.fiber_end.points
+    return dp_vrep(inner, level_functional(dim - 2), *fibers)
 
 
 def recompose_t(j, l, s, m_level):
@@ -228,33 +259,65 @@ def test_t_map_builds_each_vertex_once_per_tower(monkeypatch):
     verts = all_vertices(ext)
     assert sorted(taus) == [F(t, 7) for t in range(8)]
     assert len(ext._vertices) == 512 + 64 + 8
-    assert all(v is ext._vertices[6, t] for t, v in enumerate(verts))
+    assert all(v == x_state(ext, ext._vertices[6, t]) for t, v in enumerate(verts))
 
 
 def test_one_vertex_builds_only_its_own_stages():
     # run's single vertex_for_t(ext, 0) builds vertex 0 and its inner stage
     # vertices, d/2 entries in all, never the M = 4,096 vertices of d = 12.
+    # Its scales are read off the rows, but the twin polytope is not built.
     ext = build(ConstructionParams(n=48, d=12))
     start = vertex_for_t(ext, 0)
     assert sorted(ext._vertices) == [(dim, 0) for dim in range(2, 13, 2)]
     state = ext._vertices[12, 0]
-    assert state == common_denominator(start) and state_for_t(ext, 0) is state
+    assert state == y_state(ext, start) and state_for_t(ext, 0) is state
     assert vertex_for_t(ext, 0) == start and len(ext._vertices) == 6
-    assert "_stage_vertices" not in vars(ext)
+    assert "_stage_vertices" not in vars(ext) and "twin" not in vars(ext)
 
 
 @pytest.mark.parametrize("n, d", [(16, 4), (48, 6), (32, 8), (40, 10)])
 def test_t_map_states_match_the_fraction_reference(n, d):
-    # Every state the t-map builds, inner stages too, is the lowest-terms
-    # integer form of the Fraction vertex, and vertex_for_t is that vertex.
+    # Every state the t-map builds, inner stages too, mapped back from the
+    # twin's y = s * x, is the lowest-terms integer form of the Fraction
+    # vertex, and vertex_for_t is that vertex.
     ext = build(ConstructionParams(n=n, d=d))
     for t in range(ext.params.vertex_count):
         vertex = reference_vertex_at_dim(ext, d, t)
-        assert state_for_t(ext, t) == common_denominator(vertex)
+        assert x_state(ext, state_for_t(ext, t)) == common_denominator(vertex)
         assert vertex_for_t(ext, t) == vertex
     assert len(ext._vertices) == sum(ext.params.level_m(dim) for dim in range(2, d + 1, 2))
     for (dim, t), state in ext._vertices.items():
-        assert state == common_denominator(reference_vertex_at_dim(ext, dim, t))
+        assert x_state(ext, state) == common_denominator(reference_vertex_at_dim(ext, dim, t))
+
+
+@pytest.mark.parametrize("n, d", [(8, 2), (16, 4), (32, 4), (32, 8), (48, 6), (40, 10)])
+def test_vertex_maps_match_the_x_references_at_every_t(n, d):
+    # vertex_for_t, all_vertices and every stage of the product map, mapped
+    # back to x, are the integer x maps they replaced, at every t and in order.
+    ext = build(ConstructionParams(n=n, d=d))
+    memo = {}
+    expected = [reference_x_state(ext, d, t, memo) for t in range(ext.params.vertex_count)]
+    assert [vertex_for_t(ext, t) for t in range(len(expected))] == list(map(fraction_coords, expected))
+    assert all_vertices(ext) == expected
+    for dim in range(2, d + 1, 2):
+        points = [x_state(ext, p) for p in stage_vertices(ext, dim)]
+        assert points == reference_x_stage_vertices(ext, dim)
+    assert sorted(reference_x_stage_vertices(ext, d)) == sorted(expected)
+
+
+@pytest.mark.parametrize("n, d", [(8, 2), (16, 4), (32, 8), (48, 6), (48, 12)])
+def test_each_stage_twin_is_the_top_twins_prefix(n, d):
+    # The twin of each stage, equilibrated on its own, is the top twin's first
+    # rows on its first coordinates, with the top's leading scales; the top
+    # stage's twin is the tower's own object.
+    ext = build(ConstructionParams(n=n, d=d))
+    assert (ext.twin, ext.scales) == polytope.equilibrated(ext.poly)
+    assert stage_polytope(ext, d) is ext.twin
+    for dim in range(2, d + 1, 2):
+        x_stage = ext.base if dim == 2 else ext.levels[(dim - 4) // 2].product
+        twin, scales = polytope.equilibrated(x_stage)
+        assert stage_polytope(ext, dim) == twin and ext.scales[:dim] == scales
+        assert stage_polytope(ext, dim) is stage_polytope(ext, dim)
 
 
 @pytest.mark.parametrize("n, d", [(16, 4), (48, 6), (32, 8), (40, 10)])
@@ -267,11 +330,11 @@ def test_all_vertices_are_vertex_for_t_with_shared_inner_coordinates(n, d):
     assert [fraction_coords(v) for v in verts] == [
         vertex_for_t(ext, t) for t in range(ext.params.vertex_count)
     ]
-    assert all(v is ext._vertices[d, t] for t, v in enumerate(verts))
+    assert all(v == x_state(ext, ext._vertices[d, t]) for t, v in enumerate(verts))
     level = ext.levels[-1]
     for t, vertex in enumerate(verts):
         s = decompose_t(t, level.m_level, ext.params.fiber_count)[2]
-        inner = fraction_coords(ext._vertices[d - 2, s])
+        inner = fraction_coords(x_state(ext, ext._vertices[d - 2, s]))
         assert fraction_coords(vertex)[: d - 2] == inner
     assert len(ext._vertices) == sum(ext.params.level_m(dim) for dim in range(2, d + 1, 2))
 
@@ -350,9 +413,9 @@ def test_verify_names_bad_and_repeated_t_map_points():
     # vertex 10, put in the tower's t-map memo.
     ext = build(ConstructionParams(n=16, d=4))
     v3, v7, v8, v10 = (vertex_for_t(ext, t) for t in (3, 7, 8, 10))
-    ext._vertices[4, 3] = common_denominator((v3[0] + 5,) + v3[1:])
-    ext._vertices[4, 7] = common_denominator([(a + b) / 2 for a, b in zip(v7, v8)])
-    ext._vertices[4, 11] = common_denominator(v10)
+    ext._vertices[4, 3] = y_state(ext, (v3[0] + 5,) + v3[1:])
+    ext._vertices[4, 7] = y_state(ext, [(a + b) / 2 for a, b in zip(v7, v8)])
+    ext._vertices[4, 11] = y_state(ext, v10)
     checks = {c.name: c for c in verify_construction(ext).checks}
     assert not checks["vertices_simple"].ok
     assert checks["vertices_simple"].detail == (
@@ -368,7 +431,7 @@ def test_verify_names_a_repeated_bad_point_once():
     ext = build(ConstructionParams(n=16, d=4))
     v4 = vertex_for_t(ext, 4)
     for t in (4, 9):
-        ext._vertices[4, t] = common_denominator((v4[0] + 5,) + v4[1:])
+        ext._vertices[4, t] = y_state(ext, (v4[0] + 5,) + v4[1:])
     checks = {c.name: c for c in verify_construction(ext).checks}
     assert checks["vertices_simple"].detail == "failures at [(4, 'infeasible')]"
     assert not checks["t_map_bijective"].ok
@@ -413,7 +476,7 @@ def test_stage_vertices_agree_with_t_map():
         ext = build(ConstructionParams(n=n, d=d))
         stage = stage_vertices(ext, d)
         assert len(stage) == ext.params.vertex_count
-        assert sorted(stage) == sorted(all_vertices(ext)), (n, d)
+        assert sorted(x_state(ext, p) for p in stage) == sorted(all_vertices(ext)), (n, d)
 
 
 def test_sidecar_json_shape():

@@ -90,6 +90,8 @@ CERTIFICATE_N48_D6 = "f052096e69ae72405847851ac84af3bbf5497d296b46059d5cab0049c5
 VERIFY_REPORTS = {
     "d8": (["--d", "8"], "23b0be8f5e98382bc64b91854d762dde9a8dd32b97de6e3181ada39e8a0d519d"),
     "n48-d6": (["--n", "48", "--d", "6"], "460d8af8876f3673f07725fd9ce5b25376d08fa1e29e619e4dc756740416a6e1"),
+    # 4,096 top-stage vertices; taken before the tower's checks ran on its equilibrated twin.
+    "d12": (["--d", "12"], "02e54fdecf32f02bfdb73d131bdd1c645d4692b094652716b3c878facd7a02a8"),
 }
 # verify's two injected faults (exit 1) and the d = 10 tower: the report and
 # stdout, with the report's path written as <report>.  Taken before the tower
@@ -130,6 +132,20 @@ BUILD_N48_D6 = {
     "ext": "20ffc0a6920d72dcb9645ac0ba190f8da78357276de5b41a8cdfa123631209f8",
     "ine": "692329795e451aa14a6fdd16fb134c0ac9f1aa608d510cd0a04171aa03202b2c",
 }
+# All three files at d = 10, taken before the vertex maps ran on the equilibrated twin and
+# the vertex file mapped each state back to the tower's coordinates.
+BUILD_D10 = {
+    "ext": "aa36f19bad8c55b2ca58fcd71e5f335c0815b1e16b3d98570b348e92fa42c692",
+    "ine": "8392ddf06fa12da06e83c29212bc7d7695ad827b8500a129806621033a7653cb",
+    "json": "8615b9016c3e5b392a66d3f45e112496537404ca4c540fd422ff267f38a06f6a",
+}
+# Path certificates at n = 4d, and report's CSV at d = 6 without its wall-time column,
+# taken before the certificate and report's walks ran on the equilibrated twin.
+CERTIFICATES = {
+    (32, 8): "42b9af03052cee4b7f2415a7e6096251b81828187b28de469bdf93a1a8abbd7e",
+    (40, 10): "629952a6311a2c5cc9198eba34ef4833756500c8b0d5a4e4d032c197631baa13",
+}
+REPORT_D6_CSV = "71b412e30896c8ced734d222703fcc597e216253d4c4623b54bdf85fa8fe4aa3"
 SCAN_M4096 = "1a8adcbcc49ef01d1599815f845ad0ed515018eb8e8296c5d7aafa9eb8806f6f"
 
 
@@ -197,6 +213,23 @@ def test_path_certificate_n48_d6_is_unchanged():
     assert sha256(text.encode()) == CERTIFICATE_N48_D6
 
 
+@pytest.mark.parametrize("n, d", sorted(CERTIFICATES))
+def test_path_certificates_are_unchanged(n, d):
+    ext = build(ConstructionParams(n=n, d=d))
+    cert = lowerbound.monotone_path_check(ext, pullback_objective(ext))
+    text = json.dumps(cert.to_json_dict(), sort_keys=True)
+    assert sha256(text.encode()) == CERTIFICATES[n, d]
+
+
+def test_report_d6_csv_is_unchanged(tmp_path, capsys):
+    prefix = tmp_path / "r"
+    assert main(["report", "--d", "6", "--out", str(prefix)]) == 0
+    capsys.readouterr()
+    lines = (tmp_path / "r_d6.csv").read_text().splitlines(keepends=True)
+    timeless = "".join(line.rsplit(",", 1)[0] + "\n" for line in lines)  # wall_time_ms dropped
+    assert sha256(timeless.encode()) == REPORT_D6_CSV
+
+
 @pytest.mark.parametrize("case", sorted(VERIFY_REPORTS))
 def test_verify_report_is_unchanged(tmp_path, capsys, case):
     args, digest = VERIFY_REPORTS[case]
@@ -229,6 +262,14 @@ def test_build_n48_d6_file_is_unchanged(tmp_path, capsys, fmt):
     assert main(["build", "--n", "48", "--d", "6", "--format", fmt, "--out", str(prefix)]) == 0
     capsys.readouterr()
     assert sha256((tmp_path / f"q.{fmt}").read_bytes()) == BUILD_N48_D6[fmt]
+
+
+@pytest.mark.parametrize("fmt", sorted(BUILD_D10))
+def test_build_d10_file_is_unchanged(tmp_path, capsys, fmt):
+    prefix = tmp_path / "q"
+    assert main(["build", "--d", "10", "--format", fmt, "--out", str(prefix)]) == 0
+    capsys.readouterr()
+    assert sha256((tmp_path / f"q.{fmt}").read_bytes()) == BUILD_D10[fmt]
 
 
 def test_scan_m4096_report_is_unchanged(tmp_path, capsys):

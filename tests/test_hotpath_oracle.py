@@ -82,6 +82,19 @@ def fraction_coords(state):
     return tuple(Fraction(a, denom) for a in nums)
 
 
+def x_state(ext, state):
+    """A state of the tower's twin, y = s * x, as the lowest-terms state of x = y / s
+    (test-side reference)."""
+    nums, denom = state
+    return exactla.common_denominator([Fraction(a, denom * s) for a, s in zip(nums, ext.scales)])
+
+
+def y_state(ext, x):
+    """The twin's lowest-terms state of y = s * x for a point x of ints and Fractions
+    (test-side reference)."""
+    return exactla.common_denominator([Fraction(a) * s for a, s in zip(x, ext.scales)])
+
+
 def functional_value(phi, x):
     """phi(x) of an int or Fraction point (test-side reference; the package evaluates a
     functional on integer states only, with ``Functional.scaled_at``)."""

@@ -330,14 +330,15 @@ def test_monotone_path_detects_moved_vertex(monkeypatch):
 def test_monotone_path_names_t0_for_a_start_outside_q(monkeypatch):
     # Vertex 0 moved outside Q fails the certificate at t = 0, like any
     # other vertex, and does not escape as NotFeasible.
+    # The walk starts from the t-map's state in y = s * x, so x_0 + 5 is y_0 + 5 s_0.
     ext = build(ConstructionParams(n=8, d=2))
-    real_vertex_for_t = extension.vertex_for_t
+    real_state_for_t = extension.state_for_t
 
     def moved(ext, t):
-        v = real_vertex_for_t(ext, t)
-        return (v[0] + 5,) + v[1:] if t == 0 else v
+        (first, *rest), denom = state = real_state_for_t(ext, t)
+        return ((first + 5 * ext.scales[0] * denom, *rest), denom) if t == 0 else state
 
-    monkeypatch.setattr(extension, "vertex_for_t", moved)
+    monkeypatch.setattr(extension, "state_for_t", moved)
     with pytest.raises(CertificateFailure, match=r"^t = 0: "):
         monotone_path_check(ext, pullback_objective(ext))
 

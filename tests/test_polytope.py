@@ -295,23 +295,23 @@ def counted_eliminations(monkeypatch) -> list:
 
 
 def test_verify_and_stage_checks_eliminate_each_tight_set_once(monkeypatch):
-    # verify_construction checks the 512 top vertices of ext.poly, and
-    # dp_verify the 8 and 64 vertices of stages 2 and 4, two other polytopes.
-    # On stage 6 it meets the same 512 vertices in the same ext.poly again and
-    # reuses their verdicts: 584 locates and 584 eliminations, not 1,096 and 584.
-    # The verdicts are keyed by the t-map's own state objects.
+    # verify_construction checks the 512 top vertices of the tower's twin
+    # ext.twin, and dp_verify the 8 and 64 vertices of stages 2 and 4, two other
+    # polytopes.  On stage 6 it meets the same 512 vertices in the same ext.twin
+    # again and reuses their verdicts: 584 locates and 584 eliminations, not
+    # 1,096 and 584.  The verdicts are keyed by the t-map's own state objects.
     locates = counted_calls(monkeypatch, polytope, "locate")
     calls = counted_eliminations(monkeypatch)
     ext = build(ConstructionParams(n=48, d=6))
     assert verify_construction(ext).ok and len(calls) == len(locates) == 512
-    assert stage_polytope(ext, 6) is ext.poly
+    assert stage_polytope(ext, 6) is ext.twin
     for dim in (2, 4, 6):
         points = stage_vertices(ext, dim)
         assert dp_verify(stage_polytope(ext, dim), points, ext.params.level_m(dim)).ok
     assert len(calls) == len(locates) == 512 + 8 + 64
-    assert len(ext.poly._point_verdicts) == 512
-    assert set(verdicts_of(ext.poly).values()) == {"simple"}
-    keys = {id(key) for key in ext.poly._point_verdicts}
+    assert len(ext.twin._point_verdicts) == 512
+    assert set(verdicts_of(ext.twin).values()) == {"simple"}
+    keys = {id(key) for key in ext.twin._point_verdicts}
     assert keys == {id(ext._vertices[6, t]) for t in range(512)}
 
 
@@ -335,16 +335,17 @@ def test_certify_path_hashes_no_fraction(monkeypatch):
 
 def test_an_equal_polytope_built_separately_eliminates_again(monkeypatch):
     calls = counted_eliminations(monkeypatch)
+    # The t-map's states are in the twin's coordinates y = s * x.
     ext = build(ConstructionParams(n=16, d=4))
     vertex = state_for_t(ext, 3)
-    assert dp_verify(ext.poly, [vertex], 1).ok and dp_verify(ext.poly, [vertex], 1).ok
+    assert dp_verify(ext.twin, [vertex], 1).ok and dp_verify(ext.twin, [vertex], 1).ok
     assert len(calls) == 1
-    twin = HPolytope(ext.poly.A, ext.poly.b)
-    assert twin == ext.poly and hash(twin) == hash(ext.poly)
+    twin = HPolytope(ext.twin.A, ext.twin.b)
+    assert twin == ext.twin and hash(twin) == hash(ext.twin)
     assert dp_verify(twin, [vertex], 1).ok
     assert len(calls) == 2
-    assert verdicts_of(twin) == verdicts_of(ext.poly) == {vertex: "simple"}
-    assert twin._point_verdicts is not ext.poly._point_verdicts
+    assert verdicts_of(twin) == verdicts_of(ext.twin) == {vertex: "simple"}
+    assert twin._point_verdicts is not ext.twin._point_verdicts
 
 
 def test_a_rank_deficient_tight_set_stays_non_simple_on_repeat(monkeypatch):
@@ -449,8 +450,9 @@ def test_row_kernels_compile_only_int_entries():
 
 def test_certify_compiles_row_functions_only_for_the_walked_polytope(monkeypatch):
     # One certify op on the (48, 6) tower: every stage locates points, so each
-    # stage polytope compiles its slack function; only the top polytope, which
-    # the path certificate walks, compiles row functions, and only once.
+    # stage polytope compiles its slack function; only the top polytope, the
+    # twin the path certificate walks, compiles row functions, and only once.
+    # The tower's own rows, which the .ine file writes, compile neither.
     compiled, real_terms = [], polytope._terms
     monkeypatch.setattr(polytope, "_terms", lambda poly: compiled.append(poly) or real_terms(poly))
     params = ConstructionParams(n=48, d=6)
@@ -466,15 +468,16 @@ def test_certify_compiles_row_functions_only_for_the_walked_polytope(monkeypatch
     for dim in (2, 4):
         kernels = vars(stage_polytope(ext, dim))
         assert "_slacks" in kernels and "_rows" not in kernels
-    kernels = vars(ext.poly)
+    kernels = vars(ext.twin)
     assert "_slacks" in kernels and "_rows" in kernels
+    assert "_slacks" not in vars(ext.poly) and "_rows" not in vars(ext.poly)
     stages = [stage_polytope(ext, dim) for dim in (2, 4, 6)]
     assert sorted(map(stages.index, compiled)) == [0, 1, 2, 2]
-    rows = ext.poly._rows
-    assert type(rows) is tuple and len(rows) == ext.poly.num_facets
-    assert all(type(row).__name__ == "function" for row in (*rows, ext.poly._slacks))
+    rows = ext.twin._rows
+    assert type(rows) is tuple and len(rows) == ext.twin.num_facets
+    assert all(type(row).__name__ == "function" for row in (*rows, ext.twin._slacks))
     lowerbound.monotone_path_check(ext, f)  # a second walk compiles nothing
-    assert len(compiled) == 4 and ext.poly._rows is rows
+    assert len(compiled) == 4 and ext.twin._rows is rows
 
 
 def test_all_zero_row_rejected():
@@ -531,6 +534,8 @@ def test_ine_parse_rejects_garbage():
         "H-representation\nbegin\n1 1 rational\n1\nend\n",
         "H-representation\nbegin\n1 3 rational\n1 0 0\nend\n",
         "H-representation\nbegin\n+1 3 rational\n1 -1 0\nend\n",
+        # cdd's equality rows, which a parser that skipped the line would read as inequalities
+        "H-representation\nlinearity 1 1\nbegin\n1 2 rational\n1 1\nend\n",
     ],
     ids=[
         "truncated-body",
@@ -542,6 +547,7 @@ def test_ine_parse_rejects_garbage():
         "one-column",
         "all-zero-row",
         "signed-size",
+        "linearity",
     ],
 )
 def test_ine_parse_rejects_malformed(text):

@@ -13,10 +13,10 @@ them.  Dimensions stay small (d <= ~20, m = 2d), so the containers are dense.
 The hot kernels work on plain ints instead: ``common_denominator`` puts
 rationals over one integer denominator, ``dot`` multiplies two such vectors
 once, and ``primitive`` divides an integer vector by its content (one gcd),
-returning a tuple of content 1 as it is.  There is one elimination, the
-fraction-free forward pass, which returns the rank of the columns it is given
-(a column with no pivot left is skipped) and skips the rows a step leaves
-unchanged.  It runs on the mirrored matrix A' (rows and columns reversed): a
+returning a tuple of content 1 as it is.  There is one integer elimination,
+the fraction-free forward pass, which returns the rank of the columns it is
+given (a column with no pivot left is skipped) and skips the rows a step
+leaves unchanged.  It runs on the mirrored matrix A' (rows and columns reversed): a
 tower vertex's tight rows, in index order, are a block lower-triangular
 staircase, so from the last column it updates one row per level, d/2 in all,
 where the first column's order filled in down the staircase.  It is the
@@ -27,6 +27,10 @@ in one row and that row's products with them, pivots them in one
 fraction-free rank-one update with those multipliers, which leaves every
 column the new row annihilates as it was, so an edge walk, which swaps one
 tight row per move, gets each vertex's inverse from the last one's.
+Beside it, ``full_rank_mod2`` eliminates the rows' parity masks over GF(2)
+and can only prove full rank: det(B) is an integer polynomial in the
+entries, so it has the parity of det(B mod 2), and independent masks make
+it odd, hence not 0; dependent ones leave it even, possibly 0.
 ``rational_texts`` and ``decimal_texts`` format integer pairs, pairwise over two columns.
 """
 
@@ -152,6 +156,22 @@ def _forward(work: list[list[int]], width: int) -> int:
 def is_nonsingular(rows: Sequence[Sequence[int]]) -> bool:
     """True iff the square integer matrix has full rank (the forward pass alone)."""
     return _forward(_mirrored(rows), len(rows)) == len(rows)
+
+
+def full_rank_mod2(masks: Iterable[int]) -> bool:
+    """True iff the parity masks (bit j: entry j odd) of n rows of n ints are independent mod 2:
+    then their determinant is odd, so not 0.  False leaves it even, and decides nothing."""
+    pivots = {}  # lowest set bit -> the one reduced row it is lowest in
+    for row in masks:
+        while row:
+            low = row & -row
+            if (pivot := pivots.get(low)) is None:
+                pivots[low] = row
+                break
+            row ^= pivot  # clears low and sets no lower bit
+        else:
+            return False
+    return True
 
 
 def int_inverse_scaled(

@@ -15,7 +15,11 @@ b_i D - A_i . X, computed once, and the tight set read off them.  The ratio
 test's minimum is the integer pair (slack, D advance), and ``step`` moves
 the state by such a pair, reduced by gcd(D, *X).  Only ``slacks`` builds
 Fractions.  ``is_simple`` decides that the d tight rows are independent by
-the forward pass of integer elimination (``exactla.is_nonsingular``);
+the parity of their determinant (``exactla.full_rank_mod2`` on the rows'
+parity masks, kept per polytope), which proves an odd one nonzero, and only
+where it is even by integer elimination (``exactla.is_nonsingular``).  On
+the tower's twin, whose rows are divided by their column and row contents,
+parity has decided every tight set checked; on the tower's own rows, none.
 ``deformed.dp_verify`` keeps its verdict per point state on the frozen
 polytope object, so an equal polytope built separately decides again.
 
@@ -110,6 +114,11 @@ class HPolytope:
             ints, _ = exactla.common_denominator(tuple(row) + (rhs,))
             scaled.append((ints[:-1], ints[-1]))
         return tuple(scaled)
+
+    @cached_property
+    def _parity_rows(self) -> tuple[int, ...]:
+        # Each integer row's parity mask: bit j set where coefficient j is odd.
+        return tuple(sum((a & 1) << j for j, a in enumerate(row)) for row, _ in self._int_rows)
 
     @cached_property
     def _neg_rows(self) -> tuple[tuple[int, ...], ...]:
@@ -236,9 +245,13 @@ def tight_set(poly: HPolytope, x: Sequence) -> TightSet:
 
 
 def is_simple(poly: HPolytope, point: ScaledPoint) -> bool:
-    """True iff exactly d tight rows meet at the point and they have full rank."""
-    rows = [poly._int_rows[i][0] for i in point.tight]
-    return len(rows) == poly.dim and exactla.is_nonsingular(rows)
+    """True iff exactly d tight rows meet at the point and they have full rank: by parity where
+    their determinant is odd (``exactla.full_rank_mod2``), else by integer elimination."""
+    tight, parity = point.tight, poly._parity_rows
+    return len(tight) == poly.dim and (
+        exactla.full_rank_mod2([parity[i] for i in tight])
+        or exactla.is_nonsingular([poly._int_rows[i][0] for i in tight])
+    )
 
 
 def is_simple_vertex(poly: HPolytope, x: Sequence) -> bool:

@@ -3,7 +3,8 @@ pivoted by one row, keeping the columns it need not change), the edge
 check's product count, and the rank oracle."""
 
 from fractions import Fraction as F
-from math import gcd
+from itertools import combinations, permutations
+from math import gcd, prod
 
 import pytest
 from hypothesis import example, given, settings
@@ -12,7 +13,7 @@ from hypothesis import strategies as st
 from extparab import exactla, polytope
 from extparab.activeset import active_set_run, make_rule, pullback_objective
 from extparab.errors import InternalMismatch, ZeroVector
-from extparab.extension import ConstructionParams, build, vertex_for_t
+from extparab.extension import ConstructionParams, build, state_for_t, vertex_for_t
 from extparab.polytope import HPolytope
 from test_hotpath_oracle import reference_rank, reference_to_decimal, swap_between
 
@@ -390,6 +391,76 @@ def test_is_nonsingular_keeps_its_input():
     rows = [[2, 4], [1, 3]]
     assert exactla.is_nonsingular(rows) and rows == [[2, 4], [1, 3]]
     assert not exactla.is_nonsingular([[2, 4], [1, 2]])
+
+
+# ---------------------------------------------------------------------------
+# The parity pass: an odd determinant proves full rank, an even one decides nothing
+
+
+def parity_masks(rows):
+    """Bit j of a row's mask is set where its entry j is odd."""
+    return [sum((a & 1) << j for j, a in enumerate(row)) for row in rows]
+
+
+def leibniz_det(rows):
+    """The determinant as a sum over permutations, each signed by its inversion count."""
+    n, total = len(rows), 0
+    for perm in permutations(range(n)):
+        inversions = sum(perm[i] > perm[j] for i, j in combinations(range(n), 2))
+        total += (-1) ** inversions * prod(rows[i][perm[i]] for i in range(n))
+    return total
+
+
+EVEN_DETERMINANTS = [[[1, 1], [1, -1]], [[2, 4], [1, 3]]]  # det -2; a row of even entries, det 2
+square_matrices = st.integers(1, 6).flatmap(
+    lambda n: st.lists(st.lists(st.integers(-4, 4), min_size=n, max_size=n), min_size=n, max_size=n)
+)
+
+
+@given(square_matrices)
+@example(EVEN_DETERMINANTS[0])
+@example(EVEN_DETERMINANTS[1])
+@example(LAST_STEP_SINGULAR)
+@settings(max_examples=300, deadline=None)
+def test_full_rank_mod2_is_an_odd_determinant(rows):
+    odd = leibniz_det(rows) % 2 == 1
+    assert exactla.full_rank_mod2(parity_masks(rows)) is odd
+    if odd:
+        assert exactla.is_nonsingular(rows)
+
+
+@pytest.mark.parametrize("rows", EVEN_DETERMINANTS, ids=["det-minus-2", "even-row"])
+def test_an_even_determinant_goes_to_the_exact_pass(rows, monkeypatch):
+    exact, real = [], exactla.is_nonsingular
+    monkeypatch.setattr(exactla, "is_nonsingular", lambda tight: exact.append(tight) or real(tight))
+    poly = HPolytope(tuple(map(tuple, rows)), (0, 0))
+    point = polytope.locate(poly, (0, 0), 1)
+    assert point.tight == (0, 1) and not exactla.full_rank_mod2(poly._parity_rows)
+    assert polytope.is_simple(poly, point) and [list(row) for row in exact[0]] == rows
+    assert len(exact) == 1
+
+
+ORACLE_TOWERS = [(8, 2), (16, 4), (24, 6), (32, 8), (48, 6)]
+
+
+@pytest.mark.parametrize("n, d", ORACLE_TOWERS, ids=[f"n{n}-d{d}" for n, d in ORACLE_TOWERS])
+def test_is_simple_matches_the_exact_pass_at_every_vertex(n, d):
+    # The twin's rows are divided by their column and row contents, and every
+    # tight determinant there is odd, so parity decides each set; in x, with
+    # the tower's own rows, every one is even and the exact pass decides.
+    ext = build(ConstructionParams(n=n, d=d))
+    count = ext.params.vertex_count
+    for poly, states, parity_decides in (
+        (ext.twin, [state_for_t(ext, t) for t in range(count)], True),
+        (ext.poly, [polytope.cleared(ext.poly, vertex_for_t(ext, t)) for t in range(count)], False),
+    ):
+        assert list(poly._parity_rows) == parity_masks(row for row, _ in poly._int_rows)
+        for state in states:
+            point = polytope.locate(poly, *state)
+            rows = [poly._int_rows[i][0] for i in point.tight]
+            exact = len(rows) == d and exactla.is_nonsingular(rows)
+            assert polytope.is_simple(poly, point) is exact
+            assert exactla.full_rank_mod2(parity_masks(rows)) is parity_decides
 
 
 @given(st.lists(st.tuples(rationals | small_ints, rationals | small_ints), max_size=8))

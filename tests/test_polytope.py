@@ -289,19 +289,23 @@ def verdicts_of(poly) -> dict:
     return dict(poly._point_verdicts)
 
 
-def counted_eliminations(monkeypatch) -> list:
-    """The row lists exactla.is_nonsingular is called on, from here on."""
-    return counted_calls(monkeypatch, exactla, "is_nonsingular")
+def counted_rank_decisions(monkeypatch) -> tuple[list, list]:
+    """From here on, the rank decisions (parity-pass calls) and the exact passes among them."""
+    return counted_calls(monkeypatch, exactla, "full_rank_mod2"), counted_calls(
+        monkeypatch, exactla, "is_nonsingular"
+    )
 
 
 def test_verify_and_stage_checks_eliminate_each_tight_set_once(monkeypatch):
     # verify_construction checks the 512 top vertices of the tower's twin
     # ext.twin, and dp_verify the 8 and 64 vertices of stages 2 and 4, two other
     # polytopes.  On stage 6 it meets the same 512 vertices in the same ext.twin
-    # again and reuses their verdicts: 584 locates and 584 eliminations, not
+    # again and reuses their verdicts: 584 locates and 584 rank decisions, not
     # 1,096 and 584.  The verdicts are keyed by the t-map's own state objects.
+    # On the equilibrated twin every tight determinant is odd, so the parity
+    # pass decides each set and the exact pass never runs.
     locates = counted_calls(monkeypatch, polytope, "locate")
-    calls = counted_eliminations(monkeypatch)
+    calls, exact = counted_rank_decisions(monkeypatch)
     ext = build(ConstructionParams(n=48, d=6))
     assert verify_construction(ext).ok and len(calls) == len(locates) == 512
     assert stage_polytope(ext, 6) is ext.twin
@@ -309,6 +313,7 @@ def test_verify_and_stage_checks_eliminate_each_tight_set_once(monkeypatch):
         points = stage_vertices(ext, dim)
         assert dp_verify(stage_polytope(ext, dim), points, ext.params.level_m(dim)).ok
     assert len(calls) == len(locates) == 512 + 8 + 64
+    assert len(exact) == 0
     assert len(ext.twin._point_verdicts) == 512
     assert set(verdicts_of(ext.twin).values()) == {"simple"}
     keys = {id(key) for key in ext.twin._point_verdicts}
@@ -334,7 +339,7 @@ def test_certify_path_hashes_no_fraction(monkeypatch):
 
 
 def test_an_equal_polytope_built_separately_eliminates_again(monkeypatch):
-    calls = counted_eliminations(monkeypatch)
+    calls, _ = counted_rank_decisions(monkeypatch)
     # The t-map's states are in the twin's coordinates y = s * x.
     ext = build(ConstructionParams(n=16, d=4))
     vertex = state_for_t(ext, 3)
@@ -350,21 +355,22 @@ def test_an_equal_polytope_built_separately_eliminates_again(monkeypatch):
 
 def test_a_rank_deficient_tight_set_stays_non_simple_on_repeat(monkeypatch):
     # x <= 1 and 2x <= 2 are both tight at (1, 1/2): d = 2 tight rows of rank 1.
+    # Their parity masks are 0b01 and 0b00, so the exact pass decides the set.
     locates = counted_calls(monkeypatch, polytope, "locate")
-    calls = counted_eliminations(monkeypatch)
+    calls, exact = counted_rank_decisions(monkeypatch)
     parallel = HPolytope(((1, 0), (2, 0), (0, 1), (-1, 0), (0, -1)), (1, 2, 1, 0, 0))
     deficient, outside = ((2, 1), 2), ((4, 1), 2)  # (1, 1/2) and (2, 1/2)
     for _ in range(2):
         report = dp_verify(parallel, [deficient, deficient, outside], 2)
         assert report.duplicate_pairs == ((0, 1),)
         assert report.non_simple == (0,) and report.infeasible == (2,)
-    assert len(locates) == 2 and len(calls) == 1
+    assert len(locates) == 2 and len(calls) == len(exact) == 1
     assert verdicts_of(parallel) == {((2, 1), 2): "non_simple", ((4, 1), 2): "infeasible"}
-    # A point with fewer than d tight rows never reaches elimination; another
-    # tight pair is a new point, decided once.
+    # A point with fewer than d tight rows never reaches a rank decision;
+    # another tight pair is a new point, decided once, by parity alone.
     report = dp_verify(parallel, [((1, 0), 2), ((0, 0), 1)], 2)
     assert report.non_simple == (0,) and not report.infeasible
-    assert len(locates) == 4 and len(calls) == 2
+    assert len(locates) == 4 and len(calls) == 2 and len(exact) == 1
     assert verdicts_of(parallel)[(0, 0), 1] == "simple"
 
 

@@ -15,7 +15,7 @@ import ast
 from pathlib import Path
 
 PACKAGE = Path(__file__).resolve().parents[1] / "src" / "extparab"
-SOURCE_LINE_BUDGET = 2701
+SOURCE_LINE_BUDGET = 2734
 
 
 def parse(path):

@@ -14,10 +14,10 @@ The product is combinatorially a Cartesian product, so vertex counts multiply
 and every product vertex is simple.  ``dp_verify`` checks exactly that on
 points given as integer states, deciding each state once per polytope object,
 and returns a structured report instead of raising so callers can aggregate.
-``extend`` is the vertex formula on states: (x, v + sigma (w - v)) over one
-denominator in lowest terms.  ``dp_vrep`` calls it with sigma = phi(p) for
-every product vertex; the tower's t-map, a witness apart from it, calls it
-with its own sweep value.
+``extend`` is the vertex formula on states: (x, v + sigma (w - v)) in lowest
+terms, with only the tail reduced and x's numerators shared.  ``dp_vrep``
+calls it with sigma = phi(p) for every product vertex; the tower's t-map, a
+witness apart from it, calls it with its own sweep value.
 """
 
 from __future__ import annotations
@@ -101,27 +101,26 @@ def dp_hrep(
         raise DimensionMismatch("fiber rows and right-hand sides must align")
     zero_tail = (Fraction(0),) * len(fiber_rows[0])
     new_rows = [row + zero_tail for row in poly.A]
-    new_rhs = list(poly.b)
-    for i, row in enumerate(fiber_rows):
-        deformation = tuple((beta[i] - beta_prime[i]) * a for a in phi.coeffs)
-        new_rows.append(deformation + row)
-        new_rhs.append(beta[i])
-    return HPolytope(tuple(new_rows), tuple(new_rhs))
+    for row, b, b_prime in zip(fiber_rows, beta, beta_prime):
+        new_rows.append(tuple((b - b_prime) * a for a in phi.coeffs) + row)  # (b - b') phi, B_i
+    return HPolytope(tuple(new_rows), poly.b + beta)
 
 
 def extend(state: State, fiber: State, sigma_num: int, sigma_den: int) -> State:
-    """The state of (x, v + sigma (w - v)) for x = state, fiber = (V | W) over E and
-    sigma = sigma_num/sigma_den, sigma_den > 0: the tail numerators V sigma_den +
-    sigma_num (W - V) over E sigma_den, all over one denominator in lowest terms."""
+    """(x, v + sigma (w - v)) in lowest terms, x = X/D in lowest terms (else InternalMismatch),
+    fiber = (V | W) over E, sigma = sigma_num/sigma_den with sigma_den > 0.  The content is
+    gcd(k, *T) for T = V sigma_den + sigma_num (W - V) and k = E sigma_den/gcd(D, E sigma_den),
+    so only T is reduced, and X's own int objects lead the result where k is that content."""
     (nums, denom), (pair, pair_denom) = state, fiber
+    if denom < 1 or gcd(denom, *nums) != 1:
+        raise InternalMismatch("extend needs an inner state in lowest terms")
     half, tail_denom = len(pair) // 2, pair_denom * sigma_den
     g = gcd(denom, tail_denom)
-    out = [a * (tail_denom // g) for a in nums]
-    vw = zip(pair[:half], pair[half:])
-    out += [(a * sigma_den + sigma_num * (b - a)) * (denom // g) for a, b in vw]
-    denom = denom // g * tail_denom
-    g = gcd(denom, *out)
-    return tuple([a // g for a in out]), denom // g
+    tail = [a * sigma_den + sigma_num * (b - a) for a, b in zip(pair[:half], pair[half:])]
+    c = gcd(k := tail_denom // g, *tail)
+    k, lift = k // c, denom // g
+    head = nums if k == 1 else [a * k for a in nums]
+    return (*head, *[a // c * lift for a in tail]), denom * k
 
 
 def dp_vrep(

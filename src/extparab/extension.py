@@ -24,29 +24,31 @@ twin y = s * x from ``polytope.equilibrated`` (the tower's ``scales`` and
 ``twin``, each made on first use); each stage's twin (``stage_polytope``) is
 the top twin's first rows on its first coordinates.  The t-map builds each
 vertex once per tower, keyed by (dim, t), as its y state in lowest terms:
-``deformed.extend`` interpolates the fiber pair, scaled by the level's two
-tail scales, with the sweep value s/(m-1), after a sweep check.
-``stage_vertices`` keeps each stage's product-map (``dp_vrep``) y states.
+after a sweep check, ``deformed.extend`` appends to the inner state the fiber
+pair, scaled by the level's two tail scales, at the sweep value s/(m-1), as
+a reduced tail, sharing the inner numerators.  ``stage_vertices`` keeps each
+stage's product-map (``dp_vrep``) y states, which share them the same way.
 The memos die with the frozen tower (``dataclasses.replace`` starts empty
 ones), and the maps stay apart, so ``deformed.dp_verify`` is run on each
-map's states.  ``vertex_for_t`` and ``all_vertices`` (the ``.ext`` file) map
-back to x.
+map's states.  ``vertex_for_t`` and ``all_vertices`` (the ``.ext`` file,
+lifted column by column) map back to x.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cached_property, cmp_to_key
+from functools import cached_property
+from itertools import repeat
 from math import gcd, lcm
-from operator import mul
+from operator import floordiv, mul
 
 from . import exactla, polygons, polytope
 from .deformed import Functional, dp_hrep, dp_verify, dp_vrep, extend
 from .errors import BadParameters, InternalMismatch, OutOfRange
 from .exactla import Matrix, Vector
 from .polygons import ParabolaVertexList
-from .polytope import HPolytope, State
+from .polytope import BATCH, HPolytope, State
 
 
 @dataclass(frozen=True)
@@ -262,15 +264,15 @@ def _vertex_at_dim(ext: ExtendedParabola, dim: int, t: int) -> State:
 
 def all_vertices(ext: ExtendedParabola) -> list[State]:
     """``state_for_t`` for every t, mapped back to x: x_i = y_i (L/s_i)/(D L) for L = lcm(s),
-    reduced by one gcd."""
-    wide = lcm(*ext.scales)
-    lifts = [wide // s for s in ext.scales]
-    states = []
-    for t in range(ext.params.vertex_count):
-        nums, denom = _vertex_at_dim(ext, ext.params.d, t)
-        nums, denom = list(map(mul, nums, lifts)), denom * wide
-        g = gcd(denom, *nums)
-        states.append((tuple([a // g for a in nums]), denom // g))
+    reduced by one gcd, column by column over ``polytope.BATCH`` transposed states at a time."""
+    wide, d, m, states = lcm(*ext.scales), ext.params.d, ext.params.vertex_count, []
+    for k in range(0, m, BATCH):
+        nums, denoms = zip(*[_vertex_at_dim(ext, d, t) for t in range(k, min(k + BATCH, m))])
+        columns = [list(map(mul, x, repeat(wide // s))) for x, s in zip(zip(*nums), ext.scales)]
+        denoms = [q * wide for q in denoms]
+        contents = list(map(gcd, denoms, *columns))
+        columns = [map(floordiv, x, contents) for x in columns]
+        states += zip(zip(*columns), map(floordiv, denoms, contents))
     return states
 
 
@@ -345,10 +347,8 @@ def verify_construction(ext: ExtendedParabola) -> ConstructionReport:
 
     states = [state_for_t(ext, t) for t in range(m_top)]
     vertex_check = dp_verify(ext.twin, states, m_top)
-    bad = sorted(
-        [(t, "infeasible") for t in vertex_check.infeasible]
-        + [(t, "not a simple vertex") for t in vertex_check.non_simple]
-    )
+    bad = [(t, "infeasible") for t in vertex_check.infeasible]
+    bad = sorted(bad + [(t, "not a simple vertex") for t in vertex_check.non_simple])
     detail = f"failures at {bad[:5]}" if bad else f"{m_top} vertices checked"
     checks.append(("vertices_simple", not bad, detail))
 
@@ -359,17 +359,19 @@ def verify_construction(ext: ExtendedParabola) -> ConstructionReport:
     phi, phi_prime = (g.rescaled(ext.scales) for g in (ext.phi, ext.phi_prime))
     phis = list(zip(*phi.scaled_columns(columns, denoms)))  # (numerator, denominator > 0)
     primes = zip(*phi_prime.scaled_columns(columns, denoms))
+    low = high = phis[0]
     for t, ((p, q), (r, u)) in enumerate(zip(phis, primes)):
         if p * steps != t * q or r * steps * steps != t * (t - steps) * u:
             off_grid.append(t)
+        low = (p, q) if p * low[1] < low[0] * q else low  # phi's range, cross-multiplied
+        high = (p, q) if p * high[1] > high[0] * q else high
     detail = f"identity fails at t in {off_grid[:5]}"
     checks.append(("projection_identity", not off_grid, detail if off_grid else _ON_GRID))
 
     ortho = exactla.dot(ext.phi.coeffs, ext.phi_prime.coeffs)
     checks.append(("functional_orthogonality", ortho == 0, f"<c_phi, c_phi'> = {ortho}"))
 
-    by_value = cmp_to_key(lambda a, b: a[0] * b[1] - b[0] * a[1])
-    low, high = (Fraction(*pick(phis, key=by_value)) for pick in (min, max))
+    low, high = Fraction(*low), Fraction(*high)
     checks.append(("phi_range", low == 0 and high == 1, f"phi over vertices spans [{low}, {high}]"))
 
     distinct = m_top - len(vertex_check.duplicate_pairs)

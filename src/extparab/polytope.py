@@ -55,7 +55,7 @@ from bisect import bisect_left
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
-from itertools import chain, count
+from itertools import chain, count, repeat
 from math import gcd
 from typing import Callable, NamedTuple, Sequence
 
@@ -69,10 +69,11 @@ from .errors import (
     NotFeasible,
     ZeroDirection,
 )
-from .exactla import Matrix, Vector
+from .exactla import Matrix, Vector, rational_texts
 
 TightSet = tuple[int, ...]
 State = tuple[tuple[int, ...], int]  # (numerators, denominator > 0) in lowest terms
+BATCH = 64  # states the writers transpose at a time: one column call each, a small transient
 Edge = tuple[int, tuple[int, ...]]  # (leaving facet, primitive direction)
 _INE_NUMBER = re.compile(r"-?[0-9]+(/[0-9]+)?")  # the entry forms hrep_to_ine writes
 _INE_SIZE = re.compile(r"([0-9]+) ([0-9]+) rational")  # its size line, spaces normalized
@@ -355,11 +356,8 @@ def ratio_test(poly: HPolytope, point: ScaledPoint, direction: Sequence) -> tupl
 def hrep_to_ine(poly: HPolytope) -> str:
     """Serialize as a cdd H-representation with exact rational entries."""
     lines = ["H-representation", "begin", f"{poly.num_facets} {poly.dim + 1} rational"]
-    for row, rhs in zip(poly.A, poly.b):
-        entries = [str(rhs)] + [str(-a) for a in row]
-        lines.append(" ".join(entries))
-    lines.append("end")
-    return "\n".join(lines) + "\n"
+    lines += [" ".join([str(rhs), *(str(-a) for a in row)]) for row, rhs in zip(poly.A, poly.b)]
+    return "\n".join(lines) + "\nend\n"
 
 
 def hrep_from_ine(text: str) -> HPolytope:
@@ -401,14 +399,15 @@ def hrep_from_ine(text: str) -> HPolytope:
 
 
 def vrep_to_ext(points: Sequence[State]) -> str:
-    """Serialize vertex states as a cdd V-representation (rows ``1 x1 .. xd``)."""
+    """Serialize vertex states as a cdd V-representation (rows ``1 x1 .. xd``), by columns."""
     if not points:
         raise FormatError("empty vertex list")
     dim = len(points[0][0])
-    lines = ["V-representation", "begin", f"{len(points)} {dim + 1} rational"]
-    for i, (nums, denom) in enumerate(points):
+    for i, (nums, _) in enumerate(points):
         if len(nums) != dim:
             raise DimensionMismatch(f"point {i} has dim {len(nums)}, point 0 has dim {dim}")
-        lines.append(" ".join(["1", *exactla.rational_texts(nums, [denom] * dim)]))
-    lines.append("end")
-    return "\n".join(lines) + "\n"
+    lines = ["V-representation", "begin", f"{len(points)} {dim + 1} rational"]
+    for k in range(0, len(points), BATCH):
+        nums, denoms = zip(*points[k : k + BATCH])
+        lines += map(" ".join, zip(repeat("1"), *[rational_texts(x, denoms) for x in zip(*nums)]))
+    return "\n".join(lines) + "\nend\n"

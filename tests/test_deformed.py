@@ -204,6 +204,34 @@ def test_extend_matches_fraction_arithmetic(case):
     assert fraction_coords(out) == expected and out == state(expected)
 
 
+def test_extend_refuses_an_inner_state_not_in_lowest_terms():
+    # Only a lowest-terms inner state lets extend reduce the tail alone.
+    fiber = state((1, 2, 3, 4))
+    for inner in [((2, 4), 2), ((3, 6), 3), ((0, 0), 2), ((1, 2), 0), ((1, 2), -1)]:
+        with pytest.raises(InternalMismatch, match="lowest terms"):
+            extend(inner, fiber, 1, 3)
+
+
+def test_extend_shares_the_inner_numerators_where_the_denominator_absorbs_the_tail():
+    # Where the inner denominator D absorbs the tail's, or the tail's content
+    # cancels what it adds, the result's leading entries are the inner state's
+    # own int objects, past the small-int cache; the tail is still exact.
+    big = (10**30 + 1, -(10**25 + 7))
+    cases = [
+        ((big, 30), ((1, 2, 3, 4), 5), 1, 3),  # tail denominator 15 divides D = 30
+        ((big, 1), ((2, 4), 1), 1, 2),  # tail 6/2: its content 2 cancels k = 2
+        ((big, 7), ((1, 2, 3, 4), 1), 0, 1),  # sigma = 0: the tail is V
+    ]
+    for inner, fiber, *sigma in cases:
+        nums, denom = out = extend(inner, fiber, *sigma)
+        assert denom == inner[1] and all(a is b for a, b in zip(nums, inner[0]))
+        (pair, pair_denom), sig = fiber, F(*sigma)
+        half = len(pair) // 2
+        v, w = (tuple(F(a, pair_denom) for a in part) for part in (pair[:half], pair[half:]))
+        expected = (*fraction_coords(inner), *(a + sig * (b - a) for a, b in zip(v, w)))
+        assert fraction_coords(out) == expected and out == state(expected)
+
+
 def test_dp_vrep_count_multiplies(monkeypatch):
     # m inner vertices times n fiber pairs, with phi evaluated once per inner vertex.
     fam_v = polygons.build_family(4, 4, "V")

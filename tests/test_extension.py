@@ -1,6 +1,7 @@
 """The recursive tower: parameters, vertex map, projection, verification."""
 
 import dataclasses
+import operator
 import os
 import subprocess
 import sys
@@ -337,6 +338,29 @@ def test_all_vertices_are_vertex_for_t_with_shared_inner_coordinates(n, d):
         inner = fraction_coords(x_state(ext, ext._vertices[d - 2, s]))
         assert fraction_coords(vertex)[: d - 2] == inner
     assert len(ext._vertices) == sum(ext.params.level_m(dim) for dim in range(2, d + 1, 2))
+
+
+@pytest.mark.parametrize("n, d", [(48, 6), (32, 8), (48, 12)])
+def test_vertex_states_share_their_inner_coordinate_objects(n, d):
+    # extend returns the inner state's own numerators where the denominator
+    # does not grow, in the t-map and the product map alike: every such state
+    # shares every inner int object (the memory verify --d 16 saves), and at
+    # least 90% of the states are such states (91.7% at (32, 8)).
+    ext = build(ConstructionParams(n=n, d=d))
+    for t in range(ext.params.vertex_count):
+        state_for_t(ext, t)
+    pairs = []  # (state, its inner state) for each vertex map
+    for (dim, t), state in ext._vertices.items():
+        if dim > 2:
+            s = decompose_t(t, ext.levels[(dim - 4) // 2].m_level, ext.params.fiber_count)[2]
+            pairs.append((state, ext._vertices[dim - 2, s]))
+    for dim in range(4, d + 1, 2):
+        inner = stage_vertices(ext, dim - 2)
+        product = stage_vertices(ext, dim)
+        pairs += [(state, inner[i // ext.params.fiber_count]) for i, state in enumerate(product)]
+    same = [(state, inner) for state, inner in pairs if state[1] == inner[1]]
+    assert all(all(map(operator.is_, state[0], inner[0])) for state, inner in same)
+    assert len(same) >= 0.9 * len(pairs)
 
 
 def test_vertex_lists_are_fresh_for_each_caller():

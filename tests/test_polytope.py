@@ -899,6 +899,14 @@ def test_vrep_writer_matches_the_fraction_reference(case):
     assert polytope.vrep_to_ext(states) == reference_vrep_to_ext(points)
 
 
+def test_vrep_writer_matches_the_fraction_reference_across_batches():
+    # The writer transposes BATCH states at a time: two full batches and a
+    # partial last one, with mixed denominators, give the reference's text.
+    points = [(F(i, 7), F(-i, i % 5 + 1), F(i * i)) for i in range(2 * polytope.BATCH + 3)]
+    states = [exactla.common_denominator(p) for p in points]
+    assert polytope.vrep_to_ext(states) == reference_vrep_to_ext(points)
+
+
 def test_vrep_rejects_an_empty_vertex_list():
     for writer in (polytope.vrep_to_ext, reference_vrep_to_ext):
         with pytest.raises(FormatError, match=r"^empty vertex list$"):

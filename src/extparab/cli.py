@@ -217,7 +217,12 @@ def cmd_run(args) -> int:
 
 def cmd_scan(args) -> int:
     cap = None if args.cap_override else lowerbound.SCAN_CAP_DEFAULT
-    report = lowerbound.chord_scan(args.M, cap=cap)
+    try:
+        report = lowerbound.chord_scan(args.M, cap=cap)
+    except ScanCapExceeded:  # the library's advice names its cap argument; name the flag
+        raise ScanCapExceeded(
+            f"M = {args.M} exceeds the scan cap {cap}; pass --cap-override to scan it"
+        ) from None
     if args.out:
         with _replaced_on_success([args.out]) as (fh,):
             json.dump(report.to_json_dict(), fh, indent=2)

@@ -15,22 +15,28 @@ over 2 (M-1)^2: the closed form k (3 - 2k), and the direct product
 g_t k - 2 (Y_s - Y_t) with s = t + k, g_t = 4t + 5 - 2M, Y_s = s (s - M + 1).
 Row t is one integer whose w-bit lane s holds bias + g_t s - 2 Y_s + c_t,
 c_t = 2 Y_t - g_t t; it must equal the M-lane window, from lane M-1-t, of
-one integer whose lane k + M - 1 holds bias + k (3 - 2k).  The bias adds
-bounds on each summand, never the identity itself: with G = max |g_t|,
-taken at t = 0 or M-1 as g_t is affine, |g_t s| <= G (M-1),
-0 <= -2 Y_s <= (M-1)^2/2 and |c_t| <= (M-1)^2/2 + G (M-1), and
-|k (3 - 2k)| peaks at k = +-(M-1).  w is the bit length of 2 bias rounded
-up to whole bytes, so every lane on both sides lies in [0, 2^w).  An integer has
-one base-2^w digit string, so the two are equal exactly when every lane,
-i.e. every pair, agrees.  The G and closed-form bounds are checked as the
-values are made.  A disagreement between the two computations raises
-InternalMismatch.
+one integer whose lane k + M - 1 holds bias + k (3 - 2k).  Rows advance by
+two additions, row_t = row_{t-1} + step_t and step_t = step_{t-1} + a_t,
+with a_t = D2g_t S + D2c_t ONES (lane s of S holds s, of ONES 1) built from
+the second differences of the values g_t and c_t themselves, from the lanes
+bias - 2 Y_s with g, c and step 0 before t = 0.  By induction each row is
+exactly the integer above for any gradient values, faulty ones included;
+a_t is rebuilt only when it changes, at t = 0, 1, 2 here (D2g = 0, and
+c_t = -2t^2 - 3t gives D2c = -4).  The bias adds bounds on each summand,
+never the identity itself: with G = max |g_t|, taken at t = 0 or M-1 as g_t
+is affine, |g_t s| <= G (M-1), 0 <= -2 Y_s <= (M-1)^2/2 and
+|c_t| <= (M-1)^2/2 + G (M-1), and |k (3 - 2k)| peaks at k = +-(M-1).  w is
+the bit length of 2 bias rounded up to whole bytes, so every lane on both
+sides lies in [0, 2^w).  An integer has one base-2^w digit string, so the
+two are equal exactly when every lane, i.e. every pair, agrees.  The G and
+closed-form bounds are checked as the values are made.  A disagreement
+between the two computations raises InternalMismatch.
 """
 
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from fractions import Fraction
 from typing import Sequence
 
@@ -99,18 +105,14 @@ def chord_scan(m_count: int, cap: int | None = SCAN_CAP_DEFAULT) -> ChordScanRep
     if m_count < 2:
         raise BadParameters(f"M must be at least 2, got {m_count}")
     if cap is not None and m_count > cap:
-        raise ScanCapExceeded(
-            f"M = {m_count} exceeds the scan cap {cap}; raise or disable the cap"
-        )
+        raise ScanCapExceeded(f"M = {m_count} exceeds the scan cap {cap}; raise or disable the cap")
     denom = 2 * (m_count - 1) ** 2
     g_bound, closed_bound, bias, width = _lane_layout(m_count)
     closed_bytes, s_bytes, base_bytes, bad = bytearray(), bytearray(), bytearray(), []
     for k in range(1 - m_count, m_count):
         closed_num = _closed_numerator(k)
         if abs(closed_num) > closed_bound:
-            raise InternalMismatch(
-                f"closed form {closed_num} at k = {k} exceeds its lane bound"
-            )
+            raise InternalMismatch(f"closed form {closed_num} at k = {k} exceeds its lane bound")
         closed_bytes += (bias + closed_num).to_bytes(width, "little")
         if k and (closed_num > 0) != (k == 1):
             bad.append((k, Fraction(closed_num, denom)))
@@ -121,13 +123,18 @@ def chord_scan(m_count: int, cap: int | None = SCAN_CAP_DEFAULT) -> ChordScanRep
     s_lanes, base_lanes = int.from_bytes(s_bytes, "little"), int.from_bytes(base_bytes, "little")
     ones = int.from_bytes((b"\x01" + bytes(width - 1)) * m_count, "little")
     lane_bits, mask = 8 * width, (1 << 8 * width * m_count) - 1
-    violations = []
+    violations, row, step, last, d2 = [], base_lanes, 0, (0, 0, 0, 0), None
     for t in range(m_count):
         g_num = _gradient_numerator(m_count, t)
         if abs(g_num) > g_bound:
             raise InternalMismatch(f"gradient {g_num} at t = {t} exceeds its lane bound")
         c_t = -2 * t * (m_count - 1 - t) - g_num * t  # 2 Y_t - g_t t
-        row = g_num * s_lanes + base_lanes + c_t * ones
+        dg, dc = g_num - last[0], c_t - last[1]  # row - row_{t-1} = dg S + dc ONES
+        if (d2_t := (dg - last[2], dc - last[3])) != d2:
+            d2, a_t = d2_t, d2_t[0] * s_lanes + d2_t[1] * ones
+        step += a_t
+        row += step
+        last = (g_num, c_t, dg, dc)
         if row != (closed_lanes >> lane_bits * (m_count - 1 - t)) & mask:
             for k in range(-t, m_count - t):
                 closed_num = _closed_numerator(k)
@@ -154,13 +161,7 @@ class PathCertificate:
     entries: tuple[PathStep, ...]
 
     def to_json_dict(self) -> dict:
-        return {
-            "M": self.m_count,
-            "entries": [
-                {"t": e.t, "improving_edges": e.improving_edges, "successor_t": e.successor_t}
-                for e in self.entries
-            ],
-        }
+        return {"M": self.m_count, "entries": [asdict(e) for e in self.entries]}
 
 
 def monotone_path_check(
@@ -276,14 +277,6 @@ def iteration_experiment(
             )
         if len(set(path)) != m_top:
             raise CertificateFailure(f"{rule_name}/{seed}: repeated vertices in trace")
-        rows.append(
-            ExperimentRow(
-                rule=rule_name,
-                seed=seed,
-                vertices_visited=trace.vertices_visited,
-                edge_moves=trace.edge_moves,
-                loop_iterations=trace.edge_moves,
-                wall_time_ms=elapsed_ms,
-            )
-        )
+        moves, visited = trace.edge_moves, trace.vertices_visited  # one loop iteration per move
+        rows.append(ExperimentRow(rule_name, seed, visited, moves, moves, elapsed_ms))
     return ExperimentTable(n=n, d=d, m_count=m_top, rows=tuple(rows))

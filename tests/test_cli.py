@@ -412,6 +412,7 @@ def test_scan_refuses_beyond_cap(capsys):
     assert run_cli(["scan", "--M", "100000"]) == 2
     err = capsys.readouterr().err
     assert "cap" in err
+    assert "--cap-override" in err  # the flag that lifts the cap, not the API's cap=None
 
 
 def test_scan_report_file(tmp_path):

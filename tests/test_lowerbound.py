@@ -236,6 +236,40 @@ def test_packed_scan_checks_lane_bounds(monkeypatch):
         chord_scan(16)
 
 
+def shifted_gradient(m_count, t):
+    # one gradient numerator off by one at t = 5, well inside its lane bound
+    return gradient_numerator(m_count, t) + (t == 5)
+
+
+@pytest.mark.parametrize("m_count", [8, 64, 300])
+def test_packed_scan_follows_the_gradient_values_not_a_slope(monkeypatch, m_count):
+    # The rows advance by differences of the gradient's own values: a fault
+    # in one value must reach its row and be named as the reference names it.
+    with pytest.raises(InternalMismatch) as expected:
+        reference_chord_scan(m_count, gradient=shifted_gradient)
+    assert str(expected.value) == "numerators -65 != -70 at (t, k) = (5, -5)"
+    monkeypatch.setattr(lowerbound, "_gradient_numerator", shifted_gradient)
+    with pytest.raises(InternalMismatch) as got:
+        chord_scan(m_count)
+    assert str(got.value) == str(expected.value)
+
+
+@pytest.mark.parametrize("m_count", [16, 64])
+def test_packed_scan_checks_the_closed_form_lane_bound(monkeypatch, m_count):
+    monkeypatch.setattr(
+        lowerbound, "_closed_numerator", lambda k: closed_numerator(k) + (1 << 40) * (k == -3)
+    )
+    with pytest.raises(InternalMismatch) as got:
+        chord_scan(m_count)
+    assert str(got.value) == f"closed form {(1 << 40) - 27} at k = -3 exceeds its lane bound"
+
+
+def test_lane_width_steps_to_five_bytes_at_20725():
+    # CI scans M = 20725 under python -O for its first 5-byte lanes.
+    assert lowerbound._lane_layout(20724)[3] == 4
+    assert lowerbound._lane_layout(20725)[3] == 5
+
+
 def test_packed_scan_controls_survive_optimize_flag():
     # The mismatch and lane-bound controls must still raise when python -O
     # strips asserts.
@@ -255,6 +289,17 @@ def test_packed_scan_controls_survive_optimize_flag():
         "    lowerbound.chord_scan(64)\n"
         "except InternalMismatch as exc:\n"
         "    print(exc)\n"
+        "lowerbound._gradient_numerator = lambda m, t: gradient(m, t) + (t == 5)\n"
+        "try:\n"
+        "    lowerbound.chord_scan(64)\n"
+        "except InternalMismatch as exc:\n"
+        "    print(exc)\n"
+        "lowerbound._gradient_numerator = gradient\n"
+        "lowerbound._closed_numerator = lambda k: closed(k) + (1 << 40) * (k == -3)\n"
+        "try:\n"
+        "    lowerbound.chord_scan(64)\n"
+        "except InternalMismatch as exc:\n"
+        "    print(exc)\n"
     )
     src = str(Path(__file__).resolve().parents[1] / "src")
     env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
@@ -265,6 +310,8 @@ def test_packed_scan_controls_survive_optimize_flag():
     assert done.stdout.splitlines() == [
         "numerators -64 != -65 at (t, k) = (5, -5)",
         f"gradient {(1 << 40) - 111} at t = 3 exceeds its lane bound",
+        "numerators -65 != -70 at (t, k) = (5, -5)",
+        f"closed form {(1 << 40) - 27} at k = -3 exceeds its lane bound",
     ]
 
 

@@ -8,7 +8,9 @@ exactly for k = 1.  Because the objective is invariant under the projection
 and edges upstairs map to edges and chords downstairs, scanning all chords in
 2D certifies that no shortcut exists anywhere on the tower; the lift itself
 is certified separately by walking the actual edge graph, on the tower's
-twin y = s * x with f(y / s), as ``report``'s runs are.
+twin y = s * x with f(y / s).  One checker, ``_certified_walk``, does that
+for any pivot rule, vertex by vertex: the path certificate is its
+first-index run, and every run the iteration experiment times is one too.
 
 ``chord_scan`` checks every (t, k) pair two independent ways, as numerators
 over 2 (M-1)^2: the closed form k (3 - 2k), and the direct product
@@ -38,7 +40,7 @@ from __future__ import annotations
 import time
 from dataclasses import asdict, dataclass
 from fractions import Fraction
-from typing import Sequence
+from typing import Iterator, Sequence
 
 from . import activeset, extension
 from .activeset import QuadraticObjective, make_rule, RULE_CONSUMES_SEED
@@ -164,29 +166,29 @@ class PathCertificate:
         return {"M": self.m_count, "entries": [asdict(e) for e in self.entries]}
 
 
-def monotone_path_check(
-    ext: ExtendedParabola, f: QuadraticObjective
-) -> PathCertificate:
-    """Certify the unique-improving-edge path t -> t+1 on the full tower.
+def _certified_walk(
+    ext: ExtendedParabola, f: QuadraticObjective, rule: activeset.PivotRule
+) -> Iterator[PathStep]:
+    """The active-set method's walk from vertex 0 under ``rule``, certified vertex by vertex.
 
-    At every non-optimal vertex exactly one of the d edges improves, and
-    following it lands exactly on the next indexed vertex; the optimum has
-    none.  The moves are the active-set method's own: the runner's
-    ``activeset.walk`` with the first-index rule from vertex 0 on the twin
-    y = s * x with f(y / s), with all its checks, and each point it reaches,
-    in lowest terms, is compared with the vertex map's y state
-    (``extension.state_for_t``).  Any deviation, or any error raised at vertex
-    t or on the edge leaving it, raises CertificateFailure naming the
-    offending t.
+    The walk is the runner's ``activeset.walk`` on the twin y = s * x with
+    f(y / s), with all its checks, capped at M moves.  Each point it reaches,
+    in lowest terms, must be the vertex map's y state
+    (``extension.state_for_t``) and have exactly one improving edge, none at
+    the optimum t = M - 1; the walk's strict increase of f keeps the M
+    vertices distinct.  Any deviation, or any error raised at vertex t or on
+    the edge leaving it (vertex 0's start included), raises
+    CertificateFailure naming the offending t.  Yields one PathStep per t.
     """
     m_top = ext.params.vertex_count
-    entries, records = [], None
+    records = None
     for t in range(m_top):
         try:
             if records is None:  # vertex 0 starts the walk
-                twin, f_y, x0 = _on_twin(ext, f)
-                start = activeset.start_point(twin, f_y, x0)
-                records = activeset.walk(twin, f_y, start, activeset.FirstIndex(), m_top)
+                nums, denom = extension.state_for_t(ext, 0)
+                f_y = f.rescaled(ext.scales)
+                start = activeset.start_point(ext.twin, f_y, [Fraction(a, denom) for a in nums])
+                records = activeset.walk(ext.twin, f_y, start, rule, m_top)
             point, improving, _ = next(records)
             state = extension.state_for_t(ext, t)
         except ExtparabError as exc:
@@ -198,14 +200,20 @@ def monotone_path_check(
             raise CertificateFailure(
                 f"t = {t}: {len(improving)} improving edges, expected {expected}"
             )
-        entries.append(PathStep(t, expected, t + 1 if expected else None))
-    return PathCertificate(m_top, tuple(entries))
+        yield PathStep(t, expected, t + 1 if expected else None)
 
 
-def _on_twin(ext: ExtendedParabola, f: QuadraticObjective) -> tuple:
-    """(twin, f(y / s), vertex 0 in y): what the certificate and the experiment's runs walk."""
-    nums, denom = extension.state_for_t(ext, 0)
-    return ext.twin, f.rescaled(ext.scales), [Fraction(a, denom) for a in nums]
+def monotone_path_check(
+    ext: ExtendedParabola, f: QuadraticObjective
+) -> PathCertificate:
+    """Certify the unique-improving-edge path t -> t+1 on the full tower.
+
+    At every non-optimal vertex exactly one of the d edges improves, and
+    following it lands exactly on the next indexed vertex; the optimum has
+    none.  The moves are ``_certified_walk``'s under the first-index rule.
+    """
+    entries = _certified_walk(ext, f, activeset.FirstIndex())
+    return PathCertificate(ext.params.vertex_count, tuple(entries))
 
 
 @dataclass(frozen=True)
@@ -241,42 +249,28 @@ def iteration_experiment(
 ) -> ExperimentTable:
     """Run every rule (and every seed, for seeded rules) on ``ext``'s twin and ``f`` from vertex 0.
 
-    Requires the n = 4d regime, in which the vertex count is 2^d.  Asserts
-    that all runs produce the identical vertex sequence, visiting exactly
-    2^d distinct vertices in 2^d - 1 edge moves; any deviation raises
-    CertificateFailure.  The tower or objective may be corrupted, for
-    negative controls.
+    Requires the n = 4d regime, in which the vertex count is 2^d.  Every run
+    is a ``_certified_walk``: it must follow the vertex map t -> t + 1 with
+    exactly one improving edge at each of its 2^d vertices, so all runs
+    visit the identical sequence of 2^d distinct vertices in 2^d - 1 edge
+    moves, and each row's wall time is that certified run's.  Any deviation
+    raises CertificateFailure prefixed with the run's ``rule/seed``.  The
+    tower or objective may be corrupted, for negative controls.
     """
     n, d = ext.params.n, ext.params.d
     if n != 4 * d:
         raise BadParameters(f"iteration experiment requires n = 4d, got n={n}, d={d}")
-    m_top = ext.params.vertex_count
-    twin, f_y, start = _on_twin(ext, f)
-
     runs = ((name, s) for name in rules for s in (seeds if name in RULE_CONSUMES_SEED else [None]))
 
     rows = []
-    reference: list[tuple[tuple[int, ...], int]] | None = None
     for rule_name, seed in runs:
         rule = make_rule(rule_name, seed)
         t0 = time.perf_counter()
-        trace = activeset.active_set_run(twin, f_y, start, rule, max_iter=4 * m_top)
+        try:
+            visited = sum(1 for _ in _certified_walk(ext, f, rule))
+        except CertificateFailure as exc:
+            raise CertificateFailure(f"{rule_name}/{seed}: {exc}") from exc
         elapsed_ms = (time.perf_counter() - t0) * 1000.0
-        if trace.terminated != "Optimal":
-            raise CertificateFailure(f"{rule_name}/{seed}: terminated {trace.terminated}")
-        path = [(step.nums, step.denom) for step in trace.steps]  # equal iff the points are
-        if reference is None:
-            reference = path
-        elif path != reference:
-            raise CertificateFailure(
-                f"{rule_name}/{seed}: vertex sequence differs from the first run"
-            )
-        if trace.vertices_visited != m_top:  # 2^d at n = 4d
-            raise CertificateFailure(
-                f"{rule_name}/{seed}: visited {trace.vertices_visited} vertices, expected {m_top}"
-            )
-        if len(set(path)) != m_top:
-            raise CertificateFailure(f"{rule_name}/{seed}: repeated vertices in trace")
-        moves, visited = trace.edge_moves, trace.vertices_visited  # one loop iteration per move
+        moves = visited - 1  # one loop iteration per move
         rows.append(ExperimentRow(rule_name, seed, visited, moves, moves, elapsed_ms))
-    return ExperimentTable(n=n, d=d, m_count=m_top, rows=tuple(rows))
+    return ExperimentTable(n=n, d=d, m_count=ext.params.vertex_count, rows=tuple(rows))

@@ -99,8 +99,8 @@ def test_criterion_3_pivot_rule_independence():
             table = lowerbound.iteration_experiment(
                 ext, pullback_objective(ext), ["first", "last", "random"], list(range(1, 11))
             )
-            # iteration_experiment itself raises on any sequence deviation;
-            # re-assert the counters here.
+            # iteration_experiment certifies every run against the vertex map
+            # and raises on any deviation; re-assert the counters here.
             assert len(table.rows) == 12
             assert all(r.vertices_visited == 2**d for r in table.rows)
             assert all(r.edge_moves == 2**d - 1 for r in table.rows)

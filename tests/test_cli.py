@@ -464,8 +464,29 @@ def test_report_detects_objective_fault(capsys):
     assert code == 1
 
 
+def test_report_walks_each_path_once(monkeypatch, capsys):
+    # Each run the report times is its certificate: one walk per rule and
+    # seed, and none more for a separate first-index certificate, and no run
+    # keeps a whole trace.
+    walks, real_walk = [], activeset.walk
+
+    def counted(*args):
+        walks.append(args[3])
+        return real_walk(*args)
+
+    def refused(*args, **kwargs):
+        raise AssertionError("iteration_experiment must not record whole traces")
+
+    monkeypatch.setattr(activeset, "walk", counted)
+    monkeypatch.setattr(activeset, "active_set_run", refused)
+    assert run_cli(["report", "--d", "4", "--rules", "first,last", "--seeds", "1"]) == 0
+    assert "rule=last" in capsys.readouterr().out
+    assert [type(rule) for rule in walks] == [activeset.FirstIndex, activeset.LastIndex]
+
+
 def test_negative_controls_survive_optimize_flag():
-    # The three injected faults must still exit 1 when python -O strips asserts.
+    # The injected faults must still exit 1 when python -O strips asserts; the
+    # objective fault with only the last-index rule is caught by that rule's own run.
     code = (
         "import contextlib, io\n"
         "from extparab.cli import main\n"
@@ -474,6 +495,7 @@ def test_negative_controls_survive_optimize_flag():
         "    ['verify', '--d', '4', '--inject-fault', 'phi-weight'],\n"
         "    ['verify', '--d', '4', '--inject-fault', 'vertex'],\n"
         "    ['report', '--d', '4', '--rules', 'first', '--seeds', '1', '--inject-fault', 'objective-c'],\n"
+        "    ['report', '--d', '4', '--rules', 'last', '--seeds', '1', '--inject-fault', 'objective-c'],\n"
         "]\n"
         "for argv in controls:\n"
         "    with contextlib.redirect_stdout(io.StringIO()):\n"
@@ -486,7 +508,7 @@ def test_negative_controls_survive_optimize_flag():
         [sys.executable, "-O", "-c", code], capture_output=True, text=True, env=env, timeout=120
     )
     assert done.returncode == 0, done.stderr
-    assert done.stdout.split() == ["1", "1", "1"]
+    assert done.stdout.split() == ["1", "1", "1", "1"]
 
 
 def counted_everywhere(monkeypatch, module, name):

@@ -484,6 +484,36 @@ def test_iteration_experiment_detects_corruption():
         iteration_experiment(ext, bad, ["first"], [])
 
 
+def corrupted_objective(ext):
+    """The objective-c fault: the tuned linear coefficient replaced by 1."""
+    good = pullback_objective(ext)
+    linear = tuple(-a - b for a, b in zip(ext.phi.coeffs, ext.phi_prime.coeffs))
+    return QuadraticObjective(good.quad, linear, good.constant)
+
+
+@pytest.mark.parametrize("rule, seed", [("last", None), ("random", 1)])
+def test_iteration_experiment_certifies_every_rule(rule, seed):
+    # Each rule's run is certified vertex by vertex, so the fault is named at
+    # its vertex, not found by comparing whole runs afterwards.
+    ext = build(ConstructionParams(n=16, d=4))
+    expected = rf"^{rule}/{seed}: t = 0: 0 improving edges, expected 1$"
+    with pytest.raises(CertificateFailure, match=expected):
+        iteration_experiment(ext, corrupted_objective(ext), [rule], [1])
+
+
+@pytest.mark.parametrize("rule", activeset.RULE_NAMES)
+def test_iteration_experiment_checks_every_rule_against_the_vertex_map(rule):
+    # Vertex 5 moved in the vertex map: every rule's run, not only the
+    # first-index certificate, must find the edge from t = 4 missing it.
+    ext = build(ConstructionParams(n=16, d=4))
+    v = vertex_for_t(ext, 5)
+    ext._vertices[4, 5] = exactla.common_denominator((v[0] + 1,) + v[1:])
+    seed = 1 if rule in activeset.RULE_CONSUMES_SEED else None
+    expected = rf"^{rule}/{seed}: t = 4: improving edge does not reach vertex t \+ 1$"
+    with pytest.raises(CertificateFailure, match=expected):
+        iteration_experiment(ext, pullback_objective(ext), [rule], [1])
+
+
 def test_experiment_csv_columns():
     table = iteration_experiment(*experiment_instance(16, 4), ["first"], [])
     lines = table.to_csv().strip().splitlines()
